@@ -332,6 +332,7 @@ def cmd_decouple(args):
         "gridShape": list(out["gridShape"]),
         "partitionReport": report.to_dict(),
     }, t0)
+    payload["timing"]["construct"] = out["work"]
     _emit(args, os.path.join(run_dir, "report.json"), payload)
     ok = report.verdict == "pass" and out["quality"]["invarianceResidual"] <= 1e-4
     return 0 if ok else 1

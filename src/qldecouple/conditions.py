@@ -83,6 +83,17 @@ class PartitionScheme:
                 return i
         raise KeyError(slot)
 
+    def forbidden(self, i, j):
+        """True when block i must not depend on block j: every later block in
+        partial mode, every other block in full mode."""
+        return j > i if self.mode == "partial" else j != i
+
+    def forbidden_pairs(self):
+        """Slot pairs (a, b) with a in block i, b in block j, (i, j) forbidden."""
+        return [(a, b) for i, bi in enumerate(self.blocks)
+                for j, bj in enumerate(self.blocks) if self.forbidden(i, j)
+                for a in bi for b in bj]
+
     def label(self, slot):
         i = self.block_of(slot)
         return f"{i + 1},{self.blocks[i].index(slot) + 1}"
@@ -106,16 +117,7 @@ class PartitionScheme:
 
 
 def gradient_tuples(p: PartitionScheme):
-    k = p.k
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            if p.mode == "partial" and j < i:
-                continue
-            for a in p.blocks[i]:
-                for b in p.blocks[j]:
-                    yield (a, b)
+    yield from p.forbidden_pairs()
 
 
 def interaction_tuples(p: PartitionScheme):
@@ -170,6 +172,22 @@ class FrameMachine:
             return self.field.frame_at(t, x, u, check=False)
         raw = eigen.spectrum_at(self.sys, t, x, u, self.cluster_tol).frame
         return eigen.align_frames(reference, raw)
+
+    def rights_batch(self, t, x, U, reference: eigen.Frame):
+        """Right autovectors near() gives at the rows of U (N, n), as (N, slot,
+        component), NaN in rows near() rejects.  Hinted frames and numeric
+        rows with a real simple spectrum are evaluated in one batch; other
+        numeric rows go through near() one at a time."""
+        if self.field is not None:
+            return self.field.rights_batch(t, x, U)
+        rights, fallback = eigen.simple_rights_batch(self.sys, t, x, U, reference,
+                                                     self.cluster_tol)
+        for k in np.flatnonzero(fallback):
+            try:
+                rights[k] = self.near(t, x, U[k], reference).rights
+            except (DomainError, IllConditioned, MismatchedSignature):
+                pass
+        return rights
 
     def sweep(self, t, x, u, base: eigen.Frame, slot, h):
         d = base.rights[slot]

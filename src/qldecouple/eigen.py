@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprlang as ex
-from .errors import HintInconsistent, IllConditioned, MismatchedSignature
+from .errors import DomainError, HintInconsistent, IllConditioned, MismatchedSignature
 
 COND_LIMIT = 1e8
 RANK_TOL = 1e-8
@@ -208,6 +208,70 @@ def spectrum_at(sys_, t, x, u, cluster_tol=None) -> Spectrum:
     return Spectrum(point=(t, x, tuple(u)), frame=frame)
 
 
+def _cond_ok(R):
+    """Row mask of a stack (N, n, n): condition number finite and <= COND_LIMIT."""
+    ok = np.zeros(len(R), dtype=bool)
+    if len(R):
+        cond = np.linalg.cond(R)
+        ok = np.isfinite(cond) & (cond <= COND_LIMIT)
+    return ok
+
+
+def simple_rights_batch(sys_, t, x, U, reference: Frame, cluster_tol=None):
+    """Right autovectors at the rows of U (N, n) whose spectrum is real and
+    simple, from one batched eig: what spectrum_at then align_frames against
+    the reference give there, with their gates.
+
+    Returns (rights, fallback).  rights is (N, slot, component) in ascending
+    eigenvalue order, each vector rescaled so its component at the reference
+    pivot matches the reference; a rejected row (non-finite A, complex
+    eigenvector, ill-conditioned frame, lost pivot) is NaN.  fallback marks
+    the rows left NaN because their spectrum clusters or is complex, which
+    only the per-point path handles.
+    """
+    N, n = len(U), sys_.n
+    rights = np.full((N, n, n), np.nan)
+    rows = np.flatnonzero(np.isfinite(U).all(axis=1))
+    fallback = np.zeros(N, dtype=bool)
+    try:
+        A = np.moveaxis(sys_.eval_matrix_batch(t, x, U[rows].T), -1, 0)
+    except DomainError:
+        A = None
+    if A is None or not all(c.alg_mult == 1 and not c.is_complex
+                            for c in reference.clusters):
+        fallback[rows] = True
+        return rights, fallback
+    finite = np.isfinite(A).all(axis=(1, 2))
+    rows, A = rows[finite], A[finite]
+    w, V = np.linalg.eig(A)
+    ctol = (np.full(len(rows), cluster_tol) if cluster_tol is not None
+            else 1e-6 * (1.0 + np.max(np.abs(w), axis=1)))
+    w_half = w.real + 1j * np.abs(w.imag)
+    gaps = np.abs(w_half[:, :, None] - w_half[:, None, :]) + np.diag(np.full(n, np.inf))
+    simple = ((np.abs(w.imag) <= ctol[:, None]).all(axis=1)
+              & (gaps.min(axis=(1, 2)) > ctol))
+    fallback[rows[~simple]] = True
+    rows, w, V = rows[simple], w[simple], V[simple]
+
+    order = np.argsort(w.real, axis=1)
+    vecs = np.swapaxes(np.take_along_axis(V, order[:, None, :], axis=2), 1, 2)
+    real = (np.abs(vecs.imag).max(axis=2) <= 1e-8 * np.abs(vecs).max(axis=2)).all(axis=1)
+    vecs = vecs.real
+    pivots = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=2)[:, :, None], axis=2)
+    ok = real & (pivots != 0).all(axis=(1, 2))
+    vecs[ok] /= pivots[ok]
+    ok[ok] = _cond_ok(vecs[ok])
+
+    # align_frames for one-dimensional eigenspaces: rescale at the reference pivot
+    slots = np.arange(n)
+    i_ref = np.abs(reference.rights).argmax(axis=1)
+    denom = vecs[:, slots, i_ref]
+    ok &= (np.abs(denom) >= 1e-12 * (1.0 + np.abs(vecs).max(axis=2))).all(axis=1)
+    scale = reference.rights[slots, i_ref] / np.where(ok[:, None], denom, 1.0)
+    rights[rows[ok]] = vecs[ok] * scale[ok][:, :, None]
+    return rights, fallback
+
+
 def align_frames(reference: Frame, raw) -> Frame:
     """Express a freshly computed frame in the reference's normalization.
 
@@ -303,17 +367,21 @@ class AnalyticFrameField:
             self._grad_cache[key] = [ex.compile_expression(g, order) for g in grads]
         return self._grad_cache[key]
 
-    def right_jacobian_fns(self, slot):
-        """Compiled exact Jacobian (d component / d state) of a hinted right field."""
-        key = ("jac", slot)
-        if key not in self._grad_cache:
-            order = self.sys.arg_order
-            rows = []
-            for comp in self.right_exprs[slot]:
-                rows.append([ex.compile_expression(ex.differentiate(comp, nm), order)
-                             for nm in self.sys.states])
-            self._grad_cache[key] = rows
-        return self._grad_cache[key]
+    def rights_batch(self, t, x, U):
+        """Hinted right autovectors at the rows of U (N, n) as (N, slot,
+        component); NaN in rows frame_at would reject for non-finite hints or
+        condition number above COND_LIMIT."""
+        N = len(U)
+        args = (t, x, *U.T)
+        with np.errstate(all="ignore"):
+            vals = np.array([np.broadcast_to(fn(*args), N) for fn in self.value_fns])
+            rights = np.array([[np.broadcast_to(fn(*args), N) for fn in row]
+                               for row in self.right_fns], dtype=float)
+        rights = np.moveaxis(rights, -1, 0)
+        ok = np.isfinite(vals).all(axis=0) & np.isfinite(rights).all(axis=(1, 2))
+        ok[ok] = _cond_ok(rights[ok])
+        rights[~ok] = np.nan
+        return rights
 
     def frame_at(self, t, x, u, check=True) -> Frame:
         args = (t, x, *u)

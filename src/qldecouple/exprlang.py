@@ -528,8 +528,3 @@ def compile_expression(e: Expr, arg_order):
     src = f"lambda {args}: ({_codegen(e, names)}) + 0.0*({'+'.join(names[n] for n in arg_order) or '0'})"
     return eval(src, {"np": np})  # noqa: S307 - source is generated locally
 
-
-def eval_vector(exprs, arg_order, values):
-    """Evaluate a list of expressions at one point (interpreted path)."""
-    bind = dict(zip(arg_order, values))
-    return np.array([evaluate(e, bind) for e in exprs], dtype=float)

@@ -36,12 +36,6 @@ class GridSolution:
     def n_cells(self):
         return len(self.x)
 
-    def to_csv_rows(self, level):
-        rows = []
-        for i, xi in enumerate(self.x):
-            rows.append([float(xi)] + [float(v) for v in self.data[level][:, i]])
-        return rows
-
 
 def _grid(sys_, n_cells):
     lo, hi = sys_.domain["x"]

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import eigen
 from . import exprlang as ex
 from .conditions import FrameMachine, PartitionScheme
 from .errors import (
@@ -107,13 +106,8 @@ class TransformedSystem:
 
 def _off_block_mask(partition: PartitionScheme, n):
     mask = np.zeros((n, n), dtype=bool)
-    for i, bi in enumerate(partition.blocks):
-        for j, bj in enumerate(partition.blocks):
-            off = j > i if partition.mode == "partial" else j != i
-            if off:
-                for r in bi:
-                    for c in bj:
-                        mask[r, c] = True
+    for r, c in partition.forbidden_pairs():
+        mask[r, c] = True
     return mask
 
 
@@ -144,12 +138,7 @@ def verify_transform(sys_: QuasilinearSystem, candidate: TransformCandidate,
 
     # annihilation index set: H components of block i against r slots of the
     # blocks that the mode forbids block i to depend on
-    pairs = []
-    for i, bi in enumerate(partition.blocks):
-        for j, bj in enumerate(partition.blocks):
-            forbid = j > i if partition.mode == "partial" else j != i
-            if forbid:
-                pairs.extend((a, b) for a in bi for b in bj)
+    pairs = partition.forbidden_pairs()
 
     rows, t_mats, u_vals, dets = [], [], [], []
     ann_max = ann_mean = 0.0
@@ -230,11 +219,8 @@ def _block_dependence(sys_, candidate, rows, comp_fns, h_rel=1e-5):
     out = {}
     probe_rows = rows[:: max(1, len(rows) // 8)]
     for i, bi in enumerate(partition.blocks):
-        allowed = set()
-        for j, bj in enumerate(partition.blocks):
-            dep_ok = j <= i if partition.mode == "partial" else j == i
-            if dep_ok:
-                allowed.update(bj)
+        allowed = {s for j, bj in enumerate(partition.blocks)
+                   if not partition.forbidden(i, j) for s in bj}
         forbidden = [m for m in range(n) if m not in allowed]
         worst = 0.0
         for row in probe_rows:
@@ -260,91 +246,193 @@ def _block_dependence(sys_, candidate, rows, comp_fns, h_rel=1e-5):
 # characteristic flows
 # ---------------------------------------------------------------------------
 
+def _rk4_step(field_fn, u, h, k1=None):
+    if k1 is None:
+        k1 = field_fn(u)
+    k2 = field_fn(u + 0.5 * h * k1)
+    k3 = field_fn(u + 0.5 * h * k2)
+    k4 = field_fn(u + h * k3)
+    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rk4_pass(field_fn, start, h, n_steps, in_domain):
+    """n_steps RK4 steps of size h (M,) from the rows of start (M, n), each
+    step checked against two half steps.  A row stops before a non-finite
+    step (failed) or at its first point outside in_domain (left).  Returns
+    the polylines (n_steps + 1, M, n), the point count of each, and the
+    per-row error estimate, left and failed masks."""
+    M = len(start)
+    pts = np.empty((n_steps + 1,) + start.shape)
+    pts[0] = start
+    count = np.ones(M, dtype=int)
+    err = np.zeros(M)
+    left = np.zeros(M, dtype=bool)
+    failed = np.zeros(M, dtype=bool)
+    live = np.arange(M)
+    h = h[:, None]
+    for k in range(n_steps):
+        u, hk = pts[k, live], h[live]
+        k1 = field_fn(u)
+        full = _rk4_step(field_fn, u, hk, k1)
+        half = _rk4_step(field_fn, _rk4_step(field_fn, u, 0.5 * hk, k1), 0.5 * hk)
+        bad = ~(np.isfinite(full).all(axis=1) & np.isfinite(half).all(axis=1))
+        failed[live[bad]] = True
+        live, full, half = live[~bad], full[~bad], half[~bad]
+        err[live] += np.linalg.norm(full - half, axis=1) / 15.0
+        pts[k + 1, live] = half  # keep the more accurate composition
+        count[live] += 1
+        if in_domain is not None:
+            out = ~in_domain(half)
+            left[live[out]] = True
+            live = live[~out]
+        if not live.size:
+            break
+    return pts, count, err, left, failed
+
+
 def integrate_field(field_fn, start, arc_length, steps, in_domain=None,
                     error_tol=1e-8, max_refine=6):
-    """RK4 polyline of du/ds = field(u) with per-step halving error control.
+    """RK4 polylines of du/ds = field(u) with per-step halving error control.
 
-    Returns (points, info); info carries the accumulated error estimate and a
-    left_domain flag when the curve is truncated at the domain boundary.
+    A 1-D start is one curve: field_fn and in_domain take one state and
+    points is its polyline.  A 2-D start (N, n) is N curves integrated
+    together, arc_length a scalar or one arc per row: field_fn maps (M, n)
+    states to (M, n) vectors, in_domain maps them to an (M,) mask, and
+    points holds the end state of each curve.
+
+    A curve stops before a non-finite field value (for one curve, also a
+    DomainError, IllConditioned or MismatchedSignature) and at its first
+    point outside in_domain.  It is integrated again with twice the steps,
+    at most max_refine times, while it stopped early on the field or its
+    error estimate exceeds error_tol * |arc|.
+
+    info holds error_estimate and left_domain (one per row for a batch),
+    steps (the step count of each curve's last pass, summed) and
+    tolerance_met = False when a curve ends over budget or stopped on the
+    field; a batch also holds the row masks missed and failed.
     """
     start = np.asarray(start, dtype=float)
-
-    def rk4_step(u, h):
-        k1 = field_fn(u)
-        k2 = field_fn(u + 0.5 * h * k1)
-        k3 = field_fn(u + 0.5 * h * k2)
-        k4 = field_fn(u + h * k3)
-        return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
+    single = start.ndim == 1
+    if single:
+        field_fn, in_domain = _single_curve(field_fn, in_domain)
+        start = start[None]
+    N = len(start)
+    arcs = np.broadcast_to(np.asarray(arc_length, dtype=float), N)
+    budget = error_tol * np.maximum(np.abs(arcs), 1e-12)
+    ends = start.copy()
+    err = np.zeros(N)
+    left = np.zeros(N, dtype=bool)
+    failed = np.zeros(N, dtype=bool)
+    steps_used = np.zeros(N, dtype=int)
+    todo = np.arange(N)
     n_steps = max(1, int(steps))
     for _ in range(max_refine + 1):
-        h = arc_length / n_steps
-        pts = [start]
-        err = 0.0
-        left = False
-        ok = True
-        for _ in range(n_steps):
-            u = pts[-1]
-            try:
-                full = rk4_step(u, h)
-                half = rk4_step(rk4_step(u, 0.5 * h), 0.5 * h)
-            except (DomainError, IllConditioned, MismatchedSignature):
-                ok = False
-                break
-            err += float(np.linalg.norm(full - half)) / 15.0
-            nxt = half  # keep the more accurate composition
-            if in_domain is not None and not in_domain(nxt):
-                left = True
-                pts.append(nxt)
-                break
-            pts.append(nxt)
-        budget = error_tol * max(abs(arc_length), 1e-12)
-        if ok and (err <= budget or left):
-            return np.array(pts), {"error_estimate": err, "left_domain": left,
-                                   "steps": n_steps}
+        pts, count, e, l, f = _rk4_pass(field_fn, start[todo], arcs[todo] / n_steps,
+                                        n_steps, in_domain)
+        ends[todo] = pts[count - 1, np.arange(len(todo))]
+        err[todo], left[todo], failed[todo], steps_used[todo] = e, l, f, n_steps
+        accepted = ~f & ((e <= budget[todo]) | l)
+        todo = todo[~accepted]
+        if not todo.size:
+            break
         n_steps *= 2
-    return np.array(pts), {"error_estimate": err, "left_domain": left,
-                           "steps": n_steps, "tolerance_met": False}
+    info = {"steps": int(steps_used.sum())}
+    if todo.size:
+        info["tolerance_met"] = False
+    if single:
+        info.update(error_estimate=float(err[0]), left_domain=bool(left[0]))
+        return pts[:count[0], 0], info
+    missed = np.zeros(N, dtype=bool)
+    missed[todo] = True
+    info.update(error_estimate=err, left_domain=left, missed=missed, failed=failed)
+    return ends, info
 
 
-class _FrameFieldFlow:
-    """Continuous autovector field along a curve: hinted frames evaluate
-    directly, numeric frames align each evaluation to the previous one."""
+def _single_curve(field_fn, in_domain):
+    """Lift a one-state field and domain test to one-row batches; a field
+    that raises on the way is non-finite there."""
+    def batch_field(U):
+        try:
+            return np.asarray(field_fn(U[0]), dtype=float)[None]
+        except (DomainError, IllConditioned, MismatchedSignature):
+            return np.full_like(U, np.nan)
 
-    def __init__(self, sys_, slot, frame="auto", t=0.0, x=0.0, reference=None,
-                 machine=None):
-        self.sys = sys_
-        self.machine = machine or FrameMachine(sys_, frame)
-        self.slot = slot
-        self.t = t
-        self.x = x
-        self.reference = reference
-
-    def __call__(self, u):
-        if self.machine.field is not None:
-            f = self.machine.field.frame_at(self.t, self.x, u, check=False)
-        else:
-            f = eigen.spectrum_at(self.sys, self.t, self.x, u).frame
-            if self.reference is not None:
-                f = eigen.align_frames(self.reference, f)
-            self.reference = f
-        return f.rights[self.slot]
+    batch_domain = None
+    if in_domain is not None:
+        def batch_domain(U):
+            return np.array([bool(in_domain(U[0]))])
+    return batch_field, batch_domain
 
 
 def characteristic_flow(sys_: QuasilinearSystem, slot, start, arc_length,
                         steps=64, frame="auto", t=0.0, x=0.0):
-    """Integrate du/ds = r_slot(u) from an admissible start state."""
+    """Integrate du/ds = r_slot(u) from an admissible start state.  Numeric
+    frames are aligned to the frame at the start state, which fixes the
+    orientation and scale of the field along the whole curve."""
     start = np.asarray(start, dtype=float)
     if not sys_.in_domain(t, x, start) or sys_.is_excluded(t, x, start):
         raise DomainError("start state is outside the admissible domain")
-    fieldfn = _FrameFieldFlow(sys_, slot, frame, t, x)
-    return integrate_field(fieldfn, start, arc_length, steps,
+    machine = FrameMachine(sys_, frame)
+    reference = machine.base(t, x, start) if machine.field is None else None
+
+    def field(u):
+        return machine.rights_batch(t, x, u[None], reference)[0, slot]
+
+    return integrate_field(field, start, arc_length, steps,
                            in_domain=lambda u: sys_.in_domain(t, x, u))
 
 
 # ---------------------------------------------------------------------------
 # numeric construction of the decoupling map
 # ---------------------------------------------------------------------------
+
+def _slice_field(machine, reference, t, x, slot, ell, work):
+    """Batched field r_slot / (ell . r_slot).  Along it the slice offset
+    ell . (u - base) falls at unit rate whatever the scale or sign of r, so a
+    leg of arc -offset lands on the slice.  Rows where the flow runs within
+    1e-12 of parallel to the slice, or the frame is rejected, are NaN."""
+    def field(U):
+        work["fieldEvaluations"] += len(U)
+        r = machine.rights_batch(t, x, U, reference)[:, slot]
+        d = r @ ell
+        ok = np.abs(d) > 1e-12 * np.linalg.norm(r, axis=1)
+        return np.where(ok[:, None], r / np.where(ok, d, 1.0)[:, None], np.nan)
+    return field
+
+
+def _shoot(machine, base_frame, t, x, start, base_point, Minv, flow, shoot_tol,
+           max_shots, work):
+    """Carry the states start (N, n) along the flows of the slots in flow,
+    the last rows of Minv, onto the slice where those coordinates of
+    u - base_point vanish.  Each shot runs one leg per slot over the rows
+    still off the slice.  Returns the landing states and the masks of rows
+    that reached the slice and of rows with a leg over its error budget."""
+    k = len(Minv) - len(flow)
+    cur = start.copy()
+    reached = np.zeros(len(cur), dtype=bool)
+    missed = np.zeros(len(cur), dtype=bool)
+    active = np.arange(len(cur))
+    for _ in range(max_shots):
+        eta = (cur[active] - base_point) @ Minv[k:].T
+        hit = np.linalg.norm(eta, axis=1) <= shoot_tol
+        reached[active[hit]] = True
+        active = active[~hit]
+        if not active.size:
+            break
+        work["shots"] += 1
+        for q, slot in enumerate(flow):
+            eta_q = (cur[active] - base_point) @ Minv[k + q]
+            move = np.abs(eta_q) >= 1e-14
+            rows = active[move]
+            if not rows.size:
+                continue
+            field = _slice_field(machine, base_frame, t, x, slot, Minv[k + q], work)
+            cur[rows], info = integrate_field(field, cur[rows], -eta_q[move], steps=8)
+            work["legs"] += 1
+            missed[rows[info["missed"]]] = True
+            active = active[~np.isin(active, rows[info["failed"]])]
+    return cur, reached, missed & reached
+
 
 def construct_transform_numeric(sys_: QuasilinearSystem, partition: PartitionScheme,
                                 base_point, grid_counts, frame="auto",
@@ -353,11 +441,13 @@ def construct_transform_numeric(sys_: QuasilinearSystem, partition: PartitionSch
     """Flow-coordinate construction of the decoupling map on a state grid.
 
     For block level i the annihilating distribution is spanned by the right
-    autovectors of the forbidden blocks; every grid state is pulled back
-    along those flows onto a transversal slice through the base point, and
-    the slice coordinates of the landing point provide the block's map
-    components.  Quality gates: flow-invariance of the interpolated map and
-    a grid-difference annihilation check.
+    autovectors of the forbidden blocks.  All admissible grid states are
+    carried together along those flows, each normalized to move its own
+    slice coordinate at unit rate, onto a transversal slice through the base
+    point; the slice coordinates of the landing point provide the block's
+    map components.  Quality gates: flow-invariance of the interpolated map
+    and a grid-difference annihilation check.  The work done (shots, legs,
+    field evaluations in rows) is returned under "work".
     """
     n = sys_.n
     partition.validate_for(n)
@@ -378,14 +468,15 @@ def construct_transform_numeric(sys_: QuasilinearSystem, partition: PartitionSch
     mesh = np.meshgrid(*axes, indexing="ij")
     grid_shape = mesh[0].shape
     points = np.stack([g.ravel() for g in mesh], axis=1)
+    admissible = np.flatnonzero([not sys_.is_excluded(t, x, pt) for pt in points])
 
+    work = {"shots": 0, "legs": 0, "fieldEvaluations": 0}
     H_parts = []
-    flagged = []
+    flagged = missed = 0
     for i, blk in enumerate(partition.blocks):
         keep, flow = [], []
         for j, bj in enumerate(partition.blocks):
-            forbid = j > i if partition.mode == "partial" else j != i
-            (flow if forbid else keep).extend(bj)
+            (flow if partition.forbidden(i, j) else keep).extend(bj)
         if not flow:
             # unconstrained block: coordinates in the base frame directions
             M = np.column_stack([base_frame.rights[s] for s in keep])
@@ -393,42 +484,16 @@ def construct_transform_numeric(sys_: QuasilinearSystem, partition: PartitionSch
             sel = [keep.index(s) for s in blk]
             H_parts.append(coords[:, sel])
             continue
-        E = np.column_stack([base_frame.rights[s] for s in keep])
-        W = np.column_stack([base_frame.rights[s] for s in flow])
-        M = np.column_stack([E, W])
+        M = np.column_stack([base_frame.rights[s] for s in keep + flow])
         Minv = np.linalg.inv(M)
+        land, reached, level_missed = _shoot(machine, base_frame, t, x,
+                                             points[admissible], base_point, Minv,
+                                             flow, shoot_tol, max_shots, work)
+        xi = (land[reached] - base_point) @ Minv[: len(keep)].T
         vals = np.full((len(points), len(blk)), np.nan)
-        for pi, pt in enumerate(points):
-            if sys_.is_excluded(t, x, pt):
-                continue
-            cur = pt.copy()
-            ok = False
-            for _ in range(max_shots):
-                coords = Minv @ (cur - base_point)
-                eta = coords[len(keep):]
-                if np.linalg.norm(eta) <= shoot_tol:
-                    ok = True
-                    break
-                try:
-                    for qi, slot in enumerate(flow):
-                        if abs(eta[qi]) < 1e-14:
-                            continue
-                        # anchor the field orientation to the base frame so a
-                        # pivot flip between legs cannot reverse the flow
-                        fieldfn = _FrameFieldFlow(sys_, slot, frame, t, x,
-                                                  reference=base_frame,
-                                                  machine=machine)
-                        pts, _ = integrate_field(fieldfn, cur, -float(eta[qi]),
-                                                 steps=8)
-                        cur = pts[-1]
-                except (DomainError, IllConditioned, MismatchedSignature):
-                    break
-            if ok:
-                xi = (Minv @ (cur - base_point))[: len(keep)]
-                sel = [keep.index(s) for s in blk]
-                vals[pi] = xi[sel]
-            else:
-                flagged.append((i, pi))
+        vals[admissible[reached]] = xi[:, [keep.index(s) for s in blk]]
+        flagged += int(np.count_nonzero(~reached))
+        missed += int(np.count_nonzero(level_missed))
         if np.isnan(vals).all():
             raise ShootingFailed(f"no grid state reached the level-{i + 1} slice")
         H_parts.append(vals)
@@ -441,6 +506,7 @@ def construct_transform_numeric(sys_: QuasilinearSystem, partition: PartitionSch
 
     quality = _construction_quality(sys_, partition, axes, grid_shape, H_grid,
                                     machine, flagged, t, x)
+    quality["toleranceMissed"] = missed
     quality["untrusted"] = bool(report is None or
                                 getattr(report, "verdict", "fail") != "pass")
     return {
@@ -450,6 +516,7 @@ def construct_transform_numeric(sys_: QuasilinearSystem, partition: PartitionSch
         "blocks": [list(b) for b in partition.blocks],
         "basePoint": base_point.tolist(),
         "quality": quality,
+        "work": work,
     }
 
 
@@ -478,11 +545,11 @@ def interpolate_grid(axes, values, u):
 
 def _construction_quality(sys_, partition, axes, grid_shape, H_grid, machine,
                           flagged, t, x):
+    """Invariance and grid-Jacobian gates of a constructed map.  Cells whose
+    np.gradient stencil touches a flagged (NaN) value are skipped and counted,
+    not filled."""
     n = sys_.n
     values = H_grid.reshape(*grid_shape, n)
-    if np.isnan(values).any():
-        fill = np.nanmean(H_grid, axis=0)
-        values = np.where(np.isnan(values), fill, values)
 
     # invariance: interpolated map constant along the forbidden flows
     center = np.array([0.5 * (ax[0] + ax[-1]) for ax in axes])
@@ -490,8 +557,7 @@ def _construction_quality(sys_, partition, axes, grid_shape, H_grid, machine,
     curves = 0
     for i, blk in enumerate(partition.blocks):
         for j, bj in enumerate(partition.blocks):
-            forbid = j > i if partition.mode == "partial" else j != i
-            if not forbid:
+            if not partition.forbidden(i, j):
                 continue
             for slot in bj:
                 try:
@@ -504,18 +570,24 @@ def _construction_quality(sys_, partition, axes, grid_shape, H_grid, machine,
                     continue
                 h0 = interpolate_grid(axes, values, pts[0])
                 h1 = interpolate_grid(axes, values, pts[-1])
+                if not (np.all(np.isfinite(h0)) and np.all(np.isfinite(h1))):
+                    continue
                 for a in blk:
                     inv_max = max(inv_max, abs(float(h1[a] - h0[a])))
                 curves += 1
 
     # grid-difference Jacobian: annihilation and invertibility
     grads = np.stack(np.gradient(values, *axes, axis=tuple(range(n))), axis=-1)
-    dets = np.linalg.det(grads)
-    min_det = float(np.min(np.abs(dets)))
+    skipped = ~(np.isfinite(grads).all(axis=(-2, -1)) & np.isfinite(values).all(axis=-1))
+    dets = np.abs(np.linalg.det(grads[~skipped]))
+    min_det = float(np.min(dets)) if dets.size else float("nan")
+    pairs = partition.forbidden_pairs()
     ann = 0.0
     it = np.ndindex(*[max(1, s - 2) for s in grid_shape])
     for loc in it:
         loc = tuple(np.array(loc) + 1)
+        if skipped[loc]:
+            continue
         u = np.array([axes[d][loc[d]] for d in range(n)])
         if sys_.is_excluded(t, x, u):
             continue
@@ -524,18 +596,13 @@ def _construction_quality(sys_, partition, axes, grid_shape, H_grid, machine,
         except (IllConditioned, HintInconsistent, DomainError):
             continue
         J = grads[loc]
-        for i, blk in enumerate(partition.blocks):
-            for j, bj in enumerate(partition.blocks):
-                forbid = j > i if partition.mode == "partial" else j != i
-                if not forbid:
-                    continue
-                for a in blk:
-                    for b in bj:
-                        ann = max(ann, abs(float(J[a] @ f.rights[b])))
+        for a, b in pairs:
+            ann = max(ann, abs(float(J[a] @ f.rights[b])))
     return {
         "invarianceResidual": inv_max,
         "invarianceCurves": curves,
         "gridAnnihilationMax": ann,
         "minAbsGridJacobianDet": min_det,
-        "flaggedCells": len(flagged),
+        "gridCellsSkipped": int(np.count_nonzero(skipped)),
+        "flaggedCells": flagged,
     }

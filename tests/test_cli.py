@@ -156,6 +156,10 @@ def test_decouple_runs_and_writes_grid(tmp_path, capsys):
     header = open(grid_file).readline().strip().split(",")
     assert header == ["rho", "v", "H1", "H2"]
     assert payload["report"]["quality"]["invarianceResidual"] <= 1e-4
+    assert payload["report"]["quality"]["toleranceMissed"] == 0
+    assert payload["report"]["quality"]["gridCellsSkipped"] == 0
+    work = payload["timing"]["construct"]
+    assert work["legs"] >= 2 and work["shots"] >= 2 and work["fieldEvaluations"] > 0
 
 
 def test_models_list_and_emit(tmp_path, capsys):

@@ -265,3 +265,38 @@ def test_eigenvalue_directional_derivative_matches_fd():
             fm = eigen.align_frames(base, eigen.spectrum_at(sys_, 0, 0, u - h * w).frame)
             fd = (fp.values[slot].real - fm.values[slot].real) / (2 * h)
             assert pred == pytest.approx(fd, rel=1e-5, abs=1e-5)
+
+
+def _rights_or_nan(machine, u, reference):
+    try:
+        return machine.near(0.0, 0.0, u, reference).rights
+    except (IllConditioned, MismatchedSignature):
+        return np.full((len(u), len(u)), np.nan)
+
+
+@pytest.mark.parametrize("case", ["hinted", "numeric", "real-reference", "complex-reference"])
+def test_rights_batch_matches_pointwise_near(case):
+    # the batched frame evaluation agrees row by row with near(), gates
+    # included: A = [[0, 1], [a, 0]] has real simple, Jordan (a = 0) and
+    # complex spectra, so rows take the batched path, the per-point
+    # fallback, or are rejected by either
+    from qldecouple.conditions import FrameMachine
+
+    rng = np.random.default_rng(5)
+    if case in ("hinted", "numeric"):
+        sys_ = barotropic()
+        base = np.array([1.0, 0.0])
+        U = np.column_stack([rng.uniform(0.5, 2.0, 40), rng.uniform(-1.0, 1.0, 40)])
+    else:
+        sys_ = load_system(json.dumps({"n": 2, "states": ["a", "b"],
+                                       "A": [["0", "1"], ["a", "0"]],
+                                       "domain": {"a": [-1.0, 1.0], "b": [0.0, 1.0]}}))
+        base = np.array([0.5 if case == "real-reference" else -0.5, 0.5])
+        U = np.column_stack([np.append(rng.uniform(-1.0, 1.0, 39), 0.0),
+                             rng.uniform(0.0, 1.0, 40)])
+    machine = FrameMachine(sys_, "analytic" if case == "hinted" else "numeric")
+    reference = machine.base(0.0, 0.0, base)
+    got = machine.rights_batch(0.0, 0.0, U, reference)
+    want = np.array([_rights_or_nan(machine, u, reference) for u in U])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+    assert np.isfinite(got).all(axis=(1, 2)).sum() >= 15

@@ -149,6 +149,31 @@ def test_flow_truncates_at_domain_boundary(barotropic):
     assert info["left_domain"]
 
 
+def test_flow_batch_rows_have_their_own_arcs_and_masks():
+    # du/ds = -u gives u0 exp(-s) per row; the field is undefined for
+    # u_0 > 5, which fails that row only
+    def field(U):
+        out = -U.copy()
+        out[U[:, 0] > 5.0] = np.nan
+        return out
+
+    start = np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 1.0], [6.0, 0.0]])
+    arcs = np.array([0.7, -1.2, 0.0, 0.5])
+    ends, info = transform.integrate_field(field, start, arcs, 8)
+    # within the default error budget 1e-8 * |arc|
+    np.testing.assert_allclose(ends[:3], start[:3] * np.exp(-arcs[:3, None]),
+                               rtol=0, atol=1.2e-8)
+    assert info["failed"].tolist() == [False, False, False, True]
+    assert info["missed"].tolist() == [False, False, False, True]
+    assert info["tolerance_met"] is False
+    assert isinstance(info["steps"], int)
+    # each row matches the same curve integrated alone
+    for row, arc, end in zip(start[:3], arcs[:3], ends[:3]):
+        pts, one = transform.integrate_field(lambda u: -u, row, arc, 8)
+        np.testing.assert_allclose(pts[-1], end, rtol=1e-14)
+        assert "tolerance_met" not in one
+
+
 def test_flows_commute_in_adapted_scaling():
     # fields (grad H)^-1 e_j of a fully decoupled oracle commute; compare
     # both flow orders from one start state
@@ -178,21 +203,25 @@ def test_flows_commute_in_adapted_scaling():
 # --- numeric construction -------------------------------------------------------
 
 
-def test_construct_transform_barotropic_monotone(barotropic):
+@pytest.mark.parametrize("frame", ["analytic", "numeric"])
+def test_construct_transform_barotropic_monotone(barotropic, frame):
     p = cond.PartitionScheme([[0], [1]], "full")
-    report = cond.check_partition(barotropic, p, plan(count=60))
+    report = cond.check_partition(barotropic, p, plan(count=60), frame=frame)
     out = transform.construct_transform_numeric(barotropic, p, np.array([1.0, 0.0]),
-                                                (10, 10), report=report)
+                                                (10, 10), frame=frame, report=report)
     q = out["quality"]
     assert not q["untrusted"]
     assert q["flaggedCells"] == 0
+    assert q["toleranceMissed"] == 0
     assert q["invarianceResidual"] <= 1e-6
-    # constructed first component is a strictly monotone function of the
-    # known invariant v + sqrt(3) rho
+    # constructed first component is a strictly monotone function of a known
+    # invariant: v + sqrt(3) rho for the hinted slot order, v - sqrt(3) rho
+    # when numeric slots ascend by eigenvalue
+    lead = 1.0 if frame == "analytic" else -1.0
     vals = out["values"][..., 0].ravel()
     axes = out["axes"]
     mesh = np.meshgrid(*axes, indexing="ij")
-    invariant = (mesh[1] + S3 * mesh[0]).ravel()
+    invariant = (mesh[1] + lead * S3 * mesh[0]).ravel()
     order = np.argsort(invariant)
     sorted_vals = vals[order]
     diffs = np.diff(sorted_vals)
@@ -212,6 +241,14 @@ def test_construct_transform_barotropic_monotone(barotropic):
             assert abs(vals[i] - vals[j]) <= slope_bound * d_inv + 1e-4
             checked += 1
     assert checked > 50
+    # the slice-normalized flows are straight lines, so each component is
+    # exactly affine in its Riemann invariant
+    for comp, sign in ((0, lead), (1, -lead)):
+        h = out["values"][..., comp].ravel()
+        riemann = (mesh[1] + sign * S3 * mesh[0]).ravel()
+        design = np.column_stack([np.ones_like(riemann), riemann])
+        coef, *_ = np.linalg.lstsq(design, h, rcond=None)
+        assert np.max(np.abs(design @ coef - h)) <= 1e-9 * float(h.max() - h.min())
 
 
 def test_construct_transform_on_triangular_synthetic():
@@ -223,6 +260,30 @@ def test_construct_transform_on_triangular_synthetic():
     base = np.zeros(2)
     out = transform.construct_transform_numeric(sys_, p, base, (10, 10), report=report)
     assert out["quality"]["invarianceResidual"] <= 1e-6
+
+
+def test_construction_quality_skips_flagged_cells(barotropic):
+    # exact affine map v +- sqrt(3) rho with one flagged interior cell: the
+    # grid Jacobian is taken only where the difference stencil is NaN-free
+    p = cond.PartitionScheme([[0], [1]], "full")
+    axes = [np.linspace(0.6, 1.9, 8), np.linspace(-0.9, 0.9, 8)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    grid = np.stack([mesh[1] + S3 * mesh[0], mesh[1] - S3 * mesh[0]], axis=-1)
+    machine = cond.FrameMachine(barotropic, "analytic")
+
+    def quality(values):
+        return transform._construction_quality(barotropic, p, axes, (8, 8),
+                                               values.reshape(-1, 2), machine,
+                                               0, 0.0, 0.0)
+
+    clean = quality(grid)
+    holed = grid.copy()
+    holed[3, 4] = np.nan
+    q = quality(holed)
+    assert clean["gridCellsSkipped"] == 0
+    assert q["gridCellsSkipped"] > 0
+    assert q["minAbsGridJacobianDet"] == clean["minAbsGridJacobianDet"]
+    assert q["gridAnnihilationMax"] <= 1e-12
 
 
 def test_construct_transform_base_point_outside(barotropic):

@@ -15,7 +15,7 @@ from .conditions import (
     search_partitions,
     source_condition_residual,
 )
-from .eigen import Frame, Spectrum, align_frames, analytic_frame, spectrum_at
+from .eigen import Frame, align_frames, analytic_frame, spectrum_at
 from .exprlang import (
     Expr,
     compile_expression,
@@ -55,7 +55,7 @@ __all__ = [
     "ConditionReport", "PartitionScheme", "check_partition",
     "gradient_condition_residual", "interaction_condition_residual",
     "source_condition_residual", "search_partitions", "nijenhuis_residual",
-    "nijenhuis_max", "Frame", "Spectrum", "spectrum_at", "align_frames",
+    "nijenhuis_max", "Frame", "spectrum_at", "align_frames",
     "analytic_frame", "Expr", "parse", "evaluate", "differentiate",
     "substitute", "to_string", "compile_expression", "GridSolution",
     "solve_coupled", "solve_hierarchical", "compare_solutions", "burgers_exact",

@@ -136,7 +136,7 @@ def _parser():
 # helpers
 # ---------------------------------------------------------------------------
 
-def _builder_kwargs(args):
+def _builder_kwargs(args, model):
     params = {}
     for item in args.param:
         if "=" not in item:
@@ -152,21 +152,26 @@ def _builder_kwargs(args):
         kw["f"] = args.entropy_f
     if getattr(args, "tension", None):
         kw["tension"] = args.tension
-    return kw, params
+    if model == "threadline":
+        # the threadline builder takes k as a keyword, not in parameters
+        kw.pop("parameters", None)
+        if "k" in params:
+            kw["k"] = params["k"]
+    return kw
+
+
+def _build(name, kw):
+    try:
+        return models.build(name, **kw)
+    except TypeError as err:
+        raise SchemaError(f"option not supported by model '{name}': {err}") from None
 
 
 def _resolve_model(args):
     name = args.model
-    kw, params = _builder_kwargs(args)
+    kw = _builder_kwargs(args, name)
     if name in models.REGISTRY:
-        if name == "threadline":
-            kw.pop("parameters", None)
-            if "k" in params:
-                kw["k"] = params["k"]
-        try:
-            entry = models.build(name, **kw)
-        except TypeError as err:
-            raise SchemaError(f"option not supported by model '{name}': {err}") from None
+        entry = _build(name, kw)
         return entry.system, entry.document
     if not os.path.exists(name):
         raise SchemaError(f"model '{name}' is neither a registry name nor a file")
@@ -424,15 +429,8 @@ def cmd_models(args):
         return 0
     if not args.name:
         raise SchemaError("models emit requires a model name")
-    kw, params = _builder_kwargs(args)
-    if args.name == "threadline":
-        kw.pop("parameters", None)
-        if "k" in params:
-            kw["k"] = params["k"]
-    try:
-        entry = models.build(args.name, **kw)
-    except TypeError as err:
-        raise SchemaError(f"option not supported by model '{args.name}': {err}") from None
+    kw = _builder_kwargs(args, args.name)
+    entry = _build(args.name, kw)
     config = {"command": "models-emit", "name": args.name, "kw": sorted(kw)}
     run_dir = _run_dir(args, config)
     path = os.path.join(run_dir, f"{args.name}.json")

@@ -121,19 +121,15 @@ def gradient_tuples(p: PartitionScheme):
 
 
 def interaction_tuples(p: PartitionScheme):
-    k = p.k
-    for i in range(k - 1 if p.mode == "partial" else k):
-        ells = range(i + 1) if p.mode == "partial" else (i,)
-        for ell in ells:
-            for j in range(i + 1 if p.mode == "partial" else 0, k):
-                if j == i:
-                    continue
-                for a in p.blocks[i]:
-                    for b in p.blocks[ell]:
-                        if ell == i and b == a:
-                            continue
-                        for c in p.blocks[j]:
-                            yield (a, b, c)
+    """(a, b, c): a in block i, b != a in a block i may depend on, c in a
+    block i must not depend on."""
+    for i, bi in enumerate(p.blocks):
+        for ell, bl in enumerate(p.blocks):
+            if p.forbidden(i, ell):
+                continue
+            for j, bj in enumerate(p.blocks):
+                if p.forbidden(i, j):
+                    yield from ((a, b, c) for a in bi for b in bl if b != a for c in bj)
 
 
 def source_tuples(p: PartitionScheme):
@@ -165,12 +161,12 @@ class FrameMachine:
     def base(self, t, x, u) -> eigen.Frame:
         if self.field is not None:
             return self.field.frame_at(t, x, u)
-        return eigen.spectrum_at(self.sys, t, x, u, self.cluster_tol).frame
+        return eigen.spectrum_at(self.sys, t, x, u, self.cluster_tol)
 
     def near(self, t, x, u, reference: eigen.Frame) -> eigen.Frame:
         if self.field is not None:
             return self.field.frame_at(t, x, u, check=False)
-        raw = eigen.spectrum_at(self.sys, t, x, u, self.cluster_tol).frame
+        raw = eigen.spectrum_at(self.sys, t, x, u, self.cluster_tol)
         return eigen.align_frames(reference, raw)
 
     def rights_batch(self, t, x, U, reference: eigen.Frame):
@@ -221,6 +217,68 @@ def _fd_step(u):
     return FD_STEP * (1.0 + float(np.linalg.norm(u)))
 
 
+class _SampleResiduals:
+    """The residual kernels at one state (t, x, u).  Holds the FD step h and
+    the base frame, and computes each centered frame sweep once, on first use."""
+
+    def __init__(self, machine, t, x, u, base, source_field=None):
+        self.machine, self.t, self.x, self.u = machine, t, x, u
+        self.h = _fd_step(u)
+        self.base = base
+        self.source_field = source_field
+        self._source_base = None
+        self._sweeps, self._source_sweeps = {}, {}
+
+    def sweep(self, slot):
+        if slot not in self._sweeps:
+            self._sweeps[slot] = self.machine.sweep(self.t, self.x, self.u, self.base,
+                                                    slot, self.h)
+        return self._sweeps[slot]
+
+    def source_sweep(self, slot):
+        """(frame at u + h d, frame at u - h d, d), d the slot's right vector,
+        in the block-adapted source frame field when there is one."""
+        if self.source_field is None:
+            return (*self.sweep(slot), self.base.rights[slot])
+        if slot not in self._source_sweeps:
+            t, x, u, h = self.t, self.x, self.u, self.h
+            if self._source_base is None:
+                self._source_base = self.source_field(t, x, u)
+            d = self._source_base.rights[slot]
+            self._source_sweeps[slot] = (self.source_field(t, x, u + h * d),
+                                         self.source_field(t, x, u - h * d), d)
+        return self._source_sweeps[slot]
+
+    def gradient(self, path, a, b):
+        base, t, x = self.base, self.t, self.x
+        if path != "fd":
+            field_ = self.machine.field
+            if field_ is not None:
+                grads = np.array([fn(t, x, *self.u) for fn in field_.value_gradient_fns(a)])
+                return float(grads @ base.rights[b])
+            if base.cluster_of_slot(a).alg_mult == 1:
+                return eigen.eigenvalue_directional_derivative(self.machine.sys, base, a,
+                                                               base.rights[b], t, x)
+        fp, fm = self.sweep(b)
+        d = (fp.values[a] - fm.values[a]) / (2.0 * self.h)
+        return float(abs(d)) if base.cluster_of_slot(a).is_complex else float(d.real)
+
+    def interaction(self, a, b, c):
+        # (D r_b) r_c: derivative of the b field along direction r_c
+        fpc, fmc = self.sweep(c)
+        d_b_along_c = (fpc.rights[b] - fmc.rights[b]) / (2.0 * self.h)
+        fpb, fmb = self.sweep(b)
+        d_c_along_b = (fpb.rights[c] - fmb.rights[c]) / (2.0 * self.h)
+        return float(self.base.lefts[a] @ (d_b_along_c - d_c_along_b))
+
+    def source(self, a, b):
+        fp, fm, d = self.source_sweep(b)
+        sys_, t, x, u, h = self.machine.sys, self.t, self.x, self.u, self.h
+        gp = sys_.eval_source(t, x, u + h * d)
+        gm = sys_.eval_source(t, x, u - h * d)
+        return (float(fp.lefts[a] @ gp) - float(fm.lefts[a] @ gm)) / (2.0 * h)
+
+
 def gradient_condition_residual(sys_, slot_a, slot_b, t, x, u, frame="auto",
                                 path="auto", machine=None, base=None):
     """Directional derivative of the slot-a eigenvalue along the slot-b
@@ -230,16 +288,7 @@ def gradient_condition_residual(sys_, slot_a, slot_b, t, x, u, frame="auto",
     u = np.asarray(u, dtype=float)
     m = machine or FrameMachine(sys_, frame)
     f = base if base is not None else m.base(t, x, u)
-    if path == "auto":
-        if m.field is not None:
-            grads = np.array([fn(t, x, *u) for fn in m.field.value_gradient_fns(slot_a)])
-            return float(grads @ f.rights[slot_b])
-        if f.cluster_of_slot(slot_a).alg_mult == 1:
-            return eigen.eigenvalue_directional_derivative(sys_, f, slot_a, f.rights[slot_b], t, x)
-    h = _fd_step(u)
-    fp, fm = m.sweep(t, x, u, f, slot_b, h)
-    d = (fp.values[slot_a] - fm.values[slot_a]) / (2.0 * h)
-    return float(abs(d)) if f.cluster_of_slot(slot_a).is_complex else float(d.real)
+    return _SampleResiduals(m, t, x, u, f).gradient(path, slot_a, slot_b)
 
 
 def interaction_condition_residual(sys_, slot_a, slot_b, slot_c, t, x, u,
@@ -249,13 +298,7 @@ def interaction_condition_residual(sys_, slot_a, slot_b, slot_c, t, x, u,
     u = np.asarray(u, dtype=float)
     m = machine or FrameMachine(sys_, frame)
     f = base if base is not None else m.base(t, x, u)
-    h = _fd_step(u)
-    # (D r_b) r_c: derivative of the b field along direction r_c
-    fpc, fmc = m.sweep(t, x, u, f, slot_c, h)
-    d_b_along_c = (fpc.rights[slot_b] - fmc.rights[slot_b]) / (2.0 * h)
-    fpb, fmb = m.sweep(t, x, u, f, slot_b, h)
-    d_c_along_b = (fpb.rights[slot_c] - fmb.rights[slot_c]) / (2.0 * h)
-    return float(f.lefts[slot_a] @ (d_b_along_c - d_c_along_b))
+    return _SampleResiduals(m, t, x, u, f).interaction(slot_a, slot_b, slot_c)
 
 
 def source_condition_residual(sys_, slot_a, slot_b, t, x, u, frame="auto",
@@ -271,22 +314,9 @@ def source_condition_residual(sys_, slot_a, slot_b, t, x, u, frame="auto",
     u = np.asarray(u, dtype=float)
     m = machine or FrameMachine(sys_, frame)
     sfield = m.source_field()
-    if sfield is not None:
-        f = sfield(t, x, u)
-        h = _fd_step(u)
-        d = f.rights[slot_b]
-        fp = sfield(t, x, u + h * d)
-        fm = sfield(t, x, u - h * d)
-    else:
-        f = base if base is not None else m.base(t, x, u)
-        h = _fd_step(u)
-        fp, fm = m.sweep(t, x, u, f, slot_b, h)
-        d = f.rights[slot_b]
-    gp = sys_.eval_source(t, x, u + h * d)
-    gm = sys_.eval_source(t, x, u - h * d)
-    phi_p = float(fp.lefts[slot_a] @ gp)
-    phi_m = float(fm.lefts[slot_a] @ gm)
-    return (phi_p - phi_m) / (2.0 * h)
+    if sfield is None and base is None:
+        base = m.base(t, x, u)
+    return _SampleResiduals(m, t, x, u, base, sfield).source(slot_a, slot_b)
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +419,11 @@ class _SweepEvaluator:
         self.src_tuples = (list(source_tuples(partition))
                            if "source" in families and not self.homogeneous else [])
         self.source_frame_field = self.machine.source_field() if self.src_tuples else None
-
-    def tuple_labels(self):
-        p = self.partition
-        labels = [("gradient", f"{p.label(a)}->{p.label(b)}") for a, b in self.grad_tuples]
-        labels += [("interaction", f"{p.label(a)}|{p.label(b)}->{p.label(c)}")
-                   for a, b, c in self.int_tuples]
-        labels += [("source", f"{p.label(a)}->{p.label(b)}") for a, b in self.src_tuples]
-        return labels
+        p = partition
+        self.labels = [("gradient", f"{p.label(a)}->{p.label(b)}") for a, b in self.grad_tuples]
+        self.labels += [("interaction", f"{p.label(a)}|{p.label(b)}->{p.label(c)}")
+                        for a, b, c in self.int_tuples]
+        self.labels += [("source", f"{p.label(a)}->{p.label(b)}") for a, b in self.src_tuples]
 
     def _separation_excluded(self, f: eigen.Frame):
         if self.machine.field is not None:
@@ -421,9 +448,8 @@ class _SweepEvaluator:
 
     def evaluate(self, t, x, u):
         """Returns (status, rows); rows are (family, label, value)."""
-        sys_ = self.sys
         u = np.asarray(u, dtype=float)
-        if sys_.is_excluded(t, x, u):
+        if self.sys.is_excluded(t, x, u):
             return "excluded", []
         try:
             base = self.machine.base(t, x, u)
@@ -434,76 +460,15 @@ class _SweepEvaluator:
         if self.machine.field is None and self._split_cluster(base):
             return "degenerate", []
 
-        h = _fd_step(u)
-        need = set()
-        if self.gradient_path == "fd":
-            need.update(b for _, b in self.grad_tuples)
-        elif self.machine.field is None:
-            need.update(b for a, b in self.grad_tuples
-                        if base.cluster_of_slot(a).alg_mult > 1)
-        for _, b, c in self.int_tuples:
-            need.add(b)
-            need.add(c)
-        if self.source_frame_field is None:
-            need.update(b for _, b in self.src_tuples)
-
-        sweeps = {}
+        s = _SampleResiduals(self.machine, t, x, u, base, self.source_frame_field)
         try:
-            for d in sorted(need):
-                sweeps[d] = self.machine.sweep(t, x, u, base, d, h)
-        except (IllConditioned, MismatchedSignature, DomainError, HintInconsistent):
-            return "degenerate", []
-
-        p = self.partition
-        rows = []
-        try:
-            for a, b in self.grad_tuples:
-                if self.gradient_path != "fd":
-                    if self.machine.field is not None:
-                        grads = np.array([fn(t, x, *u)
-                                          for fn in self.machine.field.value_gradient_fns(a)])
-                        val = float(grads @ base.rights[b])
-                        rows.append(("gradient", f"{p.label(a)}->{p.label(b)}", val))
-                        continue
-                    if base.cluster_of_slot(a).alg_mult == 1:
-                        val = eigen.eigenvalue_directional_derivative(
-                            sys_, base, a, base.rights[b], t, x)
-                        rows.append(("gradient", f"{p.label(a)}->{p.label(b)}", val))
-                        continue
-                fp, fm = sweeps[b]
-                dv = (fp.values[a] - fm.values[a]) / (2.0 * h)
-                val = float(abs(dv)) if base.cluster_of_slot(a).is_complex else float(dv.real)
-                rows.append(("gradient", f"{p.label(a)}->{p.label(b)}", val))
-
-            for a, b, c in self.int_tuples:
-                fpc, fmc = sweeps[c]
-                fpb, fmb = sweeps[b]
-                d_b_along_c = (fpc.rights[b] - fmc.rights[b]) / (2.0 * h)
-                d_c_along_b = (fpb.rights[c] - fmb.rights[c]) / (2.0 * h)
-                val = float(base.lefts[a] @ (d_b_along_c - d_c_along_b))
-                rows.append(("interaction", f"{p.label(a)}|{p.label(b)}->{p.label(c)}", val))
-
-            if self.src_tuples:
-                if self.source_frame_field is not None:
-                    sbase = self.source_frame_field(t, x, u)
-                    ssweep = {}
-                    for b in {b for _, b in self.src_tuples}:
-                        d = sbase.rights[b]
-                        ssweep[b] = (self.source_frame_field(t, x, u + h * d),
-                                     self.source_frame_field(t, x, u - h * d), d)
-                else:
-                    ssweep = {b: (*sweeps[b], base.rights[b])
-                              for b in {b for _, b in self.src_tuples}}
-                for a, b in self.src_tuples:
-                    fp, fm, d = ssweep[b]
-                    gp = sys_.eval_source(t, x, u + h * d)
-                    gm = sys_.eval_source(t, x, u - h * d)
-                    val = (float(fp.lefts[a] @ gp) - float(fm.lefts[a] @ gm)) / (2.0 * h)
-                    rows.append(("source", f"{p.label(a)}->{p.label(b)}", val))
+            values = [s.gradient(self.gradient_path, a, b) for a, b in self.grad_tuples]
+            values += [s.interaction(a, b, c) for a, b, c in self.int_tuples]
+            values += [s.source(a, b) for a, b in self.src_tuples]
         except (IllConditioned, MismatchedSignature, DomainError, HintInconsistent,
                 DegenerateSample):
             return "degenerate", []
-        return "ok", rows
+        return "ok", [(fam, label, v) for (fam, label), v in zip(self.labels, values)]
 
 
 # worker-process state for parallel sweeps
@@ -556,7 +521,7 @@ def check_partition(sys_: QuasilinearSystem, partition: PartitionScheme,
             st.vacuous = not evaluator.src_tuples
         report.families[fam] = st
 
-    labels = evaluator.tuple_labels()
+    labels = evaluator.labels
     residual_matrix = [] if len(labels) <= 64 else None
     csv_rows = [] if csv_path else None
 

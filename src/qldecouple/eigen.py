@@ -64,18 +64,6 @@ class Frame:
         raise KeyError(slot)
 
 
-@dataclass
-class Spectrum:
-    """Clustered eigenstructure at one admissible point."""
-
-    point: tuple
-    frame: Frame
-
-    @property
-    def clusters(self):
-        return self.frame.clusters
-
-
 def _pivot_index(v):
     return int(np.argmax(np.abs(v)))
 
@@ -117,7 +105,7 @@ def _cluster_eigenvalues(w, ctol):
     return list(groups.values())
 
 
-def spectrum_at(sys_, t, x, u, cluster_tol=None) -> Spectrum:
+def spectrum_at(sys_, t, x, u, cluster_tol=None) -> Frame:
     """Eigenvalues clustered with right/left autovectors at one point.
 
     Jordan chains are appended when the geometric multiplicity falls short;
@@ -202,10 +190,9 @@ def spectrum_at(sys_, t, x, u, cluster_tol=None) -> Spectrum:
         raise IllConditioned(f"autovector matrix condition number {cond:.3g}")
     L = np.linalg.inv(R)
 
-    frame = Frame(values=np.array(values), rights=np.array(rights), lefts=L,
-                  kinds=kinds, clusters=clusters, point=(t, x, tuple(u)),
-                  provenance="numeric", condition_number=cond)
-    return Spectrum(point=(t, x, tuple(u)), frame=frame)
+    return Frame(values=np.array(values), rights=np.array(rights), lefts=L,
+                 kinds=kinds, clusters=clusters, point=(t, x, tuple(u)),
+                 provenance="numeric", condition_number=cond)
 
 
 def _cond_ok(R):
@@ -272,41 +259,25 @@ def simple_rights_batch(sys_, t, x, U, reference: Frame, cluster_tol=None):
     return rights, fallback
 
 
-def align_frames(reference: Frame, raw) -> Frame:
+def align_frames(reference: Frame, raw: Frame) -> Frame:
     """Express a freshly computed frame in the reference's normalization.
 
-    Clusters are matched by multiplicity pattern and nearest value.  Within a
-    matched eigenspace of dimension d the raw basis is rotated onto the
-    reference (orthogonal Procrustes; a sign flip when d = 1) and each vector
-    is rescaled so its component at the reference pivot index matches the
-    reference.  Left vectors are re-solved for biorthogonality.
+    The k-th reference cluster is matched to the k-th raw cluster, both in the
+    ascending order spectrum_at gives; their multiplicity patterns must agree.
+    Within a matched eigenspace of dimension d the raw basis is rotated onto
+    the reference (orthogonal Procrustes; a sign flip when d = 1) and each
+    vector is rescaled so its component at the reference pivot index matches
+    the reference.  Left vectors are re-solved for biorthogonality.
     """
-    if isinstance(raw, Spectrum):
-        raw = raw.frame
-    if len(reference.clusters) != len(raw.clusters):
-        raise MismatchedSignature(
-            f"cluster count changed: {len(reference.clusters)} vs {len(raw.clusters)}")
-    used = set()
-    pairs = []
-    for rc in reference.clusters:
-        best, best_d = None, None
-        for idx, cc in enumerate(raw.clusters):
-            if idx in used or cc.alg_mult != rc.alg_mult or cc.is_complex != rc.is_complex:
-                continue
-            d = abs(cc.value - rc.value)
-            if best is None or d < best_d:
-                best, best_d = idx, d
-        if best is None:
-            raise MismatchedSignature("multiplicity pattern changed between nearby points")
-        used.add(best)
-        pairs.append((rc, raw.clusters[best]))
-
+    if reference.signature() != raw.signature():
+        raise MismatchedSignature(f"multiplicity pattern changed: {reference.signature()} "
+                                  f"vs {raw.signature()}")
     n = reference.n
     rights = np.empty((n, n))
     values = np.empty(n, dtype=complex)
     kinds = [None] * n
     clusters = []
-    for rc, cc in pairs:
+    for rc, cc in zip(reference.clusters, raw.clusters):
         Xref = reference.rights[rc.slots]
         Xraw = raw.rights[cc.slots]
         d = len(rc.slots)

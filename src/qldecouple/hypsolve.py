@@ -16,7 +16,7 @@ import numpy as np
 
 from . import exprlang as ex
 from .errors import BlowupDetected, CFLViolation, GridMismatch, NonHyperbolic, SchemaError
-from .system import QuasilinearSystem
+from .system import QuasilinearSystem, SamplePlan
 
 SCHEMES = ("laxFriedrichs", "upwindCharacteristic")
 BLOWUP_FACTOR = 1e6
@@ -70,15 +70,6 @@ def _shift(U, k, boundary):
     return out
 
 
-def _eig_batch(sys_, t, U):
-    A = sys_.eval_matrix_batch(t, 0.0, U)       # (n, n, N)
-    A = np.moveaxis(A, 2, 0)                    # (N, n, n)
-    lam, V = np.linalg.eig(A)
-    if np.max(np.abs(lam.imag)) > 1e-8 * (1.0 + np.max(np.abs(lam.real))):
-        raise NonHyperbolic("complex characteristic speeds on the realized states")
-    return lam.real, V.real, A
-
-
 def _check_state(U, initial_scale, t):
     if not np.all(np.isfinite(U)):
         raise BlowupDetected(f"non-finite state at t = {t:.6g}")
@@ -86,14 +77,49 @@ def _check_state(U, initial_scale, t):
         raise BlowupDetected(f"state magnitude exceeded blowup threshold at t = {t:.6g}")
 
 
-def solve_coupled(sys_: QuasilinearSystem, initial, n_cells, t_end,
-                  scheme="laxFriedrichs", cfl=0.9, boundary="periodic",
-                  t0=0.0) -> GridSolution:
-    """March u_t + A(u) u_x = g(u) to t_end, first-order accurate."""
+def _block_update(U, A, pairs, rhs, dt, dx, scheme, boundary):
+    """One first-order step of U_t + A U_x = rhs on one block.  pairs holds
+    the block's characteristic speeds and right vectors (upwind only); rhs
+    is None when the block has no right-hand side."""
+    Up = _shift(U, 1, boundary)
+    Um = _shift(U, -1, boundary)
+    if scheme == "laxFriedrichs":
+        DU = (Up - Um) / (2.0 * dx)                       # (n, N)
+        AU = np.einsum("Nij,jN->iN", A, DU)
+        out = 0.5 * (Up + Um) - dt * AU
+    else:
+        lam, V = pairs
+        L = np.linalg.inv(V)                               # (N, n, n)
+        ap = np.einsum("Nmj,jN->Nm", L, (Up - U) / dx)
+        am = np.einsum("Nmj,jN->Nm", L, (U - Um) / dx)
+        alpha = np.where(lam > 0.0, am, ap)                # (N, m)
+        flux = np.einsum("Nim,Nm->iN", V, lam * alpha)
+        out = U - dt * flux
+    return out if rhs is None else out + dt * rhs
+
+
+def _validate_block_triangular(sys_, bounds, n_probe=16):
+    for t, x, *u in sys_.sample_points(SamplePlan(count=n_probe, seed=0)):
+        A = sys_.eval_matrix(t, x, np.array(u))
+        for r0, r1 in zip(bounds[:-2], bounds[1:-1]):
+            if np.max(np.abs(A[r0:r1, r1:])) > 1e-12 * (1 + np.abs(A).max()):
+                raise SchemaError("hierarchical solve needs a block lower-triangular system")
+
+
+def _march(sys_, sizes, initial, n_cells, t_end, scheme, cfl, boundary, t0):
+    """March the blocks of `sizes` in hierarchy order (see solve_hierarchical);
+    one block is the coupled solve.  A and g are evaluated at each cell's
+    (t, x).  One eig of the full A per step gives the CFL speed; upwinding
+    adds one eig per block smaller than the system."""
     if scheme not in SCHEMES:
         raise SchemaError(f"unknown scheme '{scheme}'")
     if not 0.0 < cfl <= 1.0:
         raise CFLViolation(f"cfl must lie in (0, 1], got {cfl}")
+    if sum(sizes) != sys_.n:
+        raise SchemaError("block sizes must sum to the system dimension")
+    bounds = np.cumsum([0] + list(sizes))
+    if len(sizes) > 1:
+        _validate_block_triangular(sys_, bounds)
     x, dx = _grid(sys_, n_cells)
     U = _initial_values(sys_, initial, x)
     initial_scale = float(np.max(np.abs(U)))
@@ -102,12 +128,34 @@ def solve_coupled(sys_: QuasilinearSystem, initial, n_cells, t_end,
     t = t0
     guard = 0
     while t < t_end - 1e-14:
-        lam, V, A = _eig_batch(sys_, t, U)
+        A = np.moveaxis(sys_.eval_matrix_batch(t, x, U), 2, 0)      # (N, n, n)
+        lam, V = np.linalg.eig(A)
+        if np.max(np.abs(lam.imag)) > 1e-8 * (1.0 + np.max(np.abs(lam.real))):
+            raise NonHyperbolic("complex characteristic speeds on the realized states")
+        lam, V = lam.real, V.real
         lam_max = float(np.max(np.abs(lam)))
         dt = t_end - t if lam_max == 0.0 else min(cfl * dx / lam_max, t_end - t)
         if dt <= 0:
             break
-        U = _step(sys_, U, A, lam, V, dt, dx, scheme, boundary, t)
+        g = sys_.eval_source_batch(t, x, U) if not sys_.homogeneous else None
+        new = np.empty_like(U)
+        for r0, r1 in zip(bounds[:-1], bounds[1:]):
+            Ab = A[:, r0:r1, r0:r1]
+            rhs = None if g is None else g[r0:r1]
+            if r0 > 0:
+                # cross-flux from already-known lower blocks, central differences
+                Dlow = (_shift(U[:r0], 1, boundary) - _shift(U[:r0], -1, boundary)) / (2.0 * dx)
+                cross = np.einsum("Nij,jN->iN", A[:, r0:r1, :r0], Dlow)
+                rhs = -cross if rhs is None else rhs - cross
+            if scheme == "laxFriedrichs":
+                pairs = None
+            elif r1 - r0 == sys_.n:
+                pairs = (lam, V)
+            else:
+                lam_b, V_b = np.linalg.eig(Ab)
+                pairs = (lam_b.real, V_b.real)
+            new[r0:r1] = _block_update(U[r0:r1], Ab, pairs, rhs, dt, dx, scheme, boundary)
+        U = new
         t += dt
         _check_state(U, initial_scale, t)
         guard += 1
@@ -120,40 +168,11 @@ def solve_coupled(sys_: QuasilinearSystem, initial, n_cells, t_end,
                         meta={"steps": guard, "cells": n_cells, "tEnd": t_end})
 
 
-def _step(sys_, U, A, lam, V, dt, dx, scheme, boundary, t):
-    g = sys_.eval_source_batch(t, 0.0, U) if not sys_.homogeneous else None
-    Up = _shift(U, 1, boundary)
-    Um = _shift(U, -1, boundary)
-    if scheme == "laxFriedrichs":
-        DU = (Up - Um) / (2.0 * dx)                       # (n, N)
-        AU = np.einsum("Nij,jN->iN", A, DU)
-        out = 0.5 * (Up + Um) - dt * AU
-    else:
-        L = np.linalg.inv(V)                               # (N, n, n)
-        Dp = (Up - U) / dx
-        Dm = (U - Um) / dx
-        ap = np.einsum("Nmj,jN->Nm", L, Dp)
-        am = np.einsum("Nmj,jN->Nm", L, Dm)
-        alpha = np.where(lam > 0.0, am, ap)                # (N, m)
-        flux = np.einsum("Nim,Nm->iN", V, lam * alpha)
-        out = U - dt * flux
-    if g is not None:
-        out = out + dt * g
-    return out
-
-
-def _validate_block_triangular(sys_, sizes, n_probe=16):
-    bounds = np.cumsum([0] + list(sizes))
-    rng = np.random.default_rng(0)
-    lows = np.array([sys_.domain[nm][0] for nm in sys_.states])
-    highs = np.array([sys_.domain[nm][1] for nm in sys_.states])
-    for _ in range(n_probe):
-        u = lows + rng.random(sys_.n) * (highs - lows)
-        A = sys_.eval_matrix(0.0, 0.0, u)
-        for bi in range(len(sizes) - 1):
-            r0, r1 = bounds[bi], bounds[bi + 1]
-            if np.max(np.abs(A[r0:r1, r1:])) > 1e-12 * (1 + np.abs(A).max()):
-                raise SchemaError("hierarchical solve needs a block lower-triangular system")
+def solve_coupled(sys_: QuasilinearSystem, initial, n_cells, t_end,
+                  scheme="laxFriedrichs", cfl=0.9, boundary="periodic",
+                  t0=0.0) -> GridSolution:
+    """March u_t + A(t, x, u) u_x = g(t, x, u) to t_end, first-order accurate."""
+    return _march(sys_, (sys_.n,), initial, n_cells, t_end, scheme, cfl, boundary, t0)
 
 
 def solve_hierarchical(sys_: QuasilinearSystem, sizes, initial, n_cells, t_end,
@@ -165,71 +184,9 @@ def solve_hierarchical(sys_: QuasilinearSystem, sizes, initial, n_cells, t_end,
     < i frozen at the step's starting time level, both for matrix entries and
     for the cross-derivative terms moved to the right-hand side.
     """
-    if scheme not in SCHEMES:
-        raise SchemaError(f"unknown scheme '{scheme}'")
-    if not 0.0 < cfl <= 1.0:
-        raise CFLViolation(f"cfl must lie in (0, 1], got {cfl}")
-    if sum(sizes) != sys_.n:
-        raise SchemaError("block sizes must sum to the system dimension")
-    _validate_block_triangular(sys_, sizes)
-    bounds = np.cumsum([0] + list(sizes))
-    x, dx = _grid(sys_, n_cells)
-    U = _initial_values(sys_, initial, x)
-    initial_scale = float(np.max(np.abs(U)))
-    times = [t0]
-    data = [U.copy()]
-    t = t0
-    guard = 0
-    while t < t_end - 1e-14:
-        lam_full, _, A_full = _eig_batch(sys_, t, U)
-        lam_max = float(np.max(np.abs(lam_full)))
-        dt = t_end - t if lam_max == 0.0 else min(cfl * dx / lam_max, t_end - t)
-        if dt <= 0:
-            break
-        frozen = U.copy()
-        g_full = sys_.eval_source_batch(t, 0.0, frozen) if not sys_.homogeneous else None
-        new = U.copy()
-        for bi in range(len(sizes)):
-            r0, r1 = bounds[bi], bounds[bi + 1]
-            Ab = A_full[:, r0:r1, r0:r1]
-            Ub = frozen[r0:r1]
-            # cross-flux from already-known lower blocks, central differences
-            rhs = np.zeros_like(Ub)
-            if r0 > 0:
-                lowp = _shift(frozen[:r0], 1, boundary)
-                lowm = _shift(frozen[:r0], -1, boundary)
-                Dlow = (lowp - lowm) / (2.0 * dx)
-                rhs -= np.einsum("Nij,jN->iN", A_full[:, r0:r1, :r0], Dlow)
-            if g_full is not None:
-                rhs += g_full[r0:r1]
-            lam_b, V_b = np.linalg.eig(Ab)
-            lam_b, V_b = lam_b.real, V_b.real
-            Up = _shift(Ub, 1, boundary)
-            Um = _shift(Ub, -1, boundary)
-            if scheme == "laxFriedrichs":
-                DU = (Up - Um) / (2.0 * dx)
-                AU = np.einsum("Nij,jN->iN", Ab, DU)
-                nb = 0.5 * (Up + Um) - dt * AU + dt * rhs
-            else:
-                Lb = np.linalg.inv(V_b)
-                ap = np.einsum("Nmj,jN->Nm", Lb, (Up - Ub) / dx)
-                am = np.einsum("Nmj,jN->Nm", Lb, (Ub - Um) / dx)
-                alpha = np.where(lam_b > 0.0, am, ap)
-                flux = np.einsum("Nim,Nm->iN", V_b, lam_b * alpha)
-                nb = Ub - dt * flux + dt * rhs
-            new[r0:r1] = nb
-        U = new
-        t += dt
-        _check_state(U, initial_scale, t)
-        guard += 1
-        if guard > 200000:
-            raise BlowupDetected("step count safety limit reached")
-    times.append(t)
-    data.append(U.copy())
-    return GridSolution(x=x, times=times, data=data, scheme=scheme, cfl=cfl,
-                        boundary=boundary,
-                        meta={"steps": guard, "cells": n_cells, "tEnd": t_end,
-                              "blocks": list(sizes)})
+    sol = _march(sys_, sizes, initial, n_cells, t_end, scheme, cfl, boundary, t0)
+    sol.meta["blocks"] = list(sizes)
+    return sol
 
 
 def compare_solutions(a: GridSolution, b: GridSolution, mapping=None,

@@ -214,7 +214,8 @@ class QuasilinearSystem:
         if self._conjugated is not None:
             return self._conjugated.eval_matrix_batch(t, x, U)
         if self.a0 is not None:
-            return np.stack([self.eval_matrix(t, x, U[:, i])
+            xs = np.broadcast_to(x, (U.shape[1],))
+            return np.stack([self.eval_matrix(t, xs[i], U[:, i])
                              for i in range(U.shape[1])], axis=2)
         fns = self._a_fns()
         N = U.shape[1]
@@ -324,9 +325,10 @@ class _ConjugatedBackend:
 
     def eval_matrix_batch(self, t, x, U):
         N = U.shape[1]
+        xs = np.broadcast_to(x, (N,))
         out = np.empty((self.n, self.n, N))
         for i in range(N):
-            out[:, :, i] = self.eval_matrix(t, x, U[:, i])
+            out[:, :, i] = self.eval_matrix(t, xs[i], U[:, i])
         return out
 
     def eval_source(self, t, x, u):
@@ -335,7 +337,8 @@ class _ConjugatedBackend:
         return np.linalg.solve(J, G)
 
     def eval_source_batch(self, t, x, U):
-        return np.stack([self.eval_source(t, x, U[:, i]) for i in range(U.shape[1])], axis=1)
+        xs = np.broadcast_to(x, (U.shape[1],))
+        return np.stack([self.eval_source(t, xs[i], U[:, i]) for i in range(U.shape[1])], axis=1)
 
     def directional_derivative(self, t, x, u, w):
         args = (t, x, *u)

@@ -286,12 +286,12 @@ def test_criterion_8_derivative_kernels():
     for _ in range(50):
         u = np.array([rng.uniform(0.6, 1.9), rng.uniform(-0.9, 0.9)])
         w = rng.normal(size=2)
-        base = eigen.spectrum_at(sys_, 0, 0, u).frame
+        base = eigen.spectrum_at(sys_, 0, 0, u)
         for slot in range(2):
             pred = eigen.eigenvalue_directional_derivative(sys_, base, slot, w)
             hs = 1e-6 * (1 + np.linalg.norm(u))
-            fp = eigen.align_frames(base, eigen.spectrum_at(sys_, 0, 0, u + hs * w).frame)
-            fm = eigen.align_frames(base, eigen.spectrum_at(sys_, 0, 0, u - hs * w).frame)
+            fp = eigen.align_frames(base, eigen.spectrum_at(sys_, 0, 0, u + hs * w))
+            fm = eigen.align_frames(base, eigen.spectrum_at(sys_, 0, 0, u - hs * w))
             fd = (fp.values[slot].real - fm.values[slot].real) / (2 * hs)
             worst = max(worst, abs(pred - fd))
             if abs(pred - fd) > 1e-5 * (1.0 + abs(pred)):

@@ -66,8 +66,7 @@ def fixed_matrix_system(rows, n=None, box=4.0):
 
 def test_barotropic_spectrum_matches_closed_form():
     sys_ = barotropic(with_hints=False)
-    sp = eigen.spectrum_at(sys_, 0.0, 0.0, np.array([1.0, 0.0]))
-    f = sp.frame
+    f = eigen.spectrum_at(sys_, 0.0, 0.0, np.array([1.0, 0.0]))
     np.testing.assert_allclose(sorted(f.values.real), [-S3, S3], rtol=1e-12)
     assert all(abs(v.imag) < 1e-12 for v in f.values)
     # rights proportional to (1, +-sqrt3): slot order ascending eigenvalue
@@ -88,21 +87,20 @@ def test_identity_spectrum_single_cluster():
     assert len(sp.clusters) == 1
     c = sp.clusters[0]
     assert c.alg_mult == 3
-    assert sp.frame.kinds == [eigen.KIND_EIGEN] * 3
+    assert sp.kinds == [eigen.KIND_EIGEN] * 3
     # autovectors span the standard basis
-    np.testing.assert_allclose(np.abs(sp.frame.rights), np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(np.abs(sp.rights), np.eye(3), atol=1e-12)
 
 
 def test_rotation_matrix_complex_pair():
     sys_ = fixed_matrix_system([[0, -1], [1, 0]])
-    sp = eigen.spectrum_at(sys_, 0, 0, np.zeros(2))
-    assert len(sp.clusters) == 1
-    c = sp.clusters[0]
+    f = eigen.spectrum_at(sys_, 0, 0, np.zeros(2))
+    assert len(f.clusters) == 1
+    c = f.clusters[0]
     assert c.is_complex and c.alg_mult == 2
     lam = c.value
     assert lam.real == pytest.approx(0.0, abs=1e-12)
     assert lam.imag == pytest.approx(1.0, rel=1e-12)
-    f = sp.frame
     assert f.kinds == [eigen.KIND_COMPLEX_RE, eigen.KIND_COMPLEX_IM]
     r_re, r_im = f.rights
     np.testing.assert_allclose(r_re, [1.0, 0.0], atol=1e-12)
@@ -125,9 +123,8 @@ def test_threadline_two_double_clusters():
 
 def test_jordan_chain():
     sys_ = fixed_matrix_system([[1, 1], [0, 1]])
-    sp = eigen.spectrum_at(sys_, 0, 0, np.zeros(2))
-    assert len(sp.clusters) == 1
-    f = sp.frame
+    f = eigen.spectrum_at(sys_, 0, 0, np.zeros(2))
+    assert len(f.clusters) == 1
     assert f.kinds[0] == eigen.KIND_EIGEN
     assert f.kinds[1] == eigen.generalized_kind(2)
     A = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -147,8 +144,8 @@ def test_ill_conditioned_raises():
 
 def test_align_sign_flip():
     sys_ = barotropic(with_hints=False)
-    ref = eigen.spectrum_at(sys_, 0, 0, np.array([1.0, 0.0])).frame
-    raw = eigen.spectrum_at(sys_, 0, 0, np.array([1.0, 0.0])).frame
+    ref = eigen.spectrum_at(sys_, 0, 0, np.array([1.0, 0.0]))
+    raw = eigen.spectrum_at(sys_, 0, 0, np.array([1.0, 0.0]))
     flipped = raw.rights.copy()
     flipped[0] = -flipped[0]
     raw2 = eigen.Frame(values=raw.values, rights=flipped,
@@ -160,8 +157,8 @@ def test_align_sign_flip():
 
 def test_align_identical_frames_unchanged_and_idempotent():
     sys_ = barotropic(with_hints=False)
-    ref = eigen.spectrum_at(sys_, 0, 0, np.array([1.3, 0.2])).frame
-    out = eigen.align_frames(ref, eigen.spectrum_at(sys_, 0, 0, np.array([1.3, 0.2])).frame)
+    ref = eigen.spectrum_at(sys_, 0, 0, np.array([1.3, 0.2]))
+    out = eigen.align_frames(ref, eigen.spectrum_at(sys_, 0, 0, np.array([1.3, 0.2])))
     np.testing.assert_allclose(out.rights, ref.rights, atol=1e-14)
     out2 = eigen.align_frames(ref, out)
     np.testing.assert_allclose(out2.rights, out.rights, atol=1e-14)
@@ -169,8 +166,8 @@ def test_align_identical_frames_unchanged_and_idempotent():
 
 def test_align_continuity_nearby_points():
     sys_ = barotropic(with_hints=False)
-    ref = eigen.spectrum_at(sys_, 0, 0, np.array([1.0, 0.0])).frame
-    raw = eigen.spectrum_at(sys_, 0, 0, np.array([1.001, 0.0])).frame
+    ref = eigen.spectrum_at(sys_, 0, 0, np.array([1.0, 0.0]))
+    raw = eigen.spectrum_at(sys_, 0, 0, np.array([1.001, 0.0]))
     out = eigen.align_frames(ref, raw)
     for slot in range(2):
         assert np.linalg.norm(out.rights[slot] - ref.rights[slot]) <= 0.01
@@ -191,11 +188,24 @@ def test_align_scale_anchoring_matches_reference_scale():
     np.testing.assert_allclose(out.rights[1], [1.0, -S3], rtol=1e-14)
 
 
+def test_align_matches_clusters_in_ascending_order():
+    # the spectrum moves by more than half its gap between the two points; the
+    # nearest-value match would pair the reference's -1 with the raw -3
+    sys_ = load_system(json.dumps({"n": 2, "states": ["a", "b"],
+                                   "A": [["a", "0"], ["0", "a + 2"]],
+                                   "domain": {"a": [-6, 0], "b": [-1, 1]}}))
+    ref = eigen.spectrum_at(sys_, 0, 0, np.array([-1.0, 0.0]))
+    out = eigen.align_frames(ref, eigen.spectrum_at(sys_, 0, 0, np.array([-5.0, 0.0])))
+    np.testing.assert_array_equal(out.values, [-5.0, -3.0])
+    assert [c.slots for c in out.clusters] == [[0], [1]]
+    np.testing.assert_array_equal(out.rights, ref.rights)
+
+
 def test_align_mismatched_signature():
     sys2 = barotropic(with_hints=False)
-    ref = eigen.spectrum_at(sys2, 0, 0, np.array([1.0, 0.0])).frame
+    ref = eigen.spectrum_at(sys2, 0, 0, np.array([1.0, 0.0]))
     tl = threadline()
-    raw = eigen.spectrum_at(tl, 0, 0, np.array([1.0, 0.3, 0.0, 0.1])).frame
+    raw = eigen.spectrum_at(tl, 0, 0, np.array([1.0, 0.3, 0.0, 0.1]))
     with pytest.raises(MismatchedSignature):
         eigen.align_frames(ref, raw)
 
@@ -258,11 +268,11 @@ def test_eigenvalue_directional_derivative_matches_fd():
     for _ in range(50):
         u = np.array([rng.uniform(0.6, 1.9), rng.uniform(-0.9, 0.9)])
         w = rng.normal(size=2)
-        base = eigen.spectrum_at(sys_, 0, 0, u).frame
+        base = eigen.spectrum_at(sys_, 0, 0, u)
         for slot in range(2):
             pred = eigen.eigenvalue_directional_derivative(sys_, base, slot, w)
-            fp = eigen.align_frames(base, eigen.spectrum_at(sys_, 0, 0, u + h * w).frame)
-            fm = eigen.align_frames(base, eigen.spectrum_at(sys_, 0, 0, u - h * w).frame)
+            fp = eigen.align_frames(base, eigen.spectrum_at(sys_, 0, 0, u + h * w))
+            fm = eigen.align_frames(base, eigen.spectrum_at(sys_, 0, 0, u - h * w))
             fd = (fp.values[slot].real - fm.values[slot].real) / (2 * h)
             assert pred == pytest.approx(fd, rel=1e-5, abs=1e-5)
 

@@ -17,10 +17,12 @@ def advection(c=1.0):
     return load_system(json.dumps(doc))
 
 
-def burgers_pair(box=4.0):
+def burgers_pair(box=4.0, source=None):
     doc = {"n": 2, "states": ["U1", "U2"],
            "A": [["U1", "0"], ["0", "U2"]],
            "domain": {"U1": [-box, box], "U2": [-box, box], "x": [0, 1]}}
+    if source is not None:
+        doc["g"] = source
     return load_system(json.dumps(doc))
 
 
@@ -85,12 +87,16 @@ def test_hierarchical_burgers_matches_characteristic_oracle():
         assert err <= 5.0 * (1.0 / N) * du0_max
 
 
-def test_hierarchical_k1_matches_coupled():
-    sys_ = burgers_pair()
+@pytest.mark.parametrize("source", [None, ["-U1", "0.5*U1*U2"]],
+                         ids=["homogeneous", "sourced"])
+@pytest.mark.parametrize("scheme", hypsolve.SCHEMES)
+def test_hierarchical_k1_matches_coupled(scheme, source):
+    sys_ = burgers_pair(source=source)
     initial = ["0.5 + 0.1*sin(2*pi*x)", "-0.5 + 0.1*cos(2*pi*x)"]
-    a = hypsolve.solve_coupled(sys_, initial, 100, 0.1)
-    b = hypsolve.solve_hierarchical(sys_, (2,), initial, 100, 0.1)
-    np.testing.assert_allclose(a.data[-1], b.data[-1], atol=1e-12)
+    a = hypsolve.solve_coupled(sys_, initial, 100, 0.1, scheme=scheme)
+    b = hypsolve.solve_hierarchical(sys_, (2,), initial, 100, 0.1, scheme=scheme)
+    assert a.meta["steps"] == b.meta["steps"] > 1
+    np.testing.assert_array_equal(a.data[-1], b.data[-1])
 
 
 def test_hierarchical_rejects_non_triangular():
@@ -99,6 +105,31 @@ def test_hierarchical_rejects_non_triangular():
     sys_ = load_system(json.dumps(doc))
     with pytest.raises(SchemaError):
         hypsolve.solve_hierarchical(sys_, (1, 1), ["0", "0"], 16, 0.1)
+
+
+def test_hierarchical_rejects_coupling_away_from_x_zero():
+    # the off-block entry vanishes only at x = 0
+    doc = {"n": 2, "states": ["a", "b"], "A": [["1", "x"], ["0", "2"]],
+           "domain": {"a": [-1, 1], "b": [-1, 1], "x": [0, 1]}}
+    sys_ = load_system(json.dumps(doc))
+    with pytest.raises(SchemaError):
+        hypsolve.solve_hierarchical(sys_, (1, 1), ["0", "0"], 16, 0.1)
+
+
+def test_variable_speed_characteristic_oracle():
+    # u_t + x u_x = 0 carries u0 along x e^{-t}: u = u0(x e^{-t})
+    doc = {"n": 1, "states": ["u"], "A": [["x"]], "domain": {"u": [-2, 2], "x": [0, 1]}}
+    sys_ = load_system(json.dumps(doc))
+    t_end = 0.5
+    errs = []
+    for N in (100, 200, 400):
+        sol = hypsolve.solve_coupled(sys_, ["sin(2*pi*x)"], N, t_end,
+                                     scheme="upwindCharacteristic", boundary="outflow")
+        exact = np.sin(2 * np.pi * sol.x * np.exp(-t_end))
+        errs.append(float(np.max(np.abs(sol.data[-1][0] - exact))))
+    assert errs[0] <= 0.02
+    assert 1.8 <= errs[0] / errs[1] <= 2.2
+    assert 1.8 <= errs[1] / errs[2] <= 2.2
 
 
 def test_hierarchical_triple_consumes_lower_blocks():

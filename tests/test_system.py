@@ -223,6 +223,22 @@ def test_conjugate_directional_derivative_consistency():
                                rtol=1e-9, atol=1e-10)
 
 
+def test_conjugate_batch_evaluates_each_column_at_its_x():
+    tri = load_system(json.dumps({"n": 2, "states": ["U1", "U2"],
+                                  "A": [["U1 + x", "0"], ["0", "U2"]], "g": ["x*U1", "0"],
+                                  "domain": {"U1": [-6, 6], "U2": [-6, 6]}}))
+    H, h = _burgers_maps()
+    conj = conjugate_system(tri, h, H, ["rho", "v"], {"rho": (0.5, 2.0), "v": (-1.0, 1.0)})
+    U = np.array([[1.0, 1.5, 0.7], [0.2, -0.4, 0.0]])
+    x = np.array([0.1, 0.5, 0.9])
+    A = conj.eval_matrix_batch(0.3, x, U)
+    g = conj.eval_source_batch(0.3, x, U)
+    for i in range(3):
+        np.testing.assert_array_equal(A[:, :, i], conj.eval_matrix(0.3, x[i], U[:, i]))
+        np.testing.assert_array_equal(g[:, i], conj.eval_source(0.3, x[i], U[:, i]))
+    assert not np.array_equal(A[:, :, 0], conj.eval_matrix(0.3, x[1], U[:, 0]))
+
+
 def test_conjugate_identity_returns_same_system():
     sys_ = barotropic()
     names = ["rho", "v"]

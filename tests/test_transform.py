@@ -100,7 +100,7 @@ def test_conjugation_identities(barotropic):
         J = np.array([[ex.evaluate(g, bind) for g in rowg] for rowg in grads])
         _, VT = np.linalg.eig(T)
         wT_raw = np.linalg.eigvals(T)
-        fA = eigen.spectrum_at(barotropic, t, x, u).frame
+        fA = eigen.spectrum_at(barotropic, t, x, u)
         for slot in range(2):
             lam = fA.values[slot].real
             col = VT[:, int(np.argmin(np.abs(wT_raw - lam)))].real

@@ -65,6 +65,18 @@ def unit_samples(plan: SamplePlan, dim: int) -> np.ndarray:
     return (0.5 + np.outer(idx, alphas)) % 1.0
 
 
+def _evaluate(fns, t, x, u):
+    """Compiled functions of (t, x, *states) at one state u (n,) -> (m,), or
+    at a stack of states (N, n) -> (N, m) as a transposed view."""
+    args = (t, x, *u.T)
+    return np.array([fn(*args) for fn in fns]).T
+
+
+def _directions(w):
+    """Indices k of the state directions with a nonzero weight w[..., k]."""
+    return (w if w.ndim == 1 else w.any(axis=0)).nonzero()[0].tolist()
+
+
 class QuasilinearSystem:
     """Immutable-by-convention system model.
 
@@ -123,27 +135,21 @@ class QuasilinearSystem:
     def arg_order(self):
         return list(INDEPENDENT) + self.states
 
-    def _compiled(self, key, exprs):
-        fns = self._cache.get(key)
-        if fns is None:
-            order = self.arg_order
-            fns = [ex.compile_expression(e, order) for e in exprs]
-            self._cache[key] = fns
-        return fns
-
-    def _a_fns(self):
-        return self._compiled("A", [e for row in self.a for e in row])
-
-    def _g_fns(self):
-        return self._compiled("g", self.g)
-
-    def _da_fns(self, k):
-        var = self.states[k]
-        key = f"dA/{var}"
-        if key not in self._cache:
-            d = [ex.differentiate(e, var) for row in self.a for e in row]
-            self._cache[key] = [ex.compile_expression(e, self.arg_order) for e in d]
-        return self._cache[key]
+    def _compiled(self, key):
+        """Compiled flat entries of `key` ("A", "g", "A0", or ("dA", k) /
+        ("dA0", k) for the derivative along state k), with their expressions
+        and the name used in diagnostics."""
+        hit = self._cache.get(key)
+        if hit is None:
+            name, k = (key, None) if isinstance(key, str) else key
+            rows = {"A": self.a, "dA": self.a, "A0": self.a0, "dA0": self.a0}.get(name)
+            exprs = self.g if rows is None else [e for row in rows for e in row]
+            if k is not None:
+                exprs = [ex.differentiate(e, self.states[k]) for e in exprs]
+                name = f"{name}/d{self.states[k]}"
+            hit = ([ex.compile_expression(e, self.arg_order) for e in exprs], exprs, name)
+            self._cache[key] = hit
+        return hit
 
     # -- admissibility ---------------------------------------------------------
 
@@ -171,105 +177,87 @@ class QuasilinearSystem:
         return False
 
     # -- evaluation ------------------------------------------------------------
+    #
+    # One core per coefficient (_matrix, _source, _derivative) evaluates at one
+    # state u of shape (n,) or a stack of states of shape (N, n); t and x are
+    # scalars or follow the stack.  A conjugated backend implements the same
+    # three cores, and the public methods call whichever the system has.
 
-    def _eval_grid(self, fns, t, x, u, shape):
-        args = (t, x, *u)
-        with np.errstate(all="ignore"):
-            vals = np.array([fn(*args) for fn in fns], dtype=float)
-        if not np.all(np.isfinite(vals)):
-            flat_idx = int(np.argmin(np.isfinite(vals)))
-            exprs = [e for row in self.a for e in row] if shape == (self.n, self.n) else self.g
-            bind = dict(zip(self.arg_order, args))
+    def _values(self, key, t, x, u):
+        """Entries of `key` (see _compiled), shaped (n,) for g and (n, n)
+        otherwise, with a leading N axis on a stack.  At one state a
+        non-finite entry raises DomainError naming it; a stack keeps nan and
+        inf."""
+        fns, exprs, name = self._compiled(key)
+        shape = (self.n,) if name == "g" else (self.n, self.n)
+        vals = _evaluate(fns, t, x, u)
+        # vals . vals is finite when every entry is (unless it overflows),
+        # and costs less than the entrywise check
+        if u.ndim == 1 and not math.isfinite(vals.dot(vals)) and not np.isfinite(vals).all():
+            k = int(np.argmin(np.isfinite(vals)))
+            where = name + "".join(f"[{i}]" for i in np.unravel_index(k, shape))
             try:
-                ex.evaluate(exprs[flat_idx], bind)
+                ex.evaluate(exprs[k], dict(zip(self.arg_order, (t, x, *u))))
             except DomainError as err:
-                i, j = divmod(flat_idx, shape[-1])
-                where = f"A[{i}][{j}]" if len(shape) == 2 else f"g[{flat_idx}]"
                 raise DomainError(f"{where}: {err}") from None
-            raise DomainError(f"non-finite value in entry {flat_idx}")
-        return vals.reshape(shape)
+            raise DomainError(f"non-finite value in {where}")
+        return vals.reshape(u.shape[:-1] + shape)
+
+    def _matrix(self, t, x, u):
+        A = self._values("A", t, x, u)
+        return A if self.a0 is None else np.linalg.solve(self._values("A0", t, x, u), A)
+
+    def _source(self, t, x, u):
+        g = self._values("g", t, x, u)
+        if self.a0 is None:
+            return g
+        return np.linalg.solve(self._values("A0", t, x, u), g[..., None])[..., 0]
+
+    def _derivative(self, t, x, u, w):
+        def along(name):
+            out = np.zeros(u.shape[:-1] + (self.n, self.n))
+            for k in _directions(w):
+                out += w[..., k, None, None] * self._values((name, k), t, x, u)
+            return out
+
+        D = along("dA")
+        if self.a0 is not None:
+            # A = A0^-1 A1, so dA = A0^-1 (dA1 - dA0 A)
+            D = np.linalg.solve(self._values("A0", t, x, u),
+                                D - along("dA0") @ self._matrix(t, x, u))
+        return D
+
+    def _core(self, core, t, x, u, *w):
+        """Run `core` on this system or its conjugated backend, with
+        floating-point warnings off (_values handles non-finite entries)."""
+        backend = self if self._conjugated is None else self._conjugated
+        with np.errstate(all="ignore"):
+            return getattr(backend, core)(t, x, np.asarray(u, dtype=float), *w)
 
     def eval_matrix(self, t, x, u) -> np.ndarray:
-        if self._conjugated is not None:
-            return self._conjugated.eval_matrix(t, x, u)
-        A = self._eval_grid(self._a_fns(), t, x, u, (self.n, self.n))
-        if self.a0 is not None:
-            A0 = np.array([[ex.evaluate(e, dict(zip(self.arg_order, (t, x, *u))))
-                            for e in row] for row in self.a0])
-            A = np.linalg.solve(A0, A)
-        return A
+        return self._core("_matrix", t, x, u)
 
     def eval_source(self, t, x, u) -> np.ndarray:
-        if self._conjugated is not None:
-            return self._conjugated.eval_source(t, x, u)
-        gv = self._eval_grid(self._g_fns(), t, x, u, (self.n,))
-        if self.a0 is not None:
-            A0 = np.array([[ex.evaluate(e, dict(zip(self.arg_order, (t, x, *u))))
-                            for e in row] for row in self.a0])
-            gv = np.linalg.solve(A0, gv)
-        return gv
-
-    def eval_matrix_batch(self, t, x, U) -> np.ndarray:
-        """Entrywise evaluation over arrays; returns (n, n, N)."""
-        if self._conjugated is not None:
-            return self._conjugated.eval_matrix_batch(t, x, U)
-        if self.a0 is not None:
-            xs = np.broadcast_to(x, (U.shape[1],))
-            return np.stack([self.eval_matrix(t, xs[i], U[:, i])
-                             for i in range(U.shape[1])], axis=2)
-        fns = self._a_fns()
-        N = U.shape[1]
-        out = np.empty((self.n, self.n, N))
-        args = (np.broadcast_to(t, (N,)), np.broadcast_to(x, (N,)), *U)
-        for idx, fn in enumerate(fns):
-            i, j = divmod(idx, self.n)
-            out[i, j] = fn(*args)
-        return out
-
-    def eval_source_batch(self, t, x, U) -> np.ndarray:
-        if self._conjugated is not None:
-            return self._conjugated.eval_source_batch(t, x, U)
-        fns = self._g_fns()
-        N = U.shape[1]
-        args = (np.broadcast_to(t, (N,)), np.broadcast_to(x, (N,)), *U)
-        return np.stack([np.broadcast_to(fn(*args), (N,)) for fn in fns])
+        return self._core("_source", t, x, u)
 
     def directional_matrix_derivative(self, t, x, u, w) -> np.ndarray:
         """Sum_k w_k dA/du_k, exact via symbolic differentiation."""
-        if self._conjugated is not None:
-            return self._conjugated.directional_derivative(t, x, u, w)
-        args = (t, x, *u)
-        out = np.zeros((self.n, self.n))
-        for k, wk in enumerate(w):
-            if wk == 0.0:
-                continue
-            vals = np.array([fn(*args) for fn in self._da_fns(k)], dtype=float)
-            if not np.all(np.isfinite(vals)):
-                raise DomainError(f"non-finite derivative of A along u_{k}")
-            out += wk * vals.reshape(self.n, self.n)
-        if self.a0 is not None:
-            bind = dict(zip(self.arg_order, args))
-            A0 = np.array([[ex.evaluate(e, bind) for e in row] for row in self.a0])
-            A1 = np.array([[ex.evaluate(e, bind) for e in row] for row in self.a])
-            dA0 = np.zeros((self.n, self.n))
-            for k, wk in enumerate(w):
-                if wk == 0.0:
-                    continue
-                dA0 += wk * np.array([[ex.evaluate(ex.differentiate(e, self.states[k]), bind)
-                                       for e in row] for row in self.a0])
-            A0inv_A1 = np.linalg.solve(A0, A1)
-            out = np.linalg.solve(A0, out - dA0 @ A0inv_A1)
-        return out
+        return self._core("_derivative", t, x, u, np.asarray(w, dtype=float))
+
+    def eval_matrix_batch(self, t, x, U) -> np.ndarray:
+        """A at the columns of U (n, N), each at its own x when x is an
+        array; returns (n, n, N).  Non-finite entries stay in the result."""
+        return np.ascontiguousarray(np.moveaxis(self._core("_matrix", t, x, U.T), 0, -1))
+
+    def eval_source_batch(self, t, x, U) -> np.ndarray:
+        """g at the columns of U (n, N); returns (n, N)."""
+        return np.ascontiguousarray(self._core("_source", t, x, U.T).T)
 
     @property
     def homogeneous(self):
-        return all(isinstance(e, ex.Const) and e.value == 0.0 for e in self.g) \
-            and self._conjugated_source_zero()
-
-    def _conjugated_source_zero(self):
-        if self._conjugated is None:
-            return True
-        return self._conjugated.source_zero
+        if self._conjugated is not None:
+            return self._conjugated.tri.homogeneous
+        return all(isinstance(e, ex.Const) and e.value == 0.0 for e in self.g)
 
     @property
     def autonomous(self):
@@ -299,58 +287,40 @@ class QuasilinearSystem:
 class _ConjugatedBackend:
     """A(u) = J(u)^-1 T(H(u)) J(u) with J = grad H, evaluated numerically."""
 
-    def __init__(self, parent, tri_system, forward_map, j_entries, dj_entries, u_names,
-                 blocks=None):
-        self.parent = parent
+    def __init__(self, tri_system, forward_map, j_entries, dj_entries, u_names, blocks=None):
         self.tri = tri_system
         self.n = tri_system.n
         self.blocks = [list(b) for b in blocks] if blocks else None
         order = list(INDEPENDENT) + list(u_names)
-        self.h_fns = [ex.compile_expression(e, order) for e in forward_map]
-        self.j_fns = [ex.compile_expression(e, order) for row in j_entries for e in row]
+        # H, then the entries of J = grad H
+        hj = list(forward_map) + [e for row in j_entries for e in row]
+        self.hj_fns = [ex.compile_expression(e, order) for e in hj]
         self.dj_fns = [[ex.compile_expression(e, order) for row in dj_k for e in row]
                        for dj_k in dj_entries]
-        self.source_zero = all(isinstance(e, ex.Const) and e.value == 0.0 for e in tri_system.g)
 
+    # J and T are made contiguous so that a stacked product runs the same
+    # BLAS call per state as the product at one state
     def _jh(self, t, x, u):
-        args = (t, x, *u)
-        J = np.array([fn(*args) for fn in self.j_fns]).reshape(self.n, self.n)
-        H = np.array([fn(*args) for fn in self.h_fns])
-        return J, H
+        vals = _evaluate(self.hj_fns, t, x, u)
+        J = vals[..., self.n:].reshape(u.shape[:-1] + (self.n, self.n))
+        return np.ascontiguousarray(J), vals[..., :self.n]
 
-    def eval_matrix(self, t, x, u):
+    def _matrix(self, t, x, u):
         J, H = self._jh(t, x, u)
-        T = self.tri.eval_matrix(t, x, H)
-        return np.linalg.solve(J, T @ J)
+        return np.linalg.solve(J, np.ascontiguousarray(self.tri._matrix(t, x, H)) @ J)
 
-    def eval_matrix_batch(self, t, x, U):
-        N = U.shape[1]
-        xs = np.broadcast_to(x, (N,))
-        out = np.empty((self.n, self.n, N))
-        for i in range(N):
-            out[:, :, i] = self.eval_matrix(t, xs[i], U[:, i])
-        return out
-
-    def eval_source(self, t, x, u):
+    def _source(self, t, x, u):
         J, H = self._jh(t, x, u)
-        G = self.tri.eval_source(t, x, H)
-        return np.linalg.solve(J, G)
+        return np.linalg.solve(J, self.tri._source(t, x, H)[..., None])[..., 0]
 
-    def eval_source_batch(self, t, x, U):
-        xs = np.broadcast_to(x, (U.shape[1],))
-        return np.stack([self.eval_source(t, xs[i], U[:, i]) for i in range(U.shape[1])], axis=1)
-
-    def directional_derivative(self, t, x, u, w):
-        args = (t, x, *u)
+    def _derivative(self, t, x, u, w):
         J, H = self._jh(t, x, u)
-        T = self.tri.eval_matrix(t, x, H)
-        dJ = np.zeros((self.n, self.n))
-        for k, wk in enumerate(w):
-            if wk == 0.0:
-                continue
-            dJ += wk * np.array([fn(*args) for fn in self.dj_fns[k]]).reshape(self.n, self.n)
-        dH = J @ np.asarray(w, dtype=float)
-        dT = self.tri.directional_matrix_derivative(t, x, H, dH)
+        T = self.tri._matrix(t, x, H)
+        dJ = np.zeros(J.shape)
+        for k in _directions(w):
+            dJ += w[..., k, None, None] * _evaluate(self.dj_fns[k], t, x, u).reshape(J.shape)
+        dH = (J @ w[..., None])[..., 0]
+        dT = self.tri._derivative(t, x, H, dH)
         Jinv = np.linalg.inv(J)
         A = Jinv @ T @ J
         return Jinv @ (dT @ J + T @ dJ) - Jinv @ dJ @ A
@@ -368,7 +338,7 @@ class _ConjugatedBackend:
         if self.blocks is None:
             return None
         J, H = self._jh(t, x, u)
-        T = self.tri.eval_matrix(t, x, H)
+        T = self.tri._matrix(t, x, H)
         n = self.n
         bounds = []
         start = 0
@@ -631,7 +601,6 @@ def conjugate_system(triangular: QuasilinearSystem, h_map, inverse_map,
     zero = ex.Const(0.0)
     sys_out = QuasilinearSystem(n, u_names, [[zero] * n for _ in range(n)],
                                 None, {}, domain, name=name)
-    sys_out._conjugated = _ConjugatedBackend(sys_out, triangular, inverse_map,
-                                             j_entries, dj_entries, u_names,
-                                             blocks=blocks)
+    sys_out._conjugated = _ConjugatedBackend(triangular, inverse_map, j_entries, dj_entries,
+                                             u_names, blocks=blocks)
     return sys_out

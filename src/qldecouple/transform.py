@@ -184,7 +184,7 @@ def verify_transform(sys_: QuasilinearSystem, candidate: TransformCandidate,
 
     block_dep = None
     if candidate.inverse is not None:
-        block_dep = _block_dependence(sys_, candidate, rows, comp_fns)
+        block_dep = _block_dependence(sys_, candidate, rows, comp_fns, grad_fns)
 
     verdict = "pass" if (ann_max <= tol and off_max <= tol) else "fail"
     return TransformedSystem(
@@ -197,23 +197,19 @@ def verify_transform(sys_: QuasilinearSystem, candidate: TransformCandidate,
         block_dependence=block_dep)
 
 
-def _block_dependence(sys_, candidate, rows, comp_fns, h_rel=1e-5):
+def _block_dependence(sys_, candidate, rows, comp_fns, grad_fns, h_rel=1e-5):
     """max |d T^i_j entry / d U_m| for U_m outside the allowed set of block i,
-    probed by finite differences through the inverse map u = h(U)."""
+    probed by finite differences through the inverse map u = h(U) at each
+    probe row's (t, x)."""
     n = sys_.n
     partition = candidate.partition
     inv_states = candidate.inverse_states or [f"U{i+1}" for i in range(n)]
     inv_fns = [ex.compile_expression(e, inv_states) for e in candidate.inverse]
 
-    def t_of_U(U):
+    def t_of_U(t, x, U):
         u = np.array([fn(*U) for fn in inv_fns])
-        J = None
-        args = (0.0, 0.0, *u)
-        A = sys_.eval_matrix(0.0, 0.0, u)
-        grads = [[ex.differentiate(e, nm) for nm in sys_.states]
-                 for e in candidate.components]
-        J = np.array([[ex.evaluate(g, dict(zip(sys_.arg_order, args))) for g in row]
-                      for row in grads])
+        A = sys_.eval_matrix(t, x, u)
+        J = np.array([[fn(t, x, *u) for fn in grads] for grads in grad_fns])
         return J @ A @ np.linalg.inv(J)
 
     out = {}
@@ -233,7 +229,7 @@ def _block_dependence(sys_, candidate, rows, comp_fns, h_rel=1e-5):
                 Up[m] += h
                 Um[m] -= h
                 try:
-                    dT = (t_of_U(Up) - t_of_U(Um)) / (2.0 * h)
+                    dT = (t_of_U(t, x, Up) - t_of_U(t, x, Um)) / (2.0 * h)
                 except (DomainError, np.linalg.LinAlgError):
                     continue
                 rows_i = partition.blocks[i]

@@ -1,9 +1,13 @@
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qldecouple import exprlang as ex
+from qldecouple import models
 from qldecouple.errors import DomainError, NotInverse, SchemaError, SingularJacobian
 from qldecouple.system import (
     SamplePlan,
@@ -158,6 +162,59 @@ def test_normalized_loader_full_a0():
     fd = (sys_.eval_matrix(0, 0, u + h * w) - sys_.eval_matrix(0, 0, u - h * w)) / (2 * h)
     np.testing.assert_allclose(sys_.directional_matrix_derivative(0, 0, u, w), fd,
                                rtol=1e-6, atol=1e-8)
+
+
+# A = diag(1, 2), g = (a, b) under the non-diagonal A0 = [[1, 1], [0, 1]]
+NORMALIZED = {"n": 2, "states": ["a", "b"], "normalize": True,
+              "A0": [["1", "1"], ["0", "1"]], "A": [["1", "0"], ["0", "2"]],
+              "g": ["a", "b"], "domain": {"a": [0, 1], "b": [0, 1]}}
+
+
+def test_normalized_source_batch_applies_a0():
+    sys_ = load_system(json.dumps(NORMALIZED))
+    u = np.array([0.3, 0.7])
+    g = sys_.eval_source(0, 0, u)
+    np.testing.assert_allclose(g, [-0.4, 0.7], rtol=1e-15)
+    batch = sys_.eval_source_batch(0.0, 0.0, np.stack([u, u], axis=1))
+    np.testing.assert_array_equal(batch, np.stack([g, g], axis=1))
+
+
+@functools.lru_cache(maxsize=None)
+def _system(kind, seed=0, with_source=False):
+    if kind == "normalized":
+        doc = dict(NORMALIZED, A0=[["1", "1 + a*b"], ["0", "2 - b"]])
+        return load_system(json.dumps(doc))
+    if kind == "synthetic":
+        _, _, entry = models.build_synthetic_triangular(seed, 3, [2, 1],
+                                                        with_source=with_source)
+        return entry.system
+    return getattr(models, f"build_{kind}")().system
+
+
+@settings(max_examples=80, deadline=None)
+@given(key=st.one_of(st.sampled_from([("barotropic",), ("isentropic",), ("threadline",),
+                                      ("normalized",)]),
+                     st.tuples(st.just("synthetic"), st.integers(0, 19), st.booleans())),
+       data=st.data())
+def test_batch_columns_match_pointwise(key, data):
+    sys_ = _system(*key)
+    names = sys_.arg_order
+    lows = np.array([sys_.domain[nm][0] for nm in names])
+    highs = np.array([sys_.domain[nm][1] for nm in names])
+    count = data.draw(st.integers(1, 6), label="count")
+    unit = data.draw(st.lists(st.lists(st.floats(0, 1), min_size=len(names),
+                                       max_size=len(names)),
+                              min_size=count, max_size=count), label="unit")
+    pts = lows + np.array(unit) * (highs - lows)
+    t, x, U = pts[0, 0], pts[:, 1], np.ascontiguousarray(pts[:, 2:].T)
+    A = sys_.eval_matrix_batch(t, x, U)
+    g = sys_.eval_source_batch(t, x, U)
+    assert A.shape == (sys_.n, sys_.n, count) and g.shape == (sys_.n, count)
+    for i in range(count):
+        np.testing.assert_allclose(A[:, :, i], sys_.eval_matrix(t, x[i], U[:, i]),
+                                   rtol=1e-13, atol=0)
+        np.testing.assert_allclose(g[:, i], sys_.eval_source(t, x[i], U[:, i]),
+                                   rtol=1e-13, atol=0)
 
 
 # --- sampling ----------------------------------------------------------------

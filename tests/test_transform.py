@@ -49,6 +49,23 @@ def test_verify_identity_on_triangular_system():
     assert ts.off_block_max <= 1e-12
 
 
+def test_block_dependence_probes_each_row_at_its_x():
+    # T = A here, and T[0][0] = U1 + x*U2 depends on the later block's U2 at
+    # rate x, so the probe must see max |x| over the probe rows (0 at x = 0)
+    doc = {"n": 2, "states": ["a", "b"], "A": [["a + x*b", "0"], ["0", "b"]],
+           "domain": {"a": [-3, -2], "b": [0, 1], "x": [0, 1]}}
+    sys_ = load_system(json.dumps(doc))
+    p = cond.PartitionScheme([[0], [1]], "partial")
+    candidate = transform.TransformCandidate.from_strings(
+        ["a", "b"], p, ["a", "b"], inverse=["U1", "U2"])
+    ts = transform.verify_transform(sys_, candidate, SamplePlan(count=64, seed=3))
+    probes = ts.samples[:: max(1, len(ts.samples) // 8)]
+    assert ts.verdict == "pass"
+    assert ts.block_dependence["block1"] == pytest.approx(np.max(np.abs(probes[:, 1])),
+                                                          abs=1e-6)
+    assert ts.block_dependence["block1"] > 0.5
+
+
 def test_verify_isentropic_t33_and_off_block_facts():
     # the claimed map gives T33 = (U1+U2)/2 exactly, but T13 = T23 =
     # -(p0 rho^2 s - f'(s)/rho) do not vanish, so the partial verdict fails

@@ -5,13 +5,18 @@ autovector slots into ordered blocks:
 
   gradient:     grad(lambda_a) . r_b            (speed variation across b-waves)
   interaction:  l_a . ((Dr_b) r_c - (Dr_c) r_b) (wave-wave reflection)
-  source:       directional derivative of l_a . g along r_b
+  source:       component a of r_b(psi) - dL(r_b, R) (L R)^-1 psi
+                                                (block source dependence)
 
-Gradient residuals are scale-free and interaction residuals are insensitive
-to smooth rescalings of the frame fields (biorthogonality kills the scale
-terms), so they run on hinted or numeric frames directly.  Source residuals
-single out a normalization of the left fields; systems built by conjugation
-expose the transported block-adapted frame for them (see FrameMachine).
+In the source residual L and R hold the left and right autovectors of the
+slots a's block may depend on, psi = L g and dL(r_b, r_c) = r_b(L r_c) -
+L [r_b, r_c] (see source_condition_residual).  Gradient residuals are
+scale-free, interaction residuals are insensitive to smooth rescalings of the
+frame fields (biorthogonality kills the scale terms), and a change of the
+left scaling L -> M L multiplies the source residual by M, so all three run
+on hinted or numeric frames directly.  The source residual assumes a map
+U = H(u); when A or g depend on (t, x) the effective source gains
+H_t + T H_x, which frames at one (t, x) cannot determine.
 
 Partial mode constrains block i against all later blocks j > i; full mode
 constrains every ordered pair i != j.  Verdicts aggregate max residuals over
@@ -191,27 +196,6 @@ class FrameMachine:
         fm = self.near(t, x, u - h * d, base)
         return fp, fm
 
-    def source_field(self):
-        """Smooth block-adapted frame field for source conditions, when the
-        system can provide one (conjugation backend with known blocks)."""
-        backend = getattr(self.sys, "_conjugated", None)
-        if backend is None or backend.blocks is None:
-            return None
-
-        def field_at(t, x, u):
-            parts = backend.adapted_components(t, x, u)
-            if parts is None:
-                raise DegenerateSample("adapted frame unavailable at this point")
-            values, rights, lefts = parts
-            clusters = [eigen.Cluster(complex(values[s]), 1, [s])
-                        for s in range(self.sys.n)]
-            return eigen.Frame(values=values.astype(complex), rights=rights,
-                               lefts=lefts, kinds=[eigen.KIND_EIGEN] * self.sys.n,
-                               clusters=clusters, point=(t, x, tuple(u)),
-                               provenance="transportedAdapted")
-
-        return field_at
-
 
 def _fd_step(u):
     return FD_STEP * (1.0 + float(np.linalg.norm(u)))
@@ -219,15 +203,14 @@ def _fd_step(u):
 
 class _SampleResiduals:
     """The residual kernels at one state (t, x, u).  Holds the FD step h and
-    the base frame, and computes each centered frame sweep once, on first use."""
+    the base frame, and computes each centered frame sweep and each block
+    source residual once, on first use."""
 
-    def __init__(self, machine, t, x, u, base, source_field=None):
+    def __init__(self, machine, t, x, u, base):
         self.machine, self.t, self.x, self.u = machine, t, x, u
         self.h = _fd_step(u)
         self.base = base
-        self.source_field = source_field
-        self._source_base = None
-        self._sweeps, self._source_sweeps = {}, {}
+        self._sweeps, self._sources = {}, {}
 
     def sweep(self, slot):
         if slot not in self._sweeps:
@@ -235,19 +218,14 @@ class _SampleResiduals:
                                                     slot, self.h)
         return self._sweeps[slot]
 
-    def source_sweep(self, slot):
-        """(frame at u + h d, frame at u - h d, d), d the slot's right vector,
-        in the block-adapted source frame field when there is one."""
-        if self.source_field is None:
-            return (*self.sweep(slot), self.base.rights[slot])
-        if slot not in self._source_sweeps:
-            t, x, u, h = self.t, self.x, self.u, self.h
-            if self._source_base is None:
-                self._source_base = self.source_field(t, x, u)
-            d = self._source_base.rights[slot]
-            self._source_sweeps[slot] = (self.source_field(t, x, u + h * d),
-                                         self.source_field(t, x, u - h * d), d)
-        return self._source_sweeps[slot]
+    def bracket(self, b, c):
+        """[r_b, r_c] = (D r_c) r_b - (D r_b) r_c from the sweeps along r_b
+        and r_c."""
+        fpb, fmb = self.sweep(b)
+        d_c_along_b = (fpb.rights[c] - fmb.rights[c]) / (2.0 * self.h)
+        fpc, fmc = self.sweep(c)
+        d_b_along_c = (fpc.rights[b] - fmc.rights[b]) / (2.0 * self.h)
+        return d_c_along_b - d_b_along_c
 
     def gradient(self, path, a, b):
         base, t, x = self.base, self.t, self.x
@@ -264,19 +242,33 @@ class _SampleResiduals:
         return float(abs(d)) if base.cluster_of_slot(a).is_complex else float(d.real)
 
     def interaction(self, a, b, c):
-        # (D r_b) r_c: derivative of the b field along direction r_c
-        fpc, fmc = self.sweep(c)
-        d_b_along_c = (fpc.rights[b] - fmc.rights[b]) / (2.0 * self.h)
-        fpb, fmb = self.sweep(b)
-        d_c_along_b = (fpb.rights[c] - fmb.rights[c]) / (2.0 * self.h)
-        return float(self.base.lefts[a] @ (d_b_along_c - d_c_along_b))
+        # l_a . ((D r_b) r_c - (D r_c) r_b)
+        return float(self.base.lefts[a] @ self.bracket(c, b))
 
-    def source(self, a, b):
-        fp, fm, d = self.source_sweep(b)
+    def source(self, partition, a, b):
+        """Component a of the source residual of a's block i along r_b."""
+        i = partition.block_of(a)
+        slots = [s for j, bj in enumerate(partition.blocks)
+                 if not partition.forbidden(i, j) for s in bj]
+        if (i, b) not in self._sources:
+            self._sources[i, b] = self._block_source(slots, b)
+        return float(self._sources[i, b][slots.index(a)])
+
+    def _block_source(self, slots, b):
+        """res_b = r_b(psi) - dL(r_b, R) (L R)^-1 psi, with L and R the left
+        and right rows of `slots`, psi = L g and
+        dL(r_b, r_c) = r_b(L r_c) - L [r_b, r_c]."""
         sys_, t, x, u, h = self.machine.sys, self.t, self.x, self.u, self.h
-        gp = sys_.eval_source(t, x, u + h * d)
-        gm = sys_.eval_source(t, x, u - h * d)
-        return (float(fp.lefts[a] @ gp) - float(fm.lefts[a] @ gm)) / (2.0 * h)
+        d = self.base.rights[b]
+        L, R = self.base.lefts[slots], self.base.rights[slots].T
+        fp, fm = self.sweep(b)
+        Lp, Lm = fp.lefts[slots], fm.lefts[slots]
+        d_psi = (Lp @ sys_.eval_source(t, x, u + h * d)
+                 - Lm @ sys_.eval_source(t, x, u - h * d)) / (2.0 * h)
+        d_LR = (Lp @ fp.rights[slots].T - Lm @ fm.rights[slots].T) / (2.0 * h)
+        dL = d_LR - L @ np.column_stack([self.bracket(b, c) for c in slots])
+        psi = L @ sys_.eval_source(t, x, u)
+        return d_psi - dL @ np.linalg.solve(L @ R, psi)
 
 
 def gradient_condition_residual(sys_, slot_a, slot_b, t, x, u, frame="auto",
@@ -301,22 +293,29 @@ def interaction_condition_residual(sys_, slot_a, slot_b, slot_c, t, x, u,
     return _SampleResiduals(m, t, x, u, f).interaction(slot_a, slot_b, slot_c)
 
 
-def source_condition_residual(sys_, slot_a, slot_b, t, x, u, frame="auto",
+def source_condition_residual(sys_, partition, slot_a, slot_b, t, x, u, frame="auto",
                               machine=None, base=None):
-    """Directional FD of the scalar field l_a . g along r_b.
+    """Component slot_a of the source residual of slot_a's block i along the
+    slot_b right autovector:
 
-    The condition singles out a normalization of the frame: the left fields
-    must carry scalings compatible with the block hierarchy.  Systems built
-    by conjugation expose that transported block-adapted frame and it is used
-    here automatically; otherwise the provided (hinted or numeric) frame is
-    used as is and its provenance is the caller's responsibility.
+        res_b = r_b(psi) - dL(r_b, R) (L R)^-1 psi,
+        dL(r_b, r_c) = r_b(L r_c) - L [r_b, r_c]
+
+    L and R hold the left and right autovectors of the slots block i may
+    depend on (blocks <= i in partial mode, block i alone in full mode) and
+    psi = L g.  Replacing L by M L multiplies res_b by M, so no normalization
+    of the left fields has to be singled out; rescaling r_b scales res_b.
+    The field derivatives are central differences of aligned frames.
+
+    The residual vanishes when the block source dH g of a map U = H(u) does
+    not depend on the forbidden variables.  When A or g depend on (t, x) the
+    effective source gains H_t + T H_x, which frames at one (t, x) cannot
+    determine; that case is not covered.
     """
     u = np.asarray(u, dtype=float)
     m = machine or FrameMachine(sys_, frame)
-    sfield = m.source_field()
-    if sfield is None and base is None:
-        base = m.base(t, x, u)
-    return _SampleResiduals(m, t, x, u, base, sfield).source(slot_a, slot_b)
+    f = base if base is not None else m.base(t, x, u)
+    return _SampleResiduals(m, t, x, u, f).source(partition, slot_a, slot_b)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +417,6 @@ class _SweepEvaluator:
         self.int_tuples = list(interaction_tuples(partition)) if "interaction" in families else []
         self.src_tuples = (list(source_tuples(partition))
                            if "source" in families and not self.homogeneous else [])
-        self.source_frame_field = self.machine.source_field() if self.src_tuples else None
         p = partition
         self.labels = [("gradient", f"{p.label(a)}->{p.label(b)}") for a, b in self.grad_tuples]
         self.labels += [("interaction", f"{p.label(a)}|{p.label(b)}->{p.label(c)}")
@@ -460,13 +458,14 @@ class _SweepEvaluator:
         if self.machine.field is None and self._split_cluster(base):
             return "degenerate", []
 
-        s = _SampleResiduals(self.machine, t, x, u, base, self.source_frame_field)
+        s = _SampleResiduals(self.machine, t, x, u, base)
         try:
             values = [s.gradient(self.gradient_path, a, b) for a, b in self.grad_tuples]
             values += [s.interaction(a, b, c) for a, b, c in self.int_tuples]
-            values += [s.source(a, b) for a, b in self.src_tuples]
+            values += [s.source(self.partition, a, b) for a, b in self.src_tuples]
         except (IllConditioned, MismatchedSignature, DomainError, HintInconsistent,
-                DegenerateSample):
+                np.linalg.LinAlgError):
+            # LinAlgError: a singular L R in the source residual
             return "degenerate", []
         return "ok", [(fam, label, v) for (fam, label), v in zip(self.labels, values)]
 

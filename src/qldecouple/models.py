@@ -355,7 +355,7 @@ def build_synthetic_triangular(seed, n, block_sizes, with_source=False,
                                 name=f"triangular-{seed}")
         try:
             conj = conjugate_system(tri, h_map, H_map, u_names, u_domain,
-                                    blocks=blocks, name=f"conjugated-{seed}")
+                                    name=f"conjugated-{seed}")
         except Exception:
             continue
         partition = {"blocks": blocks, "mode": "partial"}

@@ -261,17 +261,10 @@ class QuasilinearSystem:
 
     @property
     def autonomous(self):
-        syms = set()
-        for row in self.a:
-            for e in row:
-                syms |= ex.free_symbols(e)
-        for e in self.g:
-            syms |= ex.free_symbols(e)
-        if self.a0 is not None:
-            for row in self.a0:
-                for e in row:
-                    syms |= ex.free_symbols(e)
-        return not (syms & set(INDEPENDENT))
+        if self._conjugated is not None:
+            return self._conjugated.autonomous
+        exprs = [e for rows in (self.a, self.a0 or []) for row in rows for e in row]
+        return not any(ex.free_symbols(e) & set(INDEPENDENT) for e in exprs + list(self.g))
 
     # -- sampling --------------------------------------------------------------
 
@@ -287,10 +280,11 @@ class QuasilinearSystem:
 class _ConjugatedBackend:
     """A(u) = J(u)^-1 T(H(u)) J(u) with J = grad H, evaluated numerically."""
 
-    def __init__(self, tri_system, forward_map, j_entries, dj_entries, u_names, blocks=None):
+    def __init__(self, tri_system, forward_map, j_entries, dj_entries, u_names):
         self.tri = tri_system
         self.n = tri_system.n
-        self.blocks = [list(b) for b in blocks] if blocks else None
+        self.autonomous = tri_system.autonomous and not any(
+            ex.free_symbols(e) & set(INDEPENDENT) for e in forward_map)
         order = list(INDEPENDENT) + list(u_names)
         # H, then the entries of J = grad H
         hj = list(forward_map) + [e for row in j_entries for e in row]
@@ -324,58 +318,6 @@ class _ConjugatedBackend:
         Jinv = np.linalg.inv(J)
         A = Jinv @ T @ J
         return Jinv @ (dT @ J + T @ dJ) - Jinv @ dJ @ A
-
-    def adapted_components(self, t, x, u):
-        """Block-adapted autovector frame transported from the parent system.
-
-        Rights are eigenvectors of the trailing submatrix (zero head), lefts of
-        the leading submatrix (zero tail); both normalized inside their own
-        block so the scalings depend only on the leading variable groups, which
-        is the normalization the source conditions are stated for.  Requires
-        the block structure and simple eigenvalues inside each trailing
-        submatrix.
-        """
-        if self.blocks is None:
-            return None
-        J, H = self._jh(t, x, u)
-        T = self.tri._matrix(t, x, H)
-        n = self.n
-        bounds = []
-        start = 0
-        for b in self.blocks:
-            bounds.append((start, start + len(b)))
-            start += len(b)
-        values = np.empty(n)
-        rights_u = np.empty((n, n))
-        lefts_u = np.empty((n, n))
-        for (lo, hi) in bounds:
-            diag = T[lo:hi, lo:hi]
-            lam_block = np.sort(np.linalg.eigvals(diag).real)
-            trail = T[lo:, lo:]
-            lead = T[:hi, :hi]
-            wt, Vt = np.linalg.eig(trail)
-            wl, Vl = np.linalg.eig(lead.T)
-            for pos, lam in enumerate(lam_block):
-                slot = lo + pos
-                rt = Vt[:, int(np.argmin(np.abs(wt - lam)))].real
-                R = np.zeros(n)
-                R[lo:] = rt
-                seg = R[lo:hi]
-                piv = lo + int(np.argmax(np.abs(seg)))
-                if R[piv] == 0.0:
-                    return None
-                R = R / R[piv]
-                lt = Vl[:, int(np.argmin(np.abs(wl - lam)))].real
-                L = np.zeros(n)
-                L[:hi] = lt
-                denom = float(L @ R)
-                if abs(denom) < 1e-10 * (np.linalg.norm(L) * np.linalg.norm(R) + 1.0):
-                    return None
-                L = L / denom
-                values[slot] = lam
-                rights_u[slot] = np.linalg.solve(J, R)
-                lefts_u[slot] = L @ J
-        return values, rights_u, lefts_u
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +487,7 @@ def symbolic_matmul(a, b):
 
 def conjugate_system(triangular: QuasilinearSystem, h_map, inverse_map,
                      u_names, u_domain, check_count=64, tol=1e-9,
-                     symbolic=False, blocks=None, name="conjugated") -> QuasilinearSystem:
+                     symbolic=False, name="conjugated") -> QuasilinearSystem:
     """Change variables u = h(U), U = H(u) on a system written in U.
 
     Returns the system satisfied by u; its analysis with the known partition
@@ -602,5 +544,5 @@ def conjugate_system(triangular: QuasilinearSystem, h_map, inverse_map,
     sys_out = QuasilinearSystem(n, u_names, [[zero] * n for _ in range(n)],
                                 None, {}, domain, name=name)
     sys_out._conjugated = _ConjugatedBackend(triangular, inverse_map, j_entries, dj_entries,
-                                             u_names, blocks=blocks)
+                                             u_names)
     return sys_out

@@ -173,9 +173,10 @@ def test_models_list_and_emit(tmp_path, capsys):
     assert doc["n"] == 4
 
 
-def test_oracle_gen_emits_loadable_model(tmp_path, capsys):
+@pytest.mark.parametrize("extra", [[], ["--with-source"]], ids=["homogeneous", "sourced"])
+def test_oracle_gen_emits_loadable_model(tmp_path, capsys, extra):
     assert run(["oracle-gen", "--seed", "3", "--n", "3", "--blocks", "2,1",
-                "--out", str(tmp_path)]) == 0
+                "--out", str(tmp_path), *extra]) == 0
     path = capsys.readouterr().out.strip()
     code = run(["check", "--model", path, "--out", str(tmp_path),
                 "--samples", "40", "--seed", "7", "--frame", "numeric"])

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from qldecouple import conditions as cond
+from qldecouple import exprlang as ex
 from qldecouple import models
 from qldecouple.errors import NotApplicable, TooLarge
-from qldecouple.system import SamplePlan, load_system
+from qldecouple.system import SamplePlan, conjugate_system, load_system
 
 S3 = math.sqrt(3.0)
 
@@ -195,15 +196,23 @@ def test_source_family_vacuous_when_homogeneous(barotropic_cubic):
     assert report.families["source"].count == 0
 
 
+def _barotropic_with_source(g, left0_factor=None):
+    doc = json.loads(json.dumps(models.build_barotropic("p0*rho^3").document))
+    doc["g"] = g
+    if left0_factor:
+        av = doc["autovectorHint"]
+        av["left"][0] = [f"({c})*({left0_factor})" for c in av["left"][0]]
+    return doc
+
+
 def test_source_directional_derivative_hand_value():
-    # barotropic p = rho^3 with g = (0, -v): l1 . g = -rho v (hinted lefts);
-    # grad(-rho v) . r2 = -v rho + sqrt(3) rho^2 = -1 + sqrt(3) at (1, 1)
-    entry = models.build_barotropic("p0*rho^3")
-    doc = json.loads(json.dumps(entry.document))
-    doc["g"] = ["0", "-v"]
-    sys_ = load_system(json.dumps(doc))
-    got = cond.source_condition_residual(sys_, 0, 1, 0.0, 0.0, np.array([1.0, 1.0]))
-    assert got == pytest.approx(-1.0 + S3, rel=1e-6)
+    # barotropic p = rho^3 with g = (0, -v): hinted l1 = rho dH1, psi = -rho v,
+    # r2 = (rho, -sqrt(3) rho); r2(psi) = -rho v + sqrt(3) rho^2 and
+    # dL(r2, r1) (L r1)^-1 psi = psi, so the residual is sqrt(3) rho^2
+    sys_ = load_system(json.dumps(_barotropic_with_source(["0", "-v"])))
+    got = cond.source_condition_residual(sys_, full_11(), 0, 1, 0.0, 0.0,
+                                         np.array([1.0, 1.0]))
+    assert got == pytest.approx(S3, rel=1e-6)
 
 
 def test_source_residual_covariant_under_right_rescaling():
@@ -216,11 +225,47 @@ def test_source_residual_covariant_under_right_rescaling():
     av["right"][1] = [f"({c})*(1 + rho^2/4)" for c in av["right"][1]]
     sys_scaled = load_system(json.dumps(doc2))
     u = np.array([1.2, 0.7])
-    v1 = cond.source_condition_residual(sys_plain, 0, 1, 0, 0, u)
-    v2 = cond.source_condition_residual(sys_scaled, 0, 1, 0, 0, u)
+    v1 = cond.source_condition_residual(sys_plain, full_11(), 0, 1, 0, 0, u)
+    v2 = cond.source_condition_residual(sys_scaled, full_11(), 0, 1, 0, 0, u)
     # rescaling the sweep direction r_b scales the residual, zeros unmoved
     tau = 1.0 + u[0] ** 2 / 4.0
     assert v2 == pytest.approx(v1 * tau, rel=1e-5, abs=1e-8)
+
+
+def test_source_residual_covariant_under_left_rescaling():
+    # replacing l_a by m l_a multiplies the residual by m at the same state
+    u = np.array([1.2, 0.7])
+    sys_plain = load_system(json.dumps(_barotropic_with_source(["0", "-v"])))
+    sys_scaled = load_system(json.dumps(_barotropic_with_source(["0", "-v"], "1 + v^2")))
+    v1 = cond.source_condition_residual(sys_plain, full_11(), 0, 1, 0, 0, u)
+    v2 = cond.source_condition_residual(sys_scaled, full_11(), 0, 1, 0, 0, u)
+    assert abs(v1) > 1.0
+    assert v2 == pytest.approx(v1 * (1.0 + u[1] ** 2), rel=1e-5, abs=1e-8)
+
+
+@pytest.mark.parametrize("frame", ["analytic", "numeric"])
+def test_barotropic_riemann_damping_source_fully_decouples(frame):
+    # g = -(rho, v) gives dH g = -(H1, H2): each Riemann invariant is damped
+    # by itself, under hinted and numeric frames alike
+    sys_ = load_system(json.dumps(_barotropic_with_source(["-rho", "-v"])))
+    report = cond.check_partition(sys_, full_11(), plan(count=30), frame=frame)
+    assert report.verdict == "pass", report.to_json()
+    assert not report.families["source"].vacuous
+    assert report.families["source"].max_abs <= 1e-8
+
+
+def test_emitted_source_defect_fails_on_source_family():
+    doc = models.emit_synthetic_document(0, 3, [2, 1], with_source=True)
+    p = cond.PartitionScheme(doc["partitionHint"]["blocks"], "partial")
+    sound = cond.check_partition(load_system(doc), p, plan(count=30), frame="numeric")
+    assert sound.verdict == "pass", sound.to_json()
+    # a dependence of the first block's source on the last block's variable
+    doc["g"][0] = f"({doc['g'][0]}) + 0.05*u3*u2"
+    report = cond.check_partition(load_system(doc), p, plan(count=30), frame="numeric")
+    assert report.verdict == "fail"
+    assert report.families["source"].max_abs >= 1e-2
+    for fam in ("gradient", "interaction"):
+        assert report.families[fam].to_dict() == sound.families[fam].to_dict()
 
 
 # --- oracle soundness and completeness -------------------------------------------
@@ -365,6 +410,19 @@ def test_nijenhuis_not_applicable():
     sys2 = load_system(json.dumps(doc2))
     with pytest.raises(NotApplicable):
         cond.nijenhuis_residual(sys2, 0, 0, np.array([0.0, 0.0]))
+
+
+def test_nijenhuis_not_applicable_to_nonautonomous_conjugate():
+    tri = load_system(json.dumps({"n": 2, "states": ["U1", "U2"],
+                                  "A": [["U1 + x", "0"], ["0", "U2"]],
+                                  "domain": {"U1": [-3, 3], "U2": [-3, 3]}}))
+    h = [ex.parse("U1 + U2", {"U1", "U2"}), ex.parse("U2", {"U1", "U2"})]
+    H = [ex.parse("a - b", {"a", "b"}), ex.parse("b", {"a", "b"})]
+    conj = conjugate_system(tri, h, H, ["a", "b"], {"a": (-1, 1), "b": (-1, 1)})
+    assert not tri.autonomous
+    assert not conj.autonomous
+    with pytest.raises(NotApplicable):
+        cond.nijenhuis_residual(conj, 0, 0.5, (0.1, 0.2))
 
 
 def test_nijenhuis_consistency_with_search():

@@ -370,7 +370,8 @@ def build_synthetic_triangular(seed, n, block_sizes, with_source=False,
 
 def emit_synthetic_document(seed, n, block_sizes, with_source=False,
                             off_block_defect=0.0):
-    """Printable conjugated model JSON (symbolic entries, n <= 4)."""
+    """Printable conjugated model JSON, written as
+    (grad H) u_t + (T(H) grad H) u_x = g_T(H) under `"normalize": true`."""
     tri, maps, entry = build_synthetic_triangular(seed, n, block_sizes,
                                                   with_source, off_block_defect)
     conj = conjugate_system(tri, maps["h"], maps["H"],
@@ -380,6 +381,8 @@ def emit_synthetic_document(seed, n, block_sizes, with_source=False,
     doc = {
         "n": n,
         "states": entry.extras["u_names"],
+        "normalize": True,
+        "A0": [[_s(e) for e in row] for row in conj.a0],
         "A": [[_s(e) for e in row] for row in conj.a],
         "domain": {nm: list(entry.system.domain[nm]) for nm in entry.extras["u_names"]},
         "partitionHint": {"blocks": entry.extras["blocks"], "mode": "partial"},

@@ -8,6 +8,7 @@ conjugation construction used as the property-test oracle.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass
@@ -136,14 +137,15 @@ class QuasilinearSystem:
         return list(INDEPENDENT) + self.states
 
     def _compiled(self, key):
-        """Compiled flat entries of `key` ("A", "g", "A0", or ("dA", k) /
-        ("dA0", k) for the derivative along state k), with their expressions
-        and the name used in diagnostics."""
+        """Compiled flat entries of `key` ("A", "g", "A0", "exclude", or
+        ("dA", k) / ("dA0", k) for the derivative along state k), with their
+        expressions and the name used in diagnostics."""
         hit = self._cache.get(key)
         if hit is None:
             name, k = (key, None) if isinstance(key, str) else key
             rows = {"A": self.a, "dA": self.a, "A0": self.a0, "dA0": self.a0}.get(name)
-            exprs = self.g if rows is None else [e for row in rows for e in row]
+            exprs = ({"g": self.g, "exclude": self.exclude}[name] if rows is None
+                     else [e for row in rows for e in row])
             if k is not None:
                 exprs = [ex.differentiate(e, self.states[k]) for e in exprs]
                 name = f"{name}/d{self.states[k]}"
@@ -166,15 +168,14 @@ class QuasilinearSystem:
         return True
 
     def is_excluded(self, t, x, u):
-        """True when any exclusion predicate evaluates > 0."""
-        bind = dict(zip(self.arg_order, (t, x, *u)))
-        for pred in self.exclude:
-            try:
-                if ex.evaluate(pred, bind) > 0.0:
-                    return True
-            except DomainError:
-                return True
-        return False
+        """True when any exclusion predicate evaluates > 0 or to a non-finite
+        value (a predicate outside its own domain excludes the state)."""
+        if not self.exclude:
+            return False
+        # float64 arguments make 1/0 give inf instead of raising
+        args = (np.float64(t), np.float64(x), *np.asarray(u, dtype=np.float64))
+        with np.errstate(all="ignore"):
+            return not all(-math.inf < fn(*args) <= 0.0 for fn in self._compiled("exclude")[0])
 
     # -- evaluation ------------------------------------------------------------
     #
@@ -203,15 +204,28 @@ class QuasilinearSystem:
             raise DomainError(f"non-finite value in {where}")
         return vals.reshape(u.shape[:-1] + shape)
 
+    def _solve_a0(self, t, x, u, b):
+        """A0^-1 b with A0 at u.  A singular A0 raises DomainError at one
+        state and leaves nan in its rows of a stack."""
+        A0 = self._values("A0", t, x, u)
+        try:
+            return np.linalg.solve(A0, b)
+        except np.linalg.LinAlgError:
+            if u.ndim == 1:
+                raise DomainError("singular A0") from None
+        out = np.full(b.shape, np.nan)
+        for i, a0 in enumerate(A0):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[i] = np.linalg.solve(a0, b[i])
+        return out
+
     def _matrix(self, t, x, u):
         A = self._values("A", t, x, u)
-        return A if self.a0 is None else np.linalg.solve(self._values("A0", t, x, u), A)
+        return A if self.a0 is None else self._solve_a0(t, x, u, A)
 
     def _source(self, t, x, u):
         g = self._values("g", t, x, u)
-        if self.a0 is None:
-            return g
-        return np.linalg.solve(self._values("A0", t, x, u), g[..., None])[..., 0]
+        return g if self.a0 is None else self._solve_a0(t, x, u, g[..., None])[..., 0]
 
     def _derivative(self, t, x, u, w):
         def along(name):
@@ -223,8 +237,7 @@ class QuasilinearSystem:
         D = along("dA")
         if self.a0 is not None:
             # A = A0^-1 A1, so dA = A0^-1 (dA1 - dA0 A)
-            D = np.linalg.solve(self._values("A0", t, x, u),
-                                D - along("dA0") @ self._matrix(t, x, u))
+            D = self._solve_a0(t, x, u, D - along("dA0") @ self._matrix(t, x, u))
         return D
 
     def _core(self, core, t, x, u, *w):
@@ -280,17 +293,18 @@ class QuasilinearSystem:
 class _ConjugatedBackend:
     """A(u) = J(u)^-1 T(H(u)) J(u) with J = grad H, evaluated numerically."""
 
-    def __init__(self, tri_system, forward_map, j_entries, dj_entries, u_names):
+    def __init__(self, tri_system, forward_map, u_names):
         self.tri = tri_system
         self.n = tri_system.n
         self.autonomous = tri_system.autonomous and not any(
             ex.free_symbols(e) & set(INDEPENDENT) for e in forward_map)
         order = list(INDEPENDENT) + list(u_names)
+        self.j_entries = [[ex.differentiate(H, nm) for nm in u_names] for H in forward_map]
+        j_flat = [e for row in self.j_entries for e in row]
         # H, then the entries of J = grad H
-        hj = list(forward_map) + [e for row in j_entries for e in row]
-        self.hj_fns = [ex.compile_expression(e, order) for e in hj]
-        self.dj_fns = [[ex.compile_expression(e, order) for row in dj_k for e in row]
-                       for dj_k in dj_entries]
+        self.hj_fns = [ex.compile_expression(e, order) for e in list(forward_map) + j_flat]
+        self.dj_fns = [[ex.compile_expression(ex.differentiate(e, nm), order) for e in j_flat]
+                       for nm in u_names]
 
     # J and T are made contiguous so that a stacked product runs the same
     # BLAS call per state as the product at one state
@@ -378,17 +392,8 @@ def load_system(document: str | dict, name="model") -> QuasilinearSystem:
         a0_doc = doc.get("A0")
         _require(a0_doc is not None, "normalize: true requires A0")
         _require(len(a0_doc) == n and all(len(r) == n for r in a0_doc), "A0 must be n x n")
-        a0 = [[ex.substitute(_parse_entry(v, symbols, f"A0[{i}][{j}]"), subs)
-               for j, v in enumerate(row)] for i, row in enumerate(a0_doc)]
-        diagonal = all(isinstance(a0[i][j], ex.Const) and a0[i][j].value == 0.0
-                       for i in range(n) for j in range(n) if i != j)
-        if diagonal:
-            # symbolic row scaling by the diagonal entries
-            a_entries = [[ex.fold_div(a_entries[i][j], a0[i][i]) for j in range(n)]
-                         for i in range(n)]
-            g_entries = [ex.fold_div(g_entries[i], a0[i][i]) for i in range(n)]
-        else:
-            a0_entries = a0
+        a0_entries = [[ex.substitute(_parse_entry(v, symbols, f"A0[{i}][{j}]"), subs)
+                       for j, v in enumerate(row)] for i, row in enumerate(a0_doc)]
 
     domain = {}
     for nm, iv in doc.get("domain", {}).items():
@@ -443,35 +448,8 @@ def load_system(document: str | dict, name="model") -> QuasilinearSystem:
 
 
 # ---------------------------------------------------------------------------
-# symbolic linear algebra (small n) and conjugation
+# conjugation
 # ---------------------------------------------------------------------------
-
-def symbolic_det(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = ex.Const(0.0)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = ex.fold_mul(m[0][j], symbolic_det(minor))
-        total = ex.fold_add(total, term) if j % 2 == 0 else ex.fold_sub(total, term)
-    return total
-
-
-def symbolic_adjugate(m):
-    n = len(m)
-    if n == 1:
-        return [[ex.Const(1.0)]]
-    adj = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[m[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-            cof = symbolic_det(minor)
-            if (i + j) % 2 == 1:
-                cof = ex.fold_neg(cof)
-            adj[j][i] = cof
-    return adj
-
 
 def symbolic_matmul(a, b):
     n, m, p = len(a), len(b), len(b[0])
@@ -493,31 +471,28 @@ def conjugate_system(triangular: QuasilinearSystem, h_map, inverse_map,
     Returns the system satisfied by u; its analysis with the known partition
     is the oracle for the condition checker.  `h_map` entries are expressions
     in the triangular system's states, `inverse_map` entries in `u_names`.
+    The result evaluates J^-1 T(H) J numerically (J = grad H); with
+    `symbolic` it carries expression entries instead, as
+    (A0_T(H) J) u_t + (A_T(H) J) u_x = g_T(H), which the A0 solve of the
+    evaluation cores normalizes.
     """
     n = triangular.n
     if n > 6:
         raise TooLarge("conjugation supported up to n = 6")
     u_names = list(u_names)
-    U_names = triangular.states
-
-    j_entries = [[ex.differentiate(H, nm) for nm in u_names] for H in inverse_map]
-    det_expr = symbolic_det(j_entries)
-
-    order = list(INDEPENDENT) + u_names
-    h_fns = [ex.compile_expression(e, list(INDEPENDENT) + U_names) for e in h_map]
-    H_fns = [ex.compile_expression(e, order) for e in inverse_map]
-    det_fn = ex.compile_expression(det_expr, order)
+    backend = _ConjugatedBackend(triangular, inverse_map, u_names)
+    h_fns = [ex.compile_expression(e, list(INDEPENDENT) + triangular.states) for e in h_map]
 
     lows = np.array([u_domain[nm][0] for nm in u_names])
     highs = np.array([u_domain[nm][1] for nm in u_names])
     pts = lows + unit_samples(SamplePlan(count=check_count, seed=7), n) * (highs - lows)
-    for row in pts:
-        args = (0.0, 0.0, *row)
-        U = np.array([fn(*args) for fn in H_fns])
-        back = np.array([fn(0.0, 0.0, *U) for fn in h_fns])
-        if not np.all(np.isfinite(back)) or np.max(np.abs(back - row)) > tol:
-            raise NotInverse(f"h(H(u)) differs from u by {np.max(np.abs(back - row)):.3e}")
-        if abs(det_fn(*args)) < 1e-8:
+    with np.errstate(all="ignore"):
+        J, H = backend._jh(0.0, 0.0, pts)
+        back = _evaluate(h_fns, 0.0, 0.0, H)
+        err = np.max(np.abs(back - pts))
+        if not np.all(np.isfinite(back)) or err > tol:
+            raise NotInverse(f"h(H(u)) differs from u by {err:.3e}")
+        if np.min(np.abs(np.linalg.det(J))) < 1e-8:
             raise SingularJacobian("det grad H vanishes on the sampled domain")
 
     domain = {nm: u_domain[nm] for nm in u_names}
@@ -525,24 +500,19 @@ def conjugate_system(triangular: QuasilinearSystem, h_map, inverse_map,
     domain.setdefault("x", triangular.domain.get("x", (0.0, 1.0)))
 
     if symbolic:
-        sub_map = dict(zip(U_names, inverse_map))
-        t_sub = [[ex.substitute(e, sub_map) for e in row] for row in triangular.a]
-        adj = symbolic_adjugate(j_entries)
-        num = symbolic_matmul(symbolic_matmul(adj, t_sub), j_entries)
-        a_entries = [[ex.fold_div(num[i][j], det_expr) for j in range(n)] for i in range(n)]
-        if triangular.homogeneous:
-            g_entries = None
-        else:
-            g_sub = [ex.substitute(e, sub_map) for e in triangular.g]
-            gnum = symbolic_matmul(adj, [[e] for e in g_sub])
-            g_entries = [ex.fold_div(gnum[i][0], det_expr) for i in range(n)]
-        return QuasilinearSystem(n, u_names, a_entries, g_entries, {}, domain, name=name)
+        at_H = dict(zip(triangular.states, inverse_map))
 
-    dj_entries = [[[ex.differentiate(e, nm) for e in row] for row in j_entries]
-                  for nm in u_names]
+        def composed(rows):
+            return [[ex.substitute(e, at_H) for e in row] for row in rows]
+
+        J_exprs = backend.j_entries
+        a0 = J_exprs if triangular.a0 is None else symbolic_matmul(composed(triangular.a0), J_exprs)
+        g = None if triangular.homogeneous else composed([triangular.g])[0]
+        return QuasilinearSystem(n, u_names, symbolic_matmul(composed(triangular.a), J_exprs),
+                                 g, {}, domain, a0_entries=a0, name=name)
+
     zero = ex.Const(0.0)
     sys_out = QuasilinearSystem(n, u_names, [[zero] * n for _ in range(n)],
                                 None, {}, domain, name=name)
-    sys_out._conjugated = _ConjugatedBackend(triangular, inverse_map, j_entries, dj_entries,
-                                             u_names)
+    sys_out._conjugated = backend
     return sys_out

@@ -144,15 +144,22 @@ def test_synthetic_reproducible_by_seed():
                                   e2.system.eval_matrix(0, 0, u))
 
 
-def test_emit_synthetic_document_round_trip():
-    doc = models.emit_synthetic_document(seed=4, n=3, block_sizes=(2, 1))
+@pytest.mark.parametrize("with_source", [False, True], ids=["homogeneous", "sourced"])
+@pytest.mark.parametrize("n,block_sizes", [(3, (2, 1)), (3, (1, 1, 1)),
+                                           (4, (2, 2)), (4, (1, 1, 2))],
+                         ids=["2+1", "1+1+1", "2+2", "1+1+2"])
+def test_emit_synthetic_document_round_trip(n, block_sizes, with_source):
+    doc = models.emit_synthetic_document(4, n, block_sizes, with_source=with_source)
     sys_ = load_system(json.dumps(doc))
-    _, _, entry = models.build_synthetic_triangular(seed=4, n=3, block_sizes=(2, 1))
+    _, _, entry = models.build_synthetic_triangular(4, n, block_sizes, with_source=with_source)
+    w = np.random.default_rng(3).normal(size=n)
     for row in sys_.sample_points(SamplePlan(count=20, seed=3)):
         u = row[2:]
-        np.testing.assert_allclose(sys_.eval_matrix(0, 0, u),
-                                   entry.system.eval_matrix(0, 0, u),
-                                   rtol=1e-9, atol=1e-9)
+        for method, args in (("eval_matrix", ()), ("eval_source", ()),
+                             ("directional_matrix_derivative", (w,))):
+            np.testing.assert_allclose(getattr(sys_, method)(0, 0, u, *args),
+                                       getattr(entry.system, method)(0, 0, u, *args),
+                                       rtol=1e-9, atol=1e-9, err_msg=method)
 
 
 def test_decoupled_system_helper():

@@ -179,6 +179,20 @@ def test_normalized_source_batch_applies_a0():
     np.testing.assert_array_equal(batch, np.stack([g, g], axis=1))
 
 
+@pytest.mark.parametrize("a0", [[["a", "0"], ["0", "1"]], [["a", "1"], ["0", "1"]]],
+                         ids=["diagonal", "full"])
+def test_normalized_singular_a0_is_a_domain_error(a0):
+    # A0 is singular at a = 0
+    sys_ = load_system(json.dumps(dict(NORMALIZED, A0=a0)))
+    singular, regular = np.array([0.0, 0.5]), np.array([0.5, 0.5])
+    for method in ("eval_matrix", "eval_source"):
+        with pytest.raises(DomainError):
+            getattr(sys_, method)(0, 0, singular)
+    A = sys_.eval_matrix_batch(0.0, 0.0, np.stack([singular, regular], axis=1))
+    assert not np.isfinite(A[:, :, 0]).all()
+    np.testing.assert_array_equal(A[:, :, 1], sys_.eval_matrix(0, 0, regular))
+
+
 @functools.lru_cache(maxsize=None)
 def _system(kind, seed=0, with_source=False):
     if kind == "normalized":
@@ -320,6 +334,30 @@ def test_conjugate_constant_linear_similarity():
     expected = np.linalg.solve(M, T @ M)
     np.testing.assert_allclose(conj.eval_matrix(0, 0, np.array([0.3, -0.4])), expected,
                                rtol=1e-12)
+
+
+def test_symbolic_conjugation_applies_triangular_a0():
+    # NORMALIZED in (a, b) conjugated by a = p + q^2, b = q
+    tri = load_system(json.dumps(NORMALIZED))
+    H = [ex.parse("p + q^2", {"p", "q"}), ex.parse("q", {"p", "q"})]
+    h = [ex.parse("a - b^2", {"a", "b"}), ex.parse("b", {"a", "b"})]
+    numeric, symbolic = (conjugate_system(tri, h, H, ["p", "q"],
+                                          {"p": (-1.0, 1.0), "q": (-1.0, 1.0)}, symbolic=s)
+                         for s in (False, True))
+    u = np.array([0.3, 0.7])
+    # J = [[1, 1.4], [0, 1]] and T(H) = A0^-1 A = [[1, -2], [0, 2]] at U = (0.79, 0.7)
+    np.testing.assert_allclose(numeric.eval_matrix(0, 0, u), [[1.0, -3.4], [0.0, 2.0]])
+    np.testing.assert_allclose(numeric.eval_source(0, 0, u), [-0.89, 0.7])
+    w = np.array([0.4, -1.2])
+    for u in ([0.3, 0.7], [-0.5, 0.2], [0.9, -0.8]):
+        u = np.array(u)
+        np.testing.assert_allclose(symbolic.eval_matrix(0, 0, u), numeric.eval_matrix(0, 0, u),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(symbolic.eval_source(0, 0, u), numeric.eval_source(0, 0, u),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(symbolic.directional_matrix_derivative(0, 0, u, w),
+                                   numeric.directional_matrix_derivative(0, 0, u, w),
+                                   rtol=1e-12, atol=1e-12)
 
 
 def test_conjugate_rejects_wrong_inverse():

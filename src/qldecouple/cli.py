@@ -52,8 +52,8 @@ def _parser():
     common.add_argument("--tol", type=float, default=1e-6)
     common.add_argument("--frame", choices=["auto", "analytic", "numeric"],
                         default="auto")
-    common.add_argument("--workers", type=int,
-                        default=int(os.environ.get("QLDECOUPLE_WORKERS", "1")))
+    common.add_argument("--workers", type=int, default=1,
+                        help="accepted for compatibility; has no effect")
     common.add_argument("--out", default="runs", help="output parent directory")
     common.add_argument("-v", "--verbose", action="store_true")
 
@@ -255,8 +255,7 @@ def cmd_check(args):
     csv_path = os.path.join(run_dir, "residuals.csv") if args.csv else None
     report = cond.check_partition(sys_, scheme, _plan(args), tol=args.tol,
                                   frame=args.frame,
-                                  gradient_path=args.gradient_path,
-                                  workers=args.workers, csv_path=csv_path)
+                                  gradient_path=args.gradient_path, csv_path=csv_path)
     _emit(args, os.path.join(run_dir, "report.json"),
           _report_payload(config, report.to_dict(), t0))
     return 0 if report.verdict == "pass" else 1
@@ -269,7 +268,7 @@ def cmd_search(args):
     run_dir = _run_dir(args, config)
     found = cond.search_partitions(sys_, _plan(args), tol=args.tol,
                                    max_k=args.max_k, mode=args.mode,
-                                   frame=args.frame, workers=args.workers)
+                                   frame=args.frame)
     payload = _report_payload(config, {
         "passing": [{"blocks": s.blocks, "mode": s.mode, "report": r.to_dict()}
                     for s, r in found],
@@ -318,7 +317,7 @@ def cmd_decouple(args):
                                  "resolvedMode": scheme.mode})
     run_dir = _run_dir(args, config)
     report = cond.check_partition(sys_, scheme, _plan(args), tol=args.tol,
-                                  frame=args.frame, workers=args.workers)
+                                  frame=args.frame)
     out = transform.construct_transform_numeric(sys_, scheme, base, counts,
                                                 frame=args.frame, report=report)
     grid_csv = os.path.join(run_dir, "transform_grid.csv")

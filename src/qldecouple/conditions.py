@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,11 +42,13 @@ from .errors import (
     SchemaError,
     TooLarge,
 )
-from .system import QuasilinearSystem, SamplePlan, load_system
+from .system import QuasilinearSystem, SamplePlan
 
 FD_STEP = 1e-5
 DEFAULT_TOL = 1e-6
 EXCLUDED_FRACTION_LIMIT = 0.2
+# samples in the gradient-only pilot check that prunes search candidates
+PILOT_COUNT = 10
 
 
 @dataclass
@@ -148,7 +149,7 @@ def source_tuples(p: PartitionScheme):
 class FrameMachine:
     """Builds base frames and centered FD sweeps of the frame field."""
 
-    def __init__(self, sys_: QuasilinearSystem, frame="auto", cluster_tol=None):
+    def __init__(self, sys_: QuasilinearSystem, frame="auto"):
         self.sys = sys_
         has_hints = "autovectors" in sys_.hints
         if frame == "auto":
@@ -156,7 +157,6 @@ class FrameMachine:
         if frame == "analytic" and not has_hints:
             raise HintInconsistent("model supplies no autovector hints")
         self.mode = frame
-        self.cluster_tol = cluster_tol
         self.field = eigen.AnalyticFrameField(sys_) if frame == "analytic" else None
 
     @property
@@ -166,12 +166,12 @@ class FrameMachine:
     def base(self, t, x, u) -> eigen.Frame:
         if self.field is not None:
             return self.field.frame_at(t, x, u)
-        return eigen.spectrum_at(self.sys, t, x, u, self.cluster_tol)
+        return eigen.spectrum_at(self.sys, t, x, u)
 
     def near(self, t, x, u, reference: eigen.Frame) -> eigen.Frame:
         if self.field is not None:
             return self.field.frame_at(t, x, u, check=False)
-        raw = eigen.spectrum_at(self.sys, t, x, u, self.cluster_tol)
+        raw = eigen.spectrum_at(self.sys, t, x, u)
         return eigen.align_frames(reference, raw)
 
     def rights_batch(self, t, x, U, reference: eigen.Frame):
@@ -181,8 +181,7 @@ class FrameMachine:
         numeric rows go through near() one at a time."""
         if self.field is not None:
             return self.field.rights_batch(t, x, U)
-        rights, fallback = eigen.simple_rights_batch(self.sys, t, x, U, reference,
-                                                     self.cluster_tol)
+        rights, fallback = eigen.simple_rights_batch(self.sys, t, x, U, reference)
         for k in np.flatnonzero(fallback):
             try:
                 rights[k] = self.near(t, x, U[k], reference).rights
@@ -236,7 +235,7 @@ class _SampleResiduals:
                 return float(grads @ base.rights[b])
             if base.cluster_of_slot(a).alg_mult == 1:
                 return eigen.eigenvalue_directional_derivative(self.machine.sys, base, a,
-                                                               base.rights[b], t, x)
+                                                               base.rights[b])
         fp, fm = self.sweep(b)
         d = (fp.values[a] - fm.values[a]) / (2.0 * self.h)
         return float(abs(d)) if base.cluster_of_slot(a).is_complex else float(d.real)
@@ -402,16 +401,14 @@ class ConditionReport:
 class _SweepEvaluator:
     """Per-sample residual evaluation for one partition."""
 
-    def __init__(self, sys_, partition, frame="auto", gradient_path="auto",
-                 cluster_tol=None, separation_tolerance=1e-3,
-                 families=("gradient", "interaction", "source")):
+    def __init__(self, sys_, partition, frame, gradient_path, separation_tolerance,
+                 families):
         partition.validate_for(sys_.n)
         self.sys = sys_
         self.partition = partition
-        self.machine = FrameMachine(sys_, frame, cluster_tol)
+        self.machine = FrameMachine(sys_, frame)
         self.gradient_path = gradient_path
         self.separation_tolerance = separation_tolerance
-        self.requested_families = tuple(families)
         self.homogeneous = sys_.homogeneous
         self.grad_tuples = list(gradient_tuples(partition)) if "gradient" in families else []
         self.int_tuples = list(interaction_tuples(partition)) if "interaction" in families else []
@@ -470,31 +467,9 @@ class _SweepEvaluator:
         return "ok", [(fam, label, v) for (fam, label), v in zip(self.labels, values)]
 
 
-# worker-process state for parallel sweeps
-_WORKER = {}
-
-
-def _worker_init(doc_json, options):
-    sys_ = load_system(json.loads(doc_json))
-    partition = PartitionScheme(options["blocks"], options["mode"])
-    _WORKER["eval"] = _SweepEvaluator(
-        sys_, partition, frame=options["frame"], gradient_path=options["gradient_path"],
-        cluster_tol=options["cluster_tol"],
-        separation_tolerance=options["separation_tolerance"],
-        families=tuple(options["families"]))
-
-
-def _worker_eval(chunk):
-    out = []
-    for idx, t, x, *u in chunk:
-        status, rows = _WORKER["eval"].evaluate(t, x, np.array(u))
-        out.append((int(idx), status, rows))
-    return out
-
-
 def check_partition(sys_: QuasilinearSystem, partition: PartitionScheme,
                     plan: SamplePlan = None, tol: float = DEFAULT_TOL,
-                    frame="auto", gradient_path="auto", workers=1,
+                    frame="auto", gradient_path="auto",
                     families=("gradient", "interaction", "source"),
                     csv_path=None) -> ConditionReport:
     """Evaluate every condition tuple of the partition mode at every
@@ -524,9 +499,8 @@ def check_partition(sys_: QuasilinearSystem, partition: PartitionScheme,
     residual_matrix = [] if len(labels) <= 64 else None
     csv_rows = [] if csv_path else None
 
-    results = _run_sweep(sys_, evaluator, samples, workers)
-
-    for idx, status, rows in results:
+    for idx, (t, x, *u) in enumerate(samples):
+        status, rows = evaluator.evaluate(t, x, np.array(u))
         if status == "excluded":
             report.excluded += 1
             continue
@@ -534,8 +508,6 @@ def check_partition(sys_: QuasilinearSystem, partition: PartitionScheme,
             report.degenerate += 1
             continue
         report.evaluated += 1
-        t, x = samples[idx][0], samples[idx][1]
-        u = samples[idx][2:]
         if residual_matrix is not None:
             residual_matrix.append([v for _, _, v in rows])
         for fam, label, value in rows:
@@ -597,37 +569,6 @@ def check_partition(sys_: QuasilinearSystem, partition: PartitionScheme,
     return report
 
 
-def _run_sweep(sys_, evaluator, samples, workers):
-    indexed = [(i, *row) for i, row in enumerate(samples)]
-    if workers and workers > 1 and sys_.document is not None:
-        options = {
-            "blocks": [list(b) for b in evaluator.partition.blocks],
-            "mode": evaluator.partition.mode,
-            "frame": evaluator.machine.mode,
-            "gradient_path": evaluator.gradient_path,
-            "cluster_tol": evaluator.machine.cluster_tol,
-            "separation_tolerance": evaluator.separation_tolerance,
-            "families": list(evaluator.requested_families),
-        }
-        chunk = max(1, len(indexed) // (workers * 4))
-        chunks = [indexed[i:i + chunk] for i in range(0, len(indexed), chunk)]
-        try:
-            with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
-                                     initargs=(json.dumps(sys_.document), options)) as pool:
-                results = []
-                for part in pool.map(_worker_eval, chunks):
-                    results.extend(part)
-            results.sort(key=lambda r: r[0])
-            return results
-        except (OSError, ValueError):
-            pass  # pool unavailable in this environment; fall through
-    out = []
-    for idx, t, x, *u in indexed:
-        status, rows = evaluator.evaluate(t, x, np.array(u))
-        out.append((idx, status, rows))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # partition search
 # ---------------------------------------------------------------------------
@@ -651,8 +592,7 @@ def _assignment_units(sys_, frame, plan):
 
 def search_partitions(sys_: QuasilinearSystem, plan: SamplePlan = None,
                       tol: float = DEFAULT_TOL, max_k: int = None,
-                      mode="partial", frame="auto", workers=1,
-                      pilot_count=10):
+                      mode="partial", frame="auto"):
     """Enumerate block assignments (k = 2..max_k), prune with a gradient
     pilot over the sample-sequence prefix, fully check survivors.
 
@@ -683,7 +623,7 @@ def search_partitions(sys_: QuasilinearSystem, plan: SamplePlan = None,
             seen.add(key)
             schemes.append(PartitionScheme([sorted(b) for b in blocks], mode))
 
-    pilot_plan = SamplePlan(count=min(pilot_count, plan.count), strategy=plan.strategy,
+    pilot_plan = SamplePlan(count=min(PILOT_COUNT, plan.count), strategy=plan.strategy,
                             seed=plan.seed, separation_tolerance=plan.separation_tolerance)
     passing = []
     for scheme in schemes:
@@ -691,7 +631,7 @@ def search_partitions(sys_: QuasilinearSystem, plan: SamplePlan = None,
                                 families=("gradient",))
         if pilot.verdict != "pass":
             continue
-        full = check_partition(sys_, scheme, plan, tol, frame=frame, workers=workers)
+        full = check_partition(sys_, scheme, plan, tol, frame=frame)
         if full.verdict == "pass":
             passing.append((scheme, full))
     passing.sort(key=lambda sr: (-sr[0].k, sr[1].max_residual or 0.0,

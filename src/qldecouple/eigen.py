@@ -19,6 +19,8 @@ from .errors import DomainError, HintInconsistent, IllConditioned, MismatchedSig
 
 COND_LIMIT = 1e8
 RANK_TOL = 1e-8
+CLUSTER_RTOL = 1e-6       # cluster width relative to 1 + spectral radius
+HINT_RESIDUAL_TOL = 1e-8  # hinted eigenvector residual relative to |A| (1 + |v|)
 
 KIND_EIGEN = "eigen"
 KIND_COMPLEX_RE = "complexRe"
@@ -47,8 +49,6 @@ class Frame:
     kinds: list
     clusters: list              # list of Cluster over slot indices
     point: tuple = None
-    provenance: str = "numeric"
-    condition_number: float = 1.0
 
     @property
     def n(self):
@@ -105,7 +105,7 @@ def _cluster_eigenvalues(w, ctol):
     return list(groups.values())
 
 
-def spectrum_at(sys_, t, x, u, cluster_tol=None) -> Frame:
+def spectrum_at(sys_, t, x, u) -> Frame:
     """Eigenvalues clustered with right/left autovectors at one point.
 
     Jordan chains are appended when the geometric multiplicity falls short;
@@ -115,7 +115,7 @@ def spectrum_at(sys_, t, x, u, cluster_tol=None) -> Frame:
     n = sys_.n
     w, V = np.linalg.eig(A)
     rho = float(np.max(np.abs(w))) if n else 0.0
-    ctol = cluster_tol if cluster_tol is not None else 1e-6 * (1.0 + rho)
+    ctol = CLUSTER_RTOL * (1.0 + rho)
     scale = max(1.0, float(np.linalg.norm(A)))
 
     # cluster on (Re, |Im|) so conjugate pairs always share a group
@@ -191,8 +191,7 @@ def spectrum_at(sys_, t, x, u, cluster_tol=None) -> Frame:
     L = np.linalg.inv(R)
 
     return Frame(values=np.array(values), rights=np.array(rights), lefts=L,
-                 kinds=kinds, clusters=clusters, point=(t, x, tuple(u)),
-                 provenance="numeric", condition_number=cond)
+                 kinds=kinds, clusters=clusters, point=(t, x, tuple(u)))
 
 
 def _cond_ok(R):
@@ -204,7 +203,7 @@ def _cond_ok(R):
     return ok
 
 
-def simple_rights_batch(sys_, t, x, U, reference: Frame, cluster_tol=None):
+def simple_rights_batch(sys_, t, x, U, reference: Frame):
     """Right autovectors at the rows of U (N, n) whose spectrum is real and
     simple, from one batched eig: what spectrum_at then align_frames against
     the reference give there, with their gates.
@@ -231,8 +230,7 @@ def simple_rights_batch(sys_, t, x, U, reference: Frame, cluster_tol=None):
     finite = np.isfinite(A).all(axis=(1, 2))
     rows, A = rows[finite], A[finite]
     w, V = np.linalg.eig(A)
-    ctol = (np.full(len(rows), cluster_tol) if cluster_tol is not None
-            else 1e-6 * (1.0 + np.max(np.abs(w), axis=1)))
+    ctol = CLUSTER_RTOL * (1.0 + np.max(np.abs(w), axis=1))
     w_half = w.real + 1j * np.abs(w.imag)
     gaps = np.abs(w_half[:, :, None] - w_half[:, None, :]) + np.diag(np.full(n, np.inf))
     simple = ((np.abs(w.imag) <= ctol[:, None]).all(axis=1)
@@ -302,20 +300,18 @@ def align_frames(reference: Frame, raw: Frame) -> Frame:
         raise IllConditioned(f"aligned frame condition number {cond:.3g}")
     lefts = np.linalg.inv(R)
     return Frame(values=values, rights=rights, lefts=lefts, kinds=kinds,
-                 clusters=clusters, point=raw.point, provenance=raw.provenance,
-                 condition_number=cond)
+                 clusters=clusters, point=raw.point)
 
 
 class AnalyticFrameField:
     """Frame field evaluated from model-file autovector hint expressions."""
 
-    def __init__(self, sys_, residual_tol=1e-8):
+    def __init__(self, sys_):
         hints = sys_.hints.get("autovectors")
         if not hints:
             raise HintInconsistent("model supplies no autovector hints")
         self.sys = sys_
         self.n = sys_.n
-        self.residual_tol = residual_tol
         order = sys_.arg_order
         self.value_fns = [ex.compile_expression(e, order) for e in hints["eigenvalues"]]
         self.right_fns = [[ex.compile_expression(c, order) for c in vec]
@@ -366,7 +362,7 @@ class AnalyticFrameField:
             for slot in range(self.n):
                 r = rights[slot]
                 res = np.linalg.norm(A @ r - vals[slot] * r)
-                if res > self.residual_tol * nrmA * (1.0 + np.linalg.norm(r)):
+                if res > HINT_RESIDUAL_TOL * nrmA * (1.0 + np.linalg.norm(r)):
                     raise HintInconsistent(
                         f"hinted right vector {slot} has residual {res:.3e}")
         R = rights.T
@@ -379,7 +375,7 @@ class AnalyticFrameField:
                 for slot in range(self.n):
                     l = lefts[slot]
                     res = np.linalg.norm(l @ A - vals[slot] * l)
-                    if res > self.residual_tol * nrmA * (1.0 + np.linalg.norm(l)):
+                    if res > HINT_RESIDUAL_TOL * nrmA * (1.0 + np.linalg.norm(l)):
                         raise HintInconsistent(
                             f"hinted left vector {slot} has residual {res:.3e}")
         else:
@@ -388,7 +384,7 @@ class AnalyticFrameField:
         # group equal hinted values into clusters (slot order preserved)
         clusters = []
         assigned = set()
-        ctol = 1e-6 * (1.0 + float(np.max(np.abs(vals))))
+        ctol = CLUSTER_RTOL * (1.0 + float(np.max(np.abs(vals))))
         for slot in range(self.n):
             if slot in assigned:
                 continue
@@ -397,18 +393,19 @@ class AnalyticFrameField:
             clusters.append(Cluster(complex(vals[slot]), len(members), members))
         return Frame(values=vals.astype(complex), rights=rights, lefts=lefts,
                      kinds=[KIND_EIGEN] * self.n, clusters=clusters,
-                     point=(t, x, tuple(u)), provenance="analyticHint",
-                     condition_number=cond)
+                     point=(t, x, tuple(u)))
 
 
-def analytic_frame(sys_, t, x, u, residual_tol=1e-8) -> Frame:
+def analytic_frame(sys_, t, x, u) -> Frame:
     """Frame built from the model's autovector hints, residual-gated."""
-    return AnalyticFrameField(sys_, residual_tol).frame_at(t, x, u)
+    return AnalyticFrameField(sys_).frame_at(t, x, u)
 
 
-def eigenvalue_directional_derivative(sys_, frame: Frame, slot, w, t=0.0, x=0.0):
-    """Perturbation formula l (D_w A) r / (l r) for a simple eigenvalue."""
-    u = np.array(frame.point[2])
+def eigenvalue_directional_derivative(sys_, frame: Frame, slot, w):
+    """Perturbation formula l (D_w A) r / (l r) for a simple eigenvalue, at
+    the frame's point (t, x, u)."""
+    t, x, u = frame.point
+    u = np.array(u)
     DA = sys_.directional_matrix_derivative(t, x, u, w)
     l = frame.lefts[slot]
     r = frame.rights[slot]

@@ -20,6 +20,8 @@ from .system import QuasilinearSystem, SamplePlan
 
 SCHEMES = ("laxFriedrichs", "upwindCharacteristic")
 BLOWUP_FACTOR = 1e6
+# sampled states at which a hierarchical solve checks the block triangularity
+TRIANGULAR_PROBES = 16
 
 
 @dataclass
@@ -98,8 +100,8 @@ def _block_update(U, A, pairs, rhs, dt, dx, scheme, boundary):
     return out if rhs is None else out + dt * rhs
 
 
-def _validate_block_triangular(sys_, bounds, n_probe=16):
-    for t, x, *u in sys_.sample_points(SamplePlan(count=n_probe, seed=0)):
+def _validate_block_triangular(sys_, bounds):
+    for t, x, *u in sys_.sample_points(SamplePlan(count=TRIANGULAR_PROBES, seed=0)):
         A = sys_.eval_matrix(t, x, np.array(u))
         for r0, r1 in zip(bounds[:-2], bounds[1:-1]):
             if np.max(np.abs(A[r0:r1, r1:])) > 1e-12 * (1 + np.abs(A).max()):
@@ -242,7 +244,7 @@ def burgers_exact(u0_fn, x, t, length=None, tol=1e-12, max_iter=500):
     return u
 
 
-def solution_meta_json(sol: GridSolution, norms=None, **kw):
+def solution_meta_json(sol: GridSolution, **kw):
     meta = {
         "scheme": sol.scheme,
         "cfl": sol.cfl,
@@ -251,6 +253,4 @@ def solution_meta_json(sol: GridSolution, norms=None, **kw):
         "times": [float(t) for t in sol.times],
         "meta": sol.meta,
     }
-    if norms is not None:
-        meta["norms"] = norms
     return json.dumps(meta, sort_keys=True, **kw)

@@ -27,6 +27,8 @@ from .errors import (
 )
 
 INDEPENDENT = ("t", "x")
+INVERSE_CHECK_COUNT = 64  # states at which conjugate_system checks h(H(u)) = u
+INVERSE_CHECK_TOL = 1e-9
 
 
 @dataclass
@@ -88,7 +90,7 @@ class QuasilinearSystem:
 
     def __init__(self, n, states, a_entries, g_entries=None, parameters=None,
                  domain=None, exclude=None, hints=None, a0_entries=None,
-                 document=None, name="system"):
+                 name="system"):
         self.n = int(n)
         self.states = list(states)
         self.parameters = dict(parameters or {})
@@ -100,7 +102,6 @@ class QuasilinearSystem:
             self.domain.setdefault(nm, (0.0, 1.0))
         self.exclude = list(exclude or [])
         self.hints = dict(hints or {})
-        self.document = document
         self.name = name
         self._conjugated = None
         self._cache = {}
@@ -155,16 +156,12 @@ class QuasilinearSystem:
 
     # -- admissibility ---------------------------------------------------------
 
-    def in_domain(self, t, x, u, states_only=True):
+    def in_domain(self, t, x, u):
+        """True when every state lies in its domain interval."""
         for nm, val in zip(self.states, u):
             lo, hi = self.domain[nm]
             if not (lo <= val <= hi):
                 return False
-        if not states_only:
-            for nm, val in (("t", t), ("x", x)):
-                lo, hi = self.domain[nm]
-                if not (lo <= val <= hi):
-                    return False
         return True
 
     def is_excluded(self, t, x, u):
@@ -204,28 +201,33 @@ class QuasilinearSystem:
             raise DomainError(f"non-finite value in {where}")
         return vals.reshape(u.shape[:-1] + shape)
 
-    def _solve_a0(self, t, x, u, b):
-        """A0^-1 b with A0 at u.  A singular A0 raises DomainError at one
-        state and leaves nan in its rows of a stack."""
+    def _a0_solver(self, t, x, u):
+        """The map b -> A0^-1 b with A0 evaluated once at u.  A singular A0
+        raises DomainError at one state and leaves nan in its rows of a
+        stack."""
         A0 = self._values("A0", t, x, u)
-        try:
-            return np.linalg.solve(A0, b)
-        except np.linalg.LinAlgError:
-            if u.ndim == 1:
-                raise DomainError("singular A0") from None
-        out = np.full(b.shape, np.nan)
-        for i, a0 in enumerate(A0):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                out[i] = np.linalg.solve(a0, b[i])
-        return out
+
+        def solve(b):
+            try:
+                return np.linalg.solve(A0, b)
+            except np.linalg.LinAlgError:
+                if u.ndim == 1:
+                    raise DomainError("singular A0") from None
+            out = np.full(b.shape, np.nan)
+            for i, a0 in enumerate(A0):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    out[i] = np.linalg.solve(a0, b[i])
+            return out
+
+        return solve
 
     def _matrix(self, t, x, u):
         A = self._values("A", t, x, u)
-        return A if self.a0 is None else self._solve_a0(t, x, u, A)
+        return A if self.a0 is None else self._a0_solver(t, x, u)(A)
 
     def _source(self, t, x, u):
         g = self._values("g", t, x, u)
-        return g if self.a0 is None else self._solve_a0(t, x, u, g[..., None])[..., 0]
+        return g if self.a0 is None else self._a0_solver(t, x, u)(g[..., None])[..., 0]
 
     def _derivative(self, t, x, u, w):
         def along(name):
@@ -237,7 +239,9 @@ class QuasilinearSystem:
         D = along("dA")
         if self.a0 is not None:
             # A = A0^-1 A1, so dA = A0^-1 (dA1 - dA0 A)
-            D = self._solve_a0(t, x, u, D - along("dA0") @ self._matrix(t, x, u))
+            solve = self._a0_solver(t, x, u)
+            A = solve(self._values("A", t, x, u))
+            D = solve(D - along("dA0") @ A)
         return D
 
     def _core(self, core, t, x, u, *w):
@@ -352,6 +356,21 @@ def _require(cond, msg):
         raise SchemaError(msg)
 
 
+def _is_list(value, n):
+    return isinstance(value, list) and len(value) == n
+
+
+def _is_square(rows, n):
+    return _is_list(rows, n) and all(_is_list(r, n) for r in rows)
+
+
+def _number(value, where):
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{where} must be a number") from None
+
+
 def load_system(document: str | dict, name="model") -> QuasilinearSystem:
     """Validate and build a system from a model JSON document."""
     doc = json.loads(document) if isinstance(document, str) else document
@@ -360,22 +379,23 @@ def load_system(document: str | dict, name="model") -> QuasilinearSystem:
     n = doc["n"]
     _require(isinstance(n, int) and n >= 1, "n must be a positive integer")
     states = doc["states"]
-    _require(isinstance(states, list) and len(states) == n, "states must list n names")
+    _require(_is_list(states, n) and all(isinstance(s, str) for s in states),
+             "states must list n names")
     _require(len(set(states)) == n, "state names must be distinct")
     _require(not (set(states) & set(INDEPENDENT)), "state names t, x are reserved")
     params = doc.get("parameters", {})
     _require(isinstance(params, dict), "parameters must be an object")
     indep = doc.get("independent", list(INDEPENDENT))
-    _require(list(indep) == list(INDEPENDENT), "independent variables must be [t, x]")
+    _require(indep == list(INDEPENDENT), "independent variables must be [t, x]")
 
     symbols = set(INDEPENDENT) | set(states) | set(params)
-    subs = {k: float(v) for k, v in params.items()}
+    subs = {k: _number(v, f"parameter '{k}'") for k, v in params.items()}
 
     rows = doc["A"]
-    _require(isinstance(rows, list) and len(rows) == n, f"A must have {n} rows")
+    _require(_is_list(rows, n), f"A must have {n} rows")
     a_entries = []
     for i, row in enumerate(rows):
-        _require(isinstance(row, list) and len(row) == n, f"A row {i} must have {n} entries")
+        _require(_is_list(row, n), f"A row {i} must have {n} entries")
         a_entries.append([ex.substitute(_parse_entry(v, symbols, f"A[{i}][{j}]"), subs)
                           for j, v in enumerate(row)])
 
@@ -383,7 +403,7 @@ def load_system(document: str | dict, name="model") -> QuasilinearSystem:
     if g_doc is None:
         g_entries = [ex.Const(0.0)] * n
     else:
-        _require(isinstance(g_doc, list) and len(g_doc) == n, f"g must have {n} entries")
+        _require(_is_list(g_doc, n), f"g must have {n} entries")
         g_entries = [ex.substitute(_parse_entry(v, symbols, f"g[{i}]"), subs)
                      for i, v in enumerate(g_doc)]
 
@@ -391,42 +411,58 @@ def load_system(document: str | dict, name="model") -> QuasilinearSystem:
     if doc.get("normalize"):
         a0_doc = doc.get("A0")
         _require(a0_doc is not None, "normalize: true requires A0")
-        _require(len(a0_doc) == n and all(len(r) == n for r in a0_doc), "A0 must be n x n")
+        _require(_is_square(a0_doc, n), "A0 must be n x n")
         a0_entries = [[ex.substitute(_parse_entry(v, symbols, f"A0[{i}][{j}]"), subs)
                        for j, v in enumerate(row)] for i, row in enumerate(a0_doc)]
 
+    domain_doc = doc.get("domain", {})
+    _require(isinstance(domain_doc, dict), "domain must be an object")
     domain = {}
-    for nm, iv in doc.get("domain", {}).items():
+    for nm, iv in domain_doc.items():
         _require(nm in symbols, f"domain names unknown coordinate '{nm}'")
         _require(isinstance(iv, list) and len(iv) == 2, f"domain['{nm}'] must be [lo, hi]")
-        domain[nm] = (float(iv[0]), float(iv[1]))
+        domain[nm] = (_number(iv[0], f"domain['{nm}'][0]"), _number(iv[1], f"domain['{nm}'][1]"))
     for nm in states:
         domain.setdefault(nm, (-1.0, 1.0))
 
+    exclude_doc = doc.get("exclude", [])
+    _require(isinstance(exclude_doc, list), "exclude must be a list")
     exclude = [ex.substitute(_parse_entry(v, symbols, f"exclude[{i}]"), subs)
-               for i, v in enumerate(doc.get("exclude", []))]
+               for i, v in enumerate(exclude_doc)]
 
     hints = {}
     if "partitionHint" in doc:
         ph = doc["partitionHint"]
         _require(isinstance(ph, dict) and "blocks" in ph, "partitionHint needs 'blocks'")
+        _require(isinstance(ph["blocks"], list)
+                 and all(isinstance(b, list) and all(isinstance(s, int) for s in b)
+                         for b in ph["blocks"]),
+                 "partitionHint.blocks must be lists of slot indices")
         hints["partition"] = {"blocks": [list(map(int, b)) for b in ph["blocks"]],
                               "mode": ph.get("mode", "partial")}
     if "transformHint" in doc:
         th = doc["transformHint"]
-        _require(len(th) == n, "transformHint must have n components")
+        _require(_is_list(th, n), "transformHint must have n components")
         hints["transform"] = [ex.substitute(_parse_entry(v, set(states) | set(params), "transformHint"), subs)
                               for v in th]
+    if "decoupledHint" in doc:
+        dh = doc["decoupledHint"]
+        _require(isinstance(dh, dict) and "states" in dh and "A" in dh,
+                 "decoupledHint needs states, A")
+        _require(isinstance(dh["states"], list), "decoupledHint.states must be a list")
+        hints["decoupled"] = dh
     if "inverseHint" in doc:
+        _require(_is_list(doc["inverseHint"], n), "inverseHint must have n components")
         u_names = doc.get("decoupledHint", {}).get("states") or [f"U{i+1}" for i in range(n)]
         hints["inverse"] = [ex.substitute(_parse_entry(v, set(u_names) | set(params), "inverseHint"), subs)
                             for v in doc["inverseHint"]]
         hints["inverse_states"] = list(u_names)
     if "autovectorHint" in doc:
         av = doc["autovectorHint"]
-        _require("right" in av and "eigenvalues" in av, "autovectorHint needs right, eigenvalues")
-        _require(len(av["right"]) == n, "autovectorHint.right must have n vectors")
-        _require(len(av["eigenvalues"]) == n, "autovectorHint.eigenvalues must have n entries")
+        _require(isinstance(av, dict) and "right" in av and "eigenvalues" in av,
+                 "autovectorHint needs right, eigenvalues")
+        _require(_is_square(av["right"], n), "autovectorHint.right must have n vectors")
+        _require(_is_list(av["eigenvalues"], n), "autovectorHint.eigenvalues must have n entries")
         hints["autovectors"] = {
             "eigenvalues": [ex.substitute(_parse_entry(v, symbols, "autovectorHint.eigenvalues"), subs)
                             for v in av["eigenvalues"]],
@@ -434,17 +470,13 @@ def load_system(document: str | dict, name="model") -> QuasilinearSystem:
                        for v in vec] for vec in av["right"]],
         }
         if av.get("left"):
-            _require(len(av["left"]) == n, "autovectorHint.left must have n vectors")
+            _require(_is_square(av["left"], n), "autovectorHint.left must have n vectors")
             hints["autovectors"]["left"] = [
                 [ex.substitute(_parse_entry(v, symbols, "autovectorHint.left"), subs) for v in vec]
                 for vec in av["left"]]
-    if "decoupledHint" in doc:
-        dh = doc["decoupledHint"]
-        _require("states" in dh and "A" in dh, "decoupledHint needs states, A")
-        hints["decoupled"] = dh
 
     return QuasilinearSystem(n, states, a_entries, g_entries, params, domain,
-                             exclude, hints, a0_entries, document=doc, name=name)
+                             exclude, hints, a0_entries, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +496,8 @@ def symbolic_matmul(a, b):
 
 
 def conjugate_system(triangular: QuasilinearSystem, h_map, inverse_map,
-                     u_names, u_domain, check_count=64, tol=1e-9,
-                     symbolic=False, name="conjugated") -> QuasilinearSystem:
+                     u_names, u_domain, symbolic=False,
+                     name="conjugated") -> QuasilinearSystem:
     """Change variables u = h(U), U = H(u) on a system written in U.
 
     Returns the system satisfied by u; its analysis with the known partition
@@ -485,12 +517,12 @@ def conjugate_system(triangular: QuasilinearSystem, h_map, inverse_map,
 
     lows = np.array([u_domain[nm][0] for nm in u_names])
     highs = np.array([u_domain[nm][1] for nm in u_names])
-    pts = lows + unit_samples(SamplePlan(count=check_count, seed=7), n) * (highs - lows)
+    pts = lows + unit_samples(SamplePlan(count=INVERSE_CHECK_COUNT, seed=7), n) * (highs - lows)
     with np.errstate(all="ignore"):
         J, H = backend._jh(0.0, 0.0, pts)
         back = _evaluate(h_fns, 0.0, 0.0, H)
         err = np.max(np.abs(back - pts))
-        if not np.all(np.isfinite(back)) or err > tol:
+        if not np.all(np.isfinite(back)) or err > INVERSE_CHECK_TOL:
             raise NotInverse(f"h(H(u)) differs from u by {err:.3e}")
         if np.min(np.abs(np.linalg.det(J))) < 1e-8:
             raise SingularJacobian("det grad H vanishes on the sampled domain")

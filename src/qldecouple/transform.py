@@ -29,6 +29,13 @@ from .errors import (
 )
 from .system import QuasilinearSystem, SamplePlan
 
+DET_FLOOR = 1e-8          # |det grad H| below this makes a sample singular
+SINGULAR_FRACTION = 0.01  # share of singular samples that rejects a candidate
+DEPENDENCE_STEP = 1e-5    # relative FD step of the block-dependence probe
+INTEGRATION_TOL = 1e-8    # integrate_field error budget per unit arc
+MAX_REFINE = 6            # step-count doublings a curve may take to meet it
+SHOOT_TOL = 1e-8          # distance from the slice at which a shot lands
+MAX_SHOTS = 100
 
 @dataclass
 class TransformCandidate:
@@ -113,8 +120,7 @@ def _off_block_mask(partition: PartitionScheme, n):
 
 def verify_transform(sys_: QuasilinearSystem, candidate: TransformCandidate,
                      plan: SamplePlan = None, tol: float = 1e-6,
-                     frame="auto", det_floor=1e-8,
-                     singular_fraction=0.01) -> TransformedSystem:
+                     frame="auto") -> TransformedSystem:
     """Measure annihilation residuals (grad H_a) . r_b, assemble T and its
     off-block norms, certify invertibility, and optionally probe the block
     dependence of T through the inverse map."""
@@ -159,7 +165,7 @@ def verify_transform(sys_: QuasilinearSystem, candidate: TransformCandidate,
         args = (t, x, *u)
         J = np.array([[fn(*args) for fn in grads] for grads in grad_fns])
         det = float(np.linalg.det(J))
-        if abs(det) < det_floor:
+        if abs(det) < DET_FLOOR:
             singular += 1
             continue
         for a, b in pairs:
@@ -176,9 +182,9 @@ def verify_transform(sys_: QuasilinearSystem, candidate: TransformCandidate,
         dets.append(det)
 
     admissible = len(rows) + singular
-    if admissible and singular > singular_fraction * admissible:
+    if admissible and singular > SINGULAR_FRACTION * admissible:
         raise SingularCandidate(
-            f"|det grad H| < {det_floor:g} at {singular} of {admissible} samples")
+            f"|det grad H| < {DET_FLOOR:g} at {singular} of {admissible} samples")
     if not rows:
         raise DegenerateSample("no admissible samples for transform verification")
 
@@ -197,7 +203,7 @@ def verify_transform(sys_: QuasilinearSystem, candidate: TransformCandidate,
         block_dependence=block_dep)
 
 
-def _block_dependence(sys_, candidate, rows, comp_fns, grad_fns, h_rel=1e-5):
+def _block_dependence(sys_, candidate, rows, comp_fns, grad_fns):
     """max |d T^i_j entry / d U_m| for U_m outside the allowed set of block i,
     probed by finite differences through the inverse map u = h(U) at each
     probe row's (t, x)."""
@@ -224,7 +230,7 @@ def _block_dependence(sys_, candidate, rows, comp_fns, grad_fns, h_rel=1e-5):
             args = (t, x, *u)
             U0 = np.array([fn(*args) for fn in comp_fns])
             for m in forbidden:
-                h = h_rel * (1.0 + abs(U0[m]))
+                h = DEPENDENCE_STEP * (1.0 + abs(U0[m]))
                 Up, Um = U0.copy(), U0.copy()
                 Up[m] += h
                 Um[m] -= h
@@ -286,8 +292,7 @@ def _rk4_pass(field_fn, start, h, n_steps, in_domain):
     return pts, count, err, left, failed
 
 
-def integrate_field(field_fn, start, arc_length, steps, in_domain=None,
-                    error_tol=1e-8, max_refine=6):
+def integrate_field(field_fn, start, arc_length, steps, in_domain=None):
     """RK4 polylines of du/ds = field(u) with per-step halving error control.
 
     A 1-D start is one curve: field_fn and in_domain take one state and
@@ -299,8 +304,8 @@ def integrate_field(field_fn, start, arc_length, steps, in_domain=None,
     A curve stops before a non-finite field value (for one curve, also a
     DomainError, IllConditioned or MismatchedSignature) and at its first
     point outside in_domain.  It is integrated again with twice the steps,
-    at most max_refine times, while it stopped early on the field or its
-    error estimate exceeds error_tol * |arc|.
+    at most MAX_REFINE times, while it stopped early on the field or its
+    error estimate exceeds INTEGRATION_TOL * |arc|.
 
     info holds error_estimate and left_domain (one per row for a batch),
     steps (the step count of each curve's last pass, summed) and
@@ -314,7 +319,7 @@ def integrate_field(field_fn, start, arc_length, steps, in_domain=None,
         start = start[None]
     N = len(start)
     arcs = np.broadcast_to(np.asarray(arc_length, dtype=float), N)
-    budget = error_tol * np.maximum(np.abs(arcs), 1e-12)
+    budget = INTEGRATION_TOL * np.maximum(np.abs(arcs), 1e-12)
     ends = start.copy()
     err = np.zeros(N)
     left = np.zeros(N, dtype=bool)
@@ -322,7 +327,7 @@ def integrate_field(field_fn, start, arc_length, steps, in_domain=None,
     steps_used = np.zeros(N, dtype=int)
     todo = np.arange(N)
     n_steps = max(1, int(steps))
-    for _ in range(max_refine + 1):
+    for _ in range(MAX_REFINE + 1):
         pts, count, e, l, f = _rk4_pass(field_fn, start[todo], arcs[todo] / n_steps,
                                         n_steps, in_domain)
         ends[todo] = pts[count - 1, np.arange(len(todo))]
@@ -396,8 +401,7 @@ def _slice_field(machine, reference, t, x, slot, ell, work):
     return field
 
 
-def _shoot(machine, base_frame, t, x, start, base_point, Minv, flow, shoot_tol,
-           max_shots, work):
+def _shoot(machine, base_frame, t, x, start, base_point, Minv, flow, work):
     """Carry the states start (N, n) along the flows of the slots in flow,
     the last rows of Minv, onto the slice where those coordinates of
     u - base_point vanish.  Each shot runs one leg per slot over the rows
@@ -408,9 +412,9 @@ def _shoot(machine, base_frame, t, x, start, base_point, Minv, flow, shoot_tol,
     reached = np.zeros(len(cur), dtype=bool)
     missed = np.zeros(len(cur), dtype=bool)
     active = np.arange(len(cur))
-    for _ in range(max_shots):
+    for _ in range(MAX_SHOTS):
         eta = (cur[active] - base_point) @ Minv[k:].T
-        hit = np.linalg.norm(eta, axis=1) <= shoot_tol
+        hit = np.linalg.norm(eta, axis=1) <= SHOOT_TOL
         reached[active[hit]] = True
         active = active[~hit]
         if not active.size:
@@ -432,8 +436,7 @@ def _shoot(machine, base_frame, t, x, start, base_point, Minv, flow, shoot_tol,
 
 def construct_transform_numeric(sys_: QuasilinearSystem, partition: PartitionScheme,
                                 base_point, grid_counts, frame="auto",
-                                report=None, shoot_tol=1e-8, max_shots=100,
-                                box=None, t=0.0, x=0.0):
+                                report=None, box=None, t=0.0, x=0.0):
     """Flow-coordinate construction of the decoupling map on a state grid.
 
     For block level i the annihilating distribution is spanned by the right
@@ -484,7 +487,7 @@ def construct_transform_numeric(sys_: QuasilinearSystem, partition: PartitionSch
         Minv = np.linalg.inv(M)
         land, reached, level_missed = _shoot(machine, base_frame, t, x,
                                              points[admissible], base_point, Minv,
-                                             flow, shoot_tol, max_shots, work)
+                                             flow, work)
         xi = (land[reached] - base_point) @ Minv[: len(keep)].T
         vals = np.full((len(points), len(blk)), np.nan)
         vals[admissible[reached]] = xi[:, [keep.index(s) for s in blk]]

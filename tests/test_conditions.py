@@ -472,12 +472,6 @@ def test_nonhyperbolic_pressure_all_excluded():
     assert "allExcluded" in report.flags
 
 
-def test_workers_reduction_is_deterministic(barotropic_quadratic):
-    r1 = cond.check_partition(barotropic_quadratic, full_11(), plan(count=60), workers=1)
-    r2 = cond.check_partition(barotropic_quadratic, full_11(), plan(count=60), workers=2)
-    assert r1.to_json() == r2.to_json()
-
-
 def test_interaction_residual_hand_oracle():
     # A = [[1, u3, 0], [0, 2, 0], [0, 0, 4]]: r-fields e1, (u3, 1, 0), e3
     # and dual lefts l1 = (1, -u3, 0).  The only partial-mode interaction

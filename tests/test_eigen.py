@@ -277,6 +277,16 @@ def test_eigenvalue_directional_derivative_matches_fd():
             assert pred == pytest.approx(fd, rel=1e-5, abs=1e-5)
 
 
+def test_eigenvalue_directional_derivative_at_frame_point():
+    # A = diag(x*a^2, b + 3): along e1 the first eigenvalue moves at 2*x*a,
+    # which is 2 * 0.7 * 0.8 = 1.12 at the frame's own x = 0.7
+    doc = {"n": 2, "states": ["a", "b"], "A": [["x*a^2", "0"], ["0", "b + 3"]]}
+    sys_ = load_system(json.dumps(doc))
+    frame = eigen.spectrum_at(sys_, 0.0, 0.7, np.array([0.8, 0.2]))
+    got = eigen.eigenvalue_directional_derivative(sys_, frame, 0, np.array([1.0, 0.0]))
+    assert got == pytest.approx(1.12, rel=1e-12)
+
+
 def _rights_or_nan(machine, u, reference):
     try:
         return machine.near(0.0, 0.0, u, reference).rights

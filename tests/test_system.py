@@ -49,6 +49,25 @@ def test_load_rejects_bad_domain():
         load_system(json.dumps(doc))
 
 
+@pytest.mark.parametrize("extra", [
+    {"normalize": True, "A0": 5},
+    {"normalize": True, "A0": [5, 6]},
+    {"transformHint": 5},
+    {"inverseHint": 5},
+    {"autovectorHint": 5},
+    {"decoupledHint": 5},
+    {"exclude": 5},
+    {"partitionHint": {"blocks": 5}},
+    {"domain": {"rho": ["low", 2.0], "v": [-1.0, 1.0]}},
+    {"parameters": {"p0": "one"}},
+    {"independent": 5},
+    {"states": [["rho"], ["v"]]},
+])
+def test_load_rejects_malformed_optional_sections(extra):
+    with pytest.raises(SchemaError):
+        load_system(json.dumps(dict(BAROTROPIC, **extra)))
+
+
 def test_permuted_states_give_conjugated_matrix():
     sys_ = barotropic()
     doc = {

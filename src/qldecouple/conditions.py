@@ -157,7 +157,7 @@ class FrameMachine:
         if frame == "analytic" and not has_hints:
             raise HintInconsistent("model supplies no autovector hints")
         self.mode = frame
-        self.field = eigen.AnalyticFrameField(sys_) if frame == "analytic" else None
+        self.field = eigen.analytic_field(sys_) if frame == "analytic" else None
 
     @property
     def provenance(self):

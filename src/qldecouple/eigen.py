@@ -396,9 +396,19 @@ class AnalyticFrameField:
                      point=(t, x, tuple(u)))
 
 
+def analytic_field(sys_) -> AnalyticFrameField:
+    """The hinted frame field of sys_, built once per system and kept next to
+    its compiled entries: building it compiles every hint expression, and the
+    field keeps the compiled eigenvalue gradients it has made."""
+    field = sys_._cache.get("autovectors")
+    if field is None:
+        field = sys_._cache["autovectors"] = AnalyticFrameField(sys_)
+    return field
+
+
 def analytic_frame(sys_, t, x, u) -> Frame:
     """Frame built from the model's autovector hints, residual-gated."""
-    return AnalyticFrameField(sys_).frame_at(t, x, u)
+    return analytic_field(sys_).frame_at(t, x, u)
 
 
 def eigenvalue_directional_derivative(sys_, frame: Frame, slot, w):

@@ -91,7 +91,7 @@ def _block_update(U, A, pairs, rhs, dt, dx, scheme, boundary):
         out = 0.5 * (Up + Um) - dt * AU
     else:
         lam, V = pairs
-        L = np.linalg.inv(V)                               # (N, n, n)
+        L = V if V.shape[-1] == 1 else np.linalg.inv(V)   # (N, n, n); V = 1 is its own inverse
         ap = np.einsum("Nmj,jN->Nm", L, (Up - U) / dx)
         am = np.einsum("Nmj,jN->Nm", L, (U - Um) / dx)
         alpha = np.where(lam > 0.0, am, ap)                # (N, m)
@@ -111,8 +111,17 @@ def _validate_block_triangular(sys_, bounds):
 def _march(sys_, sizes, initial, n_cells, t_end, scheme, cfl, boundary, t0):
     """March the blocks of `sizes` in hierarchy order (see solve_hierarchical);
     one block is the coupled solve.  A and g are evaluated at each cell's
-    (t, x).  One eig of the full A per step gives the CFL speed; upwinding
-    adds one eig per block smaller than the system."""
+    (t, x).  Each step does only the spectral work its scheme reads.
+
+    Eigenpairs are for upwinding only: a 1x1 block's pair is (a, 1), a block
+    spanning the system takes one eig of A, any other block one eig of the
+    block.  The CFL speed max |lambda| and the hyperbolicity check read the
+    eigenvalues of that full eig when there is one, else A's diagonal when
+    every cell's A is finite and exactly lower triangular, else eigvals(A).
+    Each gives the same bits as eig(A)'s eigenvalues, and Lax-Friedrichs
+    never computes an eigenvector.  The diagonal of a nearly triangular A
+    would move dt in the last bits; a non-finite A goes to eigvals, which
+    raises LinAlgError as eig does."""
     if scheme not in SCHEMES:
         raise SchemaError(f"unknown scheme '{scheme}'")
     if not 0.0 < cfl <= 1.0:
@@ -122,6 +131,8 @@ def _march(sys_, sizes, initial, n_cells, t_end, scheme, cfl, boundary, t0):
     bounds = np.cumsum([0] + list(sizes))
     if len(sizes) > 1:
         _validate_block_triangular(sys_, bounds)
+    upwind = scheme == "upwindCharacteristic"
+    full_eig = upwind and len(sizes) == 1 and sys_.n > 1
     x, dx = _grid(sys_, n_cells)
     U = _initial_values(sys_, initial, x)
     initial_scale = float(np.max(np.abs(U)))
@@ -131,10 +142,15 @@ def _march(sys_, sizes, initial, n_cells, t_end, scheme, cfl, boundary, t0):
     guard = 0
     while t < t_end - 1e-14:
         A = np.moveaxis(sys_.eval_matrix_batch(t, x, U), 2, 0)      # (N, n, n)
-        lam, V = np.linalg.eig(A)
+        if full_eig:
+            lam, V = np.linalg.eig(A)
+        elif np.isfinite(A).all() and not np.triu(A, 1).any():
+            lam = np.diagonal(A, axis1=1, axis2=2)
+        else:
+            lam = np.linalg.eigvals(A)
         if np.max(np.abs(lam.imag)) > 1e-8 * (1.0 + np.max(np.abs(lam.real))):
             raise NonHyperbolic("complex characteristic speeds on the realized states")
-        lam, V = lam.real, V.real
+        lam = lam.real
         lam_max = float(np.max(np.abs(lam)))
         dt = t_end - t if lam_max == 0.0 else min(cfl * dx / lam_max, t_end - t)
         if dt <= 0:
@@ -149,10 +165,12 @@ def _march(sys_, sizes, initial, n_cells, t_end, scheme, cfl, boundary, t0):
                 Dlow = (_shift(U[:r0], 1, boundary) - _shift(U[:r0], -1, boundary)) / (2.0 * dx)
                 cross = np.einsum("Nij,jN->iN", A[:, r0:r1, :r0], Dlow)
                 rhs = -cross if rhs is None else rhs - cross
-            if scheme == "laxFriedrichs":
+            if not upwind:
                 pairs = None
-            elif r1 - r0 == sys_.n:
-                pairs = (lam, V)
+            elif r1 - r0 == 1:
+                pairs = (Ab[:, :, 0], np.ones_like(Ab))
+            elif full_eig:
+                pairs = (lam, V.real)
             else:
                 lam_b, V_b = np.linalg.eig(Ab)
                 pairs = (lam_b.real, V_b.real)

@@ -104,7 +104,7 @@ class QuasilinearSystem:
         self.hints = dict(hints or {})
         self.name = name
         self._conjugated = None
-        self._cache = {}
+        self._cache = {}        # _compiled entries and eigen.analytic_field
         self._validate()
 
     # -- construction helpers -------------------------------------------------

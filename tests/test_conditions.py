@@ -520,3 +520,11 @@ def test_complex_pair_block_full_fails_on_dependence():
     assert report.verdict == "fail"
     # grad(3 + u1) . r for the pair's Re vector (1, 0, 0) is exactly 1
     assert report.families["gradient"].max_abs == pytest.approx(1.0, abs=1e-6)
+
+
+def test_frame_machines_share_one_hinted_field_per_system():
+    # the field compiles every hint; a search builds machines per candidate
+    sys_ = models.build("threadline").system
+    a, b = cond.FrameMachine(sys_), cond.FrameMachine(sys_)
+    assert a.field is not None and a.field is b.field
+    assert cond.FrameMachine(models.build("threadline").system).field is not a.field

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qldecouple import exprlang as ex
 from qldecouple.errors import DomainError, ParseError, UnknownSymbol
@@ -247,3 +249,59 @@ def test_load_rejects_reserved_and_duplicate_states():
     with pytest.raises(SchemaError):
         load_system(_json.dumps({"n": 1, "states": ["u"], "normalize": True,
                                  "A": [["1"]], "domain": {"u": [0, 1]}}))
+
+
+# ---------------------------------------------------------------------------
+# properties over generated expression trees
+# ---------------------------------------------------------------------------
+
+LEAVES = st.one_of(st.sampled_from([ex.Sym("x"), ex.Sym("y")]),
+                   st.integers(-3, 3).map(lambda k: ex.Const(float(k))),
+                   st.floats(-3.0, 3.0).map(ex.Const))
+
+
+def _trees(unary, binary, exponents, extend=lambda children: st.nothing()):
+    def grow(children):
+        return st.one_of(
+            st.builds(ex.Un, st.sampled_from(unary), children),
+            st.builds(ex.Bin, st.sampled_from(binary), children, children),
+            st.builds(lambda a, c: ex.Bin("^", a, ex.Const(c)), children,
+                      st.sampled_from(exponents)),
+            extend(children))
+    return st.recursive(LEAVES, grow, max_leaves=10)
+
+
+ALL_TREES = _trees(["neg", "sqrt", "exp", "log", "sin", "cos", "abs"],
+                   ["+", "-", "*", "/"], [2.0, 3.0, 0.5, -1.0, -2.5])
+# smooth everywhere: divisions only by 2 + cos(.) >= 1
+SMOOTH_TREES = _trees(["neg", "exp", "sin", "cos"], ["+", "-", "*"], [2.0, 3.0],
+                      lambda c: st.builds(lambda a, b: ex.Bin("/", a, ex.Bin(
+                          "+", ex.Const(2.0), ex.Un("cos", b))), c, c))
+POINTS = st.fixed_dictionaries({"x": st.floats(-2.0, 2.0), "y": st.floats(-2.0, 2.0)})
+
+
+def _value(e, point):
+    """The finite value of e at point, or None outside its domain."""
+    try:
+        v = ex.evaluate(e, point)
+    except (DomainError, OverflowError, ValueError):
+        return None
+    return v if math.isfinite(v) else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(e=ALL_TREES, point=POINTS)
+def test_to_string_parse_round_trip_keeps_values(e, point):
+    v = _value(e, point)
+    assume(v is not None)
+    assert _value(ex.parse(ex.to_string(e), {"x", "y"}), point) == v
+
+
+@settings(max_examples=300, deadline=None)
+@given(e=SMOOTH_TREES, point=POINTS)
+def test_differentiate_matches_central_difference(e, point):
+    h = 1e-6
+    f, fp, fm = (_value(e, {**point, "x": point["x"] + s}) for s in (0.0, h, -h))
+    d = _value(ex.differentiate(e, "x"), point)
+    assume(None not in (f, fp, fm, d))
+    assert abs(d - (fp - fm) / (2.0 * h)) <= 1e-5 * (1.0 + abs(f) + abs(d))

@@ -3,9 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qldecouple import hypsolve, models
-from qldecouple.errors import BlowupDetected, CFLViolation, GridMismatch, SchemaError
+from qldecouple.errors import (
+    BlowupDetected,
+    CFLViolation,
+    GridMismatch,
+    NonHyperbolic,
+    SchemaError,
+)
 from qldecouple.system import load_system
 
 S3 = math.sqrt(3.0)
@@ -231,3 +239,97 @@ def test_outflow_boundary_constant_state():
     sol = hypsolve.solve_coupled(sys_, ["2"], 40, 0.3, boundary="outflow",
                                  scheme="upwindCharacteristic")
     np.testing.assert_allclose(sol.data[-1], 2.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# spectral work per step: hyperbolicity and the equalities that keep the bytes
+# ---------------------------------------------------------------------------
+
+def constant_system(A):
+    names = [f"u{i}" for i in range(len(A))]
+    doc = {"n": len(A), "states": names, "A": [[repr(float(v)) for v in row] for row in A],
+           "domain": {**{nm: [-2, 2] for nm in names}, "x": [0, 1]}}
+    return load_system(json.dumps(doc))
+
+
+ROTATION = [[0.0, -1.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize("scheme", hypsolve.SCHEMES)
+def test_coupled_rotation_is_non_hyperbolic(scheme):
+    sys_ = constant_system(ROTATION)
+    with pytest.raises(NonHyperbolic):
+        hypsolve.solve_coupled(sys_, ["sin(2*pi*x)", "0"], 16, 0.1, scheme=scheme)
+
+
+@pytest.mark.parametrize("scheme", hypsolve.SCHEMES)
+def test_hierarchical_rotation_block_is_non_hyperbolic(scheme):
+    # a 2x2 rotation block below a 1x1 block: the blocks are triangular, A is
+    # not, so the speeds come from eigvals (Lax-Friedrichs) or a block eig
+    sys_ = constant_system([[1.0, 0.0, 0.0], [0.5, 0.0, -1.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(NonHyperbolic):
+        hypsolve.solve_hierarchical(sys_, (1, 2), ["sin(2*pi*x)", "0", "0"], 16, 0.1,
+                                    scheme=scheme)
+
+
+@st.composite
+def real_spectrum_stacks(draw, sizes=(2, 4)):
+    """A stack of N matrices S D S^-1 with real, possibly repeated, D."""
+    m = draw(st.integers(*sizes), label="m")
+    N = draw(st.integers(1, 6), label="N")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    D = rng.uniform(-3.0, 3.0, (N, m))
+    if draw(st.booleans(), label="repeated"):
+        D[:, 1] = D[:, 0]
+    S = rng.normal(size=(N, m, m)) + m * np.eye(m)
+    return S @ (D[:, :, None] * np.linalg.inv(S))
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=real_spectrum_stacks())
+def test_eigvals_equals_eig_eigenvalues(A):
+    np.testing.assert_array_equal(np.linalg.eigvals(A), np.linalg.eig(A)[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(A=real_spectrum_stacks())
+def test_one_by_one_eig_is_the_entry_and_one(A):
+    a = A[:, :1, :1]
+    lam, V = np.linalg.eig(a)
+    np.testing.assert_array_equal(lam, a[:, :, 0])
+    np.testing.assert_array_equal(V, np.ones_like(a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=real_spectrum_stacks(sizes=(2, 6)), equal_diagonal=st.booleans())
+def test_lower_triangular_speed_is_the_diagonal(A, equal_diagonal):
+    L = np.tril(A)
+    if equal_diagonal:
+        L[:, np.arange(L.shape[1]), np.arange(L.shape[1])] = L[:, :1, 0]
+    lam = np.linalg.eig(L)[0]
+    diag = np.diagonal(L, axis1=1, axis2=2)
+    np.testing.assert_array_equal(np.max(np.abs(lam), axis=1), np.max(np.abs(diag), axis=1))
+
+
+def test_nearly_triangular_speed_comes_from_eigvals():
+    # _validate_block_triangular accepts the 1e-14 upper entry, but the
+    # diagonal is not the spectrum: max|lambda| lies 2.5e-15 above 2
+    A = np.array([[1.0, 1e-14], [0.5, 2.0]])
+    sys_ = constant_system(A)
+    n_cells, cfl = 50, 0.9
+    dx = 1.0 / n_cells
+    # 25 steps at the diagonal speed 2, so the last step is not cut to fit
+    t_end = 25 * cfl * dx / 2.0
+
+    def time_levels(lam_max):
+        t, steps = 0.0, 0
+        while t < t_end - 1e-14:
+            t += min(cfl * dx / lam_max, t_end - t)
+            steps += 1
+        return [0.0, t], steps
+
+    reference = time_levels(float(np.max(np.abs(np.linalg.eigvals(A)))))
+    assert reference != time_levels(2.0)
+    sol = hypsolve.solve_hierarchical(sys_, (1, 1), ["sin(2*pi*x)", "cos(2*pi*x)"],
+                                      n_cells, t_end, scheme="laxFriedrichs", cfl=cfl)
+    assert (sol.times, sol.meta["steps"]) == reference

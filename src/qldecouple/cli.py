@@ -256,8 +256,9 @@ def cmd_check(args):
     report = cond.check_partition(sys_, scheme, _plan(args), tol=args.tol,
                                   frame=args.frame,
                                   gradient_path=args.gradient_path, csv_path=csv_path)
-    _emit(args, os.path.join(run_dir, "report.json"),
-          _report_payload(config, report.to_dict(), t0))
+    payload = _report_payload(config, report.to_dict(), t0)
+    payload["timing"]["samples"] = {"degenerateByCause": report.degenerate_by_cause}
+    _emit(args, os.path.join(run_dir, "report.json"), payload)
     return 0 if report.verdict == "pass" else 1
 
 

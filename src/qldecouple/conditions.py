@@ -21,6 +21,16 @@ H_t + T H_x, which frames at one (t, x) cannot determine.
 Partial mode constrains block i against all later blocks j > i; full mode
 constrains every ordered pair i != j.  Verdicts aggregate max residuals over
 an admissible sample sweep.
+
+One kernel (_Residuals) evaluates the three families on a stack of states:
+check_partition passes every admissible sample at once, and the public
+*_condition_residual functions pass one state.  FrameMachine.frames builds
+the base frames of the stack, and FrameMachine.sweep the frames at
+u +- h r_b of each slot a tuple reads, each in one batch; rows with a
+clustered or complex spectrum, and rows a batch gate rejects, fall back to
+the per-point base()/near(), and a row where those raise keeps the error.
+Every stacked product runs the BLAS or LAPACK call of the per-point one, so
+each row's residuals have the per-point bits.
 """
 
 from __future__ import annotations
@@ -146,8 +156,58 @@ def source_tuples(p: PartitionScheme):
 # frame machinery shared by the residual operations
 # ---------------------------------------------------------------------------
 
+# what base() and near() raise at a state where they build no frame
+_FRAME_ERRORS = (IllConditioned, HintInconsistent, DomainError, MismatchedSignature)
+
+
+class _Frames:
+    """Frames at the rows of a stack of states: values (N, n) complex, rights
+    and lefts (N, slot, component).  points[k] is the Frame of a row built
+    one state at a time (None for a row of the batch), errors[k] what
+    building row k raised (None when it has a frame)."""
+
+    def __init__(self, values, rights, lefts, points=None, errors=None):
+        self.values, self.rights, self.lefts = values, rights, lefts
+        self.points = points if points is not None else [None] * len(values)
+        self.errors = errors if errors is not None else [None] * len(values)
+
+    @staticmethod
+    def of(frame: eigen.Frame):
+        return _Frames(frame.values[None], frame.rights[None], frame.lefts[None], [frame])
+
+    def take(self, rows):
+        return _Frames(self.values[rows], self.rights[rows], self.lefts[rows],
+                       [self.points[k] for k in rows], [self.errors[k] for k in rows])
+
+    def frame(self, k) -> eigen.Frame:
+        """Row k as a Frame.  A numeric batch row has a real simple spectrum,
+        so it has one eigen slot per cluster, as spectrum_at gives it."""
+        if self.points[k] is not None:
+            return self.points[k]
+        values, n = self.values[k], len(self.values[k])
+        return eigen.Frame(values=values, rights=self.rights[k], lefts=self.lefts[k],
+                           kinds=[eigen.KIND_EIGEN] * n,
+                           clusters=[eigen.Cluster(values[s], 1, [s]) for s in range(n)])
+
+    def cluster_of_slot(self, slot):
+        """(alg_mult, is_complex) of the slot's cluster in each numeric row."""
+        mult, cplx = np.ones(len(self.points), dtype=int), np.zeros(len(self.points), dtype=bool)
+        for k, f in enumerate(self.points):
+            if f is not None:
+                c = f.cluster_of_slot(slot)
+                mult[k], cplx[k] = c.alg_mult, c.is_complex
+        return mult, cplx
+
+    def simple(self):
+        """Rows with a frame whose numeric spectrum is real and simple."""
+        return np.array([err is None and (f is None or all(
+            c.alg_mult == 1 and not c.is_complex for c in f.clusters))
+            for f, err in zip(self.points, self.errors)], dtype=bool)
+
+
 class FrameMachine:
-    """Builds base frames and centered FD sweeps of the frame field."""
+    """Builds base frames and centered FD sweeps of the frame field, at one
+    state or on a stack of states."""
 
     def __init__(self, sys_: QuasilinearSystem, frame="auto"):
         self.sys = sys_
@@ -174,6 +234,36 @@ class FrameMachine:
         raw = eigen.spectrum_at(self.sys, t, x, u)
         return eigen.align_frames(reference, raw)
 
+    def frames(self, t, x, U, reference: _Frames = None) -> _Frames:
+        """base() at the rows of U (N, n), or near() against the rows of
+        `reference`; t and x are (N,).  One batch computes every row it can
+        (see eigen.simple_frames_batch and AnalyticFrameField.frames_batch);
+        the others go through base() or near() one at a time, and a row
+        where that raises keeps the exception.  A sweep row may also keep
+        a LinAlgError, which the residuals' callers treat like the others."""
+        if self.field is not None:
+            values, rights, lefts, done = self.field.frames_batch(t, x, U,
+                                                                  check=reference is None)
+        elif reference is None:
+            values, rights, lefts, done = eigen.simple_frames_batch(self.sys, t, x, U)
+        else:
+            values, rights, lefts, done = eigen.simple_frames_batch(self.sys, t, x, U,
+                                                                    reference.rights)
+            done &= reference.simple()
+        out = _Frames(values, rights, lefts)
+        errors = _FRAME_ERRORS if reference is None else _FRAME_ERRORS + (np.linalg.LinAlgError,)
+        for k in np.flatnonzero(~done):
+            try:
+                f = (self.base(t[k], x[k], U[k]) if reference is None
+                     else self.near(t[k], x[k], U[k], reference.frame(k)))
+            except errors as err:
+                out.errors[k] = err
+                out.values[k], out.rights[k], out.lefts[k] = np.nan, np.nan, np.nan
+                continue
+            out.points[k] = f
+            out.values[k], out.rights[k], out.lefts[k] = f.values, f.rights, f.lefts
+        return out
+
     def rights_batch(self, t, x, U, reference: eigen.Frame):
         """Right autovectors near() gives at the rows of U (N, n), as (N, slot,
         component), NaN in rows near() rejects.  Hinted frames and numeric
@@ -181,93 +271,237 @@ class FrameMachine:
         numeric rows go through near() one at a time."""
         if self.field is not None:
             return self.field.rights_batch(t, x, U)
-        rights, fallback = eigen.simple_rights_batch(self.sys, t, x, U, reference)
-        for k in np.flatnonzero(fallback):
+        rights, done = np.full((len(U), self.sys.n, self.sys.n), np.nan), np.zeros(len(U), bool)
+        if _Frames.of(reference).simple()[0]:
+            rights, done = eigen.simple_rights_batch(self.sys, t, x, U, reference)
+        for k in np.flatnonzero(~done):
             try:
                 rights[k] = self.near(t, x, U[k], reference).rights
             except (DomainError, IllConditioned, MismatchedSignature):
                 pass
         return rights
 
-    def sweep(self, t, x, u, base: eigen.Frame, slot, h):
-        d = base.rights[slot]
-        fp = self.near(t, x, u + h * d, base)
-        fm = self.near(t, x, u - h * d, base)
-        return fp, fm
+    def sweep(self, t, x, U, base: _Frames, slot, h):
+        """near() at U + h r_slot and at U - h r_slot, each row against its
+        row of base; h is (N,)."""
+        d = h[:, None] * base.rights[:, slot]
+        return self.frames(t, x, U + d, base), self.frames(t, x, U - d, base)
 
 
 def _fd_step(u):
     return FD_STEP * (1.0 + float(np.linalg.norm(u)))
 
 
-class _SampleResiduals:
-    """The residual kernels at one state (t, x, u).  Holds the FD step h and
-    the base frame, and computes each centered frame sweep and each block
-    source residual once, on first use."""
+class _Residuals:
+    """The residual kernels on a stack of states (t, x, U) with their base
+    frames: the FD step h of each row, the centered sweeps of the frame
+    field, the derivatives of A and the block source residuals, each
+    computed once.  A row reads a sweep or derivative only when one of its
+    tuples does, and it fails (errors[k] is set) only when something it
+    reads fails: the numeric `auto` gradient, for one, sweeps only the rows
+    where the eigenvalue's cluster is multiple."""
 
-    def __init__(self, machine, t, x, u, base):
-        self.machine, self.t, self.x, self.u = machine, t, x, u
-        self.h = _fd_step(u)
-        self.base = base
-        self._sweeps, self._sources = {}, {}
+    def __init__(self, machine, t, x, U, base: _Frames, gradient_path, partition=None,
+                 grad_tuples=(), int_tuples=(), src_tuples=()):
+        self.machine, self.partition = machine, partition
+        self.t, self.x, self.U, self.base = t, x, U, base
+        self.grad_tuples, self.int_tuples, self.src_tuples = grad_tuples, int_tuples, src_tuples
+        self.h = np.array([_fd_step(u) for u in U])
+        self.errors = list(base.errors)
+        N, n = U.shape
+        # rows of each gradient tuple that read no sweep: hinted fields are
+        # differentiated exactly, simple numeric eigenvalues by the
+        # perturbation formula
+        self.exact = {(a, b): (np.zeros(N, dtype=bool) if gradient_path == "fd"
+                               else np.ones(N, dtype=bool) if machine.field is not None
+                               else base.cluster_of_slot(a)[0] == 1)
+                      for a, b in grad_tuples}
+        need = np.zeros((n, N), dtype=bool)
+        for (_, b), exact in self.exact.items():
+            need[b] |= ~exact
+        for _, b, c in int_tuples:
+            need[[b, c]] = True
+        for a, b in src_tuples:
+            need[[b] + self._allowed(a)] = True
+        self.sweeps = {slot: self._sweep(slot, np.flatnonzero(need[slot] & self.alive()))
+                       for slot in range(n) if need[slot].any()}
+        self.derivatives, self.brackets, self.sources = {}, {}, {}
 
-    def sweep(self, slot):
-        if slot not in self._sweeps:
-            self._sweeps[slot] = self.machine.sweep(self.t, self.x, self.u, self.base,
-                                                    slot, self.h)
-        return self._sweeps[slot]
+    def alive(self):
+        return np.array([err is None for err in self.errors], dtype=bool)
+
+    def _fail(self, rows, errors):
+        for k, err in zip(rows, errors):
+            if err is not None and self.errors[k] is None:
+                self.errors[k] = err
+
+    def _allowed(self, a):
+        """Slots of the blocks a's block may depend on."""
+        p = self.partition
+        i = p.block_of(a)
+        return [s for j, bj in enumerate(p.blocks) if not p.forbidden(i, j) for s in bj]
+
+    def _sweep(self, slot, rows):
+        """The sweep along r_slot at `rows` as two (values, rights, lefts)
+        triples, at +h and -h, of (N, ...) stacks NaN in the other rows."""
+        N, n = self.U.shape
+        out = [[np.full((N, n), np.nan, dtype=complex), np.full((N, n, n), np.nan),
+                np.full((N, n, n), np.nan)] for _ in range(2)]
+        if rows.size:
+            sides = self.machine.sweep(self.t[rows], self.x[rows], self.U[rows],
+                                       self.base.take(rows), slot, self.h[rows])
+            self._fail(rows, [ep or em for ep, em in zip(sides[0].errors, sides[1].errors)])
+            for parts, f in zip(out, sides):
+                parts[0][rows], parts[1][rows], parts[2][rows] = f.values, f.rights, f.lefts
+        return out
+
+    def _central(self, slot, part, index):
+        """Central difference along r_slot of the sweep frames' part
+        (0 values, 1 rights, 2 lefts) at slot `index`, row by row."""
+        p, m = (side[part][:, index] for side in self.sweeps[slot])
+        h2 = 2.0 * self.h
+        return (p - m) / (h2 if p.ndim == 1 else h2[:, None])
 
     def bracket(self, b, c):
         """[r_b, r_c] = (D r_c) r_b - (D r_b) r_c from the sweeps along r_b
-        and r_c."""
-        fpb, fmb = self.sweep(b)
-        d_c_along_b = (fpb.rights[c] - fmb.rights[c]) / (2.0 * self.h)
-        fpc, fmc = self.sweep(c)
-        d_b_along_c = (fpc.rights[b] - fmc.rights[b]) / (2.0 * self.h)
-        return d_c_along_b - d_b_along_c
+        and r_c, (N, n)."""
+        if (b, c) not in self.brackets:
+            self.brackets[b, c] = self._central(b, 1, c) - self._central(c, 1, b)
+        return self.brackets[b, c]
 
-    def gradient(self, path, a, b):
-        base, t, x = self.base, self.t, self.x
-        if path != "fd":
-            field_ = self.machine.field
-            if field_ is not None:
-                grads = np.array([fn(t, x, *self.u) for fn in field_.value_gradient_fns(a)])
-                return float(grads @ base.rights[b])
-            if base.cluster_of_slot(a).alg_mult == 1:
-                return eigen.eigenvalue_directional_derivative(self.machine.sys, base, a,
-                                                               base.rights[b])
-        fp, fm = self.sweep(b)
-        d = (fp.values[a] - fm.values[a]) / (2.0 * self.h)
-        return float(abs(d)) if base.cluster_of_slot(a).is_complex else float(d.real)
+    def gradient(self, a, b):
+        exact = self.exact[a, b]
+        out = np.full(len(self.U), np.nan)
+        if not exact.all():
+            d = self._central(b, 0, a)
+            cplx = self.base.cluster_of_slot(a)[1]
+            out = np.where(cplx, np.abs(d), d.real)
+        rows = np.flatnonzero(exact)
+        if rows.size:
+            out[rows] = self._gradient_exact(a, b, rows)
+        return out
+
+    def _gradient_exact(self, a, b, rows):
+        """Hinted fields differentiated exactly; simple numeric eigenvalues
+        by the perturbation formula."""
+        base, t, x, U = self.base, self.t[rows], self.x[rows], self.U[rows]
+        r_b = base.rights[rows, b]
+        field_ = self.machine.field
+        if field_ is not None:
+            grads = np.ascontiguousarray(np.array(
+                [np.broadcast_to(fn(t, x, *U.T), len(rows))
+                 for fn in field_.value_gradient_fns(a)]).T)
+            return (grads[:, None, :] @ r_b[:, :, None])[:, 0, 0]
+        return eigen.eigenvalue_derivatives(base.lefts[rows, a], self._derivative(b)[rows],
+                                            base.rights[rows, a])
+
+    def _derivative(self, b):
+        """dA along r_b, (N, n, n), at the rows whose perturbation formula
+        reads it.  Rows with the same nonzero components of r_b share one
+        stacked call, so each row sums the terms its per-point call sums."""
+        if b not in self.derivatives:
+            reads = np.any([e for (_, bb), e in self.exact.items() if bb == b], axis=0)
+            rows = np.flatnonzero(reads & self.alive())
+            nonzero = self.base.rights[rows, b] != 0
+            DA = self.derivatives[b] = np.full(self.base.rights.shape, np.nan)
+            for pattern in np.unique(nonzero, axis=0):
+                sel = rows[(nonzero == pattern).all(axis=1)]
+                DA[sel] = self._coefficient("directional_matrix_derivative", sel, self.U[sel],
+                                            self.base.rights[sel, b])
+        return self.derivatives[b]
+
+    def _coefficient(self, method, rows, U, *w):
+        """sys_.<method>(t, x, U, *w) on the stack of `rows`.  A row left
+        non-finite (every row, when the stacked call raises) is redone at
+        its one state, which raises DomainError where the per-point call
+        does; the row then fails."""
+        fn, t, x = getattr(self.machine.sys, method), self.t[rows], self.x[rows]
+        try:
+            out = fn(t, x, U, *w)
+            redo = np.flatnonzero(~np.isfinite(out.reshape(len(rows), -1)).all(axis=1))
+        except (DomainError, np.linalg.LinAlgError):
+            # g is a vector per state, dA (along a direction w) a matrix
+            out = np.full(U.shape + U.shape[1:] if w else U.shape, np.nan)
+            redo = range(len(rows))
+        for k in redo:
+            try:
+                out[k] = fn(t[k], x[k], U[k], *(v[k] for v in w))
+            except (DomainError, np.linalg.LinAlgError) as err:
+                self._fail([rows[k]], [err])
+        return np.ascontiguousarray(out)
 
     def interaction(self, a, b, c):
         # l_a . ((D r_b) r_c - (D r_c) r_b)
-        return float(self.base.lefts[a] @ self.bracket(c, b))
+        l_a = np.ascontiguousarray(self.base.lefts[:, a])
+        return (l_a[:, None, :] @ self.bracket(c, b)[:, :, None])[:, 0, 0]
 
-    def source(self, partition, a, b):
-        """Component a of the source residual of a's block i along r_b."""
-        i = partition.block_of(a)
-        slots = [s for j, bj in enumerate(partition.blocks)
-                 if not partition.forbidden(i, j) for s in bj]
-        if (i, b) not in self._sources:
-            self._sources[i, b] = self._block_source(slots, b)
-        return float(self._sources[i, b][slots.index(a)])
+    def source(self, a, b):
+        """Component a of the source residual of a's block along r_b."""
+        slots = self._allowed(a)
+        key = (self.partition.block_of(a), b)
+        if key not in self.sources:
+            self.sources[key] = self._block_source(slots, b)
+        return self.sources[key][:, slots.index(a)]
 
     def _block_source(self, slots, b):
         """res_b = r_b(psi) - dL(r_b, R) (L R)^-1 psi, with L and R the left
         and right rows of `slots`, psi = L g and
-        dL(r_b, r_c) = r_b(L r_c) - L [r_b, r_c]."""
-        sys_, t, x, u, h = self.machine.sys, self.t, self.x, self.u, self.h
-        d = self.base.rights[b]
-        L, R = self.base.lefts[slots], self.base.rights[slots].T
-        fp, fm = self.sweep(b)
-        Lp, Lm = fp.lefts[slots], fm.lefts[slots]
-        d_psi = (Lp @ sys_.eval_source(t, x, u + h * d)
-                 - Lm @ sys_.eval_source(t, x, u - h * d)) / (2.0 * h)
-        d_LR = (Lp @ fp.rights[slots].T - Lm @ fm.rights[slots].T) / (2.0 * h)
-        dL = d_LR - L @ np.column_stack([self.bracket(b, c) for c in slots])
-        psi = L @ sys_.eval_source(t, x, u)
-        return d_psi - dL @ np.linalg.solve(L @ R, psi)
+        dL(r_b, r_c) = r_b(L r_c) - L [r_b, r_c]; (N, len(slots)), NaN in
+        the rows that fail."""
+        out = np.full((len(self.U), len(slots)), np.nan)
+        rows = np.flatnonzero(self.alive())
+        h, U = self.h[rows], self.U[rows]
+        h2 = (2.0 * h)[:, None]
+        d = h[:, None] * self.base.rights[rows, b]
+        L = self.base.lefts[rows][:, slots]
+        R = np.swapaxes(self.base.rights[rows][:, slots], 1, 2)
+        (_, Rp, Lp), (_, Rm, Lm) = ([part[rows] for part in side] for side in self.sweeps[b])
+        Lp, Lm = Lp[:, slots], Lm[:, slots]
+        g_p, g_m, g = (self._coefficient("eval_source", rows, V)[:, :, None]
+                       for V in (U + d, U - d, U))
+        d_psi = ((Lp @ g_p)[:, :, 0] - (Lm @ g_m)[:, :, 0]) / h2
+        d_LR = (Lp @ np.swapaxes(Rp[:, slots], 1, 2)
+                - Lm @ np.swapaxes(Rm[:, slots], 1, 2)) / h2[:, :, None]
+        dL = d_LR - L @ np.stack([self.bracket(b, c)[rows] for c in slots], axis=2)
+        live = self.alive()[rows]
+        rows, LR, psi = rows[live], L[live] @ R[live], L[live] @ g[live]
+        try:
+            sol = np.linalg.solve(LR, psi)
+        except np.linalg.LinAlgError:
+            # a singular L R: find its rows one at a time
+            sol = np.full(psi.shape, np.nan)
+            for j, k in enumerate(rows):
+                try:
+                    sol[j] = np.linalg.solve(LR[j], psi[j])
+                except np.linalg.LinAlgError as err:
+                    self._fail([k], [err])
+        out[rows] = d_psi[live] - (dL[live] @ sol)[:, :, 0]
+        return out
+
+    def run(self):
+        """Residual values (N, tuples), tuples in order gradient,
+        interaction, source; a row with errors[k] set has none."""
+        if not len(self.U):
+            return np.zeros((0, len(self.grad_tuples) + len(self.int_tuples)
+                             + len(self.src_tuples)))
+        cols = [self.gradient(a, b) for a, b in self.grad_tuples]
+        cols += [self.interaction(a, b, c) for a, b, c in self.int_tuples]
+        cols += [self.source(a, b) for a, b in self.src_tuples]
+        return np.array(cols).T.reshape(len(self.U), len(cols))
+
+
+def _at_state(sys_, t, x, u, frame, machine, base, **tuples):
+    """The residual of one tuple at one state, from the kernel on a one-row
+    stack; raises what a frame, sweep, derivative or solve it reads raised."""
+    u = np.asarray(u, dtype=float)
+    m = machine or FrameMachine(sys_, frame)
+    f = base if base is not None else m.base(t, x, u)
+    kernel = _Residuals(m, np.array([t], dtype=float), np.array([x], dtype=float), u[None],
+                        _Frames.of(f), **tuples)
+    value = kernel.run()[0, 0]
+    if kernel.errors[0] is not None:
+        raise kernel.errors[0]
+    return float(value)
 
 
 def gradient_condition_residual(sys_, slot_a, slot_b, t, x, u, frame="auto",
@@ -276,20 +510,16 @@ def gradient_condition_residual(sys_, slot_a, slot_b, t, x, u, frame="auto",
     right autovector.  Simple eigenvalues use the perturbation formula
     l (D_w A) r / (l r); hinted fields are differentiated exactly; the FD
     fallback tracks cluster values across aligned frames."""
-    u = np.asarray(u, dtype=float)
-    m = machine or FrameMachine(sys_, frame)
-    f = base if base is not None else m.base(t, x, u)
-    return _SampleResiduals(m, t, x, u, f).gradient(path, slot_a, slot_b)
+    return _at_state(sys_, t, x, u, frame, machine, base, gradient_path=path,
+                     grad_tuples=[(slot_a, slot_b)])
 
 
 def interaction_condition_residual(sys_, slot_a, slot_b, slot_c, t, x, u,
                                    frame="auto", machine=None, base=None):
     """l_a . ((D r_b) r_c - (D r_c) r_b) with the field derivatives taken by
     central finite differences of aligned frames."""
-    u = np.asarray(u, dtype=float)
-    m = machine or FrameMachine(sys_, frame)
-    f = base if base is not None else m.base(t, x, u)
-    return _SampleResiduals(m, t, x, u, f).interaction(slot_a, slot_b, slot_c)
+    return _at_state(sys_, t, x, u, frame, machine, base, gradient_path="auto",
+                     int_tuples=[(slot_a, slot_b, slot_c)])
 
 
 def source_condition_residual(sys_, partition, slot_a, slot_b, t, x, u, frame="auto",
@@ -311,10 +541,8 @@ def source_condition_residual(sys_, partition, slot_a, slot_b, t, x, u, frame="a
     effective source gains H_t + T H_x, which frames at one (t, x) cannot
     determine; that case is not covered.
     """
-    u = np.asarray(u, dtype=float)
-    m = machine or FrameMachine(sys_, frame)
-    f = base if base is not None else m.base(t, x, u)
-    return _SampleResiduals(m, t, x, u, f).source(partition, slot_a, slot_b)
+    return _at_state(sys_, t, x, u, frame, machine, base, partition=partition,
+                     gradient_path="auto", src_tuples=[(slot_a, slot_b)])
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +581,8 @@ class ConditionReport:
     evaluated: int = 0
     excluded: int = 0
     degenerate: int = 0
+    # degenerate samples counted by cause; reported under timing, not here
+    degenerate_by_cause: dict = field(default_factory=dict)
     families: dict = field(default_factory=dict)
     flags: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
@@ -399,7 +629,7 @@ class ConditionReport:
 
 
 class _SweepEvaluator:
-    """Per-sample residual evaluation for one partition."""
+    """Residual evaluation for one partition over a stack of samples."""
 
     def __init__(self, sys_, partition, frame, gradient_path, separation_tolerance,
                  families):
@@ -420,51 +650,59 @@ class _SweepEvaluator:
                         for a, b, c in self.int_tuples]
         self.labels += [("source", f"{p.label(a)}->{p.label(b)}") for a, b in self.src_tuples]
 
-    def _separation_excluded(self, f: eigen.Frame):
-        if self.machine.field is not None:
-            # hinted frames may split a multiple eigenvalue deliberately
-            return False
-        rho = float(np.max(np.abs(f.values))) if f.n else 0.0
-        gap = self.separation_tolerance * (1.0 + rho)
-        for i, bi in enumerate(self.partition.blocks):
-            for bj in self.partition.blocks[i + 1:]:
+    def _separation_excluded(self, values):
+        """Rows where a slot and a slot of a later block have eigenvalues
+        within the separation gap; never for hinted frames, which may split
+        a multiple eigenvalue deliberately."""
+        excluded = np.zeros(len(values), dtype=bool)
+        if self.machine.field is not None or not len(values):
+            return excluded
+        gap = self.separation_tolerance * (1.0 + np.max(np.abs(values), axis=1))
+        blocks = self.partition.blocks
+        for i, bi in enumerate(blocks):
+            for bj in blocks[i + 1:]:
                 for a in bi:
                     for b in bj:
-                        if abs(f.values[a] - f.values[b]) <= gap:
-                            return True
-        return False
+                        excluded |= np.abs(values[:, a] - values[:, b]) <= gap
+        return excluded
 
     def _split_cluster(self, f: eigen.Frame):
-        for c in f.clusters:
-            blocks = {self.partition.block_of(s) for s in c.slots}
-            if len(blocks) > 1:
-                return True
-        return False
+        return any(len({self.partition.block_of(s) for s in c.slots}) > 1 for c in f.clusters)
 
-    def evaluate(self, t, x, u):
-        """Returns (status, rows); rows are (family, label, value)."""
-        u = np.asarray(u, dtype=float)
-        if self.sys.is_excluded(t, x, u):
-            return "excluded", []
-        try:
-            base = self.machine.base(t, x, u)
-        except (IllConditioned, HintInconsistent, DomainError, MismatchedSignature):
-            return "degenerate", []
-        if self._separation_excluded(base):
-            return "excluded", []
-        if self.machine.field is None and self._split_cluster(base):
-            return "degenerate", []
+    def evaluate(self, samples):
+        """Status and residuals of each sample row (t, x, u).  Returns
+        (status, values, base, rows): status[k] is "ok", "excluded" or a
+        degeneracy cause (the name of what the per-point code raised, or
+        "splitCluster"); values holds one row of residuals, in label order,
+        per "ok" sample; base holds the frames at `rows`, the samples that
+        no exclusion predicate removes."""
+        t, x, U = samples[:, 0], samples[:, 1], samples[:, 2:]
+        status = np.array(["excluded" if self.sys.is_excluded(*row[:2], row[2:]) else "ok"
+                           for row in samples], dtype=object)
+        rows = np.flatnonzero(status == "ok")
+        base = self.machine.frames(t[rows], x[rows], U[rows])
+        status[rows[self._separation_excluded(base.values)]] = "excluded"
+        for k, err, f in zip(rows, base.errors, base.points):
+            if err is not None:
+                status[k] = _cause(err)
+            elif status[k] == "ok" and self.machine.field is None and f is not None \
+                    and self._split_cluster(f):
+                status[k] = "splitCluster"
+        live = np.flatnonzero(status[rows] == "ok")
+        kernel = _Residuals(self.machine, t[rows[live]], x[rows[live]], U[rows[live]],
+                            base.take(live), self.gradient_path, self.partition,
+                            self.grad_tuples, self.int_tuples, self.src_tuples)
+        values = kernel.run()
+        for k, err in zip(rows[live], kernel.errors):
+            if err is not None:
+                status[k] = _cause(err)
+        return status, values[kernel.alive()], base, rows
 
-        s = _SampleResiduals(self.machine, t, x, u, base)
-        try:
-            values = [s.gradient(self.gradient_path, a, b) for a, b in self.grad_tuples]
-            values += [s.interaction(a, b, c) for a, b, c in self.int_tuples]
-            values += [s.source(self.partition, a, b) for a, b in self.src_tuples]
-        except (IllConditioned, MismatchedSignature, DomainError, HintInconsistent,
-                np.linalg.LinAlgError):
-            # LinAlgError: a singular L R in the source residual
-            return "degenerate", []
-        return "ok", [(fam, label, v) for (fam, label), v in zip(self.labels, values)]
+
+def _cause(err):
+    """Degeneracy cause of a sample where building a frame or residual
+    raised err; a LinAlgError comes from a singular L R."""
+    return "singularLR" if isinstance(err, np.linalg.LinAlgError) else type(err).__name__
 
 
 def check_partition(sys_: QuasilinearSystem, partition: PartitionScheme,
@@ -499,18 +737,22 @@ def check_partition(sys_: QuasilinearSystem, partition: PartitionScheme,
     residual_matrix = [] if len(labels) <= 64 else None
     csv_rows = [] if csv_path else None
 
+    status, values, base, rows = evaluator.evaluate(samples)
+    ok_values = iter(values.tolist())
     for idx, (t, x, *u) in enumerate(samples):
-        status, rows = evaluator.evaluate(t, x, np.array(u))
-        if status == "excluded":
+        if status[idx] == "excluded":
             report.excluded += 1
             continue
-        if status == "degenerate":
+        if status[idx] != "ok":
             report.degenerate += 1
+            cause = status[idx]
+            report.degenerate_by_cause[cause] = report.degenerate_by_cause.get(cause, 0) + 1
             continue
         report.evaluated += 1
+        row_values = next(ok_values)
         if residual_matrix is not None:
-            residual_matrix.append([v for _, _, v in rows])
-        for fam, label, value in rows:
+            residual_matrix.append(row_values)
+        for (fam, label), value in zip(labels, row_values):
             st = report.families[fam]
             a = abs(value)
             st.count += 1
@@ -537,16 +779,11 @@ def check_partition(sys_: QuasilinearSystem, partition: PartitionScheme,
 
     if report.evaluated == 0:
         report.flags.append("allExcluded" if report.excluded else "allDegenerate")
-    if evaluator.machine.field is None:
-        # flag nontrivial Jordan structure for manual review
-        try:
-            probe = next((s for s in samples if not sys_.is_excluded(s[0], s[1], s[2:])), None)
-            if probe is not None:
-                f = evaluator.machine.base(probe[0], probe[1], probe[2:])
-                if any(k.startswith("generalized") for k in f.kinds):
-                    report.flags.append("jordanBlocks")
-        except (IllConditioned, DomainError, MismatchedSignature):
-            pass
+    # flag nontrivial Jordan structure at the first admissible sample for
+    # manual review
+    if evaluator.machine.field is None and len(rows) and base.errors[0] is None \
+            and any(k.startswith("generalized") for k in base.frame(0).kinds):
+        report.flags.append("jordanBlocks")
 
     report.diagnostics["constraintCountFormula"] = partition.constraint_count()
     report.diagnostics["tupleCount"] = len(labels)

@@ -203,30 +203,26 @@ def _cond_ok(R):
     return ok
 
 
-def simple_rights_batch(sys_, t, x, U, reference: Frame):
-    """Right autovectors at the rows of U (N, n) whose spectrum is real and
-    simple, from one batched eig: what spectrum_at then align_frames against
-    the reference give there, with their gates.
+def _row_norms(V):
+    """Euclidean norms of the rows of V (N, m), each with the dot product
+    np.linalg.norm takes of one vector, so each equals norm(V[k])."""
+    V = np.ascontiguousarray(V)
+    return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
 
-    Returns (rights, fallback).  rights is (N, slot, component) in ascending
-    eigenvalue order, each vector rescaled so its component at the reference
-    pivot matches the reference; a rejected row (non-finite A, complex
-    eigenvector, ill-conditioned frame, lost pivot) is NaN.  fallback marks
-    the rows left NaN because their spectrum clusters or is complex, which
-    only the per-point path handles.
-    """
+
+def _simple_spectra(sys_, t, x, U):
+    """The rows of U (N, n) whose spectrum is real and simple, from one
+    batched eig, with spectrum_at's gates (finite A, real eigenvectors,
+    nonzero pivots, condition number).  Returns (rows, values, vecs): the
+    eigenvalues in ascending order, as spectrum_at gives them, and the
+    pivot-normalized right vectors (row, slot, component)."""
     N, n = len(U), sys_.n
-    rights = np.full((N, n, n), np.nan)
     rows = np.flatnonzero(np.isfinite(U).all(axis=1))
-    fallback = np.zeros(N, dtype=bool)
+    t, x = np.broadcast_to(t, N)[rows], np.broadcast_to(x, N)[rows]
     try:
-        A = np.moveaxis(sys_.eval_matrix_batch(t, x, U[rows].T), -1, 0)
-    except DomainError:
-        A = None
-    if A is None or not all(c.alg_mult == 1 and not c.is_complex
-                            for c in reference.clusters):
-        fallback[rows] = True
-        return rights, fallback
+        A = sys_.eval_matrix(t, x, U[rows])
+    except (DomainError, np.linalg.LinAlgError):
+        return rows[:0], np.empty((0, n)), np.empty((0, n, n))
     finite = np.isfinite(A).all(axis=(1, 2))
     rows, A = rows[finite], A[finite]
     w, V = np.linalg.eig(A)
@@ -235,7 +231,6 @@ def simple_rights_batch(sys_, t, x, U, reference: Frame):
     gaps = np.abs(w_half[:, :, None] - w_half[:, None, :]) + np.diag(np.full(n, np.inf))
     simple = ((np.abs(w.imag) <= ctol[:, None]).all(axis=1)
               & (gaps.min(axis=(1, 2)) > ctol))
-    fallback[rows[~simple]] = True
     rows, w, V = rows[simple], w[simple], V[simple]
 
     order = np.argsort(w.real, axis=1)
@@ -245,16 +240,61 @@ def simple_rights_batch(sys_, t, x, U, reference: Frame):
     pivots = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=2)[:, :, None], axis=2)
     ok = real & (pivots != 0).all(axis=(1, 2))
     vecs[ok] /= pivots[ok]
-    ok[ok] = _cond_ok(vecs[ok])
+    ok[ok] = _cond_ok(np.swapaxes(vecs[ok], 1, 2))
+    # the cluster mean of spectrum_at, whose real part is w.real + 0.0
+    values = np.take_along_axis(w.real, order, axis=1)[ok] + 0.0
+    return rows[ok], values, vecs[ok]
 
-    # align_frames for one-dimensional eigenspaces: rescale at the reference pivot
-    slots = np.arange(n)
-    i_ref = np.abs(reference.rights).argmax(axis=1)
-    denom = vecs[:, slots, i_ref]
-    ok &= (np.abs(denom) >= 1e-12 * (1.0 + np.abs(vecs).max(axis=2))).all(axis=1)
-    scale = reference.rights[slots, i_ref] / np.where(ok[:, None], denom, 1.0)
-    rights[rows[ok]] = vecs[ok] * scale[ok][:, :, None]
-    return rights, fallback
+
+def _rescale(vecs, references):
+    """align_frames for one-dimensional eigenspaces: each vector rescaled so
+    its component at the reference pivot matches the reference.  Returns the
+    rescaled vectors and the mask of rows that kept every pivot."""
+    i_ref = np.abs(references).argmax(axis=2)[:, :, None]
+    denom = np.take_along_axis(vecs, i_ref, axis=2)[:, :, 0]
+    ok = (np.abs(denom) >= 1e-12 * (1.0 + np.abs(vecs).max(axis=2))).all(axis=1)
+    scale = np.take_along_axis(references, i_ref, axis=2)[:, :, 0] / np.where(ok[:, None], denom, 1.0)
+    return vecs * scale[:, :, None], ok
+
+
+def simple_rights_batch(sys_, t, x, U, reference: Frame):
+    """Right autovectors at the rows of U (N, n) whose spectrum is real and
+    simple: what spectrum_at then align_frames against the reference (whose
+    spectrum is real and simple) give there, in ascending eigenvalue order.
+
+    Returns (rights, done): rights is (N, slot, component), NaN in the rows
+    not marked done, which are left to the per-point path.
+    """
+    rights, done = np.full((len(U), sys_.n, sys_.n), np.nan), np.zeros(len(U), dtype=bool)
+    rows, _, vecs = _simple_spectra(sys_, t, x, U)
+    vecs, ok = _rescale(vecs, reference.rights[None])
+    rights[rows[ok]], done[rows[ok]] = vecs[ok], True
+    return rights, done
+
+
+def simple_frames_batch(sys_, t, x, U, references=None):
+    """Frames at the rows of U (N, n) whose spectrum is real and simple, from
+    one batched eig: what spectrum_at gives there or, given the rights
+    (N, slot, component) of reference frames with real simple spectra, what
+    align_frames against them gives, with their gates.  t and x are scalars
+    or follow the rows.
+
+    Returns (values, rights, lefts, done): values (N, n) complex, rights and
+    lefts (N, slot, component) in ascending eigenvalue order.  Rows not
+    marked done are NaN and left to the per-point path, which handles them
+    or raises.
+    """
+    N, n = len(U), sys_.n
+    values, done = np.full((N, n), np.nan, dtype=complex), np.zeros(N, dtype=bool)
+    rights, lefts = np.full((N, n, n), np.nan), np.full((N, n, n), np.nan)
+    rows, vals, vecs = _simple_spectra(sys_, t, x, U)
+    if references is not None:
+        vecs, ok = _rescale(vecs, references[rows])
+        ok[ok] = _cond_ok(np.swapaxes(vecs[ok], 1, 2))
+        rows, vals, vecs = rows[ok], vals[ok], vecs[ok]
+    values[rows], rights[rows], done[rows] = vals, vecs, True
+    lefts[rows] = np.linalg.inv(np.swapaxes(vecs, 1, 2))
+    return values, rights, lefts, done
 
 
 def align_frames(reference: Frame, raw: Frame) -> Frame:
@@ -334,21 +374,63 @@ class AnalyticFrameField:
             self._grad_cache[key] = [ex.compile_expression(g, order) for g in grads]
         return self._grad_cache[key]
 
+    def _hint_batch(self, t, x, U):
+        """Hinted values (N, n) and rights (N, slot, component) at the rows
+        of U (N, n), and the mask of rows where both are finite and the
+        frame passes frame_at's condition gate."""
+        N = len(U)
+        args = (t, x, *U.T)
+        with np.errstate(all="ignore"):
+            vals = np.array([np.broadcast_to(fn(*args), N) for fn in self.value_fns], dtype=float)
+            rights = np.array([[np.broadcast_to(fn(*args), N) for fn in row]
+                               for row in self.right_fns], dtype=float)
+        vals, rights = np.ascontiguousarray(vals.T), np.ascontiguousarray(np.moveaxis(rights, -1, 0))
+        ok = np.isfinite(vals).all(axis=1) & np.isfinite(rights).all(axis=(1, 2))
+        ok[ok] = _cond_ok(np.swapaxes(rights[ok], 1, 2))
+        return vals, rights, ok
+
     def rights_batch(self, t, x, U):
         """Hinted right autovectors at the rows of U (N, n) as (N, slot,
         component); NaN in rows frame_at would reject for non-finite hints or
         condition number above COND_LIMIT."""
-        N = len(U)
-        args = (t, x, *U.T)
-        with np.errstate(all="ignore"):
-            vals = np.array([np.broadcast_to(fn(*args), N) for fn in self.value_fns])
-            rights = np.array([[np.broadcast_to(fn(*args), N) for fn in row]
-                               for row in self.right_fns], dtype=float)
-        rights = np.moveaxis(rights, -1, 0)
-        ok = np.isfinite(vals).all(axis=0) & np.isfinite(rights).all(axis=(1, 2))
-        ok[ok] = _cond_ok(rights[ok])
+        _, rights, ok = self._hint_batch(t, x, U)
         rights[~ok] = np.nan
         return rights
+
+    def frames_batch(self, t, x, U, check=True):
+        """frame_at at the rows of U (N, n), t and x scalars or following the
+        rows.  Returns (values, rights, lefts, done) as simple_frames_batch
+        does: done marks the rows that pass every gate of frame_at, and any
+        other row is left to frame_at itself."""
+        N, n = len(U), self.n
+        vals, rights, done = self._hint_batch(t, x, U)
+        with np.errstate(all="ignore"):
+            A = np.ascontiguousarray(self.sys.eval_matrix(t, x, U))
+        done &= np.isfinite(A).all(axis=(1, 2))
+        nrmA = np.maximum(1.0, _row_norms(A.reshape(N, n * n)))
+
+        def residuals_ok(vecs, left):
+            ok = np.ones(N, dtype=bool)
+            for slot in range(n):
+                v = vecs[:, slot]
+                Av = (v[:, None, :] @ A)[:, 0] if left else (A @ v[:, :, None])[:, :, 0]
+                res = _row_norms(Av - vals[:, slot, None] * v)
+                ok &= ~(res > HINT_RESIDUAL_TOL * nrmA * (1.0 + _row_norms(v)))
+            return ok
+
+        if check:
+            done &= residuals_ok(rights, left=False)
+        if self.left_fns is not None:
+            with np.errstate(all="ignore"):
+                lefts = np.array([[np.broadcast_to(fn(t, x, *U.T), N) for fn in row]
+                                  for row in self.left_fns], dtype=float)
+            lefts = np.ascontiguousarray(np.moveaxis(lefts, -1, 0))
+            if check:
+                done &= residuals_ok(lefts, left=True)
+        else:
+            lefts = np.full((N, n, n), np.nan)
+            lefts[done] = np.linalg.inv(np.swapaxes(rights[done], 1, 2))
+        return vals.astype(complex), rights, lefts, done
 
     def frame_at(self, t, x, u, check=True) -> Frame:
         args = (t, x, *u)
@@ -411,12 +493,18 @@ def analytic_frame(sys_, t, x, u) -> Frame:
     return analytic_field(sys_).frame_at(t, x, u)
 
 
+def eigenvalue_derivatives(lefts, DA, rights):
+    """Perturbation formula l (D_w A) r / (l r) for simple eigenvalues, row
+    by row: lefts and rights (N, n) hold each eigenvalue's left and right
+    autovectors, DA (N, n, n) the derivative of A along w."""
+    lefts, rights = np.ascontiguousarray(lefts)[:, None, :], np.ascontiguousarray(rights)[:, :, None]
+    return ((lefts @ np.ascontiguousarray(DA)) @ rights)[:, 0, 0] / (lefts @ rights)[:, 0, 0]
+
+
 def eigenvalue_directional_derivative(sys_, frame: Frame, slot, w):
-    """Perturbation formula l (D_w A) r / (l r) for a simple eigenvalue, at
-    the frame's point (t, x, u)."""
+    """eigenvalue_derivatives for one simple eigenvalue of a frame, along w
+    at the frame's point (t, x, u)."""
     t, x, u = frame.point
-    u = np.array(u)
-    DA = sys_.directional_matrix_derivative(t, x, u, w)
-    l = frame.lefts[slot]
-    r = frame.rights[slot]
-    return float(l @ DA @ r) / float(l @ r)
+    DA = sys_.directional_matrix_derivative(t, x, np.array(u), w)
+    return float(eigenvalue_derivatives(frame.lefts[slot][None], DA[None],
+                                        frame.rights[slot][None])[0])

@@ -508,10 +508,19 @@ def _codegen(e, names):
     a = _codegen(e.a, names)
     b = _codegen(e.b, names)
     if e.op == "^":
-        return f"({a}**{b})"
+        return f"_pow({a}, {b})"
     if e.op == "/":
         return f"({a}/{b})"
     return f"({a}{e.op}{b})"
+
+
+def _pow(base, expo):
+    """base ** expo with the C library's pow on arrays too.  numpy raises a
+    float64 scalar to a power with pow() but an array with its own
+    vectorized power, whose last bits differ; float_power is pow() on every
+    element, so a stack of states evaluates to the same bits as each state
+    alone."""
+    return np.float_power(base, expo) if isinstance(base, np.ndarray) else base ** expo
 
 
 def compile_expression(e: Expr, arg_order):
@@ -526,5 +535,5 @@ def compile_expression(e: Expr, arg_order):
         raise UnknownSymbol(sorted(missing)[0])
     args = ", ".join(names[n] for n in arg_order)
     src = f"lambda {args}: ({_codegen(e, names)}) + 0.0*({'+'.join(names[n] for n in arg_order) or '0'})"
-    return eval(src, {"np": np})  # noqa: S307 - source is generated locally
+    return eval(src, {"np": np, "_pow": _pow})  # noqa: S307 - source is generated locally
 

@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exprlang as ex
-from .errors import BlowupDetected, CFLViolation, GridMismatch, NonHyperbolic, SchemaError
+from .errors import (
+    BlowupDetected,
+    CFLViolation,
+    DomainError,
+    GridMismatch,
+    NonHyperbolic,
+    SchemaError,
+)
 from .system import QuasilinearSystem, SamplePlan
 
 SCHEMES = ("laxFriedrichs", "upwindCharacteristic")
@@ -117,11 +124,10 @@ def _march(sys_, sizes, initial, n_cells, t_end, scheme, cfl, boundary, t0):
     spanning the system takes one eig of A, any other block one eig of the
     block.  The CFL speed max |lambda| and the hyperbolicity check read the
     eigenvalues of that full eig when there is one, else A's diagonal when
-    every cell's A is finite and exactly lower triangular, else eigvals(A).
-    Each gives the same bits as eig(A)'s eigenvalues, and Lax-Friedrichs
-    never computes an eigenvector.  The diagonal of a nearly triangular A
-    would move dt in the last bits; a non-finite A goes to eigvals, which
-    raises LinAlgError as eig does."""
+    every cell's A is exactly lower triangular, else eigvals(A).  Each gives
+    the same bits as eig(A)'s eigenvalues, and Lax-Friedrichs never computes
+    an eigenvector.  The diagonal of a nearly triangular A would move dt in
+    the last bits.  A non-finite A at a realized state raises DomainError."""
     if scheme not in SCHEMES:
         raise SchemaError(f"unknown scheme '{scheme}'")
     if not 0.0 < cfl <= 1.0:
@@ -142,9 +148,13 @@ def _march(sys_, sizes, initial, n_cells, t_end, scheme, cfl, boundary, t0):
     guard = 0
     while t < t_end - 1e-14:
         A = np.moveaxis(sys_.eval_matrix_batch(t, x, U), 2, 0)      # (N, n, n)
+        if not np.isfinite(A).all():
+            cell = int(np.argmin(np.isfinite(A).all(axis=(1, 2))))
+            raise DomainError(f"non-finite A at t = {t:.6g}, x = {x[cell]:.6g}, "
+                              f"u = {U[:, cell].tolist()}")
         if full_eig:
             lam, V = np.linalg.eig(A)
-        elif np.isfinite(A).all() and not np.triu(A, 1).any():
+        elif not np.triu(A, 1).any():
             lam = np.diagonal(A, axis1=1, axis2=2)
         else:
             lam = np.linalg.eigvals(A)

@@ -79,6 +79,31 @@ def test_check_runtime_error_exit_three(tmp_path, capsys):
     assert json.loads(err.strip())["error"] == "DegenerateSample"
 
 
+def test_check_counts_degenerate_samples_by_cause(tmp_path, capsys):
+    # sqrt(a) is not finite for a < 0, so those samples have no frame
+    model = tmp_path / "sqrt.json"
+    model.write_text(json.dumps({"n": 2, "states": ["a", "b"],
+                                 "A": [["sqrt(a)", "0"], ["b", "2 + a"]],
+                                 "domain": {"a": [-0.5, 1], "b": [-1, 1]}}))
+    code = run(["check", "--model", str(model), "--partition", "1,1",
+                "--out", str(tmp_path)] + BASE)
+    payload, _ = read_report(capsys)
+    degenerate = payload["report"]["samples"]["degenerate"]
+    assert code == 1 and degenerate > 0
+    assert payload["timing"]["samples"]["degenerateByCause"] == {"DomainError": degenerate}
+
+
+def test_simulate_non_finite_coefficient_exit_three(tmp_path, capsys):
+    # A = sqrt(u) is not finite where the initial data sin(2 pi x) < 0
+    model = tmp_path / "sqrt.json"
+    model.write_text(json.dumps({"n": 1, "states": ["u"], "A": [["sqrt(u)"]],
+                                 "domain": {"u": [-2, 2]}}))
+    code = run(["simulate", "--model", str(model), "--initial", "sin(2*pi*x)",
+                "--out", str(tmp_path)])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "DomainError"
+
+
 def test_search_finds_riemann_pair(tmp_path, capsys):
     code = run(["search", "--model", "barotropic", "--pressure", "p0*rho^3",
                 "--param", "p0=1", "--mode", "full", "--out", str(tmp_path),

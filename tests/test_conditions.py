@@ -3,11 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qldecouple import conditions as cond
 from qldecouple import exprlang as ex
 from qldecouple import models
-from qldecouple.errors import NotApplicable, TooLarge
+from qldecouple.errors import (
+    DomainError,
+    HintInconsistent,
+    IllConditioned,
+    MismatchedSignature,
+    NotApplicable,
+    TooLarge,
+)
 from qldecouple.system import SamplePlan, conjugate_system, load_system
 
 S3 = math.sqrt(3.0)
@@ -528,3 +537,109 @@ def test_frame_machines_share_one_hinted_field_per_system():
     a, b = cond.FrameMachine(sys_), cond.FrameMachine(sys_)
     assert a.field is not None and a.field is b.field
     assert cond.FrameMachine(models.build("threadline").system).field is not a.field
+
+
+# --- the stacked residual kernel ------------------------------------------------
+
+def _stack_and_pointwise(sys_, p, samples, frame="auto", gradient_path="auto"):
+    """Statuses and residual rows of the kernel on the whole sample stack,
+    and, per sample, the N = 1 call of every tuple: its value, or the type
+    of what it raised."""
+    ev = cond._SweepEvaluator(sys_, p, frame, gradient_path, 1e-3,
+                              ("gradient", "interaction", "source"))
+    status, values, _, _ = ev.evaluate(samples)
+    calls = [lambda t, x, u, a=a, b=b: cond.gradient_condition_residual(
+                 sys_, a, b, t, x, u, frame=frame, path=gradient_path)
+             for a, b in ev.grad_tuples]
+    calls += [lambda t, x, u, a=a, b=b, c=c: cond.interaction_condition_residual(
+                  sys_, a, b, c, t, x, u, frame=frame) for a, b, c in ev.int_tuples]
+    calls += [lambda t, x, u, a=a, b=b: cond.source_condition_residual(
+                  sys_, p, a, b, t, x, u, frame=frame) for a, b in ev.src_tuples]
+    pointwise = []
+    for t, x, *u in samples:
+        try:
+            pointwise.append([call(t, x, np.array(u)) for call in calls])
+        except (IllConditioned, HintInconsistent, DomainError, MismatchedSignature,
+                np.linalg.LinAlgError) as err:
+            pointwise.append(type(err).__name__)
+    return status, values, pointwise
+
+
+def _assert_rows_match(status, values, pointwise):
+    rows = iter(values.tolist())
+    for st_, want in zip(status, pointwise):
+        if st_ == "ok":
+            assert next(rows) == want     # bit for bit
+        elif st_ != "excluded":
+            assert isinstance(want, str)
+
+
+SHAPES = {3: [[2, 1], [1, 2], [1, 1, 1]], 4: [[2, 2], [1, 1, 2], [3, 1]]}
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 40), n=st.sampled_from([3, 4]), shape=st.integers(0, 2),
+       sourced=st.booleans(), mode=st.sampled_from(["partial", "full"]),
+       defect=st.sampled_from([0.0, 0.2]))
+def test_kernel_rows_equal_one_state_calls(seed, n, shape, sourced, mode, defect):
+    sizes = SHAPES[n][shape]
+    _, _, entry = models.build_synthetic_triangular(seed=seed, n=n, block_sizes=sizes,
+                                                    with_source=sourced,
+                                                    off_block_defect=defect)
+    p = cond.PartitionScheme(entry.extras["blocks"], mode)
+    samples = entry.system.sample_points(plan(count=6, seed=seed))
+    status, values, pointwise = _stack_and_pointwise(entry.system, p, samples)
+    assert (status == "ok").sum() == len(values)
+    _assert_rows_match(status, values, pointwise)
+
+
+def test_kernel_fallback_rows_match_one_state_calls():
+    # [[0, 1], [a, 0]] has real simple eigenvalues for a > 0, a Jordan block
+    # at a = 0 and a complex pair for a < 0: the last two rows leave the
+    # batch for spectrum_at and align_frames, one state at a time
+    doc = {"n": 3, "states": ["a", "b", "c"],
+           "A": [["0", "1", "0"], ["a", "0", "0"], ["b", "c", "3 + b"]],
+           "g": ["b", "a*c", "c"],
+           "domain": {"a": [-1, 1], "b": [-1, 1], "c": [-1, 1]}}
+    sys_ = load_system(json.dumps(doc))
+    samples = np.array([[0.1, 0.2, 0.5, 0.3, -0.2], [0.1, 0.2, 0.0, 0.3, -0.2],
+                        [0.1, 0.2, -0.4, 0.1, 0.6], [0.4, 0.7, 0.9, -0.5, 0.1]])
+    machine = cond.FrameMachine(sys_, "numeric")
+    base = machine.frames(samples[:, 0], samples[:, 1], samples[:, 2:])
+    assert [f is not None for f in base.points] == [False, True, True, False]
+    assert any(k.startswith("generalized") for k in base.points[1].kinds)
+    for k, (t, x, *u) in enumerate(samples):
+        f = machine.base(t, x, np.array(u))
+        assert np.array_equal(base.rights[k], f.rights)
+        assert np.array_equal(base.lefts[k], f.lefts)
+        assert np.array_equal(base.values[k], f.values)
+    for mode in ("partial", "full"):
+        for path in ("auto", "fd"):
+            p = cond.PartitionScheme([[0, 1], [2]], mode)
+            status, values, pointwise = _stack_and_pointwise(sys_, p, samples,
+                                                             gradient_path=path)
+            assert list(status) == ["ok", "MismatchedSignature", "ok", "ok"]
+            _assert_rows_match(status, values, pointwise)
+    # in 1+1+1 blocks the a = 0 row's cluster straddles two blocks, so its
+    # equal eigenvalues exclude it, as one state at a time
+    status, _, _ = _stack_and_pointwise(sys_, cond.PartitionScheme([[0], [1], [2]]),
+                                        samples)
+    assert list(status[:2]) == ["ok", "excluded"]
+
+
+def test_row_reads_only_its_own_sweeps():
+    # A = diag(a, sqrt(b)) with b below the FD step: the sweep along the
+    # sqrt(b) eigenvector leaves the domain.  The perturbation formula reads
+    # no sweep, so every row is evaluated; the fd path reads it and drops
+    # exactly the rows whose b - h < 0, each counted as a DomainError.
+    doc = {"n": 2, "states": ["a", "b"], "A": [["a", "0"], ["0", "sqrt(b)"]],
+           "domain": {"a": [2, 3], "b": [0, 1e-4]}}
+    sys_ = load_system(json.dumps(doc))
+    p = cond.PartitionScheme([[1], [0]], "partial")
+    auto = cond.check_partition(sys_, p, plan(count=40), frame="numeric")
+    assert auto.evaluated == 40 and auto.degenerate_by_cause == {}
+    fd = cond.check_partition(sys_, p, plan(count=40), frame="numeric", gradient_path="fd")
+    U = sys_.sample_points(plan(count=40))[:, 2:]
+    leaves = sum(u[1] - cond._fd_step(u) < 0 for u in U)
+    assert 0 < leaves < 40
+    assert fd.degenerate == leaves and fd.degenerate_by_cause == {"DomainError": leaves}

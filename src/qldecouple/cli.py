@@ -299,8 +299,9 @@ def cmd_verify(args):
     run_dir = _run_dir(args, config)
     ts = transform.verify_transform(sys_, candidate, _plan(args), tol=args.tol,
                                     frame=args.frame)
-    _emit(args, os.path.join(run_dir, "report.json"),
-          _report_payload(config, ts.to_dict(), t0))
+    payload = _report_payload(config, ts.to_dict(), t0)
+    payload["timing"]["samples"] = {"degenerateByCause": ts.degenerate_by_cause}
+    _emit(args, os.path.join(run_dir, "report.json"), payload)
     return 0 if ts.verdict == "pass" else 1
 
 

@@ -26,11 +26,14 @@ One kernel (_Residuals) evaluates the three families on a stack of states:
 check_partition passes every admissible sample at once, and the public
 *_condition_residual functions pass one state.  FrameMachine.frames builds
 the base frames of the stack, and FrameMachine.sweep the frames at
-u +- h r_b of each slot a tuple reads, each in one batch; rows with a
-clustered or complex spectrum, and rows a batch gate rejects, fall back to
-the per-point base()/near(), and a row where those raise keeps the error.
-Every stacked product runs the BLAS or LAPACK call of the per-point one, so
-each row's residuals have the per-point bits.
+u +- h r_b of each slot a tuple reads, each in one batch.  Hinted rows never
+leave the batch: it applies frame_at's gates row by row, and frame_at is the
+batch on one row.  Numeric rows with a clustered or complex spectrum, and
+numeric rows a batch gate rejects, fall back to the per-point
+spectrum_at/align_frames.  A row whose frame raises keeps the error, and
+_cause names it as a degeneracy cause.  Every stacked product runs the BLAS
+or LAPACK call of the per-point one, so each row's residuals have the
+per-point bits.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .errors import (
     SchemaError,
     TooLarge,
 )
-from .system import QuasilinearSystem, SamplePlan
+from .system import QuasilinearSystem, SamplePlan, _evaluate
 
 FD_STEP = 1e-5
 DEFAULT_TOL = 1e-6
@@ -236,15 +239,18 @@ class FrameMachine:
 
     def frames(self, t, x, U, reference: _Frames = None) -> _Frames:
         """base() at the rows of U (N, n), or near() against the rows of
-        `reference`; t and x are (N,).  One batch computes every row it can
-        (see eigen.simple_frames_batch and AnalyticFrameField.frames_batch);
-        the others go through base() or near() one at a time, and a row
-        where that raises keeps the exception.  A sweep row may also keep
-        a LinAlgError, which the residuals' callers treat like the others."""
+        `reference`; t and x are (N,).  A row where that raises keeps the
+        exception.  Hinted frames come from one batch
+        (AnalyticFrameField.frames_batch, which is frame_at on a stack).
+        Numeric rows with a real simple spectrum come from one batch
+        (eigen.simple_frames_batch); the others go through base() or near()
+        one at a time, and a sweep row may also keep a LinAlgError, which
+        the residuals' callers treat like the others."""
         if self.field is not None:
-            values, rights, lefts, done = self.field.frames_batch(t, x, U,
-                                                                  check=reference is None)
-        elif reference is None:
+            values, rights, lefts, errors = self.field.frames_batch(t, x, U,
+                                                                    check=reference is None)
+            return _Frames(values, rights, lefts, errors=errors)
+        if reference is None:
             values, rights, lefts, done = eigen.simple_frames_batch(self.sys, t, x, U)
         else:
             values, rights, lefts, done = eigen.simple_frames_batch(self.sys, t, x, U,
@@ -388,9 +394,7 @@ class _Residuals:
         r_b = base.rights[rows, b]
         field_ = self.machine.field
         if field_ is not None:
-            grads = np.ascontiguousarray(np.array(
-                [np.broadcast_to(fn(t, x, *U.T), len(rows))
-                 for fn in field_.value_gradient_fns(a)]).T)
+            grads = np.ascontiguousarray(_evaluate(field_.value_gradient_fns(a), t, x, U))
             return (grads[:, None, :] @ r_b[:, :, None])[:, 0, 0]
         return eigen.eigenvalue_derivatives(base.lefts[rows, a], self._derivative(b)[rows],
                                             base.rights[rows, a])
@@ -666,28 +670,21 @@ class _SweepEvaluator:
                         excluded |= np.abs(values[:, a] - values[:, b]) <= gap
         return excluded
 
-    def _split_cluster(self, f: eigen.Frame):
-        return any(len({self.partition.block_of(s) for s in c.slots}) > 1 for c in f.clusters)
-
     def evaluate(self, samples):
         """Status and residuals of each sample row (t, x, u).  Returns
         (status, values, base, rows): status[k] is "ok", "excluded" or a
-        degeneracy cause (the name of what the per-point code raised, or
-        "splitCluster"); values holds one row of residuals, in label order,
-        per "ok" sample; base holds the frames at `rows`, the samples that
-        no exclusion predicate removes."""
+        degeneracy cause (see _cause); values holds one row of residuals, in
+        label order, per "ok" sample; base holds the frames at `rows`, the
+        samples that no exclusion predicate removes."""
         t, x, U = samples[:, 0], samples[:, 1], samples[:, 2:]
         status = np.array(["excluded" if self.sys.is_excluded(*row[:2], row[2:]) else "ok"
                            for row in samples], dtype=object)
         rows = np.flatnonzero(status == "ok")
         base = self.machine.frames(t[rows], x[rows], U[rows])
         status[rows[self._separation_excluded(base.values)]] = "excluded"
-        for k, err, f in zip(rows, base.errors, base.points):
+        for k, err in zip(rows, base.errors):
             if err is not None:
                 status[k] = _cause(err)
-            elif status[k] == "ok" and self.machine.field is None and f is not None \
-                    and self._split_cluster(f):
-                status[k] = "splitCluster"
         live = np.flatnonzero(status[rows] == "ok")
         kernel = _Residuals(self.machine, t[rows[live]], x[rows[live]], U[rows[live]],
                             base.take(live), self.gradient_path, self.partition,

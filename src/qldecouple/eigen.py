@@ -16,6 +16,7 @@ import numpy as np
 
 from . import exprlang as ex
 from .errors import DomainError, HintInconsistent, IllConditioned, MismatchedSignature
+from .system import _evaluate
 
 COND_LIMIT = 1e8
 RANK_TOL = 1e-8
@@ -196,11 +197,8 @@ def spectrum_at(sys_, t, x, u) -> Frame:
 
 def _cond_ok(R):
     """Row mask of a stack (N, n, n): condition number finite and <= COND_LIMIT."""
-    ok = np.zeros(len(R), dtype=bool)
-    if len(R):
-        cond = np.linalg.cond(R)
-        ok = np.isfinite(cond) & (cond <= COND_LIMIT)
-    return ok
+    cond = np.linalg.cond(R)
+    return np.isfinite(cond) & (cond <= COND_LIMIT)
 
 
 def _row_norms(V):
@@ -376,94 +374,93 @@ class AnalyticFrameField:
 
     def _hint_batch(self, t, x, U):
         """Hinted values (N, n) and rights (N, slot, component) at the rows
-        of U (N, n), and the mask of rows where both are finite and the
-        frame passes frame_at's condition gate."""
-        N = len(U)
-        args = (t, x, *U.T)
+        of U (N, n), and the mask of rows where both are finite."""
+        N, n = U.shape
         with np.errstate(all="ignore"):
-            vals = np.array([np.broadcast_to(fn(*args), N) for fn in self.value_fns], dtype=float)
-            rights = np.array([[np.broadcast_to(fn(*args), N) for fn in row]
-                               for row in self.right_fns], dtype=float)
-        vals, rights = np.ascontiguousarray(vals.T), np.ascontiguousarray(np.moveaxis(rights, -1, 0))
-        ok = np.isfinite(vals).all(axis=1) & np.isfinite(rights).all(axis=(1, 2))
-        ok[ok] = _cond_ok(np.swapaxes(rights[ok], 1, 2))
-        return vals, rights, ok
+            vals = np.ascontiguousarray(_evaluate(self.value_fns, t, x, U))
+            rights = _evaluate([fn for row in self.right_fns for fn in row], t, x, U)
+        rights = np.ascontiguousarray(rights).reshape(N, n, n)
+        return vals, rights, np.isfinite(vals).all(axis=1) & np.isfinite(rights).all(axis=(1, 2))
 
     def rights_batch(self, t, x, U):
         """Hinted right autovectors at the rows of U (N, n) as (N, slot,
         component); NaN in rows frame_at would reject for non-finite hints or
         condition number above COND_LIMIT."""
         _, rights, ok = self._hint_batch(t, x, U)
+        ok[ok] = _cond_ok(np.swapaxes(rights[ok], 1, 2))
         rights[~ok] = np.nan
         return rights
 
     def frames_batch(self, t, x, U, check=True):
         """frame_at at the rows of U (N, n), t and x scalars or following the
-        rows.  Returns (values, rights, lefts, done) as simple_frames_batch
-        does: done marks the rows that pass every gate of frame_at, and any
-        other row is left to frame_at itself."""
-        N, n = len(U), self.n
-        vals, rights, done = self._hint_batch(t, x, U)
+        rows.  Returns (values, rights, lefts, errors): values (N, n) complex,
+        rights and lefts (N, slot, component), and errors[k] what frame_at
+        raises at row k, or None; the arrays are NaN in the rows with an
+        error.  The gates run in this order: finite hints, finite A (the
+        DomainError eval_matrix raises at that state), with `check` the right
+        residuals, the condition number, and with `check` the residuals of the
+        hinted lefts; without left hints the lefts invert the rights."""
+        N, n = U.shape
+        t, x = np.broadcast_to(t, N), np.broadcast_to(x, N)
+        vals, rights, ok = self._hint_batch(t, x, U)
+        errors = [None if k else HintInconsistent("hint expressions evaluate non-finite")
+                  for k in ok]
         with np.errstate(all="ignore"):
             A = np.ascontiguousarray(self.sys.eval_matrix(t, x, U))
-        done &= np.isfinite(A).all(axis=(1, 2))
-        nrmA = np.maximum(1.0, _row_norms(A.reshape(N, n * n)))
+        for k in np.flatnonzero(ok & ~np.isfinite(A).all(axis=(1, 2))):
+            try:
+                self.sys.eval_matrix(t[k], x[k], U[k])
+            except DomainError as err:
+                errors[k] = err
+        # fmax, like max(1.0, norm(A)) at one state, ignores a nan norm
+        nrmA = np.fmax(1.0, _row_norms(A.reshape(N, n * n)))
 
-        def residuals_ok(vecs, left):
-            ok = np.ones(N, dtype=bool)
+        def gate(bad, make):
+            """The error make(k) at each bad row k that has none yet."""
+            for k in np.flatnonzero(bad):
+                errors[k] = errors[k] or make(k)
+
+        def residual_gate(vecs, side):
             for slot in range(n):
                 v = vecs[:, slot]
-                Av = (v[:, None, :] @ A)[:, 0] if left else (A @ v[:, :, None])[:, :, 0]
-                res = _row_norms(Av - vals[:, slot, None] * v)
-                ok &= ~(res > HINT_RESIDUAL_TOL * nrmA * (1.0 + _row_norms(v)))
-            return ok
+                with np.errstate(all="ignore"):
+                    Av = ((v[:, None, :] @ A)[:, 0] if side == "left"
+                          else (A @ v[:, :, None])[:, :, 0])
+                    res = _row_norms(Av - vals[:, slot, None] * v)
+                    bad = res > HINT_RESIDUAL_TOL * nrmA * (1.0 + _row_norms(v))
+                gate(bad, lambda k: HintInconsistent(
+                    f"hinted {side} vector {slot} has residual {res[k]:.3e}"))
 
         if check:
-            done &= residuals_ok(rights, left=False)
-        if self.left_fns is not None:
-            with np.errstate(all="ignore"):
-                lefts = np.array([[np.broadcast_to(fn(t, x, *U.T), N) for fn in row]
-                                  for row in self.left_fns], dtype=float)
-            lefts = np.ascontiguousarray(np.moveaxis(lefts, -1, 0))
-            if check:
-                done &= residuals_ok(lefts, left=True)
-        else:
+            residual_gate(rights, "right")
+        live, cond = np.array([err is None for err in errors], dtype=bool), np.full(N, np.nan)
+        cond[live] = np.linalg.cond(np.swapaxes(rights[live], 1, 2))
+        gate(live & ~(cond <= COND_LIMIT),
+             lambda k: IllConditioned(f"hinted frame condition number {cond[k]:.3g}"))
+        live = np.array([err is None for err in errors], dtype=bool)
+        if self.left_fns is None:
             lefts = np.full((N, n, n), np.nan)
-            lefts[done] = np.linalg.inv(np.swapaxes(rights[done], 1, 2))
-        return vals.astype(complex), rights, lefts, done
+            lefts[live] = np.linalg.inv(np.swapaxes(rights[live], 1, 2))
+        else:
+            with np.errstate(all="ignore"):
+                lefts = _evaluate([fn for row in self.left_fns for fn in row], t, x, U)
+            lefts = np.ascontiguousarray(lefts).reshape(N, n, n)
+            if check:
+                residual_gate(lefts, "left")
+        values = vals.astype(complex)
+        bad = np.array([err is not None for err in errors], dtype=bool)
+        values[bad], rights[bad], lefts[bad] = np.nan, np.nan, np.nan
+        return values, rights, lefts, errors
 
     def frame_at(self, t, x, u, check=True) -> Frame:
-        args = (t, x, *u)
-        vals = np.array([fn(*args) for fn in self.value_fns], dtype=float)
-        rights = np.array([[fn(*args) for fn in row] for row in self.right_fns], dtype=float)
-        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(rights))):
-            raise HintInconsistent("hint expressions evaluate non-finite")
-        A = self.sys.eval_matrix(t, x, u)
-        nrmA = max(1.0, float(np.linalg.norm(A)))
-        if check:
-            for slot in range(self.n):
-                r = rights[slot]
-                res = np.linalg.norm(A @ r - vals[slot] * r)
-                if res > HINT_RESIDUAL_TOL * nrmA * (1.0 + np.linalg.norm(r)):
-                    raise HintInconsistent(
-                        f"hinted right vector {slot} has residual {res:.3e}")
-        R = rights.T
-        cond = float(np.linalg.cond(R))
-        if not np.isfinite(cond) or cond > COND_LIMIT:
-            raise IllConditioned(f"hinted frame condition number {cond:.3g}")
-        if self.left_fns is not None:
-            lefts = np.array([[fn(*args) for fn in row] for row in self.left_fns], dtype=float)
-            if check:
-                for slot in range(self.n):
-                    l = lefts[slot]
-                    res = np.linalg.norm(l @ A - vals[slot] * l)
-                    if res > HINT_RESIDUAL_TOL * nrmA * (1.0 + np.linalg.norm(l)):
-                        raise HintInconsistent(
-                            f"hinted left vector {slot} has residual {res:.3e}")
-        else:
-            lefts = np.linalg.inv(R)
-
-        # group equal hinted values into clusters (slot order preserved)
+        """The hinted frame at one state: frames_batch on one row, with equal
+        hinted values grouped into clusters in slot order."""
+        values, rights, lefts, errors = self.frames_batch(
+            np.array([t], dtype=float), np.array([x], dtype=float),
+            np.asarray(u, dtype=float)[None], check)
+        if errors[0] is not None:
+            raise errors[0]
+        vals = values[0].real
         clusters = []
         assigned = set()
         ctol = CLUSTER_RTOL * (1.0 + float(np.max(np.abs(vals))))
@@ -473,7 +470,7 @@ class AnalyticFrameField:
             members = [s for s in range(self.n) if abs(vals[s] - vals[slot]) <= ctol]
             assigned.update(members)
             clusters.append(Cluster(complex(vals[slot]), len(members), members))
-        return Frame(values=vals.astype(complex), rights=rights, lefts=lefts,
+        return Frame(values=values[0], rights=rights[0], lefts=lefts[0],
                      kinds=[KIND_EIGEN] * self.n, clusters=clusters,
                      point=(t, x, tuple(u)))
 

@@ -9,6 +9,7 @@ conjugation construction used as the property-test oracle.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -45,6 +46,8 @@ class SamplePlan:
             raise SchemaError("sample count must be >= 1")
         if self.strategy not in ("tensorGrid", "lowDiscrepancy"):
             raise SchemaError(f"unknown strategy '{self.strategy}'")
+        if not self.separation_tolerance >= 0:
+            raise SchemaError("separation tolerance must be >= 0")
 
 
 def _golden_alphas(d):
@@ -302,13 +305,19 @@ class _ConjugatedBackend:
         self.n = tri_system.n
         self.autonomous = tri_system.autonomous and not any(
             ex.free_symbols(e) & set(INDEPENDENT) for e in forward_map)
-        order = list(INDEPENDENT) + list(u_names)
+        self.u_names, self.order = list(u_names), list(INDEPENDENT) + list(u_names)
         self.j_entries = [[ex.differentiate(H, nm) for nm in u_names] for H in forward_map]
-        j_flat = [e for row in self.j_entries for e in row]
+        self.j_flat = [e for row in self.j_entries for e in row]
         # H, then the entries of J = grad H
-        self.hj_fns = [ex.compile_expression(e, order) for e in list(forward_map) + j_flat]
-        self.dj_fns = [[ex.compile_expression(ex.differentiate(e, nm), order) for e in j_flat]
-                       for nm in u_names]
+        self.hj_fns = [ex.compile_expression(e, self.order)
+                       for e in list(forward_map) + self.j_flat]
+
+    @functools.cached_property
+    def dj_fns(self):
+        """dJ/du_k compiled, entries flat, for each state k: built on the first
+        _derivative call, which a symbolic conjugation never makes."""
+        return [[ex.compile_expression(ex.differentiate(e, nm), self.order) for e in self.j_flat]
+                for nm in self.u_names]
 
     # J and T are made contiguous so that a stacked product runs the same
     # BLAS call per state as the product at one state

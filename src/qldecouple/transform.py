@@ -11,23 +11,23 @@ sweep.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import exprlang as ex
-from .conditions import FrameMachine, PartitionScheme
+from .conditions import FrameMachine, PartitionScheme, _cause
 from .errors import (
     DegenerateSample,
     DomainError,
-    HintInconsistent,
     IllConditioned,
     MismatchedSignature,
     SchemaError,
     ShootingFailed,
     SingularCandidate,
 )
-from .system import QuasilinearSystem, SamplePlan
+from .system import QuasilinearSystem, SamplePlan, _evaluate
 
 DET_FLOOR = 1e-8          # |det grad H| below this makes a sample singular
 SINGULAR_FRACTION = 0.01  # share of singular samples that rejects a candidate
@@ -91,6 +91,8 @@ class TransformedSystem:
     degenerate: int
     verdict: str
     block_dependence: dict = None
+    # degenerate samples counted by cause; reported under timing, not here
+    degenerate_by_cause: dict = field(default_factory=dict)
 
     def to_dict(self):
         return {
@@ -137,70 +139,66 @@ def verify_transform(sys_: QuasilinearSystem, candidate: TransformCandidate,
                  for nm in sys_.states] for e in candidate.components]
     machine = FrameMachine(sys_, frame)
     mask = _off_block_mask(partition, n)
-    comp_block = {}
-    for bi, blk in enumerate(partition.blocks):
-        for pos, slot in enumerate(blk):
-            comp_block[slot] = bi
-
     # annihilation index set: H components of block i against r slots of the
     # blocks that the mode forbids block i to depend on
     pairs = partition.forbidden_pairs()
 
-    rows, t_mats, u_vals, dets = [], [], [], []
-    ann_max = ann_mean = 0.0
-    ann_count = 0
-    off_max = 0.0
-    excluded = degenerate = singular = 0
-    for row in sys_.sample_points(plan):
-        t, x, u = row[0], row[1], row[2:]
-        if sys_.is_excluded(t, x, u):
-            excluded += 1
-            continue
-        try:
-            f = machine.base(t, x, u)
-            A = sys_.eval_matrix(t, x, u)
-        except (IllConditioned, HintInconsistent, DomainError, MismatchedSignature):
-            degenerate += 1
-            continue
-        args = (t, x, *u)
-        J = np.array([[fn(*args) for fn in grads] for grads in grad_fns])
-        det = float(np.linalg.det(J))
-        if abs(det) < DET_FLOOR:
-            singular += 1
-            continue
-        for a, b in pairs:
-            r = float(J[a] @ f.rights[b])
-            ann_max = max(ann_max, abs(r))
-            ann_mean += abs(r)
-            ann_count += 1
-        T = J @ A @ np.linalg.inv(J)
-        off = float(np.max(np.abs(T[mask]))) if mask.any() else 0.0
-        off_max = max(off_max, off)
-        rows.append(row)
-        t_mats.append(T)
-        u_vals.append([fn(*args) for fn in comp_fns])
-        dets.append(det)
+    samples = sys_.sample_points(plan)
+    states = samples[[not sys_.is_excluded(row[0], row[1], row[2:]) for row in samples]]
+    excluded = len(samples) - len(states)
+    frames = machine.frames(states[:, 0], states[:, 1], states[:, 2:])
+    by_cause = Counter(_cause(err) for err in frames.errors if err is not None)
+    live = np.array([err is None for err in frames.errors], dtype=bool)
+    J = _jacobians(grad_fns, states[live])
+    dets = np.linalg.det(J)
+    ok = ~(np.abs(dets) < DET_FLOOR)
+    singular = int(np.count_nonzero(~ok))
+    samples, rights, J, dets = states[live][ok], frames.rights[live][ok], J[ok], dets[ok]
+    t, x, U = samples[:, 0], samples[:, 1], samples[:, 2:]
 
-    admissible = len(rows) + singular
+    admissible = len(samples) + singular
     if admissible and singular > SINGULAR_FRACTION * admissible:
         raise SingularCandidate(
             f"|det grad H| < {DET_FLOOR:g} at {singular} of {admissible} samples")
-    if not rows:
+    if not len(samples):
         raise DegenerateSample("no admissible samples for transform verification")
 
+    ann = np.abs(_annihilation(J, rights, pairs))
+    A = np.ascontiguousarray(sys_.eval_matrix(t, x, U))
+    T = (J @ A) @ np.linalg.inv(J)
+    off = np.max(np.abs(T[:, mask]), axis=1)
+    # a running max and sum, sample by sample and pair by pair; a nan
+    # entry leaves the max alone
+    ann_max = float(np.fmax.reduce(ann.ravel(), initial=0.0))
+    ann_sum = float(np.add.accumulate(ann.ravel())[-1]) if ann.size else 0.0
+    off_max = float(np.fmax.reduce(off, initial=0.0))
     block_dep = None
     if candidate.inverse is not None:
-        block_dep = _block_dependence(sys_, candidate, rows, comp_fns, grad_fns)
+        block_dep = _block_dependence(sys_, candidate, samples, comp_fns, grad_fns)
 
     verdict = "pass" if (ann_max <= tol and off_max <= tol) else "fail"
     return TransformedSystem(
-        partition=partition, samples=np.array(rows), t_matrices=np.array(t_mats),
-        u_values=np.array(u_vals), jacobian_dets=np.array(dets),
+        partition=partition, samples=samples, t_matrices=T,
+        u_values=np.ascontiguousarray(_evaluate(comp_fns, t, x, U)), jacobian_dets=dets,
         annihilation_max=ann_max,
-        annihilation_mean=(ann_mean / ann_count) if ann_count else 0.0,
+        annihilation_mean=(ann_sum / ann.size) if ann.size else 0.0,
         off_block_max=off_max, min_abs_det=float(np.min(np.abs(dets))),
-        excluded=excluded, degenerate=degenerate, verdict=verdict,
-        block_dependence=block_dep)
+        excluded=excluded, degenerate=sum(by_cause.values()), verdict=verdict,
+        block_dependence=block_dep, degenerate_by_cause=dict(by_cause))
+
+
+def _jacobians(grad_fns, samples):
+    """grad H at the sample rows (t, x, u), as (N, n, n)."""
+    J = _evaluate([fn for grads in grad_fns for fn in grads], samples[:, 0], samples[:, 1],
+                  samples[:, 2:])
+    return np.ascontiguousarray(J).reshape(len(samples), len(grad_fns), -1)
+
+
+def _annihilation(J, rights, pairs):
+    """(grad H_a) . r_b for each slot pair (a, b), row by row: (N, pairs)."""
+    return np.stack([(np.ascontiguousarray(J[:, a])[:, None, :]
+                      @ np.ascontiguousarray(rights[:, b])[:, :, None])[:, 0, 0]
+                     for a, b in pairs], axis=-1)
 
 
 def _block_dependence(sys_, candidate, rows, comp_fns, grad_fns):
@@ -580,27 +578,21 @@ def _construction_quality(sys_, partition, axes, grid_shape, H_grid, machine,
     skipped = ~(np.isfinite(grads).all(axis=(-2, -1)) & np.isfinite(values).all(axis=-1))
     dets = np.abs(np.linalg.det(grads[~skipped]))
     min_det = float(np.min(dets)) if dets.size else float("nan")
-    pairs = partition.forbidden_pairs()
-    ann = 0.0
-    it = np.ndindex(*[max(1, s - 2) for s in grid_shape])
-    for loc in it:
-        loc = tuple(np.array(loc) + 1)
-        if skipped[loc]:
-            continue
-        u = np.array([axes[d][loc[d]] for d in range(n)])
-        if sys_.is_excluded(t, x, u):
-            continue
-        try:
-            f = machine.base(t, x, u)
-        except (IllConditioned, HintInconsistent, DomainError):
-            continue
-        J = grads[loc]
-        for a, b in pairs:
-            ann = max(ann, abs(float(J[a] @ f.rights[b])))
+    # annihilation at the interior states the difference stencil covers
+    cells = np.array(list(np.ndindex(*[max(1, s - 2) for s in grid_shape])), dtype=int)
+    cells = cells.reshape(-1, n) + 1
+    cells = cells[~skipped[tuple(cells.T)]]
+    U = np.stack([axes[d][cells[:, d]] for d in range(n)], axis=-1)
+    admissible = np.array([not sys_.is_excluded(t, x, u) for u in U], dtype=bool)
+    cells, U = cells[admissible], U[admissible]
+    frames = machine.frames(np.full(len(U), t), np.full(len(U), x), U)
+    ok = np.array([err is None for err in frames.errors], dtype=bool)
+    ann = np.abs(_annihilation(grads[tuple(cells[ok].T)], frames.rights[ok],
+                               partition.forbidden_pairs()))
     return {
         "invarianceResidual": inv_max,
         "invarianceCurves": curves,
-        "gridAnnihilationMax": ann,
+        "gridAnnihilationMax": float(np.max(ann, initial=0.0)),
         "minAbsGridJacobianDet": min_det,
         "gridCellsSkipped": int(np.count_nonzero(skipped)),
         "flaggedCells": flagged,

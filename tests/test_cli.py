@@ -93,6 +93,28 @@ def test_check_counts_degenerate_samples_by_cause(tmp_path, capsys):
     assert payload["timing"]["samples"]["degenerateByCause"] == {"DomainError": degenerate}
 
 
+
+def test_verify_transform_counts_degenerate_samples_by_cause(tmp_path, capsys):
+    # sqrt(a) is not finite for a < 0, so those samples have no frame
+    model = tmp_path / "sqrt.json"
+    model.write_text(json.dumps({"n": 2, "states": ["a", "b"],
+                                 "A": [["sqrt(a)", "0"], ["b", "2 + a"]],
+                                 "domain": {"a": [-0.5, 1], "b": [-1, 1]}}))
+    run(["verify-transform", "--model", str(model), "--transform", "a;b",
+         "--partition", "1,1", "--out", str(tmp_path)] + BASE)
+    payload, _ = read_report(capsys)
+    degenerate = payload["report"]["degenerate"]
+    assert degenerate > 0
+    assert payload["timing"]["samples"]["degenerateByCause"] == {"DomainError": degenerate}
+
+
+@pytest.mark.parametrize("value", ["-1", "nan"])
+def test_negative_or_nan_separation_tolerance_usage_error(tmp_path, capsys, value):
+    code = run(["check", "--model", "barotropic", "--param", "p0=1", "--partition", "1,1",
+                "--sep-tol", value, "--out", str(tmp_path)] + BASE)
+    assert code == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "SchemaError"
+
 def test_simulate_non_finite_coefficient_exit_three(tmp_path, capsys):
     # A = sqrt(u) is not finite where the initial data sin(2 pi x) < 0
     model = tmp_path / "sqrt.json"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qldecouple import eigen
-from qldecouple.errors import HintInconsistent, IllConditioned, MismatchedSignature
+from qldecouple.errors import DomainError, HintInconsistent, IllConditioned, MismatchedSignature
 from qldecouple.system import SamplePlan, load_system
 
 S3 = math.sqrt(3.0)
@@ -320,3 +320,57 @@ def test_rights_batch_matches_pointwise_near(case):
     want = np.array([_rights_or_nan(machine, u, reference) for u in U])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
     assert np.isfinite(got).all(axis=(1, 2)).sum() >= 15
+
+
+# diag(p, sqrt(q)) with hints that break one gate each in a known region:
+# abs(p) is the wrong eigenvalue for p < 0, abs(q)^0.5 stays finite where
+# sqrt(q) in A does not, sqrt(1 - p) is NaN for p > 1 and 0 at p = 1, and the
+# left row (1, |x| - x) is wrong for x < 0
+GATED = {
+    "n": 2, "states": ["p", "q"], "A": [["p", "0"], ["0", "sqrt(q)"]],
+    "autovectorHint": {"eigenvalues": ["abs(p)", "abs(q)^0.5"],
+                       "right": [["1", "0"], ["0", "sqrt(1 - p)"]],
+                       "left": [["1", "abs(x) - x"], ["0", "1"]]},
+}
+# (x, p, q), the error frame_at raises there and a piece of its message;
+# where several gates fail, the first in gate order wins
+GATED_ROWS = [
+    ((0.5, 0.3, 0.25), None, None),
+    ((0.5, 1.5, 0.25), HintInconsistent, "non-finite"),
+    ((0.5, 1.5, -0.25), HintInconsistent, "non-finite"),
+    ((0.5, 0.3, -0.25), DomainError, "A[1][1]"),
+    ((0.5, -0.3, -0.25), DomainError, "A[1][1]"),
+    ((0.5, -0.3, 0.25), HintInconsistent, "right vector 0"),
+    ((0.5, 1.0, 0.25), IllConditioned, "condition number"),
+    ((-0.5, 1.0, 0.25), IllConditioned, "condition number"),
+    ((-0.5, 0.3, 0.25), HintInconsistent, "left vector 0"),
+    ((0.0, 0.6, 0.81), None, None),
+]
+
+
+def test_hinted_stack_keeps_frame_at_error_per_row():
+    from qldecouple.conditions import FrameMachine
+
+    sys_ = load_system(json.dumps(GATED))
+    machine = FrameMachine(sys_, "analytic")
+    X = np.array([row[0][0] for row in GATED_ROWS])
+    U = np.array([row[0][1:] for row in GATED_ROWS])
+    t = np.zeros(len(X))
+    base = machine.frames(t, X, U)
+    for k, ((x, *u), kind, words) in enumerate(GATED_ROWS):
+        err = base.errors[k]
+        if kind is None:
+            assert err is None
+            f = machine.field.frame_at(0.0, x, np.array(u))
+            for got, want in ((base.values[k], f.values), (base.rights[k], f.rights),
+                              (base.lefts[k], f.lefts)):
+                assert got.tobytes() == want.tobytes()
+            continue
+        assert type(err) is kind and words in str(err)
+        with pytest.raises(kind, match=words.replace("[", r"\[").replace("]", r"\]")):
+            machine.field.frame_at(0.0, x, np.array(u))
+    # near() frames skip the residual gates, so those rows build
+    swept = machine.frames(t, X, U, reference=base)
+    unchecked = [None if kind is HintInconsistent and "vector" in words else kind
+                 for _, kind, words in GATED_ROWS]
+    assert [type(e) if e is not None else None for e in swept.errors] == unchecked

@@ -403,3 +403,31 @@ def test_excluded_predicate():
     sys_ = load_system(json.dumps(doc))
     assert sys_.is_excluded(0, 0, np.array([0.7, 0.0]))
     assert not sys_.is_excluded(0, 0, np.array([1.5, 0.0]))
+
+
+def test_symbolic_conjugation_compiles_no_jacobian_derivative(monkeypatch):
+    # H and grad H for the inverse check, h for the round trip; the n^3
+    # entries of dJ are compiled only when a derivative is taken
+    tri = load_system(json.dumps(NORMALIZED))
+    H = [ex.parse("p + q^2", {"p", "q"}), ex.parse("q", {"p", "q"})]
+    h = [ex.parse("a - b^2", {"a", "b"}), ex.parse("b", {"a", "b"})]
+    compiled = []
+    compile_expression = ex.compile_expression
+    monkeypatch.setattr(ex, "compile_expression",
+                        lambda e, order: compiled.append(e) or compile_expression(e, order))
+    conj = conjugate_system(tri, h, H, ["p", "q"], {"p": (-1.0, 1.0), "q": (-1.0, 1.0)},
+                            symbolic=True)
+    n = conj.n
+    assert len(compiled) == n + n * n + n
+    backend = conjugate_system(tri, h, H, ["p", "q"],
+                               {"p": (-1.0, 1.0), "q": (-1.0, 1.0)})._conjugated
+    assert "dj_fns" not in vars(backend)
+    del compiled[:]
+    backend._derivative(0.0, 0.0, np.array([0.3, 0.7]), np.array([1.0, 0.0]))
+    assert len(vars(backend)["dj_fns"]) == n and n * n * n <= len(compiled)
+
+
+@pytest.mark.parametrize("tolerance", [-1e-3, float("nan")])
+def test_sample_plan_rejects_negative_or_nan_separation_tolerance(tolerance):
+    with pytest.raises(SchemaError):
+        SamplePlan(separation_tolerance=tolerance)

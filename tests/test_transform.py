@@ -138,6 +138,28 @@ def test_equivalence_chain_annihilation_implies_off_block():
         assert ts.off_block_max <= 1e-9
 
 
+
+def test_verify_transform_excluded_degenerate_and_singular_samples():
+    # sqrt(a) has no value for a < 0, b > 0.8 is excluded, and the second
+    # component b - |b - c| has a zero b-derivative for b > c
+    doc = {"n": 2, "states": ["a", "b"], "A": [["sqrt(a)", "0"], ["b", "2 + a"]],
+           "domain": {"a": [-0.5, 1], "b": [-1, 1]}, "exclude": ["b - 0.8"]}
+    sys_ = load_system(json.dumps(doc))
+    p = cond.PartitionScheme([[0], [1]], "full")
+    candidate = transform.TransformCandidate.from_strings(["a", "b - abs(b - 0.78)"], p,
+                                                          ["a", "b"])
+    ts = transform.verify_transform(sys_, candidate, SamplePlan(count=300, seed=1))
+    # of 300 samples 23 are excluded and 92 have no frame; 1 of the other
+    # 185 is singular, under the 1 % that rejects the candidate
+    assert (ts.excluded, ts.degenerate, len(ts.samples)) == (23, 92, 184)
+    assert ts.verdict == "fail" and ts.min_abs_det == 2.0
+    assert ts.annihilation_max == pytest.approx(1.106995036701812, rel=1e-12)
+    assert ts.annihilation_mean == pytest.approx(0.2498286316700897, rel=1e-12)
+    assert ts.off_block_max == pytest.approx(1.9694367779629829, rel=1e-12)
+    with pytest.raises(SingularCandidate, match="at 4 of 182 samples"):
+        transform.verify_transform(sys_, candidate, SamplePlan(count=300, seed=3))
+
+
 # --- characteristic flows -----------------------------------------------------
 
 

@@ -19,27 +19,30 @@ U = H(u); when A or g depend on (t, x) the effective source gains
 H_t + T H_x, which frames at one (t, x) cannot determine.
 
 Partial mode constrains block i against all later blocks j > i; full mode
-constrains every ordered pair i != j.  Verdicts aggregate max residuals over
-an admissible sample sweep.
+constrains every ordered pair i != j.
 
 One kernel (_Residuals) evaluates the three families on a stack of states:
-check_partition passes every admissible sample at once, and the public
-*_condition_residual functions pass one state.  FrameMachine.frames builds
-the base frames of the stack, and FrameMachine.sweep the frames at
-u +- h r_b of each slot a tuple reads, each in one batch.  Hinted rows never
-leave the batch: it applies frame_at's gates row by row, and frame_at is the
-batch on one row.  Numeric rows with a clustered or complex spectrum, and
-numeric rows a batch gate rejects, fall back to the per-point
-spectrum_at/align_frames.  A row whose frame raises keeps the error, and
-_cause names it as a degeneracy cause.  Every stacked product runs the BLAS
-or LAPACK call of the per-point one, so each row's residuals have the
-per-point bits.
+check_partition passes the samples is_excluded leaves, as one stack, and
+reduces its report (family statistics in sample-then-tuple order, sample
+counts, degeneracy causes, residual matrix rank) from the kernel's residual
+matrix; the public *_condition_residual functions pass one state.
+FrameMachine.frames builds the base frames of the stack, and
+FrameMachine.sweep the frames at u +- h r_b of each slot a tuple reads, each
+in one batch.  Hinted rows never leave the batch: it applies frame_at's gates
+row by row, and frame_at is the batch on one row.  Numeric rows with a
+clustered or complex spectrum, and numeric rows a batch gate rejects, fall
+back to the per-point spectrum_at/align_frames.  A row whose frame raises
+keeps the error, and _cause names it as a degeneracy cause.  Every stacked
+product runs the BLAS or LAPACK call of the per-point one, so each row's
+residuals have the per-point bits.  nijenhuis_residual, too, takes one state
+or a stack (NaN in the rows where A or dA/du is not finite).
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,10 +152,6 @@ def interaction_tuples(p: PartitionScheme):
             for j, bj in enumerate(p.blocks):
                 if p.forbidden(i, j):
                     yield from ((a, b, c) for a in bi for b in bl if b != a for c in bj)
-
-
-def source_tuples(p: PartitionScheme):
-    yield from gradient_tuples(p)
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +572,29 @@ class FamilyStats:
             "vacuous": self.vacuous,
         }
 
+    @staticmethod
+    def from_residuals(values, labels, samples, rows):
+        """Statistics of one family's residual columns: values (evaluated
+        samples, tuples) with the tuples' labels, row k taken at
+        samples[rows[k]].  Sums run sample by sample, then tuple by tuple; a
+        NaN never becomes the max; argmax is the first entry equal to the
+        max, or the first entry when the max is 0."""
+        st = FamilyStats(count=values.size, vacuous=not labels)
+        if not values.size:
+            return st
+        a = np.abs(values)
+        flat = a.ravel()
+        st.max_abs = float(np.fmax.reduce(flat, initial=0.0))
+        st.mean_abs = float(np.add.accumulate(flat)[-1]) / values.size
+        r, c = divmod(int(np.argmax(flat == st.max_abs)) if st.max_abs > 0 else 0, len(labels))
+        t, x, *u = samples[rows[r]].tolist()
+        st.argmax = {"sampleIndex": int(rows[r]), "t": t, "x": x, "u": u, "tuple": labels[c],
+                     "residual": float(values[r, c])}
+        maxes, sums = np.fmax.reduce(a, axis=0, initial=0.0), np.add.accumulate(a)[-1]
+        st.per_tuple = {label: (float(mx), float(sm), len(a))
+                        for label, mx, sm in zip(labels, maxes, sums)}
+        return st
+
 
 @dataclass
 class ConditionReport:
@@ -643,11 +665,10 @@ class _SweepEvaluator:
         self.machine = FrameMachine(sys_, frame)
         self.gradient_path = gradient_path
         self.separation_tolerance = separation_tolerance
-        self.homogeneous = sys_.homogeneous
         self.grad_tuples = list(gradient_tuples(partition)) if "gradient" in families else []
         self.int_tuples = list(interaction_tuples(partition)) if "interaction" in families else []
-        self.src_tuples = (list(source_tuples(partition))
-                           if "source" in families and not self.homogeneous else [])
+        self.src_tuples = (list(gradient_tuples(partition))
+                           if "source" in families and not sys_.homogeneous else [])
         p = partition
         self.labels = [("gradient", f"{p.label(a)}->{p.label(b)}") for a, b in self.grad_tuples]
         self.labels += [("interaction", f"{p.label(a)}|{p.label(b)}->{p.label(c)}")
@@ -677,8 +698,7 @@ class _SweepEvaluator:
         label order, per "ok" sample; base holds the frames at `rows`, the
         samples that no exclusion predicate removes."""
         t, x, U = samples[:, 0], samples[:, 1], samples[:, 2:]
-        status = np.array(["excluded" if self.sys.is_excluded(*row[:2], row[2:]) else "ok"
-                           for row in samples], dtype=object)
+        status = np.where(self.sys.is_excluded(t, x, U), "excluded", "ok").astype(object)
         rows = np.flatnonzero(status == "ok")
         base = self.machine.frames(t[rows], x[rows], U[rows])
         status[rows[self._separation_excluded(base.values)]] = "excluded"
@@ -714,65 +734,22 @@ def check_partition(sys_: QuasilinearSystem, partition: PartitionScheme,
                                 gradient_path=gradient_path,
                                 separation_tolerance=plan.separation_tolerance,
                                 families=families)
+    samples = sys_.sample_points(plan)
+    status, values, base, rows = evaluator.evaluate(samples)
+    evaluated = np.flatnonzero(status == "ok")
+    degenerate = status[(status != "ok") & (status != "excluded")].tolist()
     report = ConditionReport(
         mode=partition.mode, blocks=[list(b) for b in partition.blocks],
         tolerance=tol, frame_provenance=evaluator.machine.provenance,
-        gradient_path=gradient_path)
-    samples = sys_.sample_points(plan)
-    report.total_samples = len(samples)
-    for fam in ("gradient", "interaction", "source"):
-        st = FamilyStats()
-        if fam == "gradient":
-            st.vacuous = not evaluator.grad_tuples
-        elif fam == "interaction":
-            st.vacuous = not evaluator.int_tuples
-        else:
-            st.vacuous = not evaluator.src_tuples
-        report.families[fam] = st
-
+        gradient_path=gradient_path, total_samples=len(samples), evaluated=len(evaluated),
+        excluded=int(np.count_nonzero(status == "excluded")), degenerate=len(degenerate),
+        degenerate_by_cause=dict(Counter(degenerate)))
     labels = evaluator.labels
-    residual_matrix = [] if len(labels) <= 64 else None
-    csv_rows = [] if csv_path else None
-
-    status, values, base, rows = evaluator.evaluate(samples)
-    ok_values = iter(values.tolist())
-    for idx, (t, x, *u) in enumerate(samples):
-        if status[idx] == "excluded":
-            report.excluded += 1
-            continue
-        if status[idx] != "ok":
-            report.degenerate += 1
-            cause = status[idx]
-            report.degenerate_by_cause[cause] = report.degenerate_by_cause.get(cause, 0) + 1
-            continue
-        report.evaluated += 1
-        row_values = next(ok_values)
-        if residual_matrix is not None:
-            residual_matrix.append(row_values)
-        for (fam, label), value in zip(labels, row_values):
-            st = report.families[fam]
-            a = abs(value)
-            st.count += 1
-            st.mean_abs += a
-            key = label
-            mx, sm, ct = st.per_tuple.get(key, (0.0, 0.0, 0))
-            st.per_tuple[key] = (max(mx, a), sm + a, ct + 1)
-            if a > st.max_abs or st.argmax is None:
-                st.max_abs = max(st.max_abs, a)
-                st.argmax = {"sampleIndex": int(idx), "t": float(t), "x": float(x),
-                             "u": [float(z) for z in u], "tuple": label,
-                             "residual": float(value)}
-            if csv_rows is not None:
-                parts = label.replace("|", "->").split("->")
-                ia = parts[0]
-                lb = parts[1] if len(parts) == 3 else ""
-                jg = parts[-1]
-                csv_rows.append([int(idx), float(t), float(x), *[float(z) for z in u],
-                                 fam, ia, lb, jg, float(value)])
-
-    for st in report.families.values():
-        if st.count:
-            st.mean_abs /= st.count
+    bounds = np.cumsum([0, len(evaluator.grad_tuples), len(evaluator.int_tuples),
+                        len(evaluator.src_tuples)])
+    for fam, lo, hi in zip(("gradient", "interaction", "source"), bounds[:-1], bounds[1:]):
+        report.families[fam] = FamilyStats.from_residuals(
+            values[:, lo:hi], [label for _, label in labels[lo:hi]], samples, evaluated)
 
     if report.evaluated == 0:
         report.flags.append("allExcluded" if report.excluded else "allDegenerate")
@@ -784,23 +761,30 @@ def check_partition(sys_: QuasilinearSystem, partition: PartitionScheme,
 
     report.diagnostics["constraintCountFormula"] = partition.constraint_count()
     report.diagnostics["tupleCount"] = len(labels)
-    if residual_matrix:
-        M = np.array(residual_matrix)
-        scale = float(np.abs(M).max()) if M.size else 0.0
-        if scale > 0:
-            report.diagnostics["residualMatrixRank"] = int(
-                np.linalg.matrix_rank(M, tol=1e-8 * scale))
-        else:
-            report.diagnostics["residualMatrixRank"] = 0
+    if len(labels) <= 64 and len(values):
+        scale = float(np.abs(values).max()) if values.size else 0.0
+        report.diagnostics["residualMatrixRank"] = (
+            int(np.linalg.matrix_rank(values, tol=1e-8 * scale)) if scale > 0 else 0)
 
     if csv_path:
-        state_cols = list(sys_.states)
-        with open(csv_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["sampleIndex", "t", "x", *state_cols,
-                        "family", "ia", "lb", "jg", "residual"])
-            w.writerows(csv_rows)
+        _write_residuals_csv(csv_path, sys_.states, samples, evaluated, values, labels)
     return report
+
+
+def _write_residuals_csv(path, states, samples, evaluated, values, labels):
+    """One line per evaluated sample and tuple: the sample, the tuple's
+    family and slot labels (ia, lb, jg; lb empty but for interaction) and
+    its residual."""
+    tuples = []
+    for fam, label in labels:
+        parts = label.replace("|", "->").split("->")
+        tuples.append((fam, parts[0], parts[1] if len(parts) == 3 else "", parts[-1]))
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["sampleIndex", "t", "x", *states, "family", "ia", "lb", "jg", "residual"])
+        for idx, row in zip(evaluated.tolist(), values.tolist()):
+            sample = [idx, *samples[idx].tolist()]
+            w.writerows([*sample, *tup, value] for tup, value in zip(tuples, row))
 
 
 # ---------------------------------------------------------------------------
@@ -813,9 +797,8 @@ def _assignment_units(sys_, frame, plan):
     machine = FrameMachine(sys_, frame)
     if machine.field is not None:
         return [[s] for s in range(sys_.n)], machine
-    for row in sys_.sample_points(plan):
-        if sys_.is_excluded(row[0], row[1], row[2:]):
-            continue
+    samples = sys_.sample_points(plan)
+    for row in samples[~sys_.is_excluded(samples[:, 0], samples[:, 1], samples[:, 2:])]:
         try:
             f = machine.base(row[0], row[1], row[2:])
         except (IllConditioned, DomainError):
@@ -893,45 +876,42 @@ def _surjections(m, k):
 # Nijenhuis tensor cross-check
 # ---------------------------------------------------------------------------
 
-def nijenhuis_residual(sys_: QuasilinearSystem, t, x, u) -> float:
-    """max |N_jik| of the coefficient matrix at one state.
+def nijenhuis_residual(sys_: QuasilinearSystem, t, x, u):
+    """max |N_jik| of the coefficient matrix at one state u (n,), or at each
+    row of a stack (N, n) with t and x following the rows.
 
     N_jik = A_ai dA_jk/du_a - A_ak dA_ji/du_a
           + A_ja dA_ai/du_k - A_ja dA_ak/du_i   (sum over a)
 
-    Defined for autonomous homogeneous systems only.
+    Defined for autonomous homogeneous systems only.  At one state a
+    non-finite A or dA/du raises DomainError; a stack has NaN in those rows.
     """
     if not sys_.homogeneous:
         raise NotApplicable("Nijenhuis check requires a homogeneous system")
     if not sys_.autonomous:
         raise NotApplicable("Nijenhuis check requires an autonomous system")
     u = np.asarray(u, dtype=float)
-    n = sys_.n
     A = sys_.eval_matrix(t, x, u)
-    D = np.empty((n, n, n))
-    ident = np.eye(n)
-    for mcoord in range(n):
-        D[mcoord] = sys_.directional_matrix_derivative(t, x, u, ident[mcoord])
-    N = (np.einsum("ai,ajk->jik", A, D)
-         - np.einsum("ak,aji->jik", A, D)
-         + np.einsum("ja,kai->jik", A, D)
-         - np.einsum("ja,iak->jik", A, D))
-    return float(np.max(np.abs(N)))
+    # D[..., m, i, j] = dA_ij/du_m
+    D = np.stack([sys_.directional_matrix_derivative(t, x, u, w) for w in np.eye(sys_.n)],
+                 axis=-3)
+    with np.errstate(all="ignore"):
+        N = (np.einsum("...ai,...ajk->...jik", A, D)
+             - np.einsum("...ak,...aji->...jik", A, D)
+             + np.einsum("...ja,...kai->...jik", A, D)
+             - np.einsum("...ja,...iak->...jik", A, D))
+        res = np.max(np.abs(N), axis=(-3, -2, -1))
+    finite = np.isfinite(A).all(axis=(-2, -1)) & np.isfinite(D).all(axis=(-3, -2, -1))
+    return float(res) if u.ndim == 1 else np.where(finite, res, np.nan)
 
 
 def nijenhuis_max(sys_: QuasilinearSystem, plan: SamplePlan = None):
-    """Max Nijenhuis residual over admissible samples; (value, count)."""
-    plan = plan or SamplePlan()
-    best, used = 0.0, 0
-    for row in sys_.sample_points(plan):
-        t, x, u = row[0], row[1], row[2:]
-        if sys_.is_excluded(t, x, u):
-            continue
-        try:
-            best = max(best, nijenhuis_residual(sys_, t, x, u))
-        except DomainError:
-            continue
-        used += 1
-    if used == 0:
+    """Max Nijenhuis residual over admissible samples; (value, count).  A
+    sample where A or dA/du is not finite is not counted."""
+    samples = sys_.sample_points(plan or SamplePlan())
+    samples = samples[~sys_.is_excluded(samples[:, 0], samples[:, 1], samples[:, 2:])]
+    values = nijenhuis_residual(sys_, samples[:, 0], samples[:, 1], samples[:, 2:])
+    values = values[~np.isnan(values)]
+    if not len(values):
         raise DegenerateSample("no admissible samples for the Nijenhuis sweep")
-    return best, used
+    return float(np.fmax.reduce(values, initial=0.0)), len(values)

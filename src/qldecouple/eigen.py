@@ -384,9 +384,11 @@ class AnalyticFrameField:
 
     def rights_batch(self, t, x, U):
         """Hinted right autovectors at the rows of U (N, n) as (N, slot,
-        component); NaN in rows frame_at would reject for non-finite hints or
-        condition number above COND_LIMIT."""
+        component); NaN in rows frame_at(check=False) rejects: non-finite
+        hints, non-finite A, or condition number above COND_LIMIT."""
         _, rights, ok = self._hint_batch(t, x, U)
+        with np.errstate(all="ignore"):
+            ok &= np.isfinite(self.sys.eval_matrix(t, x, U)).all(axis=(1, 2))
         ok[ok] = _cond_ok(np.swapaxes(rights[ok], 1, 2))
         rights[~ok] = np.nan
         return rights

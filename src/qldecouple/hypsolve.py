@@ -108,11 +108,20 @@ def _block_update(U, A, pairs, rhs, dt, dx, scheme, boundary):
 
 
 def _validate_block_triangular(sys_, bounds):
-    for t, x, *u in sys_.sample_points(SamplePlan(count=TRIANGULAR_PROBES, seed=0)):
-        A = sys_.eval_matrix(t, x, np.array(u))
-        for r0, r1 in zip(bounds[:-2], bounds[1:-1]):
-            if np.max(np.abs(A[r0:r1, r1:])) > 1e-12 * (1 + np.abs(A).max()):
-                raise SchemaError("hierarchical solve needs a block lower-triangular system")
+    """SchemaError unless A is block lower triangular at the probe states,
+    evaluated as one stack; the first probe that is not finite or not
+    triangular decides, and a non-finite one raises its one-state DomainError."""
+    probes = sys_.sample_points(SamplePlan(count=TRIANGULAR_PROBES, seed=0))
+    A = sys_.eval_matrix(probes[:, 0], probes[:, 1], probes[:, 2:])
+    finite = np.isfinite(A).all(axis=(1, 2))
+    scale = 1e-12 * (1 + np.abs(A).max(axis=(1, 2)))
+    stop = ~finite | np.any([np.abs(A[:, r0:r1, r1:]).max(axis=(1, 2)) > scale
+                             for r0, r1 in zip(bounds[:-2], bounds[1:-1])], axis=0)
+    if stop.any():
+        k = int(np.argmax(stop))
+        if not finite[k]:
+            sys_.eval_matrix(probes[k, 0], probes[k, 1], probes[k, 2:])
+        raise SchemaError("hierarchical solve needs a block lower-triangular system")
 
 
 def _march(sys_, sizes, initial, n_cells, t_end, scheme, cfl, boundary, t0):

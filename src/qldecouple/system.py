@@ -169,13 +169,17 @@ class QuasilinearSystem:
 
     def is_excluded(self, t, x, u):
         """True when any exclusion predicate evaluates > 0 or to a non-finite
-        value (a predicate outside its own domain excludes the state)."""
+        value (a predicate outside its own domain excludes the state).  At
+        one state u (n,) a bool; on a stack (N, n), t and x scalars or (N,),
+        the row mask."""
+        u = np.asarray(u, dtype=np.float64)
         if not self.exclude:
-            return False
+            return np.zeros(len(u), dtype=bool) if u.ndim > 1 else False
         # float64 arguments make 1/0 give inf instead of raising
-        args = (np.float64(t), np.float64(x), *np.asarray(u, dtype=np.float64))
         with np.errstate(all="ignore"):
-            return not all(-math.inf < fn(*args) <= 0.0 for fn in self._compiled("exclude")[0])
+            vals = _evaluate(self._compiled("exclude")[0], np.float64(t), np.float64(x), u)
+            excluded = ~((-math.inf < vals) & (vals <= 0.0)).all(axis=-1)
+        return excluded if u.ndim > 1 else bool(excluded)
 
     # -- evaluation ------------------------------------------------------------
     #

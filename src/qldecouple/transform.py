@@ -27,7 +27,7 @@ from .errors import (
     ShootingFailed,
     SingularCandidate,
 )
-from .system import QuasilinearSystem, SamplePlan, _evaluate
+from .system import INDEPENDENT, QuasilinearSystem, SamplePlan, _evaluate
 
 DET_FLOOR = 1e-8          # |det grad H| below this makes a sample singular
 SINGULAR_FRACTION = 0.01  # share of singular samples that rejects a candidate
@@ -144,7 +144,7 @@ def verify_transform(sys_: QuasilinearSystem, candidate: TransformCandidate,
     pairs = partition.forbidden_pairs()
 
     samples = sys_.sample_points(plan)
-    states = samples[[not sys_.is_excluded(row[0], row[1], row[2:]) for row in samples]]
+    states = samples[~sys_.is_excluded(samples[:, 0], samples[:, 1], samples[:, 2:])]
     excluded = len(samples) - len(states)
     frames = machine.frames(states[:, 0], states[:, 1], states[:, 2:])
     by_cause = Counter(_cause(err) for err in frames.errors if err is not None)
@@ -164,8 +164,7 @@ def verify_transform(sys_: QuasilinearSystem, candidate: TransformCandidate,
         raise DegenerateSample("no admissible samples for transform verification")
 
     ann = np.abs(_annihilation(J, rights, pairs))
-    A = np.ascontiguousarray(sys_.eval_matrix(t, x, U))
-    T = (J @ A) @ np.linalg.inv(J)
+    T = _transformed(J, sys_.eval_matrix(t, x, U))
     off = np.max(np.abs(T[:, mask]), axis=1)
     # a running max and sum, sample by sample and pair by pair; a nan
     # entry leaves the max alone
@@ -201,44 +200,49 @@ def _annihilation(J, rights, pairs):
                      for a, b in pairs], axis=-1)
 
 
+def _transformed(J, A):
+    """T = J A J^-1 row by row on stacks (N, n, n); NaN in the rows where J
+    is singular or A is not finite."""
+    A = np.ascontiguousarray(A)
+    bad = (np.linalg.slogdet(J)[0] == 0) | ~np.isfinite(A).all(axis=(1, 2))
+    J = np.where(bad[:, None, None], np.eye(J.shape[-1]), J)
+    T = (J @ A) @ np.linalg.inv(J)
+    T[bad] = np.nan
+    return T
+
+
 def _block_dependence(sys_, candidate, rows, comp_fns, grad_fns):
     """max |d T^i_j entry / d U_m| for U_m outside the allowed set of block i,
-    probed by finite differences through the inverse map u = h(U) at each
-    probe row's (t, x)."""
+    probed by central differences through the inverse map u = h(U) at each
+    probe row's (t, x); probes where T is undefined are skipped."""
     n = sys_.n
     partition = candidate.partition
     inv_states = candidate.inverse_states or [f"U{i+1}" for i in range(n)]
-    inv_fns = [ex.compile_expression(e, inv_states) for e in candidate.inverse]
-
-    def t_of_U(t, x, U):
-        u = np.array([fn(*U) for fn in inv_fns])
-        A = sys_.eval_matrix(t, x, u)
-        J = np.array([[fn(t, x, *u) for fn in grads] for grads in grad_fns])
-        return J @ A @ np.linalg.inv(J)
-
+    inv_fns = [ex.compile_expression(e, list(INDEPENDENT) + inv_states)
+               for e in candidate.inverse]
+    probes = rows[:: max(1, len(rows) // 8)]
+    t, x = probes[:, 0], probes[:, 1]
+    U0 = np.ascontiguousarray(_evaluate(comp_fns, t, x, probes[:, 2:]))
+    # U0 with component m moved by +h and by -h, for every m: (m, side,
+    # probe, n), evaluated as one stack
+    h = DEPENDENCE_STEP * (1.0 + np.abs(U0))
+    moved = np.eye(n, dtype=bool)[:, None, :]
+    V = np.stack([np.where(moved, U0 + h, U0), np.where(moved, U0 - h, U0)], axis=1)
+    tt, xx = np.tile(t, 2 * n), np.tile(x, 2 * n)
+    with np.errstate(all="ignore"):
+        u = np.ascontiguousarray(_evaluate(inv_fns, tt, xx, V.reshape(-1, n)))
+        T = _transformed(_jacobians(grad_fns, np.column_stack([tt, xx, u])),
+                         sys_.eval_matrix(tt, xx, u)).reshape(n, 2, len(probes), n, n)
+        dT = (T[:, 0] - T[:, 1]) / (2.0 * h.T)[:, :, None, None]
     out = {}
-    probe_rows = rows[:: max(1, len(rows) // 8)]
     for i, bi in enumerate(partition.blocks):
-        allowed = {s for j, bj in enumerate(partition.blocks)
-                   if not partition.forbidden(i, j) for s in bj}
+        allowed = sorted(s for j, bj in enumerate(partition.blocks)
+                         if not partition.forbidden(i, j) for s in bj)
         forbidden = [m for m in range(n) if m not in allowed]
-        worst = 0.0
-        for row in probe_rows:
-            t, x, u = row[0], row[1], row[2:]
-            args = (t, x, *u)
-            U0 = np.array([fn(*args) for fn in comp_fns])
-            for m in forbidden:
-                h = DEPENDENCE_STEP * (1.0 + abs(U0[m]))
-                Up, Um = U0.copy(), U0.copy()
-                Up[m] += h
-                Um[m] -= h
-                try:
-                    dT = (t_of_U(t, x, Up) - t_of_U(t, x, Um)) / (2.0 * h)
-                except (DomainError, np.linalg.LinAlgError):
-                    continue
-                rows_i = partition.blocks[i]
-                worst = max(worst, float(np.max(np.abs(dT[np.ix_(rows_i, sorted(allowed))]))))
-        out[f"block{i + 1}"] = worst
+        # the max over each probe's entries is NaN where T is undefined, and
+        # fmax skips it
+        worst = np.max(np.abs(dT[forbidden][:, :, bi][..., allowed]), axis=(2, 3))
+        out[f"block{i + 1}"] = float(np.fmax.reduce(worst.ravel(), initial=0.0))
     return out
 
 
@@ -281,7 +285,7 @@ def _rk4_pass(field_fn, start, h, n_steps, in_domain):
         err[live] += np.linalg.norm(full - half, axis=1) / 15.0
         pts[k + 1, live] = half  # keep the more accurate composition
         count[live] += 1
-        if in_domain is not None:
+        if in_domain is not None and live.size:
             out = ~in_domain(half)
             left[live[out]] = True
             live = live[~out]
@@ -434,7 +438,7 @@ def _shoot(machine, base_frame, t, x, start, base_point, Minv, flow, work):
 
 def construct_transform_numeric(sys_: QuasilinearSystem, partition: PartitionScheme,
                                 base_point, grid_counts, frame="auto",
-                                report=None, box=None, t=0.0, x=0.0):
+                                report=None, t=0.0, x=0.0):
     """Flow-coordinate construction of the decoupling map on a state grid.
 
     For block level i the annihilating distribution is spanned by the right
@@ -454,18 +458,16 @@ def construct_transform_numeric(sys_: QuasilinearSystem, partition: PartitionSch
     machine = FrameMachine(sys_, frame)
     base_frame = machine.base(t, x, base_point)
 
-    if box is None:
-        box = {}
-        for nm in sys_.states:
-            lo, hi = sys_.domain[nm]
-            pad = 0.05 * (hi - lo)
-            box[nm] = (lo + pad, hi - pad)
-    axes = [np.linspace(box[nm][0], box[nm][1], int(c))
-            for nm, c in zip(sys_.states, grid_counts)]
+    # the grid spans the domain box less 5 % of each side at either end
+    axes = []
+    for nm, c in zip(sys_.states, grid_counts):
+        lo, hi = sys_.domain[nm]
+        pad = 0.05 * (hi - lo)
+        axes.append(np.linspace(lo + pad, hi - pad, int(c)))
     mesh = np.meshgrid(*axes, indexing="ij")
     grid_shape = mesh[0].shape
     points = np.stack([g.ravel() for g in mesh], axis=1)
-    admissible = np.flatnonzero([not sys_.is_excluded(t, x, pt) for pt in points])
+    admissible = np.flatnonzero(~sys_.is_excluded(t, x, points))
 
     work = {"shots": 0, "legs": 0, "fieldEvaluations": 0}
     H_parts = []
@@ -583,7 +585,7 @@ def _construction_quality(sys_, partition, axes, grid_shape, H_grid, machine,
     cells = cells.reshape(-1, n) + 1
     cells = cells[~skipped[tuple(cells.T)]]
     U = np.stack([axes[d][cells[:, d]] for d in range(n)], axis=-1)
-    admissible = np.array([not sys_.is_excluded(t, x, u) for u in U], dtype=bool)
+    admissible = ~sys_.is_excluded(t, x, U)
     cells, U = cells[admissible], U[admissible]
     frames = machine.frames(np.full(len(U), t), np.full(len(U), x), U)
     ok = np.array([err is None for err in frames.errors], dtype=bool)

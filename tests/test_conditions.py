@@ -446,6 +446,57 @@ def test_nijenhuis_consistency_with_search():
             assert mx > 1e-6 and not found
 
 
+def test_nijenhuis_residual_on_a_stack_matches_each_state():
+    # sqrt(a) is not finite for a < 0: one state there raises DomainError,
+    # its row of a stack is NaN, and nijenhuis_max does not count it
+    doc = {"n": 3, "states": ["a", "b", "c"],
+           "A": [["sqrt(a) + b", "a*b", "0"], ["b^2", "2 + a*c", "c"], ["a", "b*c", "3 + a^2"]],
+           "domain": {"a": [-0.5, 1], "b": [-1, 1], "c": [-1, 1]}}
+    sys_ = load_system(json.dumps(doc))
+    samples = sys_.sample_points(plan(count=60))
+    got = cond.nijenhuis_residual(sys_, samples[:, 0], samples[:, 1], samples[:, 2:])
+    for value, (t, x, *u) in zip(got, samples):
+        try:
+            want = cond.nijenhuis_residual(sys_, t, x, np.array(u))
+        except DomainError:
+            assert np.isnan(value)
+            continue
+        assert type(want) is float and value.tobytes() == np.float64(want).tobytes()
+    finite = ~np.isnan(got)
+    assert 10 < finite.sum() < 60
+    assert cond.nijenhuis_max(sys_, plan(count=60)) == (got[finite].max(), finite.sum())
+
+
+def test_check_reduces_ties_and_exclusions_from_the_residual_matrix():
+    # complex pair above the real family 3 + u1: the gradient residual of
+    # that family along the pair's Re vector (1, 0, 0) is exactly 1 at every
+    # sample and the other gradient tuples are exactly 0, so the max ties at
+    # every evaluated sample and argmax is the first admissible one
+    doc = {"n": 3, "states": ["u1", "u2", "u3"],
+           "A": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "3 + u1"]],
+           "domain": {"u1": [-1, 1], "u2": [-1, 1], "u3": [-1, 1]}, "exclude": ["u2 - 0.5"]}
+    sys_ = load_system(json.dumps(doc))
+    samples = sys_.sample_points(plan(count=40))
+    excluded = [sys_.is_excluded(t, x, np.array(u)) for t, x, *u in samples]
+    first, evaluated = excluded.index(False), excluded.count(False)
+    assert first > 0 and 0 < sum(excluded) < 20
+    report = cond.check_partition(sys_, cond.PartitionScheme([[0, 1], [2]], "full"),
+                                  plan(count=40))
+    assert (report.total_samples, report.evaluated, report.excluded, report.degenerate) == (
+        40, evaluated, 40 - evaluated, 0)
+    grad = report.families["gradient"].to_dict()
+    assert (grad["count"], grad["maxAbs"], grad["meanAbs"]) == (4 * evaluated, 1.0, 0.25)
+    t, x, *u = samples[first].tolist()
+    assert grad["argmax"] == {"sampleIndex": first, "t": t, "x": x, "u": u,
+                              "tuple": "2,1->1,1", "residual": 1.0}
+    zero = {"maxAbs": 0.0, "meanAbs": 0.0, "count": evaluated}
+    assert grad["perTuple"] == {"1,1->2,1": zero, "1,2->2,1": zero, "2,1->1,2": zero,
+                                "2,1->1,1": {"maxAbs": 1.0, "meanAbs": 1.0, "count": evaluated}}
+    assert report.families["source"].to_dict() == {
+        "maxAbs": None, "meanAbs": None, "count": 0, "argmax": None, "perTuple": {},
+        "vacuous": True}
+
+
 # --- report plumbing --------------------------------------------------------------
 
 def test_report_json_and_csv(tmp_path, barotropic_quadratic):

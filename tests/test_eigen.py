@@ -290,16 +290,18 @@ def test_eigenvalue_directional_derivative_at_frame_point():
 def _rights_or_nan(machine, u, reference):
     try:
         return machine.near(0.0, 0.0, u, reference).rights
-    except (IllConditioned, MismatchedSignature):
+    except (IllConditioned, MismatchedSignature, HintInconsistent, DomainError):
         return np.full((len(u), len(u)), np.nan)
 
 
-@pytest.mark.parametrize("case", ["hinted", "numeric", "real-reference", "complex-reference"])
+@pytest.mark.parametrize("case", ["hinted", "numeric", "real-reference", "complex-reference",
+                                  "hinted-gated"])
 def test_rights_batch_matches_pointwise_near(case):
     # the batched frame evaluation agrees row by row with near(), gates
     # included: A = [[0, 1], [a, 0]] has real simple, Jordan (a = 0) and
     # complex spectra, so rows take the batched path, the per-point
-    # fallback, or are rejected by either
+    # fallback, or are rejected by either; on GATED (below) the hints stay
+    # finite where sqrt(q) in A does not, and near() rejects those rows
     from qldecouple.conditions import FrameMachine
 
     rng = np.random.default_rng(5)
@@ -307,6 +309,11 @@ def test_rights_batch_matches_pointwise_near(case):
         sys_ = barotropic()
         base = np.array([1.0, 0.0])
         U = np.column_stack([rng.uniform(0.5, 2.0, 40), rng.uniform(-1.0, 1.0, 40)])
+    elif case == "hinted-gated":
+        sys_ = load_system(json.dumps(GATED))
+        base = np.array([0.3, 0.25])
+        U = np.column_stack([rng.uniform(-0.5, 1.5, 39), rng.uniform(-0.5, 1.0, 39)])
+        U = np.vstack([U, [0.3, -0.25]])
     else:
         sys_ = load_system(json.dumps({"n": 2, "states": ["a", "b"],
                                        "A": [["0", "1"], ["a", "0"]],
@@ -314,7 +321,7 @@ def test_rights_batch_matches_pointwise_near(case):
         base = np.array([0.5 if case == "real-reference" else -0.5, 0.5])
         U = np.column_stack([np.append(rng.uniform(-1.0, 1.0, 39), 0.0),
                              rng.uniform(0.0, 1.0, 40)])
-    machine = FrameMachine(sys_, "analytic" if case == "hinted" else "numeric")
+    machine = FrameMachine(sys_, "analytic" if case.startswith("hinted") else "numeric")
     reference = machine.base(0.0, 0.0, base)
     got = machine.rights_batch(0.0, 0.0, U, reference)
     want = np.array([_rights_or_nan(machine, u, reference) for u in U])

@@ -405,6 +405,28 @@ def test_excluded_predicate():
     assert not sys_.is_excluded(0, 0, np.array([1.5, 0.0]))
 
 
+def test_is_excluded_on_a_stack_matches_each_row():
+    # log(v) is outside its own domain for v < 0 (nan) and -inf at v = 0;
+    # 1/(rho - 1) divides by zero at rho = 1; both exclude the state
+    doc = dict(BAROTROPIC)
+    doc["exclude"] = ["log(v) - 0.5", "1/(rho - 1) - 4"]
+    sys_ = load_system(json.dumps(doc))
+    rng = np.random.default_rng(11)
+    U = np.column_stack([rng.uniform(0.5, 2.0, 200), rng.uniform(-1.0, 1.0, 200)])
+    U[:5, 0], U[5:10, 1] = 1.0, 0.0
+    t, x = rng.uniform(size=200), rng.uniform(size=200)
+    rows = [sys_.is_excluded(t[k], x[k], U[k]) for k in range(200)]
+    assert all(type(r) is bool for r in rows)
+    assert all(rows[:10]) and 10 < sum(rows) < 190
+    mask = sys_.is_excluded(t, x, U)
+    assert mask.dtype == bool and mask.tolist() == rows
+    assert sys_.is_excluded(0.0, 0.0, U).tolist() == [
+        sys_.is_excluded(0.0, 0.0, u) for u in U]
+    plain = load_system(json.dumps(BAROTROPIC))
+    assert plain.is_excluded(t, x, U).tolist() == [False] * 200
+    assert plain.is_excluded(0.0, 0.0, U[0]) is False
+
+
 def test_symbolic_conjugation_compiles_no_jacobian_derivative(monkeypatch):
     # H and grad H for the inverse check, h for the round trip; the n^3
     # entries of dJ are compiled only when a derivative is taken

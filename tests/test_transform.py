@@ -182,6 +182,15 @@ def test_flow_zero_field_repeats_start():
     assert info["error_estimate"] == 0.0
 
 
+def test_flow_stopped_at_its_start_skips_the_domain_test():
+    # a field undefined at the start stops the one curve before its first
+    # step, so no state is left to test against the domain
+    pts, info = transform.integrate_field(lambda u: np.full(2, np.nan), np.array([0.3, 0.4]),
+                                          1.0, 4, in_domain=lambda u: True)
+    assert pts.tolist() == [[0.3, 0.4]]
+    assert info["tolerance_met"] is False and not info["left_domain"]
+
+
 def test_flow_truncates_at_domain_boundary(barotropic):
     pts, info = transform.characteristic_flow(barotropic, 0, np.array([1.9, 0.9]),
                                               arc_length=2.0, steps=32)

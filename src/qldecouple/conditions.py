@@ -32,7 +32,9 @@ in one batch.  Hinted rows never leave the batch: it applies frame_at's gates
 row by row, and frame_at is the batch on one row.  Numeric rows with a
 clustered or complex spectrum, and numeric rows a batch gate rejects, fall
 back to the per-point spectrum_at/align_frames.  A row whose frame raises
-keeps the error, and _cause names it as a degeneracy cause.  Every stacked
+keeps the error, and _cause names it as a degeneracy cause.
+FrameMachine.rights_batch, which the characteristic flows read, applies
+the same gates and the same fallback, without building lefts.  Every stacked
 product runs the BLAS or LAPACK call of the per-point one, so each row's
 residuals have the per-point bits.  nijenhuis_residual, too, takes one state
 or a stack (NaN in the rows where A or dA/du is not finite).
@@ -44,6 +46,7 @@ import csv
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -243,8 +246,7 @@ class FrameMachine:
         (AnalyticFrameField.frames_batch, which is frame_at on a stack).
         Numeric rows with a real simple spectrum come from one batch
         (eigen.simple_frames_batch); the others go through base() or near()
-        one at a time, and a sweep row may also keep a LinAlgError, which
-        the residuals' callers treat like the others."""
+        one at a time (_per_point)."""
         if self.field is not None:
             values, rights, lefts, errors = self.field.frames_batch(t, x, U,
                                                                     check=reference is None)
@@ -255,12 +257,41 @@ class FrameMachine:
             values, rights, lefts, done = eigen.simple_frames_batch(self.sys, t, x, U,
                                                                     reference.rights)
             done &= reference.simple()
-        out = _Frames(values, rights, lefts)
+        return self._per_point(_Frames(values, rights, lefts), done, t, x, U,
+                               None if reference is None else reference.frame)
+
+    def rights_batch(self, t, x, U, reference: eigen.Frame):
+        """Right autovectors near() gives at the rows of U (N, n) against one
+        reference frame, as (N, slot, component), NaN in rows near() rejects.
+        Hinted rows come from AnalyticFrameField.rights_batch.  Numeric rows
+        with a real simple spectrum come from eigen._simple_spectra, the
+        core and gates of simple_frames_batch, without lefts; the others go
+        through _per_point."""
+        if self.field is not None:
+            return self.field.rights_batch(t, x, U)
+        N, n = len(U), self.sys.n
+        out = _Frames(np.full((N, n), np.nan, dtype=complex), np.full((N, n, n), np.nan),
+                      np.full((N, n, n), np.nan))
+        done = np.zeros(N, dtype=bool)
+        if _Frames.of(reference).simple()[0]:
+            rows, _, vecs = eigen._simple_spectra(self.sys, t, x, U,
+                                                  np.broadcast_to(reference.rights, (N, n, n)))
+            out.rights[rows], done[rows] = vecs, True
+        return self._per_point(out, done, t, x, U, lambda k: reference).rights
+
+    def _per_point(self, out: _Frames, done, t, x, U, reference=None):
+        """Fill the rows of `out` not done with base(), or near() against
+        reference(k), at row k of U; t and x are scalars or (N,).  A row
+        where that raises keeps the exception; a near() row may also keep a
+        LinAlgError, which the residuals' callers treat like the others."""
+        todo = np.flatnonzero(~done)
+        if todo.size:
+            t, x = np.broadcast_to(t, len(U)), np.broadcast_to(x, len(U))
         errors = _FRAME_ERRORS if reference is None else _FRAME_ERRORS + (np.linalg.LinAlgError,)
-        for k in np.flatnonzero(~done):
+        for k in todo:
             try:
                 f = (self.base(t[k], x[k], U[k]) if reference is None
-                     else self.near(t[k], x[k], U[k], reference.frame(k)))
+                     else self.near(t[k], x[k], U[k], reference(k)))
             except errors as err:
                 out.errors[k] = err
                 out.values[k], out.rights[k], out.lefts[k] = np.nan, np.nan, np.nan
@@ -268,23 +299,6 @@ class FrameMachine:
             out.points[k] = f
             out.values[k], out.rights[k], out.lefts[k] = f.values, f.rights, f.lefts
         return out
-
-    def rights_batch(self, t, x, U, reference: eigen.Frame):
-        """Right autovectors near() gives at the rows of U (N, n), as (N, slot,
-        component), NaN in rows near() rejects.  Hinted frames and numeric
-        rows with a real simple spectrum are evaluated in one batch; other
-        numeric rows go through near() one at a time."""
-        if self.field is not None:
-            return self.field.rights_batch(t, x, U)
-        rights, done = np.full((len(U), self.sys.n, self.sys.n), np.nan), np.zeros(len(U), bool)
-        if _Frames.of(reference).simple()[0]:
-            rights, done = eigen.simple_rights_batch(self.sys, t, x, U, reference)
-        for k in np.flatnonzero(~done):
-            try:
-                rights[k] = self.near(t, x, U[k], reference).rights
-            except (DomainError, IllConditioned, MismatchedSignature):
-                pass
-        return rights
 
     def sweep(self, t, x, U, base: _Frames, slot, h):
         """near() at U + h r_slot and at U - h r_slot, each row against its
@@ -858,18 +872,7 @@ def search_partitions(sys_: QuasilinearSystem, plan: SamplePlan = None,
 
 def _surjections(m, k):
     """All maps {0..m-1} -> {0..k-1} hitting every block, lexicographic."""
-    assign = [0] * m
-
-    def rec(i):
-        if i == m:
-            if len(set(assign)) == k:
-                yield tuple(assign)
-            return
-        for b in range(k):
-            assign[i] = b
-            yield from rec(i + 1)
-
-    yield from rec(0)
+    return (a for a in product(range(k), repeat=m) if len(set(a)) == k)
 
 
 # ---------------------------------------------------------------------------

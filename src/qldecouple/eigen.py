@@ -208,12 +208,15 @@ def _row_norms(V):
     return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
 
 
-def _simple_spectra(sys_, t, x, U):
+def _simple_spectra(sys_, t, x, U, references=None):
     """The rows of U (N, n) whose spectrum is real and simple, from one
     batched eig, with spectrum_at's gates (finite A, real eigenvectors,
-    nonzero pivots, condition number).  Returns (rows, values, vecs): the
-    eigenvalues in ascending order, as spectrum_at gives them, and the
-    pivot-normalized right vectors (row, slot, component)."""
+    nonzero pivots, condition number) and, given the rights (N, slot,
+    component) of reference frames with real simple spectra, align_frames'
+    (kept pivots, condition number of the rescaled frame).  Returns (rows,
+    values, vecs): the eigenvalues in ascending order, as spectrum_at gives
+    them, and the pivot-normalized right vectors (row, slot, component),
+    rescaled against the references when given."""
     N, n = len(U), sys_.n
     rows = np.flatnonzero(np.isfinite(U).all(axis=1))
     t, x = np.broadcast_to(t, N)[rows], np.broadcast_to(x, N)[rows]
@@ -237,17 +240,25 @@ def _simple_spectra(sys_, t, x, U):
     vecs = vecs.real
     pivots = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=2)[:, :, None], axis=2)
     ok = real & (pivots != 0).all(axis=(1, 2))
-    vecs[ok] /= pivots[ok]
-    ok[ok] = _cond_ok(np.swapaxes(vecs[ok], 1, 2))
     # the cluster mean of spectrum_at, whose real part is w.real + 0.0
     values = np.take_along_axis(w.real, order, axis=1)[ok] + 0.0
-    return rows[ok], values, vecs[ok]
+    rows, vecs = rows[ok], vecs[ok] / pivots[ok]
+    stack, ok = vecs, np.ones(len(rows), dtype=bool)
+    if references is not None:
+        vecs, ok = _rescale(vecs, references[rows])
+        stack = np.concatenate([stack, vecs])
+    # the raw and the rescaled condition numbers in one call; without
+    # references both halves are the raw one
+    cond_ok = _cond_ok(np.swapaxes(stack, 1, 2))
+    ok &= cond_ok[:len(rows)] & cond_ok[len(stack) - len(rows):]
+    return rows[ok], values[ok], vecs[ok]
 
 
 def _rescale(vecs, references):
-    """align_frames for one-dimensional eigenspaces: each vector rescaled so
-    its component at the reference pivot matches the reference.  Returns the
-    rescaled vectors and the mask of rows that kept every pivot."""
+    """The rescale of align_frames on a stack (N, slot, component): each
+    vector scaled so its component at the reference's pivot index matches
+    the reference.  Returns the rescaled vectors and the mask of rows that
+    kept every pivot."""
     i_ref = np.abs(references).argmax(axis=2)[:, :, None]
     denom = np.take_along_axis(vecs, i_ref, axis=2)[:, :, 0]
     ok = (np.abs(denom) >= 1e-12 * (1.0 + np.abs(vecs).max(axis=2))).all(axis=1)
@@ -255,27 +266,12 @@ def _rescale(vecs, references):
     return vecs * scale[:, :, None], ok
 
 
-def simple_rights_batch(sys_, t, x, U, reference: Frame):
-    """Right autovectors at the rows of U (N, n) whose spectrum is real and
-    simple: what spectrum_at then align_frames against the reference (whose
-    spectrum is real and simple) give there, in ascending eigenvalue order.
-
-    Returns (rights, done): rights is (N, slot, component), NaN in the rows
-    not marked done, which are left to the per-point path.
-    """
-    rights, done = np.full((len(U), sys_.n, sys_.n), np.nan), np.zeros(len(U), dtype=bool)
-    rows, _, vecs = _simple_spectra(sys_, t, x, U)
-    vecs, ok = _rescale(vecs, reference.rights[None])
-    rights[rows[ok]], done[rows[ok]] = vecs[ok], True
-    return rights, done
-
-
 def simple_frames_batch(sys_, t, x, U, references=None):
     """Frames at the rows of U (N, n) whose spectrum is real and simple, from
     one batched eig: what spectrum_at gives there or, given the rights
     (N, slot, component) of reference frames with real simple spectra, what
-    align_frames against them gives, with their gates.  t and x are scalars
-    or follow the rows.
+    align_frames against them gives, with their gates (_simple_spectra).  t
+    and x are scalars or follow the rows.
 
     Returns (values, rights, lefts, done): values (N, n) complex, rights and
     lefts (N, slot, component) in ascending eigenvalue order.  Rows not
@@ -285,11 +281,7 @@ def simple_frames_batch(sys_, t, x, U, references=None):
     N, n = len(U), sys_.n
     values, done = np.full((N, n), np.nan, dtype=complex), np.zeros(N, dtype=bool)
     rights, lefts = np.full((N, n, n), np.nan), np.full((N, n, n), np.nan)
-    rows, vals, vecs = _simple_spectra(sys_, t, x, U)
-    if references is not None:
-        vecs, ok = _rescale(vecs, references[rows])
-        ok[ok] = _cond_ok(np.swapaxes(vecs[ok], 1, 2))
-        rows, vals, vecs = rows[ok], vals[ok], vecs[ok]
+    rows, vals, vecs = _simple_spectra(sys_, t, x, U, references)
     values[rows], rights[rows], done[rows] = vals, vecs, True
     lefts[rows] = np.linalg.inv(np.swapaxes(vecs, 1, 2))
     return values, rights, lefts, done
@@ -311,33 +303,26 @@ def align_frames(reference: Frame, raw: Frame) -> Frame:
     n = reference.n
     rights = np.empty((n, n))
     values = np.empty(n, dtype=complex)
-    kinds = [None] * n
     clusters = []
     for rc, cc in zip(reference.clusters, raw.clusters):
-        Xref = reference.rights[rc.slots]
         Xraw = raw.rights[cc.slots]
-        d = len(rc.slots)
-        if d > 1:
-            M = Xref @ Xraw.T
-            U, _, Vt = np.linalg.svd(M)
+        if len(rc.slots) > 1:
+            U, _, Vt = np.linalg.svd(reference.rights[rc.slots] @ Xraw.T)
             Xraw = (U @ Vt) @ Xraw
-        for rslot, row in zip(rc.slots, Xraw):
-            i_ref = _pivot_index(reference.rights[rslot])
-            denom = row[i_ref]
-            if abs(denom) < 1e-12 * (1.0 + np.abs(row).max()):
-                raise MismatchedSignature("aligned vector lost its pivot component")
-            rights[rslot] = row * (reference.rights[rslot][i_ref] / denom)
-            kinds[rslot] = reference.kinds[rslot]
-        for rslot, cslot in zip(rc.slots, cc.slots):
-            values[rslot] = raw.values[cslot]
+        rights[rc.slots] = Xraw
+        values[rc.slots] = raw.values[cc.slots]
         clusters.append(Cluster(cc.value, rc.alg_mult, list(rc.slots), rc.is_complex))
+    rights, kept = _rescale(rights[None], reference.rights[None])
+    if not kept[0]:
+        raise MismatchedSignature("aligned vector lost its pivot component")
+    rights = rights[0]
 
     R = rights.T
     cond = float(np.linalg.cond(R))
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise IllConditioned(f"aligned frame condition number {cond:.3g}")
     lefts = np.linalg.inv(R)
-    return Frame(values=values, rights=rights, lefts=lefts, kinds=kinds,
+    return Frame(values=values, rights=rights, lefts=lefts, kinds=list(reference.kinds),
                  clusters=clusters, point=raw.point)
 
 

@@ -160,12 +160,11 @@ class QuasilinearSystem:
     # -- admissibility ---------------------------------------------------------
 
     def in_domain(self, t, x, u):
-        """True when every state lies in its domain interval."""
-        for nm, val in zip(self.states, u):
-            lo, hi = self.domain[nm]
-            if not (lo <= val <= hi):
-                return False
-        return True
+        """True when every state lies in its domain interval.  At one state
+        u (n,) a bool; on a stack (N, n) the row mask."""
+        lo, hi = np.array([self.domain[nm] for nm in self.states], dtype=float).T
+        inside = ((lo <= u) & (u <= hi)).all(axis=-1)
+        return inside if np.ndim(u) > 1 else bool(inside)
 
     def is_excluded(self, t, x, u):
         """True when any exclusion predicate evaluates > 0 or to a non-finite

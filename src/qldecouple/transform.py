@@ -22,7 +22,6 @@ from .errors import (
     DegenerateSample,
     DomainError,
     IllConditioned,
-    MismatchedSignature,
     SchemaError,
     ShootingFailed,
     SingularCandidate,
@@ -297,17 +296,16 @@ def _rk4_pass(field_fn, start, h, n_steps, in_domain):
 def integrate_field(field_fn, start, arc_length, steps, in_domain=None):
     """RK4 polylines of du/ds = field(u) with per-step halving error control.
 
-    A 1-D start is one curve: field_fn and in_domain take one state and
-    points is its polyline.  A 2-D start (N, n) is N curves integrated
-    together, arc_length a scalar or one arc per row: field_fn maps (M, n)
-    states to (M, n) vectors, in_domain maps them to an (M,) mask, and
-    points holds the end state of each curve.
+    The field takes a batch: field_fn maps (M, n) states to (M, n) vectors
+    and in_domain maps them to an (M,) mask.  A 2-D start (N, n) is N curves
+    integrated together, arc_length a scalar or one arc per row, and points
+    holds the end state of each curve.  A 1-D start is one curve, run as a
+    one-row batch, and points is its polyline.
 
-    A curve stops before a non-finite field value (for one curve, also a
-    DomainError, IllConditioned or MismatchedSignature) and at its first
-    point outside in_domain.  It is integrated again with twice the steps,
-    at most MAX_REFINE times, while it stopped early on the field or its
-    error estimate exceeds INTEGRATION_TOL * |arc|.
+    A curve stops before a non-finite field value and at its first point
+    outside in_domain.  It is integrated again with twice the steps, at most
+    MAX_REFINE times, while it stopped early on the field or its error
+    estimate exceeds INTEGRATION_TOL * |arc|.
 
     info holds error_estimate and left_domain (one per row for a batch),
     steps (the step count of each curve's last pass, summed) and
@@ -317,7 +315,6 @@ def integrate_field(field_fn, start, arc_length, steps, in_domain=None):
     start = np.asarray(start, dtype=float)
     single = start.ndim == 1
     if single:
-        field_fn, in_domain = _single_curve(field_fn, in_domain)
         start = start[None]
     N = len(start)
     arcs = np.broadcast_to(np.asarray(arc_length, dtype=float), N)
@@ -351,25 +348,12 @@ def integrate_field(field_fn, start, arc_length, steps, in_domain=None):
     return ends, info
 
 
-def _single_curve(field_fn, in_domain):
-    """Lift a one-state field and domain test to one-row batches; a field
-    that raises on the way is non-finite there."""
-    def batch_field(U):
-        try:
-            return np.asarray(field_fn(U[0]), dtype=float)[None]
-        except (DomainError, IllConditioned, MismatchedSignature):
-            return np.full_like(U, np.nan)
-
-    batch_domain = None
-    if in_domain is not None:
-        def batch_domain(U):
-            return np.array([bool(in_domain(U[0]))])
-    return batch_field, batch_domain
-
-
 def characteristic_flow(sys_: QuasilinearSystem, slot, start, arc_length,
                         steps=64, frame="auto", t=0.0, x=0.0):
-    """Integrate du/ds = r_slot(u) from an admissible start state.  Numeric
+    """Integrate du/ds = r_slot(u) from an admissible start state and return
+    its polyline (integrate_field on a 1-D start).  The field is
+    FrameMachine.rights_batch, so the flow reads near() frames with the
+    gates frame sweeps apply, NaN where near() rejects the state.  Numeric
     frames are aligned to the frame at the start state, which fixes the
     orientation and scale of the field along the whole curve."""
     start = np.asarray(start, dtype=float)
@@ -378,11 +362,11 @@ def characteristic_flow(sys_: QuasilinearSystem, slot, start, arc_length,
     machine = FrameMachine(sys_, frame)
     reference = machine.base(t, x, start) if machine.field is None else None
 
-    def field(u):
-        return machine.rights_batch(t, x, u[None], reference)[0, slot]
+    def field(U):
+        return machine.rights_batch(t, x, U, reference)[:, slot]
 
     return integrate_field(field, start, arc_length, steps,
-                           in_domain=lambda u: sys_.in_domain(t, x, u))
+                           in_domain=lambda U: sys_.in_domain(t, x, U))
 
 
 # ---------------------------------------------------------------------------

@@ -354,6 +354,29 @@ def test_search_threadline_includes_22_with_hints():
     assert ((0, 1), (2, 3)) in schemes
 
 
+def test_search_numeric_frames_assign_whole_clusters(barotropic_cubic):
+    # numeric frames: each cluster is one assignment unit
+    found = cond.search_partitions(barotropic_cubic, plan(count=80), mode="full",
+                                   frame="numeric")
+    assert [(s.blocks, r.frame_provenance) for s, r in found] == [([[0], [1]], "numeric")]
+    # a semisimple double eigenvalue a keeps its two slots in one unit, so
+    # no scheme splits them
+    doc = {"n": 3, "states": ["a", "b", "c"],
+           "A": [["a", "0", "0"], ["0", "a", "0"], ["0", "0", "c + 3"]],
+           "domain": {"a": [-1, 1], "b": [-1, 1], "c": [-1, 1]}}
+    sys_ = load_system(json.dumps(doc))
+    units, _ = cond._assignment_units(sys_, "numeric", plan(count=40))
+    assert units == [[0, 1], [2]]
+    found = cond.search_partitions(sys_, plan(count=40), mode="partial", frame="numeric")
+    assert [s.blocks for s, _ in found] == [[[0, 1], [2]], [[2], [0, 1]]]
+
+
+def test_surjections_in_lexicographic_order():
+    assert list(cond._surjections(3, 2)) == [(0, 0, 1), (0, 1, 0), (0, 1, 1),
+                                             (1, 0, 0), (1, 0, 1), (1, 1, 0)]
+    assert list(cond._surjections(2, 3)) == []
+
+
 def test_search_too_large():
     n = 9
     doc = {"n": n, "states": [f"u{i}" for i in range(n)],
@@ -580,6 +603,40 @@ def test_complex_pair_block_full_fails_on_dependence():
     assert report.verdict == "fail"
     # grad(3 + u1) . r for the pair's Re vector (1, 0, 0) is exactly 1
     assert report.families["gradient"].max_abs == pytest.approx(1.0, abs=1e-6)
+
+
+def test_jordan_block_flagged_for_review():
+    # a 2x2 Jordan block at every state: the numeric frame carries a
+    # generalized autovector, and the report flags it
+    doc = {"n": 3, "states": ["u1", "u2", "u3"],
+           "A": [["u1", "1", "0"], ["0", "u1", "0"], ["0", "0", "3"]],
+           "domain": {"u1": [-1, 1], "u2": [-1, 1], "u3": [-1, 1]}}
+    sys_ = load_system(json.dumps(doc))
+    report = cond.check_partition(sys_, cond.PartitionScheme([[0, 1], [2]], "partial"),
+                                  plan(count=40))
+    assert report.flags == ["jordanBlocks"]
+    assert report.evaluated == 40
+
+
+def test_singular_block_source_counted_row_by_row():
+    # the hinted left row of slot 0 is (|p| + p, 0), zero for p < 0: there
+    # L R of block 1 is singular, the batched solve fails, and the rows are
+    # solved one at a time, so only the p < 0 samples drop, as singularLR
+    doc = {"n": 2, "states": ["p", "q"], "A": [["p", "0"], ["0", "q + 3"]],
+           "g": ["p", "p"], "domain": {"p": [-1, 1], "q": [-1, 1]},
+           "autovectorHint": {"eigenvalues": ["p", "q + 3"],
+                              "right": [["1", "0"], ["0", "1"]],
+                              "left": [["abs(p) + p", "0"], ["0", "1"]]}}
+    sys_ = load_system(json.dumps(doc))
+    samples = sys_.sample_points(plan(count=40))
+    report = cond.check_partition(sys_, cond.PartitionScheme([[0], [1]], "partial"),
+                                  plan(count=40))
+    negative = int(np.count_nonzero(samples[:, 2] < 0))
+    assert 0 < negative < 40
+    assert report.degenerate_by_cause == {"singularLR": negative}
+    assert report.evaluated == 40 - negative
+    assert report.families["source"].count == 40 - negative
+    assert report.families["source"].max_abs <= 1e-8
 
 
 def test_frame_machines_share_one_hinted_field_per_system():

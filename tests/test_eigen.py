@@ -295,13 +295,17 @@ def _rights_or_nan(machine, u, reference):
 
 
 @pytest.mark.parametrize("case", ["hinted", "numeric", "real-reference", "complex-reference",
-                                  "hinted-gated"])
+                                  "hinted-gated", "numeric-aligned-gate"])
 def test_rights_batch_matches_pointwise_near(case):
     # the batched frame evaluation agrees row by row with near(), gates
     # included: A = [[0, 1], [a, 0]] has real simple, Jordan (a = 0) and
     # complex spectra, so rows take the batched path, the per-point
     # fallback, or are rejected by either; on GATED (below) the hints stay
-    # finite where sqrt(q) in A does not, and near() rejects those rows
+    # finite where sqrt(q) in A does not, and near() rejects those rows.
+    # A = [[1, 0], [-tan(p), 2]] has the right vectors (1, tan p) and
+    # (0, 1): rescaled at the pivot of the reference at p = 0 their
+    # condition number grows like tan(p)^2, past COND_LIMIT near p = pi/2,
+    # where the pivot-normalized raw frame is still well conditioned
     from qldecouple.conditions import FrameMachine
 
     rng = np.random.default_rng(5)
@@ -314,6 +318,13 @@ def test_rights_batch_matches_pointwise_near(case):
         base = np.array([0.3, 0.25])
         U = np.column_stack([rng.uniform(-0.5, 1.5, 39), rng.uniform(-0.5, 1.0, 39)])
         U = np.vstack([U, [0.3, -0.25]])
+    elif case == "numeric-aligned-gate":
+        sys_ = load_system(json.dumps({"n": 2, "states": ["p", "q"],
+                                       "A": [["1", "0"], ["-sin(p)/cos(p)", "2"]],
+                                       "domain": {"p": [0.0, 1.5707963], "q": [-1.0, 1.0]}}))
+        base = np.array([0.0, 0.0])
+        U = np.column_stack([rng.uniform(0.0, 1.5707963, 38), rng.uniform(-1.0, 1.0, 38)])
+        U = np.vstack([U, [1.5707, 0.0], [1.57079, 0.0]])
     else:
         sys_ = load_system(json.dumps({"n": 2, "states": ["a", "b"],
                                        "A": [["0", "1"], ["a", "0"]],
@@ -327,6 +338,8 @@ def test_rights_batch_matches_pointwise_near(case):
     want = np.array([_rights_or_nan(machine, u, reference) for u in U])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
     assert np.isfinite(got).all(axis=(1, 2)).sum() >= 15
+    if case == "numeric-aligned-gate":
+        assert np.isnan(got[-2:]).all()
 
 
 # diag(p, sqrt(q)) with hints that break one gate each in a known region:

@@ -233,10 +233,13 @@ def test_flows_commute_in_adapted_scaling():
     grads = [[ex.differentiate(e, nm) for nm in ("rho", "v")] for e in H]
 
     def adapted_field(j):
-        def fn(u):
-            bind = {"rho": u[0], "v": u[1]}
-            J = np.array([[ex.evaluate(g, bind) for g in row] for row in grads])
-            return np.linalg.solve(J, np.eye(2)[:, j])
+        def fn(U):
+            out = []
+            for u in U:
+                bind = {"rho": u[0], "v": u[1]}
+                J = np.array([[ex.evaluate(g, bind) for g in row] for row in grads])
+                out.append(np.linalg.solve(J, np.eye(2)[:, j]))
+            return np.array(out)
         return fn
 
     start = np.array([1.0, 0.0])

@@ -407,7 +407,7 @@ class _Residuals:
         r_b = base.rights[rows, b]
         field_ = self.machine.field
         if field_ is not None:
-            grads = np.ascontiguousarray(_evaluate(field_.value_gradient_fns(a), t, x, U))
+            grads = np.ascontiguousarray(_evaluate(field_.value_gradient_fn(a), t, x, U))
             return (grads[:, None, :] @ r_b[:, :, None])[:, 0, 0]
         return eigen.eigenvalue_derivatives(base.lefts[rows, a], self._derivative(b)[rows],
                                             base.rights[rows, a])

@@ -336,34 +336,27 @@ class AnalyticFrameField:
         self.sys = sys_
         self.n = sys_.n
         order = sys_.arg_order
-        self.value_fns = [ex.compile_expression(e, order) for e in hints["eigenvalues"]]
-        self.right_fns = [[ex.compile_expression(c, order) for c in vec]
-                          for vec in hints["right"]]
-        self.left_fns = None
-        if "left" in hints:
-            self.left_fns = [[ex.compile_expression(c, order) for c in vec]
-                             for vec in hints["left"]]
+        self.value_fn = ex.compile_expression(hints["eigenvalues"], order)
+        self.right_fn = ex.compile_expression([c for vec in hints["right"] for c in vec], order)
+        self.left_fn = (ex.compile_expression([c for vec in hints["left"] for c in vec], order)
+                        if "left" in hints else None)
         self.value_exprs = hints["eigenvalues"]
-        self.right_exprs = hints["right"]
-        self.left_exprs = hints.get("left")
         self._grad_cache = {}
 
-    def value_gradient_fns(self, slot):
+    def value_gradient_fn(self, slot):
         """Compiled exact state-gradient of the hinted eigenvalue field."""
-        key = ("lam", slot)
-        if key not in self._grad_cache:
-            order = self.sys.arg_order
+        if slot not in self._grad_cache:
             grads = [ex.differentiate(self.value_exprs[slot], nm) for nm in self.sys.states]
-            self._grad_cache[key] = [ex.compile_expression(g, order) for g in grads]
-        return self._grad_cache[key]
+            self._grad_cache[slot] = ex.compile_expression(grads, self.sys.arg_order)
+        return self._grad_cache[slot]
 
     def _hint_batch(self, t, x, U):
         """Hinted values (N, n) and rights (N, slot, component) at the rows
         of U (N, n), and the mask of rows where both are finite."""
         N, n = U.shape
         with np.errstate(all="ignore"):
-            vals = np.ascontiguousarray(_evaluate(self.value_fns, t, x, U))
-            rights = _evaluate([fn for row in self.right_fns for fn in row], t, x, U)
+            vals = np.ascontiguousarray(_evaluate(self.value_fn, t, x, U))
+            rights = _evaluate(self.right_fn, t, x, U)
         rights = np.ascontiguousarray(rights).reshape(N, n, n)
         return vals, rights, np.isfinite(vals).all(axis=1) & np.isfinite(rights).all(axis=(1, 2))
 
@@ -425,12 +418,12 @@ class AnalyticFrameField:
         gate(live & ~(cond <= COND_LIMIT),
              lambda k: IllConditioned(f"hinted frame condition number {cond[k]:.3g}"))
         live = np.array([err is None for err in errors], dtype=bool)
-        if self.left_fns is None:
+        if self.left_fn is None:
             lefts = np.full((N, n, n), np.nan)
             lefts[live] = np.linalg.inv(np.swapaxes(rights[live], 1, 2))
         else:
             with np.errstate(all="ignore"):
-                lefts = _evaluate([fn for row in self.left_fns for fn in row], t, x, U)
+                lefts = _evaluate(self.left_fn, t, x, U)
             lefts = np.ascontiguousarray(lefts).reshape(N, n, n)
             if check:
                 residual_gate(lefts, "left")

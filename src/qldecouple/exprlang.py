@@ -13,14 +13,19 @@ Operators associate left within a tier, "^" binds tighter than unary minus.
 The functions are sqrt, exp, log, sin, cos, abs.  Exponents are restricted
 to constant (rational) values so differentiation stays exact.
 
-Expressions are immutable; sharing across threads/processes is safe.
+Expressions are immutable and interned: building a node equal to a live one
+returns that node, so identical subtrees are one object and a dict keyed by
+nodes hashes no trees.  `differentiate` takes a list of entries and
+differentiates each distinct node once across them.  `compile_expression`
+turns a list of entries (a whole coefficient) into one generated function
+that computes each distinct subtree once, into a local.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+import weakref
 
 import numpy as np
 
@@ -31,11 +36,33 @@ FUNCTIONS = ("sqrt", "exp", "log", "sin", "cos", "abs")
 _NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
+# every live node, keyed by its class and fields; a Bin or Un key holds its
+# interned children, which hash by identity
+_NODES = weakref.WeakValueDictionary()
+
 
 class Expr:
-    """Base node. Subclasses: Const, Sym, Un, Bin."""
+    """Base node. Subclasses: Const, Sym, Un, Bin.  Nodes compare and hash by
+    identity, which interning makes structural equality; interning takes no
+    lock, and the package starts no threads."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                object.__setattr__(node, name, value)
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError("expressions are immutable")
+
+    def __repr__(self):
+        fields = (repr(getattr(self, name)) for name in self.__slots__)
+        return f"{type(self).__name__}({', '.join(fields)})"
 
     def __add__(self, other):
         return fold_add(self, _coerce(other))
@@ -71,34 +98,24 @@ class Expr:
         return to_string(self)
 
 
-@dataclass(frozen=True)
 class Const(Expr):
-    value: float
-
     __slots__ = ("value",)
 
+    def __new__(cls, value):
+        # the sign keys 0.0 and -0.0, which compare equal, apart
+        value = float(value)
+        return super().__new__(cls, value, math.copysign(1.0, value))
 
-@dataclass(frozen=True)
+
 class Sym(Expr):
-    name: str
-
     __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Un(Expr):
-    op: str
-    a: Expr
-
     __slots__ = ("op", "a")
 
 
-@dataclass(frozen=True)
 class Bin(Expr):
-    op: str
-    a: Expr
-    b: Expr
-
     __slots__ = ("op", "a", "b")
 
 
@@ -363,46 +380,57 @@ def evaluate(e: Expr, bindings) -> float:
 # differentiation
 # ---------------------------------------------------------------------------
 
-def differentiate(e: Expr, var: str) -> Expr:
-    """Exact derivative with 0/1 constant folding."""
-    if isinstance(e, Const):
-        return Const(0.0)
-    if isinstance(e, Sym):
-        return Const(1.0) if e.name == var else Const(0.0)
-    if isinstance(e, Un):
-        da = differentiate(e.a, var)
-        if e.op == "neg":
-            return fold_neg(da)
-        if e.op == "sqrt":
-            return fold_div(da, fold_mul(Const(2.0), Un("sqrt", e.a)))
-        if e.op == "exp":
-            return fold_mul(da, e)
-        if e.op == "log":
-            return fold_div(da, e.a)
-        if e.op == "sin":
-            return fold_mul(da, Un("cos", e.a))
-        if e.op == "cos":
-            return fold_neg(fold_mul(da, Un("sin", e.a)))
-        if e.op == "abs":
-            # piecewise sign(x) = x/|x|; undefined at 0, caught at eval time
-            return fold_mul(da, fold_div(e.a, Un("abs", e.a)))
-    if isinstance(e, Bin):
-        if e.op == "^":
-            c = e.b.value
-            da = differentiate(e.a, var)
-            return fold_mul(fold_mul(Const(c), fold_pow(e.a, Const(c - 1.0))), da)
-        da = differentiate(e.a, var)
-        db = differentiate(e.b, var)
-        if e.op == "+":
-            return fold_add(da, db)
-        if e.op == "-":
-            return fold_sub(da, db)
-        if e.op == "*":
-            return fold_add(fold_mul(da, e.b), fold_mul(e.a, db))
-        if e.op == "/":
-            num = fold_sub(fold_mul(da, e.b), fold_mul(e.a, db))
-            return fold_div(num, fold_pow(e.b, Const(2.0)))
-    raise TypeError(f"not an expression node: {e!r}")
+def differentiate(exprs, var: str):
+    """Exact derivative along `var`, with 0/1 constant folding, of one
+    expression or of each entry of a list.  Each distinct node is
+    differentiated once across all the entries."""
+    memo = {}
+
+    def d(e):
+        if e in memo:
+            return memo[e]
+        out = None
+        if isinstance(e, Const):
+            out = Const(0.0)
+        elif isinstance(e, Sym):
+            out = Const(1.0) if e.name == var else Const(0.0)
+        elif isinstance(e, Un):
+            da = d(e.a)
+            if e.op == "neg":
+                out = fold_neg(da)
+            elif e.op == "sqrt":
+                out = fold_div(da, fold_mul(Const(2.0), Un("sqrt", e.a)))
+            elif e.op == "exp":
+                out = fold_mul(da, e)
+            elif e.op == "log":
+                out = fold_div(da, e.a)
+            elif e.op == "sin":
+                out = fold_mul(da, Un("cos", e.a))
+            elif e.op == "cos":
+                out = fold_neg(fold_mul(da, Un("sin", e.a)))
+            elif e.op == "abs":
+                # piecewise sign(x) = x/|x|; undefined at 0, caught at eval time
+                out = fold_mul(da, fold_div(e.a, Un("abs", e.a)))
+        elif isinstance(e, Bin) and e.op == "^":
+            da, c = d(e.a), e.b.value
+            out = fold_mul(fold_mul(Const(c), fold_pow(e.a, Const(c - 1.0))), da)
+        elif isinstance(e, Bin):
+            da, db = d(e.a), d(e.b)
+            if e.op == "+":
+                out = fold_add(da, db)
+            elif e.op == "-":
+                out = fold_sub(da, db)
+            elif e.op == "*":
+                out = fold_add(fold_mul(da, e.b), fold_mul(e.a, db))
+            elif e.op == "/":
+                num = fold_sub(fold_mul(da, e.b), fold_mul(e.a, db))
+                out = fold_div(num, fold_pow(e.b, Const(2.0)))
+        if out is None:
+            raise TypeError(f"not an expression node: {e!r}")
+        memo[e] = out
+        return out
+
+    return d(exprs) if isinstance(exprs, Expr) else [d(e) for e in exprs]
 
 
 # ---------------------------------------------------------------------------
@@ -498,22 +526,6 @@ _UN_NP = {
 }
 
 
-def _codegen(e, names):
-    if isinstance(e, Const):
-        return f"({repr(e.value)})"
-    if isinstance(e, Sym):
-        return names[e.name]
-    if isinstance(e, Un):
-        return _UN_NP[e.op].format(_codegen(e.a, names))
-    a = _codegen(e.a, names)
-    b = _codegen(e.b, names)
-    if e.op == "^":
-        return f"_pow({a}, {b})"
-    if e.op == "/":
-        return f"({a}/{b})"
-    return f"({a}{e.op}{b})"
-
-
 def _pow(base, expo):
     """base ** expo with the C library's pow on arrays too.  numpy raises a
     float64 scalar to a power with pow() but an array with its own
@@ -523,17 +535,47 @@ def _pow(base, expo):
     return np.float_power(base, expo) if isinstance(base, np.ndarray) else base ** expo
 
 
-def compile_expression(e: Expr, arg_order):
-    """Compile to a positional callable over floats or numpy arrays.
+def compile_expression(exprs, arg_order):
+    """Compile one expression to a positional callable over floats or numpy
+    arrays, or a list of expressions to one callable returning the tuple of
+    their values.  The generated function computes each distinct subtree
+    once, into a local, so every entry runs the float operations it would
+    run alone, in the same order.
 
     The compiled form follows IEEE semantics (nan/inf instead of DomainError);
     callers check finiteness and fall back to `evaluate` for diagnostics.
     """
     names = {name: f"_a{i}" for i, name in enumerate(arg_order)}
-    missing = free_symbols(e) - set(arg_order)
+    lines, refs, missing = [], {}, set()
+
+    def ref(e):
+        """The literal, argument or local holding the value of node e."""
+        if e not in refs:
+            if isinstance(e, Const):
+                refs[e] = f"({e.value!r})"
+            elif isinstance(e, Sym):
+                if e.name not in names:
+                    missing.add(e.name)
+                refs[e] = names.get(e.name, "")
+            else:
+                if isinstance(e, Un):
+                    code = _UN_NP[e.op].format(ref(e.a))
+                elif e.op == "^":
+                    code = f"_pow({ref(e.a)}, {ref(e.b)})"
+                else:
+                    code = f"({ref(e.a)}{e.op}{ref(e.b)})"
+                refs[e] = f"_t{len(lines)}"
+                lines.append(f"    {refs[e]} = {code}\n")
+        return refs[e]
+
+    single = isinstance(exprs, Expr)
+    values = [f"{ref(e)} + _z" for e in ([exprs] if single else exprs)]
     if missing:
         raise UnknownSymbol(sorted(missing)[0])
-    args = ", ".join(names[n] for n in arg_order)
-    src = f"lambda {args}: ({_codegen(e, names)}) + 0.0*({'+'.join(names[n] for n in arg_order) or '0'})"
-    return eval(src, {"np": np, "_pow": _pow})  # noqa: S307 - source is generated locally
-
+    result = values[0] if single else "(" + "".join(v + ", " for v in values) + ")"
+    args = list(names.values())
+    src = (f"def _fn({', '.join(args)}):\n    _z = 0.0*({'+'.join(args) or '0'})\n"
+           + "".join(lines) + f"    return {result}\n")
+    scope = {"np": np, "_pow": _pow}
+    exec(src, scope)  # noqa: S102 - source is generated locally
+    return scope["_fn"]

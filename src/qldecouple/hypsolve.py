@@ -58,14 +58,14 @@ def _initial_values(sys_, initial, x):
         if initial.shape != (sys_.n, len(x)):
             raise SchemaError("initial data array has the wrong shape")
         return initial.astype(float).copy()
-    out = np.empty((sys_.n, len(x)))
+    if len(initial) != sys_.n:
+        raise SchemaError(f"expected {sys_.n} initial components")
     symbols = {"x", "pi"} | set(sys_.parameters)
     binding = {"pi": np.pi, **sys_.parameters}
-    for i, text in enumerate(initial):
-        e = text if isinstance(text, ex.Expr) else ex.parse(str(text), symbols)
-        fn = ex.compile_expression(ex.substitute(e, binding), ["x"])
-        out[i] = fn(x)
-    return out
+    exprs = [text if isinstance(text, ex.Expr) else ex.parse(str(text), symbols)
+             for text in initial]
+    fn = ex.compile_expression([ex.substitute(e, binding) for e in exprs], ["x"])
+    return np.array(fn(x))
 
 
 def _shift(U, k, boundary):
@@ -238,7 +238,7 @@ def compare_solutions(a: GridSolution, b: GridSolution, mapping=None,
     for ta, tb in zip(a.times, b.times):
         if abs(ta - tb) > 1e-10 * (1.0 + abs(tb)):
             raise GridMismatch("time levels differ")
-    map_fns = None
+    map_fn = None
     if mapping is not None:
         parameters = parameters or {}
         comps = []
@@ -246,13 +246,13 @@ def compare_solutions(a: GridSolution, b: GridSolution, mapping=None,
             if not isinstance(e, ex.Expr):
                 e = ex.parse(str(e), set(map_states) | set(parameters))
             comps.append(ex.substitute(e, parameters))
-        map_fns = [ex.compile_expression(e, list(map_states)) for e in comps]
+        map_fn = ex.compile_expression(comps, list(map_states))
     dx = float(a.x[1] - a.x[0])
     out = []
     for level in range(len(a.times)):
         ua = a.data[level]
-        if map_fns is not None:
-            ua = np.stack([fn(*ua) for fn in map_fns])
+        if map_fn is not None:
+            ua = np.stack(map_fn(*ua))
         diff = ua - b.data[level]
         out.append({
             "t": float(a.times[level]),

@@ -71,11 +71,10 @@ def unit_samples(plan: SamplePlan, dim: int) -> np.ndarray:
     return (0.5 + np.outer(idx, alphas)) % 1.0
 
 
-def _evaluate(fns, t, x, u):
-    """Compiled functions of (t, x, *states) at one state u (n,) -> (m,), or
-    at a stack of states (N, n) -> (N, m) as a transposed view."""
-    args = (t, x, *u.T)
-    return np.array([fn(*args) for fn in fns]).T
+def _evaluate(fn, t, x, u):
+    """Entries of a function compiled over (t, x, *states) at one state u (n,)
+    -> (m,), or at a stack of states (N, n) -> (N, m) as a transposed view."""
+    return np.array(fn(t, x, *u.T)).T
 
 
 def _directions(w):
@@ -141,9 +140,9 @@ class QuasilinearSystem:
         return list(INDEPENDENT) + self.states
 
     def _compiled(self, key):
-        """Compiled flat entries of `key` ("A", "g", "A0", "exclude", or
-        ("dA", k) / ("dA0", k) for the derivative along state k), with their
-        expressions and the name used in diagnostics."""
+        """The one compiled function of the flat entries of `key` ("A", "g",
+        "A0", "exclude", or ("dA", k) / ("dA0", k) for the derivative along
+        state k), with their expressions and the name used in diagnostics."""
         hit = self._cache.get(key)
         if hit is None:
             name, k = (key, None) if isinstance(key, str) else key
@@ -151,9 +150,9 @@ class QuasilinearSystem:
             exprs = ({"g": self.g, "exclude": self.exclude}[name] if rows is None
                      else [e for row in rows for e in row])
             if k is not None:
-                exprs = [ex.differentiate(e, self.states[k]) for e in exprs]
+                exprs = ex.differentiate(exprs, self.states[k])
                 name = f"{name}/d{self.states[k]}"
-            hit = ([ex.compile_expression(e, self.arg_order) for e in exprs], exprs, name)
+            hit = (ex.compile_expression(exprs, self.arg_order), exprs, name)
             self._cache[key] = hit
         return hit
 
@@ -192,9 +191,9 @@ class QuasilinearSystem:
         otherwise, with a leading N axis on a stack.  At one state a
         non-finite entry raises DomainError naming it; a stack keeps nan and
         inf."""
-        fns, exprs, name = self._compiled(key)
+        fn, exprs, name = self._compiled(key)
         shape = (self.n,) if name == "g" else (self.n, self.n)
-        vals = _evaluate(fns, t, x, u)
+        vals = _evaluate(fn, t, x, u)
         # vals . vals is finite when every entry is (unless it overflows),
         # and costs less than the entrywise check
         if u.ndim == 1 and not math.isfinite(vals.dot(vals)) and not np.isfinite(vals).all():
@@ -309,23 +308,23 @@ class _ConjugatedBackend:
         self.autonomous = tri_system.autonomous and not any(
             ex.free_symbols(e) & set(INDEPENDENT) for e in forward_map)
         self.u_names, self.order = list(u_names), list(INDEPENDENT) + list(u_names)
-        self.j_entries = [[ex.differentiate(H, nm) for nm in u_names] for H in forward_map]
+        columns = [ex.differentiate(forward_map, nm) for nm in u_names]
+        self.j_entries = [list(row) for row in zip(*columns)]
         self.j_flat = [e for row in self.j_entries for e in row]
         # H, then the entries of J = grad H
-        self.hj_fns = [ex.compile_expression(e, self.order)
-                       for e in list(forward_map) + self.j_flat]
+        self.hj_fn = ex.compile_expression(list(forward_map) + self.j_flat, self.order)
 
     @functools.cached_property
     def dj_fns(self):
         """dJ/du_k compiled, entries flat, for each state k: built on the first
         _derivative call, which a symbolic conjugation never makes."""
-        return [[ex.compile_expression(ex.differentiate(e, nm), self.order) for e in self.j_flat]
+        return [ex.compile_expression(ex.differentiate(self.j_flat, nm), self.order)
                 for nm in self.u_names]
 
     # J and T are made contiguous so that a stacked product runs the same
     # BLAS call per state as the product at one state
     def _jh(self, t, x, u):
-        vals = _evaluate(self.hj_fns, t, x, u)
+        vals = _evaluate(self.hj_fn, t, x, u)
         J = vals[..., self.n:].reshape(u.shape[:-1] + (self.n, self.n))
         return np.ascontiguousarray(J), vals[..., :self.n]
 
@@ -525,14 +524,14 @@ def conjugate_system(triangular: QuasilinearSystem, h_map, inverse_map,
         raise TooLarge("conjugation supported up to n = 6")
     u_names = list(u_names)
     backend = _ConjugatedBackend(triangular, inverse_map, u_names)
-    h_fns = [ex.compile_expression(e, list(INDEPENDENT) + triangular.states) for e in h_map]
+    h_fn = ex.compile_expression(h_map, list(INDEPENDENT) + triangular.states)
 
     lows = np.array([u_domain[nm][0] for nm in u_names])
     highs = np.array([u_domain[nm][1] for nm in u_names])
     pts = lows + unit_samples(SamplePlan(count=INVERSE_CHECK_COUNT, seed=7), n) * (highs - lows)
     with np.errstate(all="ignore"):
         J, H = backend._jh(0.0, 0.0, pts)
-        back = _evaluate(h_fns, 0.0, 0.0, H)
+        back = _evaluate(h_fn, 0.0, 0.0, H)
         err = np.max(np.abs(back - pts))
         if not np.all(np.isfinite(back)) or err > INVERSE_CHECK_TOL:
             raise NotInverse(f"h(H(u)) differs from u by {err:.3e}")

@@ -133,9 +133,10 @@ def verify_transform(sys_: QuasilinearSystem, candidate: TransformCandidate,
         raise SchemaError(f"candidate must have {n} components")
 
     order = sys_.arg_order
-    comp_fns = [ex.compile_expression(e, order) for e in candidate.components]
-    grad_fns = [[ex.compile_expression(ex.differentiate(e, nm), order)
-                 for nm in sys_.states] for e in candidate.components]
+    comp_fn = ex.compile_expression(candidate.components, order)
+    # grad H row by row: component i along state k is grads[k][i]
+    grads = [ex.differentiate(candidate.components, nm) for nm in sys_.states]
+    grad_fn = ex.compile_expression([g[i] for i in range(n) for g in grads], order)
     machine = FrameMachine(sys_, frame)
     mask = _off_block_mask(partition, n)
     # annihilation index set: H components of block i against r slots of the
@@ -148,7 +149,7 @@ def verify_transform(sys_: QuasilinearSystem, candidate: TransformCandidate,
     frames = machine.frames(states[:, 0], states[:, 1], states[:, 2:])
     by_cause = Counter(_cause(err) for err in frames.errors if err is not None)
     live = np.array([err is None for err in frames.errors], dtype=bool)
-    J = _jacobians(grad_fns, states[live])
+    J = _jacobians(grad_fn, states[live])
     dets = np.linalg.det(J)
     ok = ~(np.abs(dets) < DET_FLOOR)
     singular = int(np.count_nonzero(~ok))
@@ -172,12 +173,12 @@ def verify_transform(sys_: QuasilinearSystem, candidate: TransformCandidate,
     off_max = float(np.fmax.reduce(off, initial=0.0))
     block_dep = None
     if candidate.inverse is not None:
-        block_dep = _block_dependence(sys_, candidate, samples, comp_fns, grad_fns)
+        block_dep = _block_dependence(sys_, candidate, samples, comp_fn, grad_fn)
 
     verdict = "pass" if (ann_max <= tol and off_max <= tol) else "fail"
     return TransformedSystem(
         partition=partition, samples=samples, t_matrices=T,
-        u_values=np.ascontiguousarray(_evaluate(comp_fns, t, x, U)), jacobian_dets=dets,
+        u_values=np.ascontiguousarray(_evaluate(comp_fn, t, x, U)), jacobian_dets=dets,
         annihilation_max=ann_max,
         annihilation_mean=(ann_sum / ann.size) if ann.size else 0.0,
         off_block_max=off_max, min_abs_det=float(np.min(np.abs(dets))),
@@ -185,11 +186,10 @@ def verify_transform(sys_: QuasilinearSystem, candidate: TransformCandidate,
         block_dependence=block_dep, degenerate_by_cause=dict(by_cause))
 
 
-def _jacobians(grad_fns, samples):
+def _jacobians(grad_fn, samples):
     """grad H at the sample rows (t, x, u), as (N, n, n)."""
-    J = _evaluate([fn for grads in grad_fns for fn in grads], samples[:, 0], samples[:, 1],
-                  samples[:, 2:])
-    return np.ascontiguousarray(J).reshape(len(samples), len(grad_fns), -1)
+    J = _evaluate(grad_fn, samples[:, 0], samples[:, 1], samples[:, 2:])
+    return np.ascontiguousarray(J).reshape(len(samples), samples.shape[1] - 2, -1)
 
 
 def _annihilation(J, rights, pairs):
@@ -210,18 +210,17 @@ def _transformed(J, A):
     return T
 
 
-def _block_dependence(sys_, candidate, rows, comp_fns, grad_fns):
+def _block_dependence(sys_, candidate, rows, comp_fn, grad_fn):
     """max |d T^i_j entry / d U_m| for U_m outside the allowed set of block i,
     probed by central differences through the inverse map u = h(U) at each
     probe row's (t, x); probes where T is undefined are skipped."""
     n = sys_.n
     partition = candidate.partition
     inv_states = candidate.inverse_states or [f"U{i+1}" for i in range(n)]
-    inv_fns = [ex.compile_expression(e, list(INDEPENDENT) + inv_states)
-               for e in candidate.inverse]
+    inv_fn = ex.compile_expression(candidate.inverse, list(INDEPENDENT) + inv_states)
     probes = rows[:: max(1, len(rows) // 8)]
     t, x = probes[:, 0], probes[:, 1]
-    U0 = np.ascontiguousarray(_evaluate(comp_fns, t, x, probes[:, 2:]))
+    U0 = np.ascontiguousarray(_evaluate(comp_fn, t, x, probes[:, 2:]))
     # U0 with component m moved by +h and by -h, for every m: (m, side,
     # probe, n), evaluated as one stack
     h = DEPENDENCE_STEP * (1.0 + np.abs(U0))
@@ -229,8 +228,8 @@ def _block_dependence(sys_, candidate, rows, comp_fns, grad_fns):
     V = np.stack([np.where(moved, U0 + h, U0), np.where(moved, U0 - h, U0)], axis=1)
     tt, xx = np.tile(t, 2 * n), np.tile(x, 2 * n)
     with np.errstate(all="ignore"):
-        u = np.ascontiguousarray(_evaluate(inv_fns, tt, xx, V.reshape(-1, n)))
-        T = _transformed(_jacobians(grad_fns, np.column_stack([tt, xx, u])),
+        u = np.ascontiguousarray(_evaluate(inv_fn, tt, xx, V.reshape(-1, n)))
+        T = _transformed(_jacobians(grad_fn, np.column_stack([tt, xx, u])),
                          sys_.eval_matrix(tt, xx, u)).reshape(n, 2, len(probes), n, n)
         dT = (T[:, 0] - T[:, 1]) / (2.0 * h.T)[:, :, None, None]
     out = {}

@@ -305,3 +305,73 @@ def test_differentiate_matches_central_difference(e, point):
     d = _value(ex.differentiate(e, "x"), point)
     assume(None not in (f, fp, fm, d))
     assert abs(d - (fp - fm) / (2.0 * h)) <= 1e-5 * (1.0 + abs(f) + abs(d))
+
+
+def _rebuild(e):
+    """e built again node by node."""
+    if isinstance(e, ex.Un):
+        return ex.Un(e.op, _rebuild(e.a))
+    if isinstance(e, ex.Bin):
+        return ex.Bin(e.op, _rebuild(e.a), _rebuild(e.b))
+    return type(e)(*(getattr(e, name) for name in e.__slots__))
+
+
+def _sharing_entries(trees, shared):
+    """Entries that share subtrees: the trees, their pairwise sums and
+    products, quotients by 0.0 and -0.0, and the two zeros.  With `shared`
+    every use of a tree is the one object, else each use is built again."""
+    use = (lambda e: e) if shared else _rebuild
+    zeros = [ex.Const(0.0), ex.Const(-0.0)]
+    entries = [use(e) for e in trees]
+    entries += [ex.Bin(op, use(a), use(b)) for a in trees for b in trees for op in "+*"]
+    return entries + [ex.Bin("/", use(trees[0]), z) for z in zeros] + zeros
+
+
+def _outcome(fn, args):
+    """The bytes of each value fn returns, or the type of what it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return [np.asarray(v).tobytes() for v in fn(*args)]
+    except ArithmeticError as err:  # symbol-free subtrees run on Python floats
+        return type(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees=st.lists(ALL_TREES, min_size=1, max_size=3), shared=st.booleans(),
+       point=POINTS)
+def test_list_compile_returns_the_bits_of_each_entry_alone(trees, shared, point):
+    entries = _sharing_entries(trees, shared)
+    # interning: a tree built again is the same object, whichever zero it holds
+    assert all(_rebuild(e) is e for e in entries)
+    assert ex.Const(0.0) is not ex.Const(-0.0)
+    order = ["x", "y"]
+    together = ex.compile_expression(entries, order)
+    alone = [ex.compile_expression(e, order) for e in entries]
+    one = [np.float64(point["x"]), np.float64(point["y"])]
+    stack = [np.array([point["x"], -point["y"], 0.0, -0.0]),
+             np.array([point["y"], 0.0, -0.0, math.inf])]
+    for args in (one, stack):
+        each = [_outcome(lambda *a, fn=fn: [fn(*a)], args) for fn in alone]
+        raised = [o for o in each if isinstance(o, type)]
+        want = raised[0] if raised else [o[0] for o in each]
+        assert _outcome(together, args) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees=st.lists(ALL_TREES, min_size=1, max_size=3), shared=st.booleans())
+def test_list_differentiate_matches_each_entry_alone(trees, shared):
+    # x and y last: their derivatives tell the two variables apart
+    entries = _sharing_entries(trees, shared) + [ex.Sym("x"), ex.Sym("y")]
+
+    def printed(derivatives):
+        try:
+            return [ex.to_string(d) for d in derivatives()]
+        except (DomainError, OverflowError) as err:  # folding a constant power
+            return type(err)
+
+    for var in ("x", "y"):
+        each = [printed(lambda e=e: [ex.differentiate(e, var)]) for e in entries]
+        raised = [o for o in each if isinstance(o, type)]
+        want = raised[0] if raised else [s for [s] in each]
+        assert printed(lambda: ex.differentiate(entries, var)) == want
+        assert raised or want[-2:] == (["1", "0"] if var == "x" else ["0", "1"])

@@ -56,6 +56,13 @@ def test_cfl_validation():
         hypsolve.solve_coupled(sys_, ["0"], 16, 0.1, cfl=1.2)
 
 
+def test_initial_data_needs_one_expression_per_state():
+    sys_ = burgers_pair()
+    for initial in (["0"], ["0", "0", "0"]):
+        with pytest.raises(SchemaError):
+            hypsolve.solve_coupled(sys_, initial, 16, 0.1)
+
+
 def test_blowup_detection():
     doc = {"n": 1, "states": ["u"], "A": [["u"]], "g": ["u*u"],
            "domain": {"u": [-1e30, 1e30], "x": [0, 1]}}

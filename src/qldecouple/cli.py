@@ -357,6 +357,7 @@ def cmd_simulate(args):
                                      boundary=args.boundary)
     _solution_csv(os.path.join(run_dir, "solution_coupled.csv"), sys_.states, coupled)
     report = {"coupled": json.loads(hypsolve.solution_meta_json(coupled))}
+    solve = {"coupled": coupled.work}
 
     if doc and "decoupledHint" in doc and "transformHint" in doc:
         dec = models.decoupled_system(doc)
@@ -379,8 +380,10 @@ def cmd_simulate(args):
                                            parameters=sys_.parameters)
         report["hierarchical"] = json.loads(hypsolve.solution_meta_json(hier))
         report["comparison"] = norms
-    _emit(args, os.path.join(run_dir, "report.json"),
-          _report_payload(config, report, t0))
+        solve["hierarchical"] = hier.work
+    payload = _report_payload(config, report, t0)
+    payload["timing"]["solve"] = solve
+    _emit(args, os.path.join(run_dir, "report.json"), payload)
     return 0
 
 

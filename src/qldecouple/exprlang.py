@@ -282,8 +282,11 @@ class _Parser:
             m = _NUMBER.match(self.text, self.pos)
             if not m:
                 raise ParseError("bad number", self.pos)
+            value = float(m.group())
+            if math.isinf(value):
+                raise ParseError("number out of range", self.pos)
             self.pos = m.end()
-            return Const(float(m.group()))
+            return Const(value)
         m = _NAME.match(self.text, self.pos)
         if not m:
             raise ParseError(f"unexpected '{ch}'" if ch else "unexpected end of input", self.pos)
@@ -552,7 +555,8 @@ def compile_expression(exprs, arg_order):
         """The literal, argument or local holding the value of node e."""
         if e not in refs:
             if isinstance(e, Const):
-                refs[e] = f"({e.value!r})"
+                # repr(inf) and repr(nan) are names the generated code lacks
+                refs[e] = f"({e.value!r})" if math.isfinite(e.value) else f"float('{e.value!r}')"
             elif isinstance(e, Sym):
                 if e.name not in names:
                     missing.add(e.name)

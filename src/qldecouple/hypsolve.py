@@ -29,6 +29,20 @@ SCHEMES = ("laxFriedrichs", "upwindCharacteristic")
 BLOWUP_FACTOR = 1e6
 # sampled states at which a hierarchical solve checks the block triangularity
 TRIANGULAR_PROBES = 16
+# A 2x2 cell is safely real when, with its entries divided by their largest
+# magnitude s, the quarter discriminant ((a-d)/2)^2 + bc exceeds SAFE_DISC.
+# Its eigenvalues then lie 2 sqrt(SAFE_DISC) apart, so their condition number
+# sqrt(1 + |n|^2 / (l1-l2)^2), n the Schur off-diagonal with |n| <= 2, is at
+# most 1/sqrt(SAFE_DISC) + 1 ~ 100, and the larger |lambda| is at least
+# sqrt(SAFE_DISC).  LAPACK (backward error c eps |A/s|, c ~ 10) and the
+# closed form then both lie within about 2e4 c eps ~ 5e-11 of the exact
+# max |lambda|, relative to it.
+SAFE_DISC = 1e-4
+# A safely real cell whose closed-form max |lambda| lies within this relative
+# margin of the stack's largest estimate may hold LAPACK's largest speed.  The
+# cell holding it lies within about twice the two errors above (~2e-10) of
+# the largest estimate, well inside the margin.
+SPEED_MARGIN = 1e-9
 
 
 @dataclass
@@ -40,6 +54,9 @@ class GridSolution:
     cfl: float
     boundary: str
     meta: dict = field(default_factory=dict)
+    # spectral work: steps, cells whose upwind pairs came in closed form, and
+    # matrices sent to eigvals and to eig
+    work: dict = field(default_factory=dict)
 
     @property
     def n_cells(self):
@@ -88,8 +105,9 @@ def _check_state(U, initial_scale, t):
 
 def _block_update(U, A, pairs, rhs, dt, dx, scheme, boundary):
     """One first-order step of U_t + A U_x = rhs on one block.  pairs holds
-    the block's characteristic speeds and right vectors (upwind only); rhs
-    is None when the block has no right-hand side."""
+    the block's characteristic speeds, right vectors V and left vectors
+    L = V^-1 (upwind only); rhs is None when the block has no right-hand
+    side."""
     Up = _shift(U, 1, boundary)
     Um = _shift(U, -1, boundary)
     if scheme == "laxFriedrichs":
@@ -97,14 +115,95 @@ def _block_update(U, A, pairs, rhs, dt, dx, scheme, boundary):
         AU = np.einsum("Nij,jN->iN", A, DU)
         out = 0.5 * (Up + Um) - dt * AU
     else:
-        lam, V = pairs
-        L = V if V.shape[-1] == 1 else np.linalg.inv(V)   # (N, n, n); V = 1 is its own inverse
+        lam, V, L = pairs
         ap = np.einsum("Nmj,jN->Nm", L, (Up - U) / dx)
         am = np.einsum("Nmj,jN->Nm", L, (U - Um) / dx)
         alpha = np.where(lam > 0.0, am, ap)                # (N, m)
         flux = np.einsum("Nim,Nm->iN", V, lam * alpha)
         out = U - dt * flux
     return out if rhs is None else out + dt * rhs
+
+
+def _real_max(lam):
+    """max |lambda| of a stack's eigenvalues; NonHyperbolic when some are complex."""
+    if np.max(np.abs(lam.imag)) > 1e-8 * (1.0 + np.max(np.abs(lam.real))):
+        raise NonHyperbolic("complex characteristic speeds on the realized states")
+    return float(np.max(np.abs(lam.real)))
+
+
+def _scaled_2x2(A):
+    """Closed-form spectra of a 2x2 stack.  Each cell is divided by its
+    largest |entry| s; returns s, the scaled entries (a, b, c, d), the half
+    trace, the root of the quarter discriminant and the safely real cells
+    (see SAFE_DISC; an all-zero cell is not one)."""
+    s = np.abs(A).max(axis=(1, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, b, c, d = (A.reshape(-1, 4) / s[:, None]).T
+    half = 0.5 * (a - d)
+    disc = half * half + b * c
+    safe = disc > SAFE_DISC
+    return s, (a, b, c, d), 0.5 * (a + d), np.sqrt(np.where(safe, disc, 0.0)), safe
+
+
+def _max_speed(A, work):
+    """The CFL speed max |lambda| over a stack, with the bits of
+    max |eigvals(A).real| and its NonHyperbolic decision.  An exactly lower
+    triangular stack reads its diagonal.  A 2x2 stack whose cells are all
+    safely real sends to eigvals only the cells whose closed-form speed lies
+    within SPEED_MARGIN of the largest; eigvals gives each matrix of a stack
+    its own bits.  Any other stack, or candidates that come back complex,
+    take eigvals of the whole stack."""
+    if not np.triu(A, 1).any():
+        return _real_max(np.diagonal(A, axis1=1, axis2=2))
+    if A.shape[-1] == 2:
+        s, _, mean, root, safe = _scaled_2x2(A)
+        if safe.all():
+            est = s * (np.abs(mean) + root)
+            near = est >= (1.0 - SPEED_MARGIN) * est.max()
+            lam = np.linalg.eigvals(A[near])
+            work["eigvalsCells"] += int(near.sum())
+            if not lam.imag.any():
+                return _real_max(lam)
+    work["eigvalsCells"] += len(A)
+    return _real_max(np.linalg.eigvals(A))
+
+
+def _eig_pairs(A, work):
+    """Pairs (lam, V, V^-1) of a stack from eig + inv, real parts only: the
+    speeds are real once the NonHyperbolic check has passed."""
+    lam, V = np.linalg.eig(A)
+    work["eigCells"] += len(A)
+    return lam.real, V.real, np.linalg.inv(V.real)
+
+
+def _pairs(A, work):
+    """Upwind pairs (lam, V, L = V^-1) of a block stack: (a, 1, 1) for 1x1
+    blocks; closed form for the safely real cells of 2x2 blocks, where each
+    eigenvector is the larger of the null vectors (b, lam - a) and
+    (lam - d, c) of the two rows of A - lam I, and eig + inv for the other
+    cells; eig + inv for larger blocks."""
+    m = A.shape[-1]
+    if m == 1:
+        work["closedFormCells"] += len(A)
+        one = np.ones_like(A)
+        return A[:, :, 0], one, one
+    if m > 2:
+        return _eig_pairs(A, work)
+    s, (a, b, c, d), mean, root, safe = _scaled_2x2(A)
+    lam = np.stack([mean + root, mean - root], axis=1)            # (N, 2) of A/s
+    la, ld = lam - a[:, None], lam - d[:, None]
+    b, c = np.broadcast_to(b[:, None], la.shape), np.broadcast_to(c[:, None], la.shape)
+    first = b * b + la * la >= ld * ld + c * c
+    V = np.where(first[:, None, :], np.stack([b, la], axis=1), np.stack([ld, c], axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        L = np.stack([np.stack([V[:, 1, 1], -V[:, 0, 1]], axis=1),
+                      np.stack([-V[:, 1, 0], V[:, 0, 0]], axis=1)], axis=1) \
+            / (V[:, 0, 0] * V[:, 1, 1] - V[:, 0, 1] * V[:, 1, 0])[:, None, None]
+    lam = lam * s[:, None]
+    work["closedFormCells"] += int(safe.sum())
+    if not safe.all():
+        lam[~safe], V[~safe], L[~safe] = _eig_pairs(A[~safe], work)
+    return lam, V, L
 
 
 def _validate_block_triangular(sys_, bounds):
@@ -127,16 +226,24 @@ def _validate_block_triangular(sys_, bounds):
 def _march(sys_, sizes, initial, n_cells, t_end, scheme, cfl, boundary, t0):
     """March the blocks of `sizes` in hierarchy order (see solve_hierarchical);
     one block is the coupled solve.  A and g are evaluated at each cell's
-    (t, x).  Each step does only the spectral work its scheme reads.
+    (t, x).  Each step does only the spectral work its scheme reads, and
+    counts it in GridSolution.work.  A non-finite A at a realized state
+    raises DomainError.
 
-    Eigenpairs are for upwinding only: a 1x1 block's pair is (a, 1), a block
-    spanning the system takes one eig of A, any other block one eig of the
-    block.  The CFL speed max |lambda| and the hyperbolicity check read the
-    eigenvalues of that full eig when there is one, else A's diagonal when
-    every cell's A is exactly lower triangular, else eigvals(A).  Each gives
-    the same bits as eig(A)'s eigenvalues, and Lax-Friedrichs never computes
-    an eigenvector.  The diagonal of a nearly triangular A would move dt in
-    the last bits.  A non-finite A at a realized state raises DomainError."""
+    Speeds.  The CFL speed max |lambda| and the hyperbolicity check keep the
+    bits of max |eigvals(A).real| (see _max_speed): A's diagonal when every
+    cell's A is exactly lower triangular; for a 2x2 A whose cells are all
+    safely real, eigvals of the few cells whose closed-form speed is near the
+    largest; otherwise eigvals of the whole stack.  An upwind solve of a
+    system with n > 2 in one block reads the eigenvalues of its one eig(A)
+    instead, which have the same bits.  So time levels and step counts never
+    depend on how the pairs are formed.
+
+    Pairs.  Upwinding alone reads eigenpairs (lam, V, L = V^-1), per block
+    (see _pairs): (a, 1, 1) for a 1x1 block, closed form for the safely real
+    cells of a 2x2 block and eig + inv for its other cells, eig + inv for a
+    larger block.  Closed-form pairs move upwind states in the last bits
+    only; Lax-Friedrichs never forms a pair."""
     if scheme not in SCHEMES:
         raise SchemaError(f"unknown scheme '{scheme}'")
     if not 0.0 < cfl <= 1.0:
@@ -147,7 +254,8 @@ def _march(sys_, sizes, initial, n_cells, t_end, scheme, cfl, boundary, t0):
     if len(sizes) > 1:
         _validate_block_triangular(sys_, bounds)
     upwind = scheme == "upwindCharacteristic"
-    full_eig = upwind and len(sizes) == 1 and sys_.n > 1
+    full_eig = upwind and len(sizes) == 1 and sys_.n > 2
+    work = {"steps": 0, "closedFormCells": 0, "eigvalsCells": 0, "eigCells": 0}
     x, dx = _grid(sys_, n_cells)
     U = _initial_values(sys_, initial, x)
     initial_scale = float(np.max(np.abs(U)))
@@ -163,14 +271,10 @@ def _march(sys_, sizes, initial, n_cells, t_end, scheme, cfl, boundary, t0):
                               f"u = {U[:, cell].tolist()}")
         if full_eig:
             lam, V = np.linalg.eig(A)
-        elif not np.triu(A, 1).any():
-            lam = np.diagonal(A, axis1=1, axis2=2)
+            work["eigCells"] += len(A)
+            lam_max = _real_max(lam)
         else:
-            lam = np.linalg.eigvals(A)
-        if np.max(np.abs(lam.imag)) > 1e-8 * (1.0 + np.max(np.abs(lam.real))):
-            raise NonHyperbolic("complex characteristic speeds on the realized states")
-        lam = lam.real
-        lam_max = float(np.max(np.abs(lam)))
+            lam_max = _max_speed(A, work)
         dt = t_end - t if lam_max == 0.0 else min(cfl * dx / lam_max, t_end - t)
         if dt <= 0:
             break
@@ -186,13 +290,10 @@ def _march(sys_, sizes, initial, n_cells, t_end, scheme, cfl, boundary, t0):
                 rhs = -cross if rhs is None else rhs - cross
             if not upwind:
                 pairs = None
-            elif r1 - r0 == 1:
-                pairs = (Ab[:, :, 0], np.ones_like(Ab))
             elif full_eig:
-                pairs = (lam, V.real)
+                pairs = (lam.real, V.real, np.linalg.inv(V.real))
             else:
-                lam_b, V_b = np.linalg.eig(Ab)
-                pairs = (lam_b.real, V_b.real)
+                pairs = _pairs(Ab, work)
             new[r0:r1] = _block_update(U[r0:r1], Ab, pairs, rhs, dt, dx, scheme, boundary)
         U = new
         t += dt
@@ -202,9 +303,10 @@ def _march(sys_, sizes, initial, n_cells, t_end, scheme, cfl, boundary, t0):
             raise BlowupDetected("step count safety limit reached")
     times.append(t)
     data.append(U.copy())
+    work["steps"] = guard
     return GridSolution(x=x, times=times, data=data, scheme=scheme, cfl=cfl,
                         boundary=boundary,
-                        meta={"steps": guard, "cells": n_cells, "tEnd": t_end})
+                        meta={"steps": guard, "cells": n_cells, "tEnd": t_end}, work=work)
 
 
 def solve_coupled(sys_: QuasilinearSystem, initial, n_cells, t_end,

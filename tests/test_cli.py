@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -126,6 +128,27 @@ def test_simulate_non_finite_coefficient_exit_three(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"] == "DomainError"
 
 
+def test_overflowing_literal_is_usage_error(tmp_path, capsys):
+    model = tmp_path / "overflow.json"
+    model.write_text(json.dumps({"n": 2, "states": ["u", "v"],
+                                 "A": [["1e400*u", "0"], ["0", "v"]],
+                                 "domain": {"u": [-1, 1], "v": [-1, 1]}}))
+    code = run(["check", "--model", str(model), "--partition", "1,1", "--mode", "full",
+                "--out", str(tmp_path)] + BASE)
+    assert code == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ParseError"
+
+
+def test_module_entry_point_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    done = subprocess.run([sys.executable, "-m", "qldecouple", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: qldecouple")
+
+
 def test_search_finds_riemann_pair(tmp_path, capsys):
     code = run(["search", "--model", "barotropic", "--pressure", "p0*rho^3",
                 "--param", "p0=1", "--mode", "full", "--out", str(tmp_path),
@@ -188,6 +211,15 @@ def test_simulate_writes_solutions_and_norms(tmp_path, capsys):
     assert os.path.exists(os.path.join(run_dir, "solution_hierarchical.csv"))
     comp = payload["report"]["comparison"]
     assert comp[-1]["L1total"] <= 0.05
+    # spectral work sits under timing: the coupled Lax-Friedrichs solve forms
+    # no pair, the decoupled (1, 1) upwind solve forms every pair in closed form
+    solve = payload["timing"]["solve"]
+    for side in ("coupled", "hierarchical"):
+        assert solve[side]["steps"] == payload["report"][side]["meta"]["steps"]
+    assert solve["coupled"]["closedFormCells"] == solve["coupled"]["eigCells"] == 0
+    hier = solve["hierarchical"]
+    assert hier["closedFormCells"] == 2 * 100 * hier["steps"]
+    assert hier["eigvalsCells"] == hier["eigCells"] == 0
 
 
 def test_decouple_runs_and_writes_grid(tmp_path, capsys):

@@ -222,6 +222,28 @@ def test_scientific_notation_and_whitespace():
     assert ex.evaluate(ex.parse("  1.5 *\t( 2 + 2 ) ", set()), {}) == 6.0
 
 
+def test_overflowing_literal_is_parse_error():
+    # a literal that rounds to inf used to parse to Const(inf), which neither
+    # compiles (the generated code names `inf`) nor prints (`_fmt_const`)
+    for text, at in (("1e400*u", 0), ("u + 2*1E999", 6)):
+        with pytest.raises(ParseError) as exc:
+            ex.parse(text, {"u"})
+        assert exc.value.position == at
+    e = ex.parse("1.7976931348623157e308*u", {"u"})
+    assert ex.parse(ex.to_string(e), {"u"}) == e
+    assert ex.compile_expression(e, ["u"])(1.0) == 1.7976931348623157e308
+
+
+def test_folded_non_finite_constants_compile():
+    # constant folding can still make inf and nan, which compile to their values
+    u = ex.parse("u", {"u"})
+    big = ex.Const(1e300) * ex.Const(1e300)
+    fn = ex.compile_expression([u * big, big - big, u - big], ["u"])
+    vals = fn(np.array([1.0, -1.0]))
+    np.testing.assert_array_equal(np.stack(vals), [[np.inf, -np.inf], [np.nan, np.nan],
+                                                   [-np.inf, -np.inf]])
+
+
 def test_nested_functions():
     e = ex.parse("sqrt(exp(log(abs(-4))))", set())
     assert ex.evaluate(e, {}) == pytest.approx(2.0, rel=1e-15)

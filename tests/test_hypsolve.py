@@ -340,3 +340,150 @@ def test_nearly_triangular_speed_comes_from_eigvals():
     sol = hypsolve.solve_hierarchical(sys_, (1, 1), ["sin(2*pi*x)", "cos(2*pi*x)"],
                                       n_cells, t_end, scheme="laxFriedrichs", cfl=cfl)
     assert (sol.times, sol.meta["steps"]) == reference
+
+
+# ---------------------------------------------------------------------------
+# closed-form 2x2 spectra: the speed keeps eigvals' bits, the pairs diagonalize
+# ---------------------------------------------------------------------------
+
+def work_counter():
+    return {"steps": 0, "closedFormCells": 0, "eigvalsCells": 0, "eigCells": 0}
+
+
+def eigvals_speed(A):
+    """The CFL speed and hyperbolicity decision from eigvals of the whole stack."""
+    lam = np.linalg.eigvals(A)
+    if np.max(np.abs(lam.imag)) > 1e-8 * (1.0 + np.max(np.abs(lam.real))):
+        return NonHyperbolic
+    return float(np.max(np.abs(lam.real)))
+
+
+def closed_form_speed(A, work):
+    try:
+        return hypsolve._max_speed(A, work)
+    except NonHyperbolic:
+        return NonHyperbolic
+
+
+CELL_KINDS = ("real", "triangular", "repeated", "near", "jordan", "complex", "zero")
+
+
+@st.composite
+def two_by_two_stacks(draw, kinds=CELL_KINDS, hide=True, copies=(0, 8)):
+    """A stack of 2x2 cells S M S^-1, each of a drawn kind (real, repeated or
+    nearly repeated eigenvalues, a Jordan block, a complex pair, all zero; or
+    M triangular with S = 1) and scaled by 1e-8, 1 or 1e8; optionally
+    followed by copies of its cells a few ulps away, and with one complex
+    cell hidden in it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    N = draw(st.integers(1, 12), label="N")
+    cells = []
+    for _ in range(N):
+        kind = draw(st.sampled_from(kinds))
+        l1, l2 = rng.uniform(-3.0, 3.0, 2)
+        S = rng.normal(size=(2, 2)) + 2.0 * np.eye(2)
+        if kind == "triangular":                        # b = 0 or c = 0 exactly
+            M, S = np.array([[l1, 0.0], [rng.normal(), l2]]), np.eye(2)
+            M = M.T if draw(st.booleans(), label="upper") else M
+        elif kind == "near":
+            M = np.diag([l1, l1 + draw(st.sampled_from([1e-12, 1e-6, 1e-3]))])
+        else:
+            M = {"real": np.diag([l1, l2]),
+                 "repeated": np.diag([l1, l1]),
+                 "jordan": np.array([[l1, 1.0], [0.0, l1]]),
+                 "complex": np.array([[l1, -abs(l2) - 0.1], [abs(l2) + 0.1, l1]]),
+                 "zero": np.zeros((2, 2))}[kind]
+        cells.append(draw(st.sampled_from([1e-8, 1.0, 1e8])) * (S @ M @ np.linalg.inv(S)))
+    A = np.array(cells)
+    for _ in range(draw(st.integers(*copies), label="near copies")):
+        ulps = rng.integers(-4, 5, A[:N].shape) * np.finfo(float).eps
+        A = np.concatenate([A, A[:N] * (1.0 + ulps)])
+    if hide and draw(st.booleans(), label="hidden complex cell"):
+        k = int(rng.integers(len(A)))
+        A[k] = [[1.0, -1e-3], [1e-3, 1.0]]
+    return A
+
+
+@settings(max_examples=400, deadline=None)
+@given(A=two_by_two_stacks())
+def test_closed_form_speed_keeps_the_eigvals_bits_and_decision(A):
+    assert closed_form_speed(A, work_counter()) == eigvals_speed(A)
+
+
+@settings(max_examples=300, deadline=None)
+@given(A=two_by_two_stacks(kinds=("real", "triangular"), hide=False, copies=(8, 8)))
+def test_speed_of_cells_a_few_ulps_apart_keeps_the_eigvals_bits(A):
+    # the closed form and LAPACK may order near-tied cells differently: the
+    # margin keeps the cell holding LAPACK's largest speed among the candidates
+    assert closed_form_speed(A, work_counter()) == eigvals_speed(A)
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=two_by_two_stacks(kinds=("real",)))
+def test_safely_real_stacks_send_few_cells_to_eigvals(A):
+    A = A[:, None].repeat(30, axis=1).reshape(-1, 2, 2) \
+        * np.linspace(1.0, 2.0, 30 * len(A))[:, None, None]   # distinct speeds
+    if not hypsolve._scaled_2x2(A)[-1].all():
+        return
+    work = work_counter()
+    assert closed_form_speed(A, work) == eigvals_speed(A)
+    assert work["eigvalsCells"] < len(A) // 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(A=two_by_two_stacks(kinds=("real", "triangular", "near", "repeated", "jordan", "zero"),
+                           hide=False))
+def test_closed_form_pairs_diagonalize_each_cell(A):
+    safe = hypsolve._scaled_2x2(A)[-1]
+    work = work_counter()
+    try:
+        ref_lam, ref_V, _ = hypsolve._eig_pairs(A[~safe], work_counter())
+    except np.linalg.LinAlgError:
+        # the real part of eig's vectors is singular at a nearly scalar cell
+        # with a tiny complex pair: the other cells fail as they did before
+        with pytest.raises(np.linalg.LinAlgError):
+            hypsolve._pairs(A, work)
+        return
+    lam, V, L = hypsolve._pairs(A, work)
+    assert (work["closedFormCells"], work["eigCells"]) == (safe.sum(), (~safe).sum())
+    s = np.abs(A).max(axis=(1, 2))[safe]
+    rebuilt = V[safe] @ (lam[safe][:, :, None] * L[safe])
+    assert np.all(np.abs(rebuilt - A[safe]).max(axis=(1, 2)) <= 1e-10 * s)
+    assert np.all(np.abs(L[safe] @ V[safe] - np.eye(2)) <= 1e-10)
+    # the other cells keep the eig + inv pairs
+    np.testing.assert_array_equal(lam[~safe], ref_lam)
+    np.testing.assert_array_equal(V[~safe], ref_V)
+
+
+def eig_pairs_everywhere(A, work):
+    """The reference pairs: eig + inv for every block larger than 1x1."""
+    if A.shape[-1] == 1:
+        one = np.ones_like(A)
+        return A[:, :, 0], one, one
+    return hypsolve._eig_pairs(A, work)
+
+
+@pytest.mark.parametrize("case", ["barotropic", "threadline"])
+@pytest.mark.parametrize("boundary", ["periodic", "outflow"])
+def test_closed_form_upwind_matches_eig_pairs(monkeypatch, case, boundary):
+    if case == "barotropic":
+        sys_ = models.build_barotropic("p0*rho^2").system
+        sizes, initial, t_end = (2,), ["1 + 0.3*sin(2*pi*x)", "0.2*cos(2*pi*x)"], 0.1
+    else:
+        sys_ = models.decoupled_system(models.build_threadline(k=1.0).document)
+        sizes, t_end = (2, 2), 0.05
+        initial = ["1 + 0.05*sin(2*pi*x)", "0.1*cos(2*pi*x)", "0.05*sin(2*pi*x)",
+                   "0.02*cos(2*pi*x)"]
+
+    def solve():
+        return hypsolve._march(sys_, sizes, initial, 200, t_end, "upwindCharacteristic",
+                               0.9, boundary, 0.0)
+
+    got = solve()
+    monkeypatch.setattr(hypsolve, "_pairs", eig_pairs_everywhere)
+    ref = solve()
+    assert got.work["closedFormCells"] == 200 * len(sizes) * got.meta["steps"] > 0
+    assert ref.work["closedFormCells"] == 0
+    assert (got.times, got.meta) == (ref.times, ref.meta)
+    scale = np.abs(ref.data[-1]).max(axis=1, keepdims=True)
+    assert np.all(np.abs(got.data[-1] - ref.data[-1]) <= 1e-13 * scale)

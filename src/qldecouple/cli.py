@@ -267,14 +267,16 @@ def cmd_search(args):
     sys_, _ = _resolve_model(args)
     config = _config_dict(args)
     run_dir = _run_dir(args, config)
+    work = {}
     found = cond.search_partitions(sys_, _plan(args), tol=args.tol,
                                    max_k=args.max_k, mode=args.mode,
-                                   frame=args.frame)
+                                   frame=args.frame, work=work)
     payload = _report_payload(config, {
         "passing": [{"blocks": s.blocks, "mode": s.mode, "report": r.to_dict()}
                     for s, r in found],
         "count": len(found),
     }, t0)
+    payload["timing"]["search"] = work
     _emit(args, os.path.join(run_dir, "report.json"), payload)
     return 0 if found else 1
 

@@ -68,6 +68,7 @@ DEFAULT_TOL = 1e-6
 EXCLUDED_FRACTION_LIMIT = 0.2
 # samples in the gradient-only pilot check that prunes search candidates
 PILOT_COUNT = 10
+FAMILIES = ("gradient", "interaction", "source")
 
 
 @dataclass
@@ -312,93 +313,138 @@ def _fd_step(u):
 
 
 class _Residuals:
-    """The residual kernels on a stack of states (t, x, U) with their base
-    frames: the FD step h of each row, the centered sweeps of the frame
-    field, the derivatives of A and the block source residuals, each
-    computed once.  A row reads a sweep or derivative only when one of its
-    tuples does, and it fails (errors[k] is set) only when something it
-    reads fails: the numeric `auto` gradient, for one, sweeps only the rows
-    where the eigenvalue's cluster is multiple."""
+    """The residual kernel on a stack of states (t, x, U) with their base
+    frames.  Its items (the centered sweep along a slot, dA along r_b, a
+    bracket, a gradient column (a, b), an interaction column (a, b, c), a
+    block source) are each computed at the rows a caller asks for, once per
+    row, and memoized; a row's bits do not depend on the rows that share its
+    call.  The items that can fail (sweeps, dA, block sources) keep what
+    each row raised.  run() reads the items a set of tuples needs."""
 
-    def __init__(self, machine, t, x, U, base: _Frames, gradient_path, partition=None,
-                 grad_tuples=(), int_tuples=(), src_tuples=()):
-        self.machine, self.partition = machine, partition
+    def __init__(self, machine, t, x, U, base: _Frames, gradient_path):
+        self.machine, self.gradient_path = machine, gradient_path
         self.t, self.x, self.U, self.base = t, x, U, base
-        self.grad_tuples, self.int_tuples, self.src_tuples = grad_tuples, int_tuples, src_tuples
         self.h = np.array([_fd_step(u) for u in U])
-        self.errors = list(base.errors)
-        N, n = U.shape
-        # rows of each gradient tuple that read no sweep: hinted fields are
-        # differentiated exactly, simple numeric eigenvalues by the
-        # perturbation formula
-        self.exact = {(a, b): (np.zeros(N, dtype=bool) if gradient_path == "fd"
-                               else np.ones(N, dtype=bool) if machine.field is not None
-                               else base.cluster_of_slot(a)[0] == 1)
-                      for a, b in grad_tuples}
-        need = np.zeros((n, N), dtype=bool)
-        for (_, b), exact in self.exact.items():
-            need[b] |= ~exact
+        self.items, self.clusters = {}, {}
+
+    def _item(self, key, rows, new, compute):
+        """Item `key` as (arrays, errors) over the stack: new() makes its
+        arrays, and compute(todo, arrays, errors) fills those of `rows` not
+        computed yet, errors[k] being what row k raised."""
+        if key not in self.items:
+            self.items[key] = (np.zeros(len(self.U), dtype=bool), new(), [None] * len(self.U))
+        done, arrays, errors = self.items[key]
+        todo = rows[~done[rows]]
+        if todo.size:
+            compute(todo, arrays, errors)
+            done[todo] = True
+        return arrays, errors
+
+    def run(self, rows, partition=None, grad_tuples=(), int_tuples=(), src_tuples=()):
+        """Residuals of the tuples at `rows` (indices into the stack) and each
+        row's first error (None for a row with residuals).  A row reads the
+        sweeps its tuples need in slot order, then dA along r_b of its
+        gradient tuples, then the block sources in tuple order, and nothing
+        after its first error.  The residuals are (rows without error,
+        tuples), tuples in order gradient, interaction, source: the numeric
+        `auto` gradient, for one, sweeps only the rows where the
+        eigenvalue's cluster is multiple."""
+        errors, failed = [None] * len(rows), np.zeros(len(rows), dtype=bool)
+
+        def read(item, key, reads):
+            at = np.flatnonzero(reads & ~failed)
+            if not at.size:
+                return
+            item_errors = item(*key, rows[at])[1]
+            for j in at:
+                if item_errors[rows[j]] is not None:
+                    errors[j], failed[j] = item_errors[rows[j]], True
+
+        exact = {a: self.exact(a)[rows] for a, _ in grad_tuples}
+        need = np.zeros((self.U.shape[1], len(rows)), dtype=bool)
+        for a, b in grad_tuples:
+            need[b] |= ~exact[a]
         for _, b, c in int_tuples:
             need[[b, c]] = True
-        for a, b in src_tuples:
-            need[[b] + self._allowed(a)] = True
-        self.sweeps = {slot: self._sweep(slot, np.flatnonzero(need[slot] & self.alive()))
-                       for slot in range(n) if need[slot].any()}
-        self.derivatives, self.brackets, self.sources = {}, {}, {}
+        sources = [(tuple(_allowed(partition, a)), b) for a, b in src_tuples]
+        for slots, b in sources:
+            need[[b, *slots]] = True
+        for slot in range(len(need)):
+            read(self.sweep, (slot,), need[slot])
+        if self.machine.field is None:
+            for b in dict.fromkeys(b for a, b in grad_tuples if exact[a].any()):
+                read(self.derivative, (b,),
+                     np.any([exact[a] for a, bb in grad_tuples if bb == b], axis=0))
+        for key in dict.fromkeys(sources):
+            read(self.source, key, ~failed)
+        live = rows[~failed]
+        cols = [self.gradient(a, b, live) for a, b in grad_tuples]
+        cols += [self.interaction(a, b, c, live) for a, b, c in int_tuples]
+        cols += [self.source(slots, b, live)[0][live, slots.index(a)]
+                 for (slots, b), (a, _) in zip(sources, src_tuples)]
+        return np.array(cols).T.reshape(len(live), len(cols)), errors
 
-    def alive(self):
-        return np.array([err is None for err in self.errors], dtype=bool)
+    def cluster(self, a):
+        """(alg_mult, is_complex) of slot a's cluster in each row."""
+        if a not in self.clusters:
+            self.clusters[a] = self.base.cluster_of_slot(a)
+        return self.clusters[a]
 
-    def _fail(self, rows, errors):
-        for k, err in zip(rows, errors):
-            if err is not None and self.errors[k] is None:
-                self.errors[k] = err
+    def exact(self, a):
+        """Rows whose gradients of slot a read no sweep: hinted fields are
+        differentiated exactly, simple numeric eigenvalues by the
+        perturbation formula."""
+        if self.gradient_path == "fd":
+            return np.zeros(len(self.U), dtype=bool)
+        if self.machine.field is not None:
+            return np.ones(len(self.U), dtype=bool)
+        return self.cluster(a)[0] == 1
 
-    def _allowed(self, a):
-        """Slots of the blocks a's block may depend on."""
-        p = self.partition
-        i = p.block_of(a)
-        return [s for j, bj in enumerate(p.blocks) if not p.forbidden(i, j) for s in bj]
-
-    def _sweep(self, slot, rows):
-        """The sweep along r_slot at `rows` as two (values, rights, lefts)
-        triples, at +h and -h, of (N, ...) stacks NaN in the other rows."""
+    def sweep(self, slot, rows):
+        """The sweep along r_slot as two (values, rights, lefts) triples, at
+        +h and -h, of (N, ...) stacks NaN in the rows not computed."""
         N, n = self.U.shape
-        out = [[np.full((N, n), np.nan, dtype=complex), np.full((N, n, n), np.nan),
-                np.full((N, n, n), np.nan)] for _ in range(2)]
-        if rows.size:
+
+        def new():
+            return [[np.full((N, n), np.nan, dtype=complex), np.full((N, n, n), np.nan),
+                     np.full((N, n, n), np.nan)] for _ in range(2)]
+
+        def compute(rows, out, errors):
             sides = self.machine.sweep(self.t[rows], self.x[rows], self.U[rows],
                                        self.base.take(rows), slot, self.h[rows])
-            self._fail(rows, [ep or em for ep, em in zip(sides[0].errors, sides[1].errors)])
+            for k, ep, em in zip(rows, sides[0].errors, sides[1].errors):
+                errors[k] = ep or em
             for parts, f in zip(out, sides):
                 parts[0][rows], parts[1][rows], parts[2][rows] = f.values, f.rights, f.lefts
-        return out
 
-    def _central(self, slot, part, index):
+        return self._item(("sweep", slot), rows, new, compute)
+
+    def _central(self, slot, part, index, rows):
         """Central difference along r_slot of the sweep frames' part
-        (0 values, 1 rights, 2 lefts) at slot `index`, row by row."""
-        p, m = (side[part][:, index] for side in self.sweeps[slot])
-        h2 = 2.0 * self.h
+        (0 values, 1 rights, 2 lefts) at slot `index`, at `rows`."""
+        p, m = (side[part][rows, index] for side in self.sweep(slot, rows)[0])
+        h2 = 2.0 * self.h[rows]
         return (p - m) / (h2 if p.ndim == 1 else h2[:, None])
 
-    def bracket(self, b, c):
+    def bracket(self, b, c, rows):
         """[r_b, r_c] = (D r_c) r_b - (D r_b) r_c from the sweeps along r_b
         and r_c, (N, n)."""
-        if (b, c) not in self.brackets:
-            self.brackets[b, c] = self._central(b, 1, c) - self._central(c, 1, b)
-        return self.brackets[b, c]
+        def compute(rows, out, _):
+            out[rows] = self._central(b, 1, c, rows) - self._central(c, 1, b, rows)
+        return self._item(("bracket", b, c), rows,
+                          lambda: np.full(self.U.shape, np.nan), compute)[0]
 
-    def gradient(self, a, b):
-        exact = self.exact[a, b]
-        out = np.full(len(self.U), np.nan)
-        if not exact.all():
-            d = self._central(b, 0, a)
-            cplx = self.base.cluster_of_slot(a)[1]
-            out = np.where(cplx, np.abs(d), d.real)
-        rows = np.flatnonzero(exact)
-        if rows.size:
-            out[rows] = self._gradient_exact(a, b, rows)
-        return out
+    def gradient(self, a, b, rows):
+        def compute(rows, out, _):
+            exact = self.exact(a)[rows]
+            fd, rows = rows[~exact], rows[exact]
+            if fd.size:
+                d = self._central(b, 0, a, fd)
+                out[fd] = np.where(self.cluster(a)[1][fd], np.abs(d), d.real)
+            if rows.size:
+                out[rows] = self._gradient_exact(a, b, rows)
+        return self._item(("gradient", a, b), rows,
+                          lambda: np.full(len(self.U), np.nan), compute)[0][rows]
 
     def _gradient_exact(self, a, b, rows):
         """Hinted fields differentiated exactly; simple numeric eigenvalues
@@ -409,29 +455,28 @@ class _Residuals:
         if field_ is not None:
             grads = np.ascontiguousarray(_evaluate(field_.value_gradient_fn(a), t, x, U))
             return (grads[:, None, :] @ r_b[:, :, None])[:, 0, 0]
-        return eigen.eigenvalue_derivatives(base.lefts[rows, a], self._derivative(b)[rows],
+        return eigen.eigenvalue_derivatives(base.lefts[rows, a],
+                                            self.derivative(b, rows)[0][rows],
                                             base.rights[rows, a])
 
-    def _derivative(self, b):
-        """dA along r_b, (N, n, n), at the rows whose perturbation formula
-        reads it.  Rows with the same nonzero components of r_b share one
-        stacked call, so each row sums the terms its per-point call sums."""
-        if b not in self.derivatives:
-            reads = np.any([e for (_, bb), e in self.exact.items() if bb == b], axis=0)
-            rows = np.flatnonzero(reads & self.alive())
+    def derivative(self, b, rows):
+        """dA along r_b, (N, n, n).  Rows with the same nonzero components
+        of r_b share one stacked call, so each row sums the terms its
+        per-point call sums."""
+        def compute(rows, DA, errors):
             nonzero = self.base.rights[rows, b] != 0
-            DA = self.derivatives[b] = np.full(self.base.rights.shape, np.nan)
             for pattern in np.unique(nonzero, axis=0):
                 sel = rows[(nonzero == pattern).all(axis=1)]
-                DA[sel] = self._coefficient("directional_matrix_derivative", sel, self.U[sel],
-                                            self.base.rights[sel, b])
-        return self.derivatives[b]
+                DA[sel] = self._coefficient("directional_matrix_derivative", sel, errors,
+                                            self.U[sel], self.base.rights[sel, b])
+        return self._item(("dA", b), rows, lambda: np.full(self.base.rights.shape, np.nan),
+                          compute)
 
-    def _coefficient(self, method, rows, U, *w):
+    def _coefficient(self, method, rows, errors, U, *w):
         """sys_.<method>(t, x, U, *w) on the stack of `rows`.  A row left
         non-finite (every row, when the stacked call raises) is redone at
         its one state, which raises DomainError where the per-point call
-        does; the row then fails."""
+        does; the row then keeps the error, unless it has one already."""
         fn, t, x = getattr(self.machine.sys, method), self.t[rows], self.x[rows]
         try:
             out = fn(t, x, U, *w)
@@ -444,81 +489,77 @@ class _Residuals:
             try:
                 out[k] = fn(t[k], x[k], U[k], *(v[k] for v in w))
             except (DomainError, np.linalg.LinAlgError) as err:
-                self._fail([rows[k]], [err])
+                if errors[rows[k]] is None:
+                    errors[rows[k]] = err
         return np.ascontiguousarray(out)
 
-    def interaction(self, a, b, c):
+    def interaction(self, a, b, c, rows):
         # l_a . ((D r_b) r_c - (D r_c) r_b)
-        l_a = np.ascontiguousarray(self.base.lefts[:, a])
-        return (l_a[:, None, :] @ self.bracket(c, b)[:, :, None])[:, 0, 0]
+        def compute(rows, out, _):
+            l_a = np.ascontiguousarray(self.base.lefts[rows, a])
+            out[rows] = (l_a[:, None, :] @ self.bracket(c, b, rows)[rows][:, :, None])[:, 0, 0]
+        return self._item(("interaction", a, b, c), rows,
+                          lambda: np.full(len(self.U), np.nan), compute)[0][rows]
 
-    def source(self, a, b):
-        """Component a of the source residual of a's block along r_b."""
-        slots = self._allowed(a)
-        key = (self.partition.block_of(a), b)
-        if key not in self.sources:
-            self.sources[key] = self._block_source(slots, b)
-        return self.sources[key][:, slots.index(a)]
+    def source(self, slots, b, rows):
+        """The source residual of the block that may depend on `slots` along
+        r_b: res_b = r_b(psi) - dL(r_b, R) (L R)^-1 psi, with L and R the
+        left and right rows of `slots`, psi = L g and
+        dL(r_b, r_c) = r_b(L r_c) - L [r_b, r_c]; (N, len(slots))."""
+        idx = list(slots)
 
-    def _block_source(self, slots, b):
-        """res_b = r_b(psi) - dL(r_b, R) (L R)^-1 psi, with L and R the left
-        and right rows of `slots`, psi = L g and
-        dL(r_b, r_c) = r_b(L r_c) - L [r_b, r_c]; (N, len(slots)), NaN in
-        the rows that fail."""
-        out = np.full((len(self.U), len(slots)), np.nan)
-        rows = np.flatnonzero(self.alive())
-        h, U = self.h[rows], self.U[rows]
-        h2 = (2.0 * h)[:, None]
-        d = h[:, None] * self.base.rights[rows, b]
-        L = self.base.lefts[rows][:, slots]
-        R = np.swapaxes(self.base.rights[rows][:, slots], 1, 2)
-        (_, Rp, Lp), (_, Rm, Lm) = ([part[rows] for part in side] for side in self.sweeps[b])
-        Lp, Lm = Lp[:, slots], Lm[:, slots]
-        g_p, g_m, g = (self._coefficient("eval_source", rows, V)[:, :, None]
-                       for V in (U + d, U - d, U))
-        d_psi = ((Lp @ g_p)[:, :, 0] - (Lm @ g_m)[:, :, 0]) / h2
-        d_LR = (Lp @ np.swapaxes(Rp[:, slots], 1, 2)
-                - Lm @ np.swapaxes(Rm[:, slots], 1, 2)) / h2[:, :, None]
-        dL = d_LR - L @ np.stack([self.bracket(b, c)[rows] for c in slots], axis=2)
-        live = self.alive()[rows]
-        rows, LR, psi = rows[live], L[live] @ R[live], L[live] @ g[live]
-        try:
-            sol = np.linalg.solve(LR, psi)
-        except np.linalg.LinAlgError:
-            # a singular L R: find its rows one at a time
-            sol = np.full(psi.shape, np.nan)
-            for j, k in enumerate(rows):
-                try:
-                    sol[j] = np.linalg.solve(LR[j], psi[j])
-                except np.linalg.LinAlgError as err:
-                    self._fail([k], [err])
-        out[rows] = d_psi[live] - (dL[live] @ sol)[:, :, 0]
-        return out
-
-    def run(self):
-        """Residual values (N, tuples), tuples in order gradient,
-        interaction, source; a row with errors[k] set has none."""
-        if not len(self.U):
-            return np.zeros((0, len(self.grad_tuples) + len(self.int_tuples)
-                             + len(self.src_tuples)))
-        cols = [self.gradient(a, b) for a, b in self.grad_tuples]
-        cols += [self.interaction(a, b, c) for a, b, c in self.int_tuples]
-        cols += [self.source(a, b) for a, b in self.src_tuples]
-        return np.array(cols).T.reshape(len(self.U), len(cols))
+        def compute(rows, out, errors):
+            h, U = self.h[rows], self.U[rows]
+            h2 = (2.0 * h)[:, None]
+            d = h[:, None] * self.base.rights[rows, b]
+            L = self.base.lefts[rows][:, idx]
+            R = np.swapaxes(self.base.rights[rows][:, idx], 1, 2)
+            (_, Rp, Lp), (_, Rm, Lm) = ([part[rows] for part in side]
+                                        for side in self.sweep(b, rows)[0])
+            Lp, Lm = Lp[:, idx], Lm[:, idx]
+            g_p, g_m, g = (self._coefficient("eval_source", rows, errors, V)[:, :, None]
+                           for V in (U + d, U - d, U))
+            d_psi = ((Lp @ g_p)[:, :, 0] - (Lm @ g_m)[:, :, 0]) / h2
+            d_LR = (Lp @ np.swapaxes(Rp[:, idx], 1, 2)
+                    - Lm @ np.swapaxes(Rm[:, idx], 1, 2)) / h2[:, :, None]
+            dL = d_LR - L @ np.stack([self.bracket(b, c, rows)[rows] for c in slots], axis=2)
+            live = np.array([errors[k] is None for k in rows], dtype=bool)
+            rows, LR, psi = rows[live], L[live] @ R[live], L[live] @ g[live]
+            try:
+                sol = np.linalg.solve(LR, psi)
+            except np.linalg.LinAlgError:
+                # a singular L R: find its rows one at a time
+                sol = np.full(psi.shape, np.nan)
+                for j, k in enumerate(rows):
+                    try:
+                        sol[j] = np.linalg.solve(LR[j], psi[j])
+                    except np.linalg.LinAlgError as err:
+                        errors[k] = err
+            out[rows] = d_psi[live] - (dL[live] @ sol)[:, :, 0]
+        return self._item(("source", slots, b), rows,
+                          lambda: np.full((len(self.U), len(slots)), np.nan), compute)
 
 
-def _at_state(sys_, t, x, u, frame, machine, base, **tuples):
+def _allowed(partition, a):
+    """Slots of the blocks a's block may depend on."""
+    i = partition.block_of(a)
+    return [s for j, bj in enumerate(partition.blocks) if not partition.forbidden(i, j)
+            for s in bj]
+
+
+def _at_state(sys_, t, x, u, frame, machine, base, gradient_path="auto", partition=None,
+              **tuples):
     """The residual of one tuple at one state, from the kernel on a one-row
     stack; raises what a frame, sweep, derivative or solve it reads raised."""
     u = np.asarray(u, dtype=float)
     m = machine or FrameMachine(sys_, frame)
     f = base if base is not None else m.base(t, x, u)
     kernel = _Residuals(m, np.array([t], dtype=float), np.array([x], dtype=float), u[None],
-                        _Frames.of(f), **tuples)
-    value = kernel.run()[0, 0]
-    if kernel.errors[0] is not None:
-        raise kernel.errors[0]
-    return float(value)
+                        _Frames.of(f), gradient_path)
+    values, errors = kernel.run(np.arange(1), partition, **tuples)
+    if errors[0] is not None:
+        raise errors[0]
+    return float(values[0, 0])
 
 
 def gradient_condition_residual(sys_, slot_a, slot_b, t, x, u, frame="auto",
@@ -668,36 +709,39 @@ class ConditionReport:
         return json.dumps(self.to_dict(), sort_keys=True, **kw)
 
 
-class _SweepEvaluator:
-    """Residual evaluation for one partition over a stack of samples."""
+class _SampleStack:
+    """The partition-independent stage of a check on a stack of samples
+    (t, x, u): the is_excluded mask, the base frames at the admissible rows
+    (one FrameMachine.frames call) and one residual kernel over the rows
+    with a base frame.  evaluate() and check() reduce it for one partition;
+    the kernel keeps what each reduction computes for the next."""
 
-    def __init__(self, sys_, partition, frame, gradient_path, separation_tolerance,
-                 families):
-        partition.validate_for(sys_.n)
-        self.sys = sys_
-        self.partition = partition
-        self.machine = FrameMachine(sys_, frame)
-        self.gradient_path = gradient_path
-        self.separation_tolerance = separation_tolerance
-        self.grad_tuples = list(gradient_tuples(partition)) if "gradient" in families else []
-        self.int_tuples = list(interaction_tuples(partition)) if "interaction" in families else []
-        self.src_tuples = (list(gradient_tuples(partition))
-                           if "source" in families and not sys_.homogeneous else [])
-        p = partition
-        self.labels = [("gradient", f"{p.label(a)}->{p.label(b)}") for a, b in self.grad_tuples]
-        self.labels += [("interaction", f"{p.label(a)}|{p.label(b)}->{p.label(c)}")
-                        for a, b, c in self.int_tuples]
-        self.labels += [("source", f"{p.label(a)}->{p.label(b)}") for a, b in self.src_tuples]
+    def __init__(self, sys_, samples, machine, gradient_path, separation_tolerance):
+        self.sys, self.samples, self.machine = sys_, samples, machine
+        self.gradient_path, self.separation_tolerance = gradient_path, separation_tolerance
+        t, x, U = samples[:, 0], samples[:, 1], samples[:, 2:]
+        self.status = np.where(sys_.is_excluded(t, x, U), "excluded", "ok").astype(object)
+        rows = np.flatnonzero(self.status == "ok")
+        self.base = machine.frames(t[rows], x[rows], U[rows])
+        for k, err in zip(rows, self.base.errors):
+            if err is not None:
+                self.status[k] = _cause(err)
+        alive = np.flatnonzero(self.status[rows] == "ok")
+        # the sample of each kernel row
+        self.rows = rows[alive]
+        self.kernel = _Residuals(machine, t[self.rows], x[self.rows], U[self.rows],
+                                 self.base.take(alive), gradient_path)
 
-    def _separation_excluded(self, values):
-        """Rows where a slot and a slot of a later block have eigenvalues
-        within the separation gap; never for hinted frames, which may split
-        a multiple eigenvalue deliberately."""
+    def _separation_excluded(self, partition):
+        """Kernel rows where a slot and a slot of a later block have
+        eigenvalues within the separation gap; never for hinted frames,
+        which may split a multiple eigenvalue deliberately."""
+        values = self.kernel.base.values
         excluded = np.zeros(len(values), dtype=bool)
         if self.machine.field is not None or not len(values):
             return excluded
         gap = self.separation_tolerance * (1.0 + np.max(np.abs(values), axis=1))
-        blocks = self.partition.blocks
+        blocks = partition.blocks
         for i, bi in enumerate(blocks):
             for bj in blocks[i + 1:]:
                 for a in bi:
@@ -705,29 +749,66 @@ class _SweepEvaluator:
                         excluded |= np.abs(values[:, a] - values[:, b]) <= gap
         return excluded
 
-    def evaluate(self, samples):
-        """Status and residuals of each sample row (t, x, u).  Returns
-        (status, values, base, rows): status[k] is "ok", "excluded" or a
-        degeneracy cause (see _cause); values holds one row of residuals, in
-        label order, per "ok" sample; base holds the frames at `rows`, the
-        samples that no exclusion predicate removes."""
-        t, x, U = samples[:, 0], samples[:, 1], samples[:, 2:]
-        status = np.where(self.sys.is_excluded(t, x, U), "excluded", "ok").astype(object)
-        rows = np.flatnonzero(status == "ok")
-        base = self.machine.frames(t[rows], x[rows], U[rows])
-        status[rows[self._separation_excluded(base.values)]] = "excluded"
-        for k, err in zip(rows, base.errors):
+    def evaluate(self, partition, families=FAMILIES):
+        """Status and residuals of each sample for one partition.  Returns
+        (status, values, tuples): status[k] is "ok", "excluded" or a
+        degeneracy cause (see _cause); values holds one row of residuals per
+        "ok" sample, in the order of tuples = (gradient, interaction,
+        source)."""
+        tuples = (list(gradient_tuples(partition)) if "gradient" in families else [],
+                  list(interaction_tuples(partition)) if "interaction" in families else [],
+                  list(gradient_tuples(partition))
+                  if "source" in families and not self.sys.homogeneous else [])
+        status = self.status.copy()
+        excluded = self._separation_excluded(partition)
+        status[self.rows[excluded]] = "excluded"
+        live = np.flatnonzero(~excluded)
+        values, errors = self.kernel.run(live, partition, *tuples)
+        for k, err in zip(self.rows[live], errors):
             if err is not None:
                 status[k] = _cause(err)
-        live = np.flatnonzero(status[rows] == "ok")
-        kernel = _Residuals(self.machine, t[rows[live]], x[rows[live]], U[rows[live]],
-                            base.take(live), self.gradient_path, self.partition,
-                            self.grad_tuples, self.int_tuples, self.src_tuples)
-        values = kernel.run()
-        for k, err in zip(rows[live], kernel.errors):
-            if err is not None:
-                status[k] = _cause(err)
-        return status, values[kernel.alive()], base, rows
+        return status, values, tuples
+
+    def check(self, partition, tol, families=FAMILIES, csv_path=None) -> ConditionReport:
+        """The ConditionReport of one partition."""
+        status, values, (grad, ints, src) = self.evaluate(partition, families)
+        evaluated = np.flatnonzero(status == "ok")
+        degenerate = status[(status != "ok") & (status != "excluded")].tolist()
+        samples, p = self.samples, partition
+        report = ConditionReport(
+            mode=p.mode, blocks=[list(b) for b in p.blocks], tolerance=tol,
+            frame_provenance=self.machine.provenance, gradient_path=self.gradient_path,
+            total_samples=len(samples), evaluated=len(evaluated),
+            excluded=int(np.count_nonzero(status == "excluded")), degenerate=len(degenerate),
+            degenerate_by_cause=dict(Counter(degenerate)))
+        labels = [("gradient", f"{p.label(a)}->{p.label(b)}") for a, b in grad]
+        labels += [("interaction", f"{p.label(a)}|{p.label(b)}->{p.label(c)}")
+                   for a, b, c in ints]
+        labels += [("source", f"{p.label(a)}->{p.label(b)}") for a, b in src]
+        bounds = np.cumsum([0, len(grad), len(ints), len(src)])
+        for fam, lo, hi in zip(FAMILIES, bounds[:-1], bounds[1:]):
+            report.families[fam] = FamilyStats.from_residuals(
+                values[:, lo:hi], [label for _, label in labels[lo:hi]], samples, evaluated)
+
+        if report.evaluated == 0:
+            report.flags.append("allExcluded" if report.excluded else "allDegenerate")
+        # flag nontrivial Jordan structure at the first admissible sample for
+        # manual review
+        base = self.base
+        if self.machine.field is None and len(base.errors) and base.errors[0] is None \
+                and any(k.startswith("generalized") for k in base.frame(0).kinds):
+            report.flags.append("jordanBlocks")
+
+        report.diagnostics["constraintCountFormula"] = p.constraint_count()
+        report.diagnostics["tupleCount"] = len(labels)
+        if len(labels) <= 64 and len(values):
+            scale = float(np.abs(values).max()) if values.size else 0.0
+            report.diagnostics["residualMatrixRank"] = (
+                int(np.linalg.matrix_rank(values, tol=1e-8 * scale)) if scale > 0 else 0)
+
+        if csv_path:
+            _write_residuals_csv(csv_path, self.sys.states, samples, evaluated, values, labels)
+        return report
 
 
 def _cause(err):
@@ -738,51 +819,18 @@ def _cause(err):
 
 def check_partition(sys_: QuasilinearSystem, partition: PartitionScheme,
                     plan: SamplePlan = None, tol: float = DEFAULT_TOL,
-                    frame="auto", gradient_path="auto",
-                    families=("gradient", "interaction", "source"),
+                    frame="auto", gradient_path="auto", families=FAMILIES,
                     csv_path=None) -> ConditionReport:
     """Evaluate every condition tuple of the partition mode at every
-    admissible sample and aggregate the residual statistics."""
+    admissible sample and aggregate the residual statistics: one sample
+    stack (base frames and residual kernel) reduced for one partition, the
+    path search_partitions takes for each candidate."""
+    partition.validate_for(sys_.n)
     plan = plan or SamplePlan()
-    evaluator = _SweepEvaluator(sys_, partition, frame=frame,
-                                gradient_path=gradient_path,
-                                separation_tolerance=plan.separation_tolerance,
-                                families=families)
-    samples = sys_.sample_points(plan)
-    status, values, base, rows = evaluator.evaluate(samples)
-    evaluated = np.flatnonzero(status == "ok")
-    degenerate = status[(status != "ok") & (status != "excluded")].tolist()
-    report = ConditionReport(
-        mode=partition.mode, blocks=[list(b) for b in partition.blocks],
-        tolerance=tol, frame_provenance=evaluator.machine.provenance,
-        gradient_path=gradient_path, total_samples=len(samples), evaluated=len(evaluated),
-        excluded=int(np.count_nonzero(status == "excluded")), degenerate=len(degenerate),
-        degenerate_by_cause=dict(Counter(degenerate)))
-    labels = evaluator.labels
-    bounds = np.cumsum([0, len(evaluator.grad_tuples), len(evaluator.int_tuples),
-                        len(evaluator.src_tuples)])
-    for fam, lo, hi in zip(("gradient", "interaction", "source"), bounds[:-1], bounds[1:]):
-        report.families[fam] = FamilyStats.from_residuals(
-            values[:, lo:hi], [label for _, label in labels[lo:hi]], samples, evaluated)
-
-    if report.evaluated == 0:
-        report.flags.append("allExcluded" if report.excluded else "allDegenerate")
-    # flag nontrivial Jordan structure at the first admissible sample for
-    # manual review
-    if evaluator.machine.field is None and len(rows) and base.errors[0] is None \
-            and any(k.startswith("generalized") for k in base.frame(0).kinds):
-        report.flags.append("jordanBlocks")
-
-    report.diagnostics["constraintCountFormula"] = partition.constraint_count()
-    report.diagnostics["tupleCount"] = len(labels)
-    if len(labels) <= 64 and len(values):
-        scale = float(np.abs(values).max()) if values.size else 0.0
-        report.diagnostics["residualMatrixRank"] = (
-            int(np.linalg.matrix_rank(values, tol=1e-8 * scale)) if scale > 0 else 0)
-
-    if csv_path:
-        _write_residuals_csv(csv_path, sys_.states, samples, evaluated, values, labels)
-    return report
+    machine = FrameMachine(sys_, frame)
+    stack = _SampleStack(sys_, sys_.sample_points(plan), machine, gradient_path,
+                         plan.separation_tolerance)
+    return stack.check(partition, tol, families, csv_path)
 
 
 def _write_residuals_csv(path, states, samples, evaluated, values, labels):
@@ -805,37 +853,45 @@ def _write_residuals_csv(path, states, samples, evaluated, values, labels):
 # partition search
 # ---------------------------------------------------------------------------
 
-def _assignment_units(sys_, frame, plan):
+def _assignment_units(stack: _SampleStack):
     """Indivisible slot groups: single slots for hinted frames, whole
-    clusters for numeric frames (multiplicity-respecting assignments)."""
-    machine = FrameMachine(sys_, frame)
-    if machine.field is not None:
-        return [[s] for s in range(sys_.n)], machine
-    samples = sys_.sample_points(plan)
-    for row in samples[~sys_.is_excluded(samples[:, 0], samples[:, 1], samples[:, 2:])]:
-        try:
-            f = machine.base(row[0], row[1], row[2:])
-        except (IllConditioned, DomainError):
-            continue
-        return [list(c.slots) for c in f.clusters], machine
+    clusters for numeric frames (multiplicity-respecting assignments), read
+    from the first admissible sample of the stack whose base frame does not
+    raise IllConditioned or DomainError; any other error raises there."""
+    if stack.machine.field is not None:
+        return [[s] for s in range(stack.sys.n)]
+    for k, err in enumerate(stack.base.errors):
+        if err is None:
+            return [list(c.slots) for c in stack.base.frame(k).clusters]
+        if not isinstance(err, (IllConditioned, DomainError)):
+            raise err
     raise DegenerateSample("no admissible sample to determine the cluster structure")
 
 
 def search_partitions(sys_: QuasilinearSystem, plan: SamplePlan = None,
                       tol: float = DEFAULT_TOL, max_k: int = None,
-                      mode="partial", frame="auto"):
+                      mode="partial", frame="auto", work: dict = None):
     """Enumerate block assignments (k = 2..max_k), prune with a gradient
-    pilot over the sample-sequence prefix, fully check survivors.
+    pilot over the sample-sequence prefix, fully check survivors.  Two
+    sample stacks, one for the pilot plan and one for the full plan, are
+    built once; each candidate's pilot and full check is a reduction of
+    them, with the report check_partition gives on the same plan.
 
     Returns passing (PartitionScheme, ConditionReport) pairs sorted by
-    k descending then max residual ascending.
+    k descending then max residual ascending.  A `work` dict receives the
+    candidates enumerated, the pilots passed, the full checks run and, per
+    candidate, its blocks and each check's verdict and degenerate samples
+    by cause.
     """
     n = sys_.n
     if n > 8:
         raise TooLarge("partition search is limited to n <= 8")
     plan = plan or SamplePlan()
     max_k = max_k or n
-    units, _ = _assignment_units(sys_, frame, plan)
+    machine = FrameMachine(sys_, frame)
+    full = _SampleStack(sys_, sys_.sample_points(plan), machine, "auto",
+                        plan.separation_tolerance)
+    units = _assignment_units(full)
     m = len(units)
 
     seen = set()
@@ -856,15 +912,22 @@ def search_partitions(sys_: QuasilinearSystem, plan: SamplePlan = None,
 
     pilot_plan = SamplePlan(count=min(PILOT_COUNT, plan.count), strategy=plan.strategy,
                             seed=plan.seed, separation_tolerance=plan.separation_tolerance)
-    passing = []
+    pilot = _SampleStack(sys_, sys_.sample_points(pilot_plan), machine, "auto",
+                         plan.separation_tolerance)
+    passing, candidates = [], []
     for scheme in schemes:
-        pilot = check_partition(sys_, scheme, pilot_plan, tol, frame=frame,
-                                families=("gradient",))
-        if pilot.verdict != "pass":
-            continue
-        full = check_partition(sys_, scheme, plan, tol, frame=frame)
-        if full.verdict == "pass":
-            passing.append((scheme, full))
+        reports = {"pilot": pilot.check(scheme, tol, ("gradient",))}
+        if reports["pilot"].verdict == "pass":
+            reports["full"] = full.check(scheme, tol)
+            if reports["full"].verdict == "pass":
+                passing.append((scheme, reports["full"]))
+        candidates.append({"blocks": scheme.blocks, **{
+            stage: {"verdict": r.verdict, "degenerateByCause": r.degenerate_by_cause}
+            for stage, r in reports.items()}})
+    if work is not None:
+        checked = sum("full" in c for c in candidates)
+        work.update(candidates=len(schemes), pilotsPassed=checked, fullChecks=checked,
+                    perCandidate=candidates)
     passing.sort(key=lambda sr: (-sr[0].k, sr[1].max_residual or 0.0,
                                  tuple(map(tuple, sr[0].blocks))))
     return passing

@@ -365,8 +365,9 @@ def test_search_numeric_frames_assign_whole_clusters(barotropic_cubic):
            "A": [["a", "0", "0"], ["0", "a", "0"], ["0", "0", "c + 3"]],
            "domain": {"a": [-1, 1], "b": [-1, 1], "c": [-1, 1]}}
     sys_ = load_system(json.dumps(doc))
-    units, _ = cond._assignment_units(sys_, "numeric", plan(count=40))
-    assert units == [[0, 1], [2]]
+    stack = cond._SampleStack(sys_, sys_.sample_points(plan(count=40)),
+                              cond.FrameMachine(sys_, "numeric"), "auto", 1e-3)
+    assert cond._assignment_units(stack) == [[0, 1], [2]]
     found = cond.search_partitions(sys_, plan(count=40), mode="partial", frame="numeric")
     assert [s.blocks for s, _ in found] == [[[0, 1], [2]], [[2], [0, 1]]]
 
@@ -653,16 +654,16 @@ def _stack_and_pointwise(sys_, p, samples, frame="auto", gradient_path="auto"):
     """Statuses and residual rows of the kernel on the whole sample stack,
     and, per sample, the N = 1 call of every tuple: its value, or the type
     of what it raised."""
-    ev = cond._SweepEvaluator(sys_, p, frame, gradient_path, 1e-3,
-                              ("gradient", "interaction", "source"))
-    status, values, _, _ = ev.evaluate(samples)
+    stack = cond._SampleStack(sys_, samples, cond.FrameMachine(sys_, frame), gradient_path,
+                              1e-3)
+    status, values, (grad, ints, src) = stack.evaluate(p)
     calls = [lambda t, x, u, a=a, b=b: cond.gradient_condition_residual(
                  sys_, a, b, t, x, u, frame=frame, path=gradient_path)
-             for a, b in ev.grad_tuples]
+             for a, b in grad]
     calls += [lambda t, x, u, a=a, b=b, c=c: cond.interaction_condition_residual(
-                  sys_, a, b, c, t, x, u, frame=frame) for a, b, c in ev.int_tuples]
+                  sys_, a, b, c, t, x, u, frame=frame) for a, b, c in ints]
     calls += [lambda t, x, u, a=a, b=b: cond.source_condition_residual(
-                  sys_, p, a, b, t, x, u, frame=frame) for a, b in ev.src_tuples]
+                  sys_, p, a, b, t, x, u, frame=frame) for a, b in src]
     pointwise = []
     for t, x, *u in samples:
         try:

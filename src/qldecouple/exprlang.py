@@ -258,7 +258,10 @@ class _Parser:
             at = self.pos
             self.pos += 1
             rhs = self._exponent_operand()
-            c = _constant_value(rhs)
+            try:
+                c = _constant_value(rhs)
+            except OverflowError:
+                raise ParseError("exponent out of range", at) from None
             if c is None:
                 raise ParseError("exponent must be a constant", at)
             e = Bin("^", e, Const(c))

@@ -168,12 +168,29 @@ def _max_speed(A, work):
     return _real_max(np.linalg.eigvals(A))
 
 
-def _eig_pairs(A, work):
-    """Pairs (lam, V, V^-1) of a stack from eig + inv, real parts only: the
-    speeds are real once the NonHyperbolic check has passed."""
+def _eig_pairs(A, work, cells=None):
+    """Pairs (lam, V, V^-1) of a stack from eig + inv (see _real_pairs);
+    cells[k] is the grid cell of A[k], k by default."""
     lam, V = np.linalg.eig(A)
     work["eigCells"] += len(A)
-    return lam.real, V.real, np.linalg.inv(V.real)
+    return _real_pairs(lam, V, cells)
+
+
+def _real_pairs(lam, V, cells=None):
+    """(lam, V, V^-1) from the real parts of eig's pairs: the speeds are real
+    once the NonHyperbolic check has passed.  The real parts of a complex
+    pair below that check's tolerance, or of a defective cell, hold no
+    basis: NonHyperbolic names the first such grid cell."""
+    try:
+        return lam.real, V.real, np.linalg.inv(V.real)
+    except np.linalg.LinAlgError:
+        for k, Vk in enumerate(V.real):
+            try:
+                np.linalg.inv(Vk)
+            except np.linalg.LinAlgError:
+                cell = k if cells is None else int(cells[k])
+                raise NonHyperbolic(f"no real eigenvector basis in grid cell {cell}") from None
+        raise
 
 
 def _pairs(A, work):
@@ -202,7 +219,7 @@ def _pairs(A, work):
     lam = lam * s[:, None]
     work["closedFormCells"] += int(safe.sum())
     if not safe.all():
-        lam[~safe], V[~safe], L[~safe] = _eig_pairs(A[~safe], work)
+        lam[~safe], V[~safe], L[~safe] = _eig_pairs(A[~safe], work, np.flatnonzero(~safe))
     return lam, V, L
 
 
@@ -291,7 +308,7 @@ def _march(sys_, sizes, initial, n_cells, t_end, scheme, cfl, boundary, t0):
             if not upwind:
                 pairs = None
             elif full_eig:
-                pairs = (lam.real, V.real, np.linalg.inv(V.real))
+                pairs = _real_pairs(lam, V)
             else:
                 pairs = _pairs(Ab, work)
             new[r0:r1] = _block_update(U[r0:r1], Ab, pairs, rhs, dt, dx, scheme, boundary)

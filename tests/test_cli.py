@@ -139,6 +139,31 @@ def test_overflowing_literal_is_usage_error(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"] == "ParseError"
 
 
+def test_overflowing_constant_exponent_is_usage_error(tmp_path, capsys):
+    model = tmp_path / "exponent.json"
+    model.write_text(json.dumps({"n": 2, "states": ["u", "v"],
+                                 "A": [["u^(10^400)", "0"], ["0", "v"]],
+                                 "domain": {"u": [-1, 1], "v": [-1, 1]}}))
+    code = run(["check", "--model", str(model), "--partition", "1,1",
+                "--out", str(tmp_path)] + BASE)
+    assert code == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ParseError"
+
+
+def test_simulate_nearly_scalar_upwind_cell_exit_three(tmp_path, capsys):
+    # a complex pair 1 +- 1e-20 u i passes the speed check, but the real
+    # parts of its eigenvectors are equal: no upwind basis exists there
+    model = tmp_path / "scalar.json"
+    model.write_text(json.dumps({"n": 2, "states": ["u", "v"],
+                                 "A": [["1", "1e-20*u"], ["-1e-20*u", "1"]],
+                                 "domain": {"u": [-1, 1], "v": [-1, 1]}}))
+    code = run(["simulate", "--model", str(model), "--initial", "sin(2*pi*x);0",
+                "--scheme", "upwindCharacteristic", "--out", str(tmp_path)])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "NonHyperbolic" and "grid cell" in err["message"]
+
+
 def test_module_entry_point_runs_the_cli():
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -752,3 +752,125 @@ def test_row_reads_only_its_own_sweeps():
     leaves = sum(u[1] - cond._fd_step(u) < 0 for u in U)
     assert 0 < leaves < 40
     assert fd.degenerate == leaves and fd.degenerate_by_cause == {"DomainError": leaves}
+
+
+# --- search candidates as reductions of shared sample stacks ---------------------
+
+# a hinted diagonal model whose sweeps fail at some rows: along r_0 where
+# p - h < 0 (A = sqrt(p)^2 is not finite: DomainError) and along r_1 where
+# q - h < 0 (the hinted eigenvalue is not finite: HintInconsistent)
+SWEEP_FAILS = {"n": 3, "states": ["p", "q", "w"],
+               "A": [["sqrt(p)^2", "0", "0"], ["0", "q + 3", "0"], ["0", "0", "w + 6"]],
+               "domain": {"p": [0, 3e-5], "q": [0, 3e-5], "w": [-1, 1]},
+               "autovectorHint": {"eigenvalues": ["p", "sqrt(q)^2 + 3", "w + 6"],
+                                  "right": [["1", "0", "0"], ["0", "1", "0"],
+                                            ["0", "0", "1"]]}}
+
+
+def _search_case(name):
+    """(system, plan, search keywords) of one equivalence case."""
+    if name == "sweepFails":
+        return load_system(json.dumps(SWEEP_FAILS)), plan(count=40, seed=3), {}
+    if name == "oracleSource":
+        _, _, entry = models.build_synthetic_triangular(seed=4, n=3, block_sizes=(2, 1),
+                                                        with_source=True)
+        return entry.system, plan(count=30), {}
+    model, mode, frame, strategy = name.split("-")
+    sys_ = {"cubic": lambda: models.build_barotropic("p0*rho^3").system,
+            "quadratic": lambda: models.build_barotropic("p0*rho^2").system,
+            "isentropic": lambda: models.build("isentropic").system,
+            "threadline": lambda: models.build("threadline").system}[model]()
+    return (sys_, SamplePlan(count=40, seed=7, strategy=strategy),
+            {"mode": mode, "frame": frame})
+
+
+@pytest.mark.parametrize("name", [
+    "threadline-partial-auto-lowDiscrepancy", "threadline-partial-numeric-lowDiscrepancy",
+    "cubic-partial-auto-lowDiscrepancy", "cubic-full-auto-lowDiscrepancy",
+    "quadratic-partial-auto-lowDiscrepancy", "quadratic-full-auto-lowDiscrepancy",
+    "isentropic-partial-auto-lowDiscrepancy", "cubic-full-numeric-tensorGrid",
+    "threadline-partial-auto-tensorGrid", "oracleSource", "sweepFails"])
+def test_search_candidates_equal_standalone_checks(monkeypatch, name):
+    # every pilot and full check the search makes, each a reduction of one
+    # of its two shared stacks, gives the report of a fresh check_partition
+    sys_, plan_, kw = _search_case(name)
+    seen, check = [], cond._SampleStack.check
+
+    def spy(stack, partition, tol, families=cond.FAMILIES, csv_path=None):
+        seen.append((partition, families, check(stack, partition, tol, families, csv_path)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(cond._SampleStack, "check", spy)
+    work = {}
+    found = cond.search_partitions(sys_, plan_, work=work, **kw)
+    monkeypatch.undo()
+    pilot_plan = SamplePlan(count=cond.PILOT_COUNT, seed=plan_.seed, strategy=plan_.strategy)
+    pilots = [r for _, f, r in seen if f == ("gradient",)]
+    fulls = [r for _, f, r in seen if f == cond.FAMILIES]
+    assert len(pilots) == work["candidates"] == len(work["perCandidate"])
+    assert len(fulls) == work["fullChecks"] == work["pilotsPassed"]
+    assert all(any(r is f for f in fulls) for _, r in found)
+    # and the full check of every candidate, the pruned ones too, reduced in
+    # turn from one stack of the full plan
+    frame = kw.get("frame", "auto")
+    stack = cond._SampleStack(sys_, sys_.sample_points(plan_), cond.FrameMachine(sys_, frame),
+                              "auto", plan_.separation_tolerance)
+    seen += [(scheme, cond.FAMILIES, stack.check(scheme, cond.DEFAULT_TOL))
+             for scheme in (cond.PartitionScheme(c["blocks"], kw.get("mode", "partial"))
+                            for c in work["perCandidate"])]
+    for scheme, families, report in seen:
+        want = cond.check_partition(sys_, scheme, pilot_plan if families != cond.FAMILIES
+                                    else plan_, frame=frame, families=families)
+        assert report.to_dict() == want.to_dict()
+        assert report.degenerate_by_cause == want.degenerate_by_cause
+    if name == "sweepFails":
+        # a row failing both sweeps counts as the slot-0 DomainError wherever
+        # it reads both, and as HintInconsistent where it reads r_1 alone
+        causes = {tuple(map(tuple, c["blocks"])): c["full"]["degenerateByCause"]
+                  for c in work["perCandidate"]}
+        assert causes[(0, 1), (2,)] == {"DomainError": 19, "HintInconsistent": 11}
+        assert causes[(1,), (0,), (2,)] == {"HintInconsistent": 19}
+        assert causes[(2,), (0, 1)] == {}
+
+
+def _stacked_sweep_rows(sys_, frame, samples):
+    """Each sweep of the stack's kernel over all its rows, and the same
+    sweep of a kernel over each row alone: ((values, rights, lefts) at
+    +h and -h, errors) per slot."""
+    stack = cond._SampleStack(sys_, samples, cond.FrameMachine(sys_, frame), "auto", 1e-3)
+    kernel = stack.kernel
+    rows = np.arange(len(kernel.U))
+    alone = [cond._Residuals(kernel.machine, kernel.t[[k]], kernel.x[[k]], kernel.U[[k]],
+                             kernel.base.take([k]), "auto") for k in rows]
+    for slot in range(sys_.n):
+        # the stack computes a prefix first and the rest later, as a search does
+        kernel.sweep(slot, rows[:len(rows) // 2])
+        whole, errors = kernel.sweep(slot, rows)
+        for k in rows:
+            one, one_errors = alone[k].sweep(slot, np.arange(1))
+            yield whole, errors, k, one, one_errors
+
+
+@pytest.mark.parametrize("case", ["numericFallback", "hinted"])
+def test_stacked_sweeps_give_each_row_its_bits_alone(case):
+    if case == "hinted":
+        sys_ = load_system(json.dumps(SWEEP_FAILS))
+        samples, frame = sys_.sample_points(plan(count=20, seed=3)), "analytic"
+    else:
+        # batch rows, a Jordan row and a complex row that leave the batch, and
+        # rows whose sweeps leave the domain of sqrt(c)
+        doc = {"n": 3, "states": ["a", "b", "c"],
+               "A": [["0", "1", "0"], ["a", "0", "0"], ["b", "sqrt(c)", "3 + b"]],
+               "domain": {"a": [-1, 1], "b": [-1, 1], "c": [0, 3e-5]}}
+        sys_ = load_system(json.dumps(doc))
+        samples = np.vstack([sys_.sample_points(plan(count=12, seed=5)),
+                             [[0.1, 0.2, 0.0, 0.3, 2e-5], [0.1, 0.2, -0.4, 0.1, 1e-5]]])
+        frame = "numeric"
+    failed = 0
+    for whole, errors, k, one, one_errors in _stacked_sweep_rows(sys_, frame, samples):
+        for side, one_side in zip(whole, one):
+            for part, one_part in zip(side, one_side):
+                assert np.array_equal(part[k], one_part[0], equal_nan=True)
+        assert type(errors[k]) is type(one_errors[0])
+        failed += errors[k] is not None
+    assert failed

@@ -234,6 +234,16 @@ def test_overflowing_literal_is_parse_error():
     assert ex.compile_expression(e, ["u"])(1.0) == 1.7976931348623157e308
 
 
+def test_overflowing_constant_exponent_is_parse_error():
+    # the parser folds a constant exponent with math.pow and math.exp, which
+    # raise OverflowError instead of returning inf
+    for text, at in (("u^(10^400)", 1), ("2*u^exp(1000)", 3), ("u^-(2^2000)", 1)):
+        with pytest.raises(ParseError) as exc:
+            ex.parse(text, {"u"})
+        assert exc.value.position == at
+    assert ex.parse("u^(2^10)", {"u"}) == ex.parse("u^1024", {"u"})
+
+
 def test_folded_non_finite_constants_compile():
     # constant folding can still make inf and nan, which compile to their values
     u = ex.parse("u", {"u"})

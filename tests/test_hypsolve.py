@@ -279,6 +279,24 @@ def test_hierarchical_rotation_block_is_non_hyperbolic(scheme):
                                     scheme=scheme)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_nearly_scalar_upwind_cell_is_non_hyperbolic(n):
+    # A = [[1 + v, e u], [-e u, 1]] (and a decoupled third row): where v = 0,
+    # in the cells right of x = 1/2, it has the complex pair 1 +- i e u,
+    # within the speed check's tolerance, and eig's two conjugate
+    # eigenvectors have equal real parts, so no real basis exists.  The 2x2
+    # pairs path (closed form left of x = 1/2) and the n > 2 eig + inv path
+    # both name grid cell 8, the first such cell.
+    A = [["1 + v", "1e-20*u", "0"], ["-1e-20*u", "1", "0"], ["0", "0", "2"]]
+    states = ["u", "v", "w"][:n]
+    sys_ = load_system(json.dumps({"n": n, "states": states,
+                                   "A": [row[:n] for row in A[:n]],
+                                   "domain": {s: [-1, 1] for s in states}}))
+    initial = ["sin(2*pi*x)", "abs(x - 0.5) - (x - 0.5)", "0"][:n]
+    with pytest.raises(NonHyperbolic, match="grid cell 8$"):
+        hypsolve.solve_coupled(sys_, initial, 16, 0.1, scheme="upwindCharacteristic")
+
+
 @st.composite
 def real_spectrum_stacks(draw, sizes=(2, 4)):
     """A stack of N matrices S D S^-1 with real, possibly repeated, D."""
@@ -438,10 +456,10 @@ def test_closed_form_pairs_diagonalize_each_cell(A):
     work = work_counter()
     try:
         ref_lam, ref_V, _ = hypsolve._eig_pairs(A[~safe], work_counter())
-    except np.linalg.LinAlgError:
+    except NonHyperbolic:
         # the real part of eig's vectors is singular at a nearly scalar cell
         # with a tiny complex pair: the other cells fail as they did before
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(NonHyperbolic):
             hypsolve._pairs(A, work)
         return
     lam, V, L = hypsolve._pairs(A, work)

@@ -21,23 +21,24 @@ H_t + T H_x, which frames at one (t, x) cannot determine.
 Partial mode constrains block i against all later blocks j > i; full mode
 constrains every ordered pair i != j.
 
-One kernel (_Residuals) evaluates the three families on a stack of states:
-check_partition passes the samples is_excluded leaves, as one stack, and
-reduces its report (family statistics in sample-then-tuple order, sample
-counts, degeneracy causes, residual matrix rank) from the kernel's residual
-matrix; the public *_condition_residual functions pass one state.
-FrameMachine.frames builds the base frames of the stack, and
-FrameMachine.sweep the frames at u +- h r_b of each slot a tuple reads, each
-in one batch.  Hinted rows never leave the batch: it applies frame_at's gates
-row by row, and frame_at is the batch on one row.  Numeric rows with a
-clustered or complex spectrum, and numeric rows a batch gate rejects, fall
-back to the per-point spectrum_at/align_frames.  A row whose frame raises
-keeps the error, and _cause names it as a degeneracy cause.
-FrameMachine.rights_batch, which the characteristic flows read, applies
-the same gates and the same fallback, without building lefts.  Every stacked
-product runs the BLAS or LAPACK call of the per-point one, so each row's
-residuals have the per-point bits.  nijenhuis_residual, too, takes one state
-or a stack (NaN in the rows where A or dA/du is not finite).
+Evaluation has two stages.  A _SampleStack, which does not depend on the
+partition, holds a plan's samples, their is_excluded mask, the base frames
+of the admissible ones (FrameMachine.frames, one batch) and one kernel
+(_Residuals) over the rows with a frame.  The kernel computes each sweep
+(FrameMachine.sweep, the frames at u +- h r_b), dA, bracket and residual
+column at the rows asked for, once, and keeps each row's error per item.  A
+partition reduces the stack: separation exclusion, its tuples' columns, each
+row's first error as its degeneracy cause (_cause), and the report.
+check_partition is one stack and one reduction; search_partitions reduces
+two stacks (pilot and full plan) per candidate; the public
+*_condition_residual functions run the kernel on one state.  Hinted rows
+never leave the batch: it applies frame_at's gates row by row.  Numeric rows
+with a clustered or complex spectrum, or that a batch gate rejects, fall
+back to the per-point spectrum_at/align_frames; FrameMachine.rights_batch,
+which the characteristic flows read, does the same without lefts.  Every
+stacked product runs the BLAS or LAPACK call of the per-point one, so a
+row's bits do not depend on its stack.  nijenhuis_residual, too, takes one
+state or a stack (NaN in the rows where A or dA/du is not finite).
 """
 
 from __future__ import annotations
@@ -325,14 +326,17 @@ class _Residuals:
         self.machine, self.gradient_path = machine, gradient_path
         self.t, self.x, self.U, self.base = t, x, U, base
         self.h = np.array([_fd_step(u) for u in U])
-        self.items, self.clusters = {}, {}
+        self.items = {}
 
-    def _item(self, key, rows, new, compute):
+    def _item(self, key, rows, compute, new=None):
         """Item `key` as (arrays, errors) over the stack: new() makes its
-        arrays, and compute(todo, arrays, errors) fills those of `rows` not
-        computed yet, errors[k] being what row k raised."""
+        arrays (a NaN column by default), and compute(todo, arrays, errors)
+        fills those of `rows` not computed yet, errors[k] being what row k
+        raised."""
         if key not in self.items:
-            self.items[key] = (np.zeros(len(self.U), dtype=bool), new(), [None] * len(self.U))
+            N = len(self.U)
+            self.items[key] = (np.zeros(N, dtype=bool), new() if new else np.full(N, np.nan),
+                               np.full(N, None, dtype=object))
         done, arrays, errors = self.items[key]
         todo = rows[~done[rows]]
         if todo.size:
@@ -341,24 +345,19 @@ class _Residuals:
         return arrays, errors
 
     def run(self, rows, partition=None, grad_tuples=(), int_tuples=(), src_tuples=()):
-        """Residuals of the tuples at `rows` (indices into the stack) and each
-        row's first error (None for a row with residuals).  A row reads the
-        sweeps its tuples need in slot order, then dA along r_b of its
+        """Residuals of the tuples at `rows` (indices into the stack), as
+        (rows without error, tuples) in order gradient, interaction, source,
+        and each row's first error or None.  A row reads the sweeps its
+        tuples need in slot order (the numeric `auto` gradient sweeps only
+        where the eigenvalue's cluster is multiple), then dA along r_b of its
         gradient tuples, then the block sources in tuple order, and nothing
-        after its first error.  The residuals are (rows without error,
-        tuples), tuples in order gradient, interaction, source: the numeric
-        `auto` gradient, for one, sweeps only the rows where the
-        eigenvalue's cluster is multiple."""
-        errors, failed = [None] * len(rows), np.zeros(len(rows), dtype=bool)
+        after its first error."""
+        errors, failed = np.full(len(rows), None, dtype=object), np.zeros(len(rows), dtype=bool)
 
         def read(item, key, reads):
             at = np.flatnonzero(reads & ~failed)
-            if not at.size:
-                return
-            item_errors = item(*key, rows[at])[1]
-            for j in at:
-                if item_errors[rows[j]] is not None:
-                    errors[j], failed[j] = item_errors[rows[j]], True
+            errors[at] = item(*key, rows[at])[1][rows[at]]
+            failed[at] = [err is not None for err in errors[at]]
 
         exact = {a: self.exact(a)[rows] for a, _ in grad_tuples}
         need = np.zeros((self.U.shape[1], len(rows)), dtype=bool)
@@ -384,40 +383,29 @@ class _Residuals:
                  for (slots, b), (a, _) in zip(sources, src_tuples)]
         return np.array(cols).T.reshape(len(live), len(cols)), errors
 
-    def cluster(self, a):
-        """(alg_mult, is_complex) of slot a's cluster in each row."""
-        if a not in self.clusters:
-            self.clusters[a] = self.base.cluster_of_slot(a)
-        return self.clusters[a]
-
     def exact(self, a):
         """Rows whose gradients of slot a read no sweep: hinted fields are
         differentiated exactly, simple numeric eigenvalues by the
         perturbation formula."""
-        if self.gradient_path == "fd":
-            return np.zeros(len(self.U), dtype=bool)
-        if self.machine.field is not None:
-            return np.ones(len(self.U), dtype=bool)
-        return self.cluster(a)[0] == 1
+        if self.gradient_path == "fd" or self.machine.field is not None:
+            return np.full(len(self.U), self.gradient_path != "fd")
+        return self.base.cluster_of_slot(a)[0] == 1
 
     def sweep(self, slot, rows):
         """The sweep along r_slot as two (values, rights, lefts) triples, at
         +h and -h, of (N, ...) stacks NaN in the rows not computed."""
         N, n = self.U.shape
 
-        def new():
-            return [[np.full((N, n), np.nan, dtype=complex), np.full((N, n, n), np.nan),
-                     np.full((N, n, n), np.nan)] for _ in range(2)]
-
         def compute(rows, out, errors):
             sides = self.machine.sweep(self.t[rows], self.x[rows], self.U[rows],
                                        self.base.take(rows), slot, self.h[rows])
-            for k, ep, em in zip(rows, sides[0].errors, sides[1].errors):
-                errors[k] = ep or em
+            errors[rows] = [ep or em for ep, em in zip(sides[0].errors, sides[1].errors)]
             for parts, f in zip(out, sides):
                 parts[0][rows], parts[1][rows], parts[2][rows] = f.values, f.rights, f.lefts
 
-        return self._item(("sweep", slot), rows, new, compute)
+        return self._item(("sweep", slot), rows, compute, lambda: [
+            [np.full((N, n), np.nan, dtype=complex), np.full((N, n, n), np.nan),
+             np.full((N, n, n), np.nan)] for _ in range(2)])
 
     def _central(self, slot, part, index, rows):
         """Central difference along r_slot of the sweep frames' part
@@ -431,8 +419,8 @@ class _Residuals:
         and r_c, (N, n)."""
         def compute(rows, out, _):
             out[rows] = self._central(b, 1, c, rows) - self._central(c, 1, b, rows)
-        return self._item(("bracket", b, c), rows,
-                          lambda: np.full(self.U.shape, np.nan), compute)[0]
+        return self._item(("bracket", b, c), rows, compute,
+                          lambda: np.full(self.U.shape, np.nan))[0]
 
     def gradient(self, a, b, rows):
         def compute(rows, out, _):
@@ -440,11 +428,10 @@ class _Residuals:
             fd, rows = rows[~exact], rows[exact]
             if fd.size:
                 d = self._central(b, 0, a, fd)
-                out[fd] = np.where(self.cluster(a)[1][fd], np.abs(d), d.real)
+                out[fd] = np.where(self.base.cluster_of_slot(a)[1][fd], np.abs(d), d.real)
             if rows.size:
                 out[rows] = self._gradient_exact(a, b, rows)
-        return self._item(("gradient", a, b), rows,
-                          lambda: np.full(len(self.U), np.nan), compute)[0][rows]
+        return self._item(("gradient", a, b), rows, compute)[0][rows]
 
     def _gradient_exact(self, a, b, rows):
         """Hinted fields differentiated exactly; simple numeric eigenvalues
@@ -469,8 +456,8 @@ class _Residuals:
                 sel = rows[(nonzero == pattern).all(axis=1)]
                 DA[sel] = self._coefficient("directional_matrix_derivative", sel, errors,
                                             self.U[sel], self.base.rights[sel, b])
-        return self._item(("dA", b), rows, lambda: np.full(self.base.rights.shape, np.nan),
-                          compute)
+        return self._item(("dA", b), rows, compute,
+                          lambda: np.full(self.base.rights.shape, np.nan))
 
     def _coefficient(self, method, rows, errors, U, *w):
         """sys_.<method>(t, x, U, *w) on the stack of `rows`.  A row left
@@ -498,30 +485,27 @@ class _Residuals:
         def compute(rows, out, _):
             l_a = np.ascontiguousarray(self.base.lefts[rows, a])
             out[rows] = (l_a[:, None, :] @ self.bracket(c, b, rows)[rows][:, :, None])[:, 0, 0]
-        return self._item(("interaction", a, b, c), rows,
-                          lambda: np.full(len(self.U), np.nan), compute)[0][rows]
+        return self._item(("interaction", a, b, c), rows, compute)[0][rows]
 
     def source(self, slots, b, rows):
         """The source residual of the block that may depend on `slots` along
         r_b: res_b = r_b(psi) - dL(r_b, R) (L R)^-1 psi, with L and R the
         left and right rows of `slots`, psi = L g and
         dL(r_b, r_c) = r_b(L r_c) - L [r_b, r_c]; (N, len(slots))."""
-        idx = list(slots)
-
         def compute(rows, out, errors):
             h, U = self.h[rows], self.U[rows]
             h2 = (2.0 * h)[:, None]
             d = h[:, None] * self.base.rights[rows, b]
-            L = self.base.lefts[rows][:, idx]
-            R = np.swapaxes(self.base.rights[rows][:, idx], 1, 2)
+            L = self.base.lefts[rows][:, slots]
+            R = np.swapaxes(self.base.rights[rows][:, slots], 1, 2)
             (_, Rp, Lp), (_, Rm, Lm) = ([part[rows] for part in side]
                                         for side in self.sweep(b, rows)[0])
-            Lp, Lm = Lp[:, idx], Lm[:, idx]
+            Lp, Lm = Lp[:, slots], Lm[:, slots]
             g_p, g_m, g = (self._coefficient("eval_source", rows, errors, V)[:, :, None]
                            for V in (U + d, U - d, U))
             d_psi = ((Lp @ g_p)[:, :, 0] - (Lm @ g_m)[:, :, 0]) / h2
-            d_LR = (Lp @ np.swapaxes(Rp[:, idx], 1, 2)
-                    - Lm @ np.swapaxes(Rm[:, idx], 1, 2)) / h2[:, :, None]
+            d_LR = (Lp @ np.swapaxes(Rp[:, slots], 1, 2)
+                    - Lm @ np.swapaxes(Rm[:, slots], 1, 2)) / h2[:, :, None]
             dL = d_LR - L @ np.stack([self.bracket(b, c, rows)[rows] for c in slots], axis=2)
             live = np.array([errors[k] is None for k in rows], dtype=bool)
             rows, LR, psi = rows[live], L[live] @ R[live], L[live] @ g[live]
@@ -536,8 +520,8 @@ class _Residuals:
                     except np.linalg.LinAlgError as err:
                         errors[k] = err
             out[rows] = d_psi[live] - (dL[live] @ sol)[:, :, 0]
-        return self._item(("source", slots, b), rows,
-                          lambda: np.full((len(self.U), len(slots)), np.nan), compute)
+        return self._item(("source", slots, b), rows, compute,
+                          lambda: np.full((len(self.U), len(slots)), np.nan))
 
 
 def _allowed(partition, a):
@@ -741,12 +725,9 @@ class _SampleStack:
         if self.machine.field is not None or not len(values):
             return excluded
         gap = self.separation_tolerance * (1.0 + np.max(np.abs(values), axis=1))
-        blocks = partition.blocks
-        for i, bi in enumerate(blocks):
-            for bj in blocks[i + 1:]:
-                for a in bi:
-                    for b in bj:
-                        excluded |= np.abs(values[:, a] - values[:, b]) <= gap
+        # full mode lists each pair twice, and |a - b| = |b - a| exactly
+        for a, b in partition.forbidden_pairs():
+            excluded |= np.abs(values[:, a] - values[:, b]) <= gap
         return excluded
 
     def evaluate(self, partition, families=FAMILIES):
@@ -921,9 +902,9 @@ def search_partitions(sys_: QuasilinearSystem, plan: SamplePlan = None,
             reports["full"] = full.check(scheme, tol)
             if reports["full"].verdict == "pass":
                 passing.append((scheme, reports["full"]))
-        candidates.append({"blocks": scheme.blocks, **{
-            stage: {"verdict": r.verdict, "degenerateByCause": r.degenerate_by_cause}
-            for stage, r in reports.items()}})
+        candidates.append({"blocks": scheme.blocks, **{s: {
+            "verdict": r.verdict, "degenerateByCause": r.degenerate_by_cause}
+            for s, r in reports.items()}})
     if work is not None:
         checked = sum("full" in c for c in candidates)
         work.update(candidates=len(schemes), pilotsPassed=checked, fullChecks=checked,

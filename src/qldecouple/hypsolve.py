@@ -177,20 +177,15 @@ def _eig_pairs(A, work, cells=None):
 
 
 def _real_pairs(lam, V, cells=None):
-    """(lam, V, V^-1) from the real parts of eig's pairs: the speeds are real
-    once the NonHyperbolic check has passed.  The real parts of a complex
-    pair below that check's tolerance, or of a defective cell, hold no
-    basis: NonHyperbolic names the first such grid cell."""
+    """(lam, V, V^-1) from the real parts of eig's pairs, real once the
+    NonHyperbolic check has passed; NonHyperbolic names the first cell whose
+    real parts are singular (a complex pair below that check's tolerance)."""
     try:
         return lam.real, V.real, np.linalg.inv(V.real)
     except np.linalg.LinAlgError:
-        for k, Vk in enumerate(V.real):
-            try:
-                np.linalg.inv(Vk)
-            except np.linalg.LinAlgError:
-                cell = k if cells is None else int(cells[k])
-                raise NonHyperbolic(f"no real eigenvector basis in grid cell {cell}") from None
-        raise
+        k = int(np.argmax(np.linalg.det(V.real) == 0))
+        raise NonHyperbolic("no real eigenvector basis in grid cell "
+                            f"{k if cells is None else cells[k]}") from None
 
 
 def _pairs(A, work):

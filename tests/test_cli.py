@@ -193,6 +193,24 @@ def test_search_empty_exit_one(tmp_path, capsys):
     assert payload["report"]["count"] == 0
 
 
+def test_search_counts_its_work_per_candidate(tmp_path, capsys):
+    # threadline: 74 candidates, of which the gradient pilot passes 5; one
+    # of those passes the full check
+    code = run(["search", "--model", "threadline", "--param", "k=1", "--out", str(tmp_path),
+                "--samples", "40"])
+    payload, _ = read_report(capsys)
+    assert code == 0
+    work = payload["timing"]["search"]
+    assert (work["candidates"], work["pilotsPassed"], work["fullChecks"]) == (74, 5, 5)
+    assert len(work["perCandidate"]) == 74
+    full = [c for c in work["perCandidate"] if "full" in c]
+    assert all(c["pilot"]["verdict"] == "pass" for c in full)
+    assert [c["blocks"] for c in full if c["full"]["verdict"] == "pass"] == [
+        p["blocks"] for p in payload["report"]["passing"]]
+    assert all(c["pilot"] == {"verdict": "fail", "degenerateByCause": {}}
+               for c in work["perCandidate"] if "full" not in c)
+
+
 def test_verify_transform_hinted(tmp_path, capsys):
     code = run(["verify-transform", "--model", "barotropic", "--mode", "full",
                 "--out", str(tmp_path)] + BASE)

@@ -531,8 +531,7 @@ def _allowed(partition, a):
             for s in bj]
 
 
-def _at_state(sys_, t, x, u, frame, machine, base, gradient_path="auto", partition=None,
-              **tuples):
+def _at_state(sys_, t, x, u, frame, machine, base, gradient_path, partition=None, **tuples):
     """The residual of one tuple at one state, from the kernel on a one-row
     stack; raises what a frame, sweep, derivative or solve it reads raised."""
     u = np.asarray(u, dtype=float)

@@ -315,17 +315,17 @@ def _fd_step(u):
 
 class _Residuals:
     """The residual kernel on a stack of states (t, x, U) with their base
-    frames.  Its items (the centered sweep along a slot, dA along r_b, a
-    bracket, a gradient column (a, b), an interaction column (a, b, c), a
-    block source) are each computed at the rows a caller asks for, once per
-    row, and memoized; a row's bits do not depend on the rows that share its
-    call.  The items that can fail (sweeps, dA, block sources) keep what
-    each row raised.  run() reads the items a set of tuples needs."""
+    frames.  Its items (the FD step h, the centered sweep along a slot, dA
+    along r_b, a bracket, a gradient column (a, b), an interaction column
+    (a, b, c), a block source) are each computed at the rows a caller asks
+    for, once per row, and memoized; a row's bits do not depend on the rows
+    that share its call.  The items that can fail (sweeps, dA, block
+    sources) keep what each row raised.  run() reads the items a set of
+    tuples needs."""
 
     def __init__(self, machine, t, x, U, base: _Frames, gradient_path):
         self.machine, self.gradient_path = machine, gradient_path
         self.t, self.x, self.U, self.base = t, x, U, base
-        self.h = np.array([_fd_step(u) for u in U])
         self.items = {}
 
     def _item(self, key, rows, compute, new=None):
@@ -383,6 +383,12 @@ class _Residuals:
                  for (slots, b), (a, _) in zip(sources, src_tuples)]
         return np.array(cols).T.reshape(len(live), len(cols)), errors
 
+    def step(self, rows):
+        """The FD step h at `rows`, computed only for rows that read a sweep."""
+        def compute(rows, h, _):
+            h[rows] = [_fd_step(u) for u in self.U[rows]]
+        return self._item(("h",), rows, compute)[0][rows]
+
     def exact(self, a):
         """Rows whose gradients of slot a read no sweep: hinted fields are
         differentiated exactly, simple numeric eigenvalues by the
@@ -398,7 +404,7 @@ class _Residuals:
 
         def compute(rows, out, errors):
             sides = self.machine.sweep(self.t[rows], self.x[rows], self.U[rows],
-                                       self.base.take(rows), slot, self.h[rows])
+                                       self.base.take(rows), slot, self.step(rows))
             errors[rows] = [ep or em for ep, em in zip(sides[0].errors, sides[1].errors)]
             for parts, f in zip(out, sides):
                 parts[0][rows], parts[1][rows], parts[2][rows] = f.values, f.rights, f.lefts
@@ -411,7 +417,7 @@ class _Residuals:
         """Central difference along r_slot of the sweep frames' part
         (0 values, 1 rights, 2 lefts) at slot `index`, at `rows`."""
         p, m = (side[part][rows, index] for side in self.sweep(slot, rows)[0])
-        h2 = 2.0 * self.h[rows]
+        h2 = 2.0 * self.step(rows)
         return (p - m) / (h2 if p.ndim == 1 else h2[:, None])
 
     def bracket(self, b, c, rows):
@@ -493,7 +499,7 @@ class _Residuals:
         left and right rows of `slots`, psi = L g and
         dL(r_b, r_c) = r_b(L r_c) - L [r_b, r_c]; (N, len(slots))."""
         def compute(rows, out, errors):
-            h, U = self.h[rows], self.U[rows]
+            h, U = self.step(rows), self.U[rows]
             h2 = (2.0 * h)[:, None]
             d = h[:, None] * self.base.rights[rows, b]
             L = self.base.lefts[rows][:, slots]

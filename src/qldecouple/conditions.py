@@ -359,7 +359,7 @@ class _Residuals:
             errors[at] = item(*key, rows[at])[1][rows[at]]
             failed[at] = [err is not None for err in errors[at]]
 
-        exact = {a: self.exact(a)[rows] for a, _ in grad_tuples}
+        exact = {a: self.exact(a)[rows] for a in dict.fromkeys(a for a, _ in grad_tuples)}
         need = np.zeros((self.U.shape[1], len(rows)), dtype=bool)
         for a, b in grad_tuples:
             need[b] |= ~exact[a]

@@ -454,7 +454,8 @@ def free_symbols(e: Expr) -> set:
 
 
 def substitute(e: Expr, mapping) -> Expr:
-    """Replace symbols by expressions (or numbers); folds constants."""
+    """Replace symbols by expressions (or numbers); folds constants.  A
+    constant that overflows while folding raises ParseError."""
     if isinstance(e, Const):
         return e
     if isinstance(e, Sym):
@@ -470,6 +471,8 @@ def substitute(e: Expr, mapping) -> Expr:
                 return Const(evaluate(Un(e.op, a), {}))
             except DomainError:
                 pass
+            except OverflowError:
+                raise ParseError(f"constant out of range: {to_string(Un(e.op, a))}") from None
         return Un(e.op, a)
     a = substitute(e.a, mapping)
     b = substitute(e.b, mapping)
@@ -478,6 +481,8 @@ def substitute(e: Expr, mapping) -> Expr:
         return folder(a, b)
     except (DomainError, ZeroDivisionError):
         return Bin(e.op, a, b)
+    except OverflowError:
+        raise ParseError(f"constant out of range: {to_string(Bin(e.op, a, b))}") from None
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 2.5, "^": 3}

@@ -201,7 +201,7 @@ class QuasilinearSystem:
             where = name + "".join(f"[{i}]" for i in np.unravel_index(k, shape))
             try:
                 ex.evaluate(exprs[k], dict(zip(self.arg_order, (t, x, *u))))
-            except DomainError as err:
+            except (DomainError, OverflowError) as err:
                 raise DomainError(f"{where}: {err}") from None
             raise DomainError(f"non-finite value in {where}")
         return vals.reshape(u.shape[:-1] + shape)

@@ -307,9 +307,10 @@ def integrate_field(field_fn, start, arc_length, steps, in_domain=None):
     estimate exceeds INTEGRATION_TOL * |arc|.
 
     info holds error_estimate and left_domain (one per row for a batch),
-    steps (the step count of each curve's last pass, summed) and
-    tolerance_met = False when a curve ends over budget or stopped on the
-    field; a batch also holds the row masks missed and failed.
+    steps (the step count of each curve's last pass, summed), fieldCalls
+    and fieldRows (the field's calls and the rows they took, all passes),
+    and tolerance_met = False when a curve ends over budget or stopped on
+    the field; a batch also holds the row masks missed and failed.
     """
     start = np.asarray(start, dtype=float)
     single = start.ndim == 1
@@ -325,8 +326,14 @@ def integrate_field(field_fn, start, arc_length, steps, in_domain=None):
     steps_used = np.zeros(N, dtype=int)
     todo = np.arange(N)
     n_steps = max(1, int(steps))
+    calls = []
+
+    def counted(U):
+        calls.append(len(U))
+        return field_fn(U)
+
     for _ in range(MAX_REFINE + 1):
-        pts, count, e, l, f = _rk4_pass(field_fn, start[todo], arcs[todo] / n_steps,
+        pts, count, e, l, f = _rk4_pass(counted, start[todo], arcs[todo] / n_steps,
                                         n_steps, in_domain)
         ends[todo] = pts[count - 1, np.arange(len(todo))]
         err[todo], left[todo], failed[todo], steps_used[todo] = e, l, f, n_steps
@@ -335,7 +342,7 @@ def integrate_field(field_fn, start, arc_length, steps, in_domain=None):
         if not todo.size:
             break
         n_steps *= 2
-    info = {"steps": int(steps_used.sum())}
+    info = {"steps": int(steps_used.sum()), "fieldCalls": len(calls), "fieldRows": sum(calls)}
     if todo.size:
         info["tolerance_met"] = False
     if single:
@@ -349,74 +356,111 @@ def integrate_field(field_fn, start, arc_length, steps, in_domain=None):
 
 def characteristic_flow(sys_: QuasilinearSystem, slot, start, arc_length,
                         steps=64, frame="auto", t=0.0, x=0.0):
-    """Integrate du/ds = r_slot(u) from an admissible start state and return
-    its polyline (integrate_field on a 1-D start).  The field is
-    FrameMachine.rights_batch, so the flow reads near() frames with the
-    gates frame sweeps apply, NaN where near() rejects the state.  Numeric
-    frames are aligned to the frame at the start state, which fixes the
-    orientation and scale of the field along the whole curve."""
+    """Integrate du/ds = r_slot(u) from admissible start states: a 1-D start
+    is one curve and returns its polyline, a 2-D start (N, n) is N curves in
+    one integrate_field batch (slot an int or one per row) and returns their
+    end states.  The field is FrameMachine.rights_batch, so the flow reads
+    near() frames with the gates frame sweeps apply, NaN where near()
+    rejects the state.  Numeric frames are aligned to the frame at the first
+    start state, which fixes the orientation and scale of the field.  Each
+    row carries its slot as a last column with field component 0."""
     start = np.asarray(start, dtype=float)
-    if not sys_.in_domain(t, x, start) or sys_.is_excluded(t, x, start):
+    n = start.shape[-1]
+    rows = start.reshape(-1, n)
+    if not sys_.in_domain(t, x, rows).all() or sys_.is_excluded(t, x, rows).any():
         raise DomainError("start state is outside the admissible domain")
     machine = FrameMachine(sys_, frame)
-    reference = machine.base(t, x, start) if machine.field is None else None
+    reference = machine.base(t, x, rows[0]) if machine.field is None else None
 
-    def field(U):
-        return machine.rights_batch(t, x, U, reference)[:, slot]
+    def field(V):
+        r = machine.rights_batch(t, x, V[:, :n], reference)
+        out = np.zeros(V.shape)
+        for s in range(n):
+            g = V[:, n] == s
+            out[g, :n] = r[g, s]
+        return out
 
-    return integrate_field(field, start, arc_length, steps,
-                           in_domain=lambda U: sys_.in_domain(t, x, U))
+    slots = np.broadcast_to(slot, len(rows))
+    if not np.isin(slots, range(n)).all():
+        raise IndexError(f"flow slot out of range 0..{n - 1}")
+    V = np.column_stack([rows, slots])
+    pts, info = integrate_field(field, V.reshape(start.shape[:-1] + (n + 1,)), arc_length,
+                                steps, in_domain=lambda V: sys_.in_domain(t, x, V[:, :n]))
+    return pts[..., :n], info
 
 
 # ---------------------------------------------------------------------------
 # numeric construction of the decoupling map
 # ---------------------------------------------------------------------------
 
-def _slice_field(machine, reference, t, x, slot, ell, work):
-    """Batched field r_slot / (ell . r_slot).  Along it the slice offset
-    ell . (u - base) falls at unit rate whatever the scale or sign of r, so a
-    leg of arc -offset lands on the slice.  Rows where the flow runs within
-    1e-12 of parallel to the slice, or the frame is rejected, are NaN."""
-    def field(U):
-        work["fieldEvaluations"] += len(U)
-        r = machine.rights_batch(t, x, U, reference)[:, slot]
-        d = r @ ell
-        ok = np.abs(d) > 1e-12 * np.linalg.norm(r, axis=1)
-        return np.where(ok[:, None], r / np.where(ok, d, 1.0)[:, None], np.nan)
+def _slice_field(machine, reference, t, x, legs):
+    """Batched field r_slot / (ell . r_slot), legs mapping a level to its
+    (slot, ell), on states that carry their level as a last column (field
+    component 0).  Along it the slice offset ell . (u - base) falls at unit
+    rate whatever the scale or sign of r, so a leg of arc -offset lands on
+    the slice.  Rows where the flow runs within 1e-12 of parallel to the
+    slice, or the frame is rejected, are NaN."""
+    def field(V):
+        n = V.shape[1] - 1
+        rights = machine.rights_batch(t, x, V[:, :n], reference)
+        out = np.zeros(V.shape)
+        # each level's rows as one group keep the bits of the level run alone
+        for level, (slot, ell) in legs.items():
+            g = V[:, n] == level
+            r = rights[g][:, slot]
+            d = r @ ell
+            ok = np.abs(d) > 1e-12 * np.linalg.norm(r, axis=1)
+            out[g, :n] = np.where(ok[:, None], r / np.where(ok, d, 1.0)[:, None], np.nan)
+        return out
     return field
 
 
-def _shoot(machine, base_frame, t, x, start, base_point, Minv, flow, work):
-    """Carry the states start (N, n) along the flows of the slots in flow,
-    the last rows of Minv, onto the slice where those coordinates of
-    u - base_point vanish.  Each shot runs one leg per slot over the rows
-    still off the slice.  Returns the landing states and the masks of rows
-    that reached the slice and of rows with a leg over its error budget."""
-    k = len(Minv) - len(flow)
-    cur = start.copy()
+def _shoot(machine, base_frame, t, x, start, base_point, levels, work):
+    """Carry the states start (N, n), for each level (Minv, flow), along the
+    flows of the slots in flow, the last rows of Minv, onto the slice where
+    those coordinates of u - base_point vanish.  The levels run as one stack:
+    each shot runs leg q as one batch over the rows still off the slice of
+    every level with a q-th slot.  Returns the landing states (levels, N, n)
+    and the masks (levels, N) of rows that reached the slice and of rows
+    with a leg over its error budget."""
+    N, n = start.shape
+    ells = [Minv[len(Minv) - len(flow):] for Minv, flow in levels]
+    cur = np.tile(start, (len(levels), 1))  # level lv holds rows lv * N to (lv + 1) * N
     reached = np.zeros(len(cur), dtype=bool)
     missed = np.zeros(len(cur), dtype=bool)
     active = np.arange(len(cur))
     for _ in range(MAX_SHOTS):
-        eta = (cur[active] - base_point) @ Minv[k:].T
-        hit = np.linalg.norm(eta, axis=1) <= SHOOT_TOL
-        reached[active[hit]] = True
-        active = active[~hit]
+        for lv, ell in enumerate(ells):
+            rows = active[active // N == lv]
+            eta = (cur[rows] - base_point) @ ell.T
+            reached[rows[np.linalg.norm(eta, axis=1) <= SHOOT_TOL]] = True
+        active = active[~reached[active]]
         if not active.size:
             break
         work["shots"] += 1
-        for q, slot in enumerate(flow):
-            eta_q = (cur[active] - base_point) @ Minv[k + q]
-            move = np.abs(eta_q) >= 1e-14
-            rows = active[move]
+        for q in range(max(map(len, ells))):
+            legs, rows, arcs = {}, [], []
+            for lv, ell in enumerate(ells):
+                if q < len(ell):
+                    at = active[active // N == lv]
+                    eta_q = (cur[at] - base_point) @ ell[q]
+                    move = np.abs(eta_q) >= 1e-14
+                    legs[lv] = levels[lv][1][q], ell[q]
+                    rows.append(at[move])
+                    arcs.append(-eta_q[move])
+            rows = np.concatenate(rows)
             if not rows.size:
                 continue
-            field = _slice_field(machine, base_frame, t, x, slot, Minv[k + q], work)
-            cur[rows], info = integrate_field(field, cur[rows], -eta_q[move], steps=8)
-            work["legs"] += 1
+            field = _slice_field(machine, base_frame, t, x, legs)
+            end, info = integrate_field(field, np.column_stack([cur[rows], rows // N]),
+                                        np.concatenate(arcs), steps=8)
+            cur[rows] = end[:, :n]
+            work.update(legs=1, fieldCalls=info["fieldCalls"],
+                        fieldEvaluations=info["fieldRows"], steps=info["steps"])
             missed[rows[info["missed"]]] = True
             active = active[~np.isin(active, rows[info["failed"]])]
-    return cur, reached, missed & reached
+    shape = (len(levels), N)
+    return cur.reshape(shape + (n,)), reached.reshape(shape), (missed & reached).reshape(shape)
 
 
 def construct_transform_numeric(sys_: QuasilinearSystem, partition: PartitionScheme,
@@ -430,8 +474,9 @@ def construct_transform_numeric(sys_: QuasilinearSystem, partition: PartitionSch
     slice coordinate at unit rate, onto a transversal slice through the base
     point; the slice coordinates of the landing point provide the block's
     map components.  Quality gates: flow-invariance of the interpolated map
-    and a grid-difference annihilation check.  The work done (shots, legs,
-    field evaluations in rows) is returned under "work".
+    and a grid-difference annihilation check.  The work done is returned
+    under "work": batched shots and legs, batched field calls, and the field
+    rows and RK4 steps of the shooting legs and of the invariance curves.
     """
     n = sys_.n
     partition.validate_for(n)
@@ -452,33 +497,35 @@ def construct_transform_numeric(sys_: QuasilinearSystem, partition: PartitionSch
     points = np.stack([g.ravel() for g in mesh], axis=1)
     admissible = np.flatnonzero(~sys_.is_excluded(t, x, points))
 
-    work = {"shots": 0, "legs": 0, "fieldEvaluations": 0}
-    H_parts = []
-    flagged = missed = 0
+    work = Counter(dict.fromkeys(["shots", "legs", "fieldCalls", "fieldEvaluations", "steps",
+                                  "invarianceFieldEvaluations", "invarianceSteps"], 0))
+    specs = []
     for i, blk in enumerate(partition.blocks):
         keep, flow = [], []
         for j, bj in enumerate(partition.blocks):
             (flow if partition.forbidden(i, j) else keep).extend(bj)
+        M = np.column_stack([base_frame.rights[s] for s in keep + flow])
+        specs.append((blk, keep, flow, M, np.linalg.inv(M) if flow else None))
+    levels = [(Minv, flow) for _, _, flow, _, Minv in specs if flow]
+    land, reached, level_missed = _shoot(machine, base_frame, t, x, points[admissible],
+                                         base_point, levels, work)
+    flagged, missed = int(np.count_nonzero(~reached)), int(np.count_nonzero(level_missed))
+    H_parts = []
+    lv = 0
+    for i, (blk, keep, flow, M, Minv) in enumerate(specs):
+        sel = [keep.index(s) for s in blk]
         if not flow:
             # unconstrained block: coordinates in the base frame directions
-            M = np.column_stack([base_frame.rights[s] for s in keep])
-            coords = np.linalg.solve(M, (points - base_point).T).T
-            sel = [keep.index(s) for s in blk]
-            H_parts.append(coords[:, sel])
+            H_parts.append(np.linalg.solve(M, (points - base_point).T).T[:, sel])
             continue
-        M = np.column_stack([base_frame.rights[s] for s in keep + flow])
-        Minv = np.linalg.inv(M)
-        land, reached, level_missed = _shoot(machine, base_frame, t, x,
-                                             points[admissible], base_point, Minv,
-                                             flow, work)
-        xi = (land[reached] - base_point) @ Minv[: len(keep)].T
+        hit = reached[lv]
+        xi = (land[lv][hit] - base_point) @ Minv[: len(keep)].T
         vals = np.full((len(points), len(blk)), np.nan)
-        vals[admissible[reached]] = xi[:, [keep.index(s) for s in blk]]
-        flagged += int(np.count_nonzero(~reached))
-        missed += int(np.count_nonzero(level_missed))
+        vals[admissible[hit]] = xi[:, sel]
         if np.isnan(vals).all():
             raise ShootingFailed(f"no grid state reached the level-{i + 1} slice")
         H_parts.append(vals)
+        lv += 1
 
     H_grid = np.concatenate(H_parts, axis=1)
     # reorder columns to slot order: parts were emitted block by block
@@ -487,7 +534,7 @@ def construct_transform_numeric(sys_: QuasilinearSystem, partition: PartitionSch
     H_grid = H_grid[:, inv_order]
 
     quality = _construction_quality(sys_, partition, axes, grid_shape, H_grid,
-                                    machine, flagged, t, x)
+                                    machine, flagged, t, x, work)
     quality["toleranceMissed"] = missed
     quality["untrusted"] = bool(report is None or
                                 getattr(report, "verdict", "fail") != "pass")
@@ -498,7 +545,7 @@ def construct_transform_numeric(sys_: QuasilinearSystem, partition: PartitionSch
         "blocks": [list(b) for b in partition.blocks],
         "basePoint": base_point.tolist(),
         "quality": quality,
-        "work": work,
+        "work": dict(work),
     }
 
 
@@ -526,37 +573,44 @@ def interpolate_grid(axes, values, u):
 
 
 def _construction_quality(sys_, partition, axes, grid_shape, H_grid, machine,
-                          flagged, t, x):
-    """Invariance and grid-Jacobian gates of a constructed map.  Cells whose
-    np.gradient stencil touches a flagged (NaN) value are skipped and counted,
-    not filled."""
+                          flagged, t, x, work=None):
+    """Invariance and grid-Jacobian gates of a constructed map.  The
+    invariance curves, one per (block, forbidden slot), all start at the
+    grid center and run as one characteristic_flow batch; their field rows
+    and RK4 steps are added to `work` when given.  Cells whose np.gradient
+    stencil touches a flagged (NaN) value are skipped and counted, not
+    filled."""
     n = sys_.n
     values = H_grid.reshape(*grid_shape, n)
 
     # invariance: interpolated map constant along the forbidden flows
     center = np.array([0.5 * (ax[0] + ax[-1]) for ax in axes])
-    inv_max = 0.0
-    curves = 0
-    for i, blk in enumerate(partition.blocks):
-        for j, bj in enumerate(partition.blocks):
-            if not partition.forbidden(i, j):
-                continue
-            for slot in bj:
-                try:
-                    pts, info = characteristic_flow(sys_, slot, center, 0.1,
-                                                    steps=16, frame=machine.mode,
-                                                    t=t, x=x)
-                except (DomainError, IllConditioned):
-                    continue
-                if info["left_domain"]:
-                    continue
-                h0 = interpolate_grid(axes, values, pts[0])
-                h1 = interpolate_grid(axes, values, pts[-1])
-                if not (np.all(np.isfinite(h0)) and np.all(np.isfinite(h1))):
-                    continue
-                for a in blk:
-                    inv_max = max(inv_max, abs(float(h1[a] - h0[a])))
-                curves += 1
+    curves = [(blk, slot) for i, blk in enumerate(partition.blocks)
+              for j, bj in enumerate(partition.blocks) if partition.forbidden(i, j)
+              for slot in bj]
+    landed = []
+    if curves:
+        try:
+            ends, info = characteristic_flow(sys_, [s for _, s in curves],
+                                             np.tile(center, (len(curves), 1)), 0.1,
+                                             steps=16, frame=machine.mode, t=t, x=x)
+        except (DomainError, IllConditioned):
+            pass
+        else:
+            if work is not None:
+                work.update(fieldCalls=info["fieldCalls"], invarianceSteps=info["steps"],
+                            invarianceFieldEvaluations=info["fieldRows"])
+            landed = [(blk, end) for (blk, _), end, left
+                      in zip(curves, ends, info["left_domain"]) if not left]
+    h0 = interpolate_grid(axes, values, center)
+    inv_max, done = 0.0, 0
+    for blk, end in landed:
+        h1 = interpolate_grid(axes, values, end)
+        if not (np.all(np.isfinite(h0)) and np.all(np.isfinite(h1))):
+            continue
+        for a in blk:
+            inv_max = max(inv_max, abs(float(h1[a] - h0[a])))
+        done += 1
 
     # grid-difference Jacobian: annihilation and invertibility
     grads = np.stack(np.gradient(values, *axes, axis=tuple(range(n))), axis=-1)
@@ -576,7 +630,7 @@ def _construction_quality(sys_, partition, axes, grid_shape, H_grid, machine,
                                partition.forbidden_pairs()))
     return {
         "invarianceResidual": inv_max,
-        "invarianceCurves": curves,
+        "invarianceCurves": done,
         "gridAnnihilationMax": float(np.max(ann, initial=0.0)),
         "minAbsGridJacobianDet": min_det,
         "gridCellsSkipped": int(np.count_nonzero(skipped)),

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from qldecouple import cli
+from qldecouple.errors import DomainError
+from qldecouple.system import load_system
 
 
 def run(argv):
@@ -150,6 +152,39 @@ def test_overflowing_constant_exponent_is_usage_error(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("entry", ["2^2000*u", "exp(1000)*u"])
+def test_overflowing_folded_constant_is_usage_error(tmp_path, capsys, entry):
+    # load-time folding computes 2^2000 and exp(1000) with math.pow and
+    # math.exp, which raise OverflowError instead of returning inf
+    model = tmp_path / "folded.json"
+    model.write_text(json.dumps({"n": 2, "states": ["u", "v"],
+                                 "A": [[entry, "0"], ["0", "2"]],
+                                 "domain": {"u": [0.5, 1], "v": [0.5, 1]}}))
+    code = run(["check", "--model", str(model), "--partition", "1,1", "--samples", "20",
+                "--out", str(tmp_path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ParseError" and "constant out of range" in err["message"]
+
+
+def test_overflowing_entry_at_one_state_is_degenerate(tmp_path, capsys):
+    # (1e200*u)^2 is inf on the stack; naming the entry at one state
+    # evaluates it with math.pow, whose OverflowError becomes a DomainError
+    model = tmp_path / "square.json"
+    model.write_text(json.dumps({"n": 2, "states": ["u", "v"],
+                                 "A": [["(1e200*u)^2", "0"], ["0", "2"]],
+                                 "domain": {"u": [0.5, 1], "v": [0.5, 1]}}))
+    code = run(["check", "--model", str(model), "--partition", "1,1", "--samples", "20",
+                "--out", str(tmp_path)])
+    payload, _ = read_report(capsys)
+    assert code == 1
+    assert payload["report"]["samples"]["degenerate"] == 20
+    assert payload["timing"]["samples"]["degenerateByCause"] == {"DomainError": 20}
+    sys_ = load_system(model.read_text())
+    with pytest.raises(DomainError, match=r"A\[0\]\[0\]"):
+        sys_.eval_matrix(0.0, 0.0, np.array([0.75, 0.75]))
+
+
 def test_simulate_nearly_scalar_upwind_cell_exit_three(tmp_path, capsys):
     # a complex pair 1 +- 1e-20 u i passes the speed check, but the real
     # parts of its eigenvectors are equal: no upwind basis exists there
@@ -280,8 +315,14 @@ def test_decouple_runs_and_writes_grid(tmp_path, capsys):
     assert payload["report"]["quality"]["invarianceResidual"] <= 1e-4
     assert payload["report"]["quality"]["toleranceMissed"] == 0
     assert payload["report"]["quality"]["gridCellsSkipped"] == 0
+    # both levels shoot as one batch: one shot of one leg, 8 RK4 steps
+    # (11 field calls each) for the 2 x 64 grid rows, and 16 steps for each
+    # of the two invariance curves, which run as one batch too
     work = payload["timing"]["construct"]
-    assert work["legs"] >= 2 and work["shots"] >= 2 and work["fieldEvaluations"] > 0
+    assert (work["shots"], work["legs"]) == (1, 1)
+    assert (work["steps"], work["fieldEvaluations"]) == (8 * 128, 11 * 8 * 128)
+    assert (work["invarianceSteps"], work["invarianceFieldEvaluations"]) == (32, 11 * 32)
+    assert work["fieldCalls"] == 11 * (8 + 16)
 
 
 def test_models_list_and_emit(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from qldecouple import exprlang as ex
 from qldecouple.errors import DomainError, ParseError, UnknownSymbol
+from qldecouple.system import load_system
 
 
 def test_parse_riemann_invariant_shape():
@@ -242,6 +244,23 @@ def test_overflowing_constant_exponent_is_parse_error():
             ex.parse(text, {"u"})
         assert exc.value.position == at
     assert ex.parse("u^(2^10)", {"u"}) == ex.parse("u^1024", {"u"})
+
+
+def test_overflowing_folded_constant_is_parse_error():
+    # substitute folds constant subtrees with math.pow and math.exp, which
+    # raise OverflowError instead of returning inf
+    for text in ("2^2000*u", "exp(1000)*u", "u + 3*(1e300^2)", "(2^10)^200*u"):
+        with pytest.raises(ParseError, match="constant out of range"):
+            ex.substitute(ex.parse(text, {"u"}), {})
+    with pytest.raises(ParseError, match=r"constant out of range: exp\(1000\)"):
+        ex.substitute(ex.parse("exp(a)*u", {"a", "u"}), {"a": 1000.0})
+    with pytest.raises(ParseError):
+        load_system(json.dumps({"n": 1, "states": ["u"], "A": [["2^2000*u"]],
+                                "domain": {"u": [0.5, 1]}}))
+    # folds that stay finite, or fail on the domain, are unchanged
+    assert ex.substitute(ex.parse("2^10*u", {"u"}), {}) == ex.parse("1024*u", {"u"})
+    assert ex.substitute(ex.parse("exp(709)*u", {"u"}), {}).a.value == math.exp(709)
+    assert ex.to_string(ex.substitute(ex.parse("log(0-1)*u", {"u"}), {})) == "log(-1)*u"
 
 
 def test_folded_non_finite_constants_compile():

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from qldecouple import conditions as cond
 from qldecouple import eigen, models, transform
 from qldecouple import exprlang as ex
-from qldecouple.errors import DomainError, SingularCandidate
+from qldecouple.errors import DomainError, ShootingFailed, SingularCandidate
 from qldecouple.system import SamplePlan, load_system
 
 S3 = math.sqrt(3.0)
@@ -222,6 +223,43 @@ def test_flow_batch_rows_have_their_own_arcs_and_masks():
         assert "tolerance_met" not in one
 
 
+@pytest.mark.parametrize("frame", ["analytic", "numeric"])
+@pytest.mark.parametrize("name, start", [("barotropic", [1.0, 0.2]),
+                                         ("threadline", [1.0, 0.1, 0.2, 0.1])])
+def test_flow_batch_rows_match_single_curves(name, start, frame):
+    # every slot from one start as one batch, some rows twice: each row
+    # ends bit for bit where its slot's curve run alone ends, and where a
+    # plain one-slot field on the states alone ends
+    sys_ = (models.build_barotropic("p0*rho^3") if name == "barotropic"
+            else models.build_threadline(1.0)).system
+    start = np.array(start)
+    machine = cond.FrameMachine(sys_, frame)
+    reference = machine.base(0.0, 0.0, start) if frame == "numeric" else None
+    slots = list(range(sys_.n)) + [0, sys_.n - 1]
+    for arc in (0.1, 2.0):
+        ends, info = transform.characteristic_flow(sys_, slots, np.tile(start, (len(slots), 1)),
+                                                   arc, steps=16, frame=frame)
+        assert ends.shape == (len(slots), sys_.n)
+        for k, slot in enumerate(slots):
+            pts, one = transform.characteristic_flow(sys_, slot, start, arc, steps=16,
+                                                     frame=frame)
+            plain, _ = transform.integrate_field(
+                lambda U, s=slot: machine.rights_batch(0.0, 0.0, U, reference)[:, s], start,
+                arc, 16, in_domain=lambda U: sys_.in_domain(0.0, 0.0, U))
+            assert ends[k].tobytes() == pts[-1].tobytes() == plain[-1].tobytes()
+            assert info["left_domain"][k] == one["left_domain"]
+            assert info["error_estimate"][k] == one["error_estimate"]
+    assert info["left_domain"].any()
+    # one int slot is that slot on every row
+    ends, _ = transform.characteristic_flow(sys_, 1, np.tile(start, (2, 1)), 0.1, steps=16,
+                                            frame=frame)
+    pts, _ = transform.characteristic_flow(sys_, 1, start, 0.1, steps=16, frame=frame)
+    assert ends[0].tobytes() == ends[1].tobytes() == pts[-1].tobytes()
+    for bad in (sys_.n, -1, [0, sys_.n]):
+        with pytest.raises(IndexError, match="flow slot out of range"):
+            transform.characteristic_flow(sys_, bad, np.tile(start, (2, 1)), 0.1, frame=frame)
+
+
 def test_flows_commute_in_adapted_scaling():
     # fields (grad H)^-1 e_j of a fully decoupled oracle commute; compare
     # both flow orders from one start state
@@ -335,6 +373,74 @@ def test_construction_quality_skips_flagged_cells(barotropic):
     assert q["gridCellsSkipped"] > 0
     assert q["minAbsGridJacobianDet"] == clean["minAbsGridJacobianDet"]
     assert q["gridAnnihilationMax"] <= 1e-12
+
+
+def _levels(sys_, partition, frame, base):
+    """The frame machine, base frame and shooting levels (Minv, flow) that
+    construct_transform_numeric builds for `partition`."""
+    machine = cond.FrameMachine(sys_, frame)
+    base_frame = machine.base(0.0, 0.0, base)
+    levels = []
+    for i in range(len(partition.blocks)):
+        keep, flow = [], []
+        for j, bj in enumerate(partition.blocks):
+            (flow if partition.forbidden(i, j) else keep).extend(bj)
+        if flow:
+            M = np.column_stack([base_frame.rights[s] for s in keep + flow])
+            levels.append((np.linalg.inv(M), flow))
+    return machine, base_frame, levels
+
+
+@pytest.mark.parametrize("name, frame", [("barotropic", "analytic"), ("barotropic", "numeric"),
+                                         ("isentropic", "numeric")])
+def test_shoot_levels_together_match_each_level_alone(name, frame):
+    # all levels as one stack give each level's landing states and masks bit
+    # for bit; the isentropic levels have two flow slots each and take
+    # several shots
+    if name == "barotropic":
+        sys_, blocks, base = models.build_barotropic("p0*rho^3").system, [[0], [1]], [1.0, 0.0]
+    else:
+        sys_, blocks, base = models.build_isentropic("s").system, [[0], [1], [2]], [1.0, 0.0, 1.0]
+    base = np.array(base)
+    machine, base_frame, levels = _levels(sys_, cond.PartitionScheme(blocks, "full"), frame,
+                                          base)
+    states = sys_.sample_points(SamplePlan(count=12, seed=3))[:, 2:]
+    states = states[~sys_.is_excluded(0.0, 0.0, states)]
+    work = Counter()
+    land, reached, missed = transform._shoot(machine, base_frame, 0.0, 0.0, states, base,
+                                             levels, work)
+    alone = Counter()
+    for lv, level in enumerate(levels):
+        one = transform._shoot(machine, base_frame, 0.0, 0.0, states, base, [level], alone)
+        assert [a[0].tobytes() for a in one] == [land[lv].tobytes(), reached[lv].tobytes(),
+                                                missed[lv].tobytes()]
+        assert reached[lv].any()
+    assert work["fieldEvaluations"] == alone["fieldEvaluations"]
+    assert work["steps"] == alone["steps"]
+    assert work["legs"] < alone["legs"] and work["shots"] < alone["shots"]
+    assert work["fieldCalls"] < alone["fieldCalls"]
+
+
+@pytest.mark.parametrize("broken, level", [({1}, 2), ({0, 1}, 1)])
+def test_shooting_failed_names_first_level_without_landing(barotropic, monkeypatch,
+                                                           broken, level):
+    # a flow field undefined on every row of a level lands none of its states
+    slice_field = transform._slice_field
+
+    def failing(*args):
+        field = slice_field(*args)
+
+        def fn(V):
+            out = field(V)
+            out[np.isin(V[:, -1], list(broken)), :-1] = np.nan
+            return out
+        return fn
+
+    monkeypatch.setattr(transform, "_slice_field", failing)
+    p = cond.PartitionScheme([[0], [1]], "full")
+    with pytest.raises(ShootingFailed) as exc:
+        transform.construct_transform_numeric(barotropic, p, np.array([1.0, 0.0]), (4, 4))
+    assert str(exc.value) == f"no grid state reached the level-{level} slice"
 
 
 def test_construct_transform_base_point_outside(barotropic):

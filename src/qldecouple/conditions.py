@@ -31,14 +31,13 @@ partition reduces the stack: separation exclusion, its tuples' columns, each
 row's first error as its degeneracy cause (_cause), and the report.
 check_partition is one stack and one reduction; search_partitions reduces
 two stacks (pilot and full plan) per candidate; the public
-*_condition_residual functions run the kernel on one state.  Hinted rows
-never leave the batch: it applies frame_at's gates row by row.  Numeric rows
-with a clustered or complex spectrum, or that a batch gate rejects, fall
-back to the per-point spectrum_at/align_frames; FrameMachine.rights_batch,
-which the characteristic flows read, does the same without lefts.  Every
-stacked product runs the BLAS or LAPACK call of the per-point one, so a
-row's bits do not depend on its stack.  nijenhuis_residual, too, takes one
-state or a stack (NaN in the rows where A or dA/du is not finite).
+*_condition_residual functions run the kernel on one state.  Every frame
+is built on the stack: hinted frames by frame_at's gates row by row,
+numeric frames by the spectrum and alignment stages of eigen, whatever the
+spectrum (simple, clustered, complex or Jordan).  Every stacked product runs
+the BLAS or LAPACK call of the per-point one, so a row's bits do not depend
+on its stack.  nijenhuis_residual, too, takes one state or a stack (NaN in
+the rows where A or dA/du is not finite).
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ from .errors import (
     DomainError,
     HintInconsistent,
     IllConditioned,
-    MismatchedSignature,
     NotApplicable,
     SchemaError,
     TooLarge,
@@ -163,55 +161,6 @@ def interaction_tuples(p: PartitionScheme):
 # frame machinery shared by the residual operations
 # ---------------------------------------------------------------------------
 
-# what base() and near() raise at a state where they build no frame
-_FRAME_ERRORS = (IllConditioned, HintInconsistent, DomainError, MismatchedSignature)
-
-
-class _Frames:
-    """Frames at the rows of a stack of states: values (N, n) complex, rights
-    and lefts (N, slot, component).  points[k] is the Frame of a row built
-    one state at a time (None for a row of the batch), errors[k] what
-    building row k raised (None when it has a frame)."""
-
-    def __init__(self, values, rights, lefts, points=None, errors=None):
-        self.values, self.rights, self.lefts = values, rights, lefts
-        self.points = points if points is not None else [None] * len(values)
-        self.errors = errors if errors is not None else [None] * len(values)
-
-    @staticmethod
-    def of(frame: eigen.Frame):
-        return _Frames(frame.values[None], frame.rights[None], frame.lefts[None], [frame])
-
-    def take(self, rows):
-        return _Frames(self.values[rows], self.rights[rows], self.lefts[rows],
-                       [self.points[k] for k in rows], [self.errors[k] for k in rows])
-
-    def frame(self, k) -> eigen.Frame:
-        """Row k as a Frame.  A numeric batch row has a real simple spectrum,
-        so it has one eigen slot per cluster, as spectrum_at gives it."""
-        if self.points[k] is not None:
-            return self.points[k]
-        values, n = self.values[k], len(self.values[k])
-        return eigen.Frame(values=values, rights=self.rights[k], lefts=self.lefts[k],
-                           kinds=[eigen.KIND_EIGEN] * n,
-                           clusters=[eigen.Cluster(values[s], 1, [s]) for s in range(n)])
-
-    def cluster_of_slot(self, slot):
-        """(alg_mult, is_complex) of the slot's cluster in each numeric row."""
-        mult, cplx = np.ones(len(self.points), dtype=int), np.zeros(len(self.points), dtype=bool)
-        for k, f in enumerate(self.points):
-            if f is not None:
-                c = f.cluster_of_slot(slot)
-                mult[k], cplx[k] = c.alg_mult, c.is_complex
-        return mult, cplx
-
-    def simple(self):
-        """Rows with a frame whose numeric spectrum is real and simple."""
-        return np.array([err is None and (f is None or all(
-            c.alg_mult == 1 and not c.is_complex for c in f.clusters))
-            for f, err in zip(self.points, self.errors)], dtype=bool)
-
-
 class FrameMachine:
     """Builds base frames and centered FD sweeps of the frame field, at one
     state or on a stack of states."""
@@ -225,6 +174,8 @@ class FrameMachine:
             raise HintInconsistent("model supplies no autovector hints")
         self.mode = frame
         self.field = eigen.analytic_field(sys_) if frame == "analytic" else None
+        # the last reference of rights_batch, and it as a one-row stack
+        self._reference = None, None
 
     @property
     def provenance(self):
@@ -241,68 +192,40 @@ class FrameMachine:
         raw = eigen.spectrum_at(self.sys, t, x, u)
         return eigen.align_frames(reference, raw)
 
-    def frames(self, t, x, U, reference: _Frames = None) -> _Frames:
+    def frames(self, t, x, U, reference: eigen.FrameStack = None) -> eigen.FrameStack:
         """base() at the rows of U (N, n), or near() against the rows of
         `reference`; t and x are (N,).  A row where that raises keeps the
-        exception.  Hinted frames come from one batch
-        (AnalyticFrameField.frames_batch, which is frame_at on a stack).
-        Numeric rows with a real simple spectrum come from one batch
-        (eigen.simple_frames_batch); the others go through base() or near()
-        one at a time (_per_point)."""
+        exception, but for a LinAlgError of base(), which is raised.
+        Hinted frames come from AnalyticFrameField.frames_batch, which is
+        frame_at on a stack.  Numeric frames come from the spectrum stage
+        (eigen.spectra) and, against a reference, the alignment stage
+        (eigen.aligned), as base() and near() do at one state."""
         if self.field is not None:
             values, rights, lefts, errors = self.field.frames_batch(t, x, U,
                                                                     check=reference is None)
-            return _Frames(values, rights, lefts, errors=errors)
-        if reference is None:
-            values, rights, lefts, done = eigen.simple_frames_batch(self.sys, t, x, U)
-        else:
-            values, rights, lefts, done = eigen.simple_frames_batch(self.sys, t, x, U,
-                                                                    reference.rights)
-            done &= reference.simple()
-        return self._per_point(_Frames(values, rights, lefts), done, t, x, U,
-                               None if reference is None else reference.frame)
+            return eigen.FrameStack(values, rights, lefts,
+                                    np.fromiter(errors, dtype=object, count=len(errors)))
+        if reference is not None:
+            return eigen.aligned(reference, eigen.spectra(self.sys, t, x, U, lefts=False))
+        out = eigen.spectra(self.sys, t, x, U)
+        for err in out.errors:
+            if isinstance(err, np.linalg.LinAlgError):
+                raise err
+        return out
 
     def rights_batch(self, t, x, U, reference: eigen.Frame):
         """Right autovectors near() gives at the rows of U (N, n) against one
         reference frame, as (N, slot, component), NaN in rows near() rejects.
-        Hinted rows come from AnalyticFrameField.rights_batch.  Numeric rows
-        with a real simple spectrum come from eigen._simple_spectra, the
-        core and gates of simple_frames_batch, without lefts; the others go
-        through _per_point."""
+        Hinted rows come from AnalyticFrameField.rights_batch, numeric rows
+        from the two stages without lefts."""
         if self.field is not None:
             return self.field.rights_batch(t, x, U)
-        N, n = len(U), self.sys.n
-        out = _Frames(np.full((N, n), np.nan, dtype=complex), np.full((N, n, n), np.nan),
-                      np.full((N, n, n), np.nan))
-        done = np.zeros(N, dtype=bool)
-        if _Frames.of(reference).simple()[0]:
-            rows, _, vecs = eigen._simple_spectra(self.sys, t, x, U,
-                                                  np.broadcast_to(reference.rights, (N, n, n)))
-            out.rights[rows], done[rows] = vecs, True
-        return self._per_point(out, done, t, x, U, lambda k: reference).rights
+        if self._reference[0] is not reference:
+            self._reference = reference, eigen.FrameStack.of(reference)
+        return eigen.aligned(self._reference[1], eigen.spectra(self.sys, t, x, U, lefts=False),
+                             lefts=False).rights
 
-    def _per_point(self, out: _Frames, done, t, x, U, reference=None):
-        """Fill the rows of `out` not done with base(), or near() against
-        reference(k), at row k of U; t and x are scalars or (N,).  A row
-        where that raises keeps the exception; a near() row may also keep a
-        LinAlgError, which the residuals' callers treat like the others."""
-        todo = np.flatnonzero(~done)
-        if todo.size:
-            t, x = np.broadcast_to(t, len(U)), np.broadcast_to(x, len(U))
-        errors = _FRAME_ERRORS if reference is None else _FRAME_ERRORS + (np.linalg.LinAlgError,)
-        for k in todo:
-            try:
-                f = (self.base(t[k], x[k], U[k]) if reference is None
-                     else self.near(t[k], x[k], U[k], reference(k)))
-            except errors as err:
-                out.errors[k] = err
-                out.values[k], out.rights[k], out.lefts[k] = np.nan, np.nan, np.nan
-                continue
-            out.points[k] = f
-            out.values[k], out.rights[k], out.lefts[k] = f.values, f.rights, f.lefts
-        return out
-
-    def sweep(self, t, x, U, base: _Frames, slot, h):
+    def sweep(self, t, x, U, base: eigen.FrameStack, slot, h):
         """near() at U + h r_slot and at U - h r_slot, each row against its
         row of base; h is (N,)."""
         d = h[:, None] * base.rights[:, slot]
@@ -323,7 +246,7 @@ class _Residuals:
     sources) keep what each row raised.  run() reads the items a set of
     tuples needs."""
 
-    def __init__(self, machine, t, x, U, base: _Frames, gradient_path):
+    def __init__(self, machine, t, x, U, base: eigen.FrameStack, gradient_path):
         self.machine, self.gradient_path = machine, gradient_path
         self.t, self.x, self.U, self.base = t, x, U, base
         self.items = {}
@@ -395,7 +318,7 @@ class _Residuals:
         perturbation formula."""
         if self.gradient_path == "fd" or self.machine.field is not None:
             return np.full(len(self.U), self.gradient_path != "fd")
-        return self.base.cluster_of_slot(a)[0] == 1
+        return self.base.mult[:, a] == 1
 
     def sweep(self, slot, rows):
         """The sweep along r_slot as two (values, rights, lefts) triples, at
@@ -434,7 +357,7 @@ class _Residuals:
             fd, rows = rows[~exact], rows[exact]
             if fd.size:
                 d = self._central(b, 0, a, fd)
-                out[fd] = np.where(self.base.cluster_of_slot(a)[1][fd], np.abs(d), d.real)
+                out[fd] = np.where(self.base.cplx[fd, a], np.abs(d), d.real)
             if rows.size:
                 out[rows] = self._gradient_exact(a, b, rows)
         return self._item(("gradient", a, b), rows, compute)[0][rows]
@@ -544,7 +467,7 @@ def _at_state(sys_, t, x, u, frame, machine, base, gradient_path, partition=None
     m = machine or FrameMachine(sys_, frame)
     f = base if base is not None else m.base(t, x, u)
     kernel = _Residuals(m, np.array([t], dtype=float), np.array([x], dtype=float), u[None],
-                        _Frames.of(f), gradient_path)
+                        eigen.FrameStack.of(f), gradient_path)
     values, errors = kernel.run(np.arange(1), partition, **tuples)
     if errors[0] is not None:
         raise errors[0]
@@ -782,7 +705,7 @@ class _SampleStack:
         # manual review
         base = self.base
         if self.machine.field is None and len(base.errors) and base.errors[0] is None \
-                and any(k.startswith("generalized") for k in base.frame(0).kinds):
+                and any(k.startswith("generalized") for k in base.kinds[0]):
             report.flags.append("jordanBlocks")
 
         report.diagnostics["constraintCountFormula"] = p.constraint_count()

@@ -1,11 +1,14 @@
-"""Pointwise eigenstructure with clustering, Jordan chains and complex pairs.
+"""Eigenstructure with clustering, Jordan chains and complex pairs.
 
-The condition checker differentiates eigenvector FIELDS by finite
-differences, so vectors computed at nearby points must belong to one smooth
-field.  That is what `align_frames` provides: it maps a freshly computed
-frame onto the normalization of a reference frame (orthogonal Procrustes
-inside each eigenspace, then a rescale anchored at the reference pivot
-component).
+Numeric frames come from two stages, each on a stack of states.  The
+spectrum stage (spectra) clusters each row's eigenvalues and builds its
+right and left autovectors.  The condition checker differentiates
+eigenvector FIELDS by finite differences, so vectors computed at nearby
+points must belong to one smooth field.  That is what the alignment stage
+(aligned) provides: it maps freshly computed frames onto the normalization
+of reference frames (orthogonal Procrustes inside each eigenspace, then a
+rescale anchored at the reference pivot component).  spectrum_at and
+align_frames are the two stages on one state.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ HINT_RESIDUAL_TOL = 1e-8  # hinted eigenvector residual relative to |A| (1 + |v|
 KIND_EIGEN = "eigen"
 KIND_COMPLEX_RE = "complexRe"
 KIND_COMPLEX_IM = "complexIm"
+# the fill of an eigen kinds array (np.full with the str makes a str per entry)
+_EIGEN = np.array(KIND_EIGEN, dtype=object)
 
 
 def generalized_kind(order):
@@ -58,147 +63,253 @@ class Frame:
     def signature(self):
         return tuple((c.alg_mult, c.is_complex) for c in self.clusters)
 
-    def cluster_of_slot(self, slot):
-        for c in self.clusters:
-            if slot in c.slots:
-                return c
-        raise KeyError(slot)
+
+def _runs(mult):
+    """(first slot, size) of the clusters of a row, its slots' multiplicities."""
+    runs, s = [], 0
+    while s < len(mult):
+        runs.append((s, int(mult[s])))
+        s += int(mult[s])
+    return runs
 
 
-def _pivot_index(v):
-    return int(np.argmax(np.abs(v)))
+class FrameStack:
+    """Frames at the rows of a stack of states: values (N, n) complex, rights
+    and lefts (N, slot, component; lefts None when not built) and, per row
+    and slot, the multiplicity `mult` and complexness `cplx` of its cluster
+    (clusters are runs of slots, so these hold the row's signature) and its
+    kind.  errors[k] is what building row k raised, or None (NaN arrays)."""
+
+    def __init__(self, values, rights, lefts, errors=None, mult=None, cplx=None, kinds=None):
+        N, n = values.shape
+        self.values, self.rights, self.lefts = values, rights, lefts
+        self.errors = np.full(N, None, dtype=object) if errors is None else errors
+        self.mult = np.ones((N, n), dtype=int) if mult is None else mult
+        self.cplx = np.zeros((N, n), dtype=bool) if cplx is None else cplx
+        self.kinds = np.full((N, n), _EIGEN) if kinds is None else kinds
+
+    @staticmethod
+    def of(frame: Frame, slots=None):
+        """frame as a one-row stack, its slots taken in the order `slots`."""
+        slots = list(range(frame.n)) if slots is None else slots
+        cluster = {s: c for c in frame.clusters for s in c.slots}
+        clusters = [cluster[s] for s in slots]
+        return FrameStack(*(a[slots][None] for a in (frame.values, frame.rights, frame.lefts)),
+                          mult=np.array([[c.alg_mult for c in clusters]]),
+                          cplx=np.array([[c.is_complex for c in clusters]]),
+                          kinds=np.array([[frame.kinds[s] for s in slots]], dtype=object))
+
+    def take(self, rows):
+        return FrameStack(*(None if a is None else a[rows] for a in (
+            self.values, self.rights, self.lefts, self.errors, self.mult, self.cplx, self.kinds)))
+
+    def frame(self, k, point=None) -> Frame:
+        """Row k as a Frame; raises what building it raised."""
+        if self.errors[k] is not None:
+            raise self.errors[k]
+        clusters = [Cluster(complex(self.values[k, s]), m, list(range(s, s + m)),
+                            bool(self.cplx[k, s])) for s, m in _runs(self.mult[k])]
+        return Frame(values=self.values[k], rights=self.rights[k],
+                     lefts=None if self.lefts is None else self.lefts[k],
+                     kinds=self.kinds[k].tolist(), clusters=clusters, point=point)
 
 
-def _pivot_normalize(v):
-    p = v[_pivot_index(v)]
-    if p == 0:
-        raise IllConditioned("zero autovector")
-    return v / p
+def _matrices(sys_, t, x, U, errors):
+    """A at the rows of U (N, n), t and x (N,), evaluated on the stack.  A row
+    without an error yet whose A is not finite (every row, when the stacked
+    call raises) is redone at its state, keeping what eval_matrix raises."""
+    try:
+        A = np.ascontiguousarray(sys_.eval_matrix(t, x, U))
+    except (DomainError, np.linalg.LinAlgError):
+        A = np.full((len(U), sys_.n, sys_.n), np.nan)
+    bad = ~np.isfinite(A).all(axis=(1, 2))
+    for k in np.flatnonzero(bad & np.equal(errors, None)) if bad.any() else ():
+        try:
+            A[k] = sys_.eval_matrix(t[k], x[k], U[k])
+        except (DomainError, np.linalg.LinAlgError) as err:
+            errors[k] = err
+    return A
 
 
-def _null_basis(B, scale):
-    """Rows spanning the numerical null space of B."""
-    _, s, vh = np.linalg.svd(B)
-    tol = RANK_TOL * max(1.0, scale)
-    return vh[s <= tol] if s.size else vh
+def _at(V, index):
+    """V[r, s, index[r, s]] of a stack V (R, S, m): one entry per vector."""
+    return V[np.arange(len(V))[:, None], np.arange(V.shape[1]), index]
 
 
-def _cluster_eigenvalues(w, ctol):
-    """Union-find clustering of eigenvalues by pairwise distance <= ctol."""
-    n = len(w)
-    parent = list(range(n))
+def _pivoted(V):
+    """The vectors of V (R, S, component), each divided by its component of
+    largest modulus, and the mask of those whose pivot is zero."""
+    piv = _at(V, np.abs(V).argmax(axis=2))
+    zero = piv == 0
+    return V / np.where(zero, 1.0, piv)[:, :, None], zero
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(w[i] - w[j]) <= ctol:
-                pi, pj = find(i), find(j)
-                if pi != pj:
-                    parent[pi] = pj
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+def _jordan_basis(B, heads, mult):
+    """heads followed by Jordan chains raised from them by successive
+    least-squares solves B w' = w, until there are mult vectors; returns
+    (vectors, kinds), or None when the chains stop short."""
+    vecs, kinds = list(heads), [KIND_EIGEN] * len(heads)
+    for head in heads:
+        prev, order = head, 2
+        while len(vecs) < mult and order <= len(B):
+            wv, *_ = np.linalg.lstsq(B, prev, rcond=None)
+            if np.linalg.norm(B @ wv - prev) > 1e-6 * (1.0 + np.linalg.norm(prev)):
+                break
+            vecs.append(wv)
+            kinds.append(generalized_kind(order))
+            prev, order = wv, order + 1
+        if len(vecs) >= mult:
+            return vecs, kinds
+    return None
+
+
+def spectra(sys_, t, x, U, lefts=True) -> FrameStack:
+    """The spectrum stage: numeric frames at the rows of U (N, n), t and x
+    scalars or following the rows, from one evaluation of A (a row where it
+    is not finite keeps the DomainError eval_matrix raises at its state) and
+    one eig.  A row's eigenvalues cluster where their (Re, |Im|) lie within
+    ctol = CLUSTER_RTOL (1 + spectral radius) of each other, transitively;
+    slots run over the clusters by the (Re, |Im|) of their means and over
+    their members by (Re, Im).  A simple real eigenvalue takes eig's vector,
+    which must be real; a multiple one lam the null basis of A - lam I from
+    one stacked svd per signature, completed by Jordan chains (lstsq, row by
+    row); a complex cluster the real and imaginary parts of eig's vectors of
+    its members with Im > 0; each divided by its pivot.  The condition number
+    is gated at COND_LIMIT and, with `lefts`, the lefts invert the rights,
+    each in one stacked call.  A row keeps its first error in slot order."""
+    N, n = U.shape
+    t, x = np.full(N, t), np.full(N, x)
+    errors = np.full(N, None, dtype=object)
+    A = _matrices(sys_, t, x, U, errors)
+    rows = np.flatnonzero(np.equal(errors, None))
+    try:
+        w, V = np.linalg.eig(A[rows])
+    except np.linalg.LinAlgError:
+        # a row where eig fails keeps the error; the others run again
+        for k in rows:
+            try:
+                np.linalg.eig(A[k])
+            except np.linalg.LinAlgError as err:
+                errors[k] = err
+        rows = np.flatnonzero(np.equal(errors, None))
+        w, V = np.linalg.eig(A[rows])
+    A, R = A[rows], len(rows)
+    ctol = CLUSTER_RTOL * (1.0 + np.abs(w).max(axis=1))
+    w_half = w.real + 1j * np.abs(w.imag)
+    near = np.abs(w_half[:, :, None] - w_half[:, None, :]) <= ctol[:, None, None]
+    joined = np.flatnonzero(near.sum(axis=(1, 2)) > n)
+    rep, mult, cplx = w_half, np.ones((R, n), dtype=int), np.zeros((R, n), dtype=bool)
+    if joined.size:
+        # each eigenvalue's cluster (labelled by its lowest member: powers of
+        # near connect it transitively) and the cluster's mean
+        for _ in range((n - 1).bit_length()):
+            near = near @ near
+        labels, rep = near.argmax(axis=2), w_half.copy()
+        for pattern in np.unique(labels[joined], axis=0):
+            sel = (labels == pattern).all(axis=1)
+            for c in np.unique(pattern):
+                members = np.flatnonzero(pattern == c)
+                if len(members) > 1:
+                    block = np.ix_(sel, members)
+                    rep[block] = np.mean(w_half[block], axis=1)[:, None]
+        # rep.imag, a mean of |Im|, is >= 0
+        perm = np.lexsort((w.imag, w.real, labels, rep.imag, rep.real))
+        labels = np.take_along_axis(labels, perm, axis=1)
+        mult = (labels[:, :, None] == labels[:, None, :]).sum(axis=2)
+        cplx = np.take_along_axis(rep.imag, perm, axis=1) > ctol[:, None]
+    else:
+        perm = np.argsort(w_half.real, axis=1, kind="stable")
+    rep = rep[np.arange(R)[:, None], perm]
+    values, kinds = rep.real.astype(complex), np.full((R, n), _EIGEN)
+    first, fail = np.full(R, n + 1), np.full(R, None, dtype=object)
+
+    def flag(bad, slot, error):
+        # error(j) at rows j without an error at an earlier slot or check
+        for j in bad:
+            if first[j] > slot:
+                first[j], fail[j] = slot, error(j)
+
+    # simple real eigenvalues: eig's vectors, real, pivot-normalized
+    vectors = np.swapaxes(V, 1, 2)[np.arange(R)[:, None], perm]
+    real = np.abs(vectors.imag).max(axis=2) <= 1e-8 * np.abs(vectors).max(axis=2)
+    rights, zero = _pivoted(vectors.real)
+    if ((mult == 1) & (zero | ~real)).any():
+        for j, s in zip(*np.nonzero((mult == 1) & ~real)):
+            flag([j], s, lambda j: IllConditioned("complex eigenvector for a real eigenvalue"))
+        for j, s in zip(*np.nonzero((mult == 1) & zero)):
+            flag([j], s, lambda j: IllConditioned("zero autovector"))
+
+    # the multiple clusters, by signature
+    signatures = np.unique((mult * 2 + cplx)[joined], axis=0) if joined.size else ()
+    for signature in signatures:
+        g = joined[((mult * 2 + cplx)[joined] == signature).all(axis=1)]
+        signature = signature // 2
+        for s, m in _runs(signature):
+            if m > 1 and cplx[g[0], s]:
+                r, members = np.arange(len(g))[:, None], perm[g, s:s + m]
+                pos = w[g][r, members].imag > 0
+                flag(g[2 * pos.sum(axis=1) != m], s,
+                     lambda j: IllConditioned("unpaired complex eigenvalues"))
+                members = members[r, np.argsort(~pos, axis=1, kind="stable")[:, :m // 2]]
+                values[g, s:s + m] = np.mean(w[g][r, members], axis=1)[:, None]
+                v, zero = _pivoted(np.swapaxes(V[g], 1, 2)[r, members])
+                flag(g[zero.any(axis=1)], s, lambda j: IllConditioned("zero autovector"))
+                e = s + 2 * (m // 2)  # the last slot of an odd (unpaired) cluster stays unset
+                rights[g, s:e:2], rights[g, s + 1:e:2] = v.real, v.imag
+                kinds[g, s:e:2], kinds[g, s + 1:e:2] = KIND_COMPLEX_RE, KIND_COMPLEX_IM
+            elif m > 1:
+                B = A[g] - rep[g, s].real[:, None, None] * np.eye(n)
+                _, sv, vh = np.linalg.svd(B)
+                tol = RANK_TOL * np.maximum(1.0, _row_norms(A[g].reshape(len(g), n * n)))
+                dim = (sv <= tol[:, None]).sum(axis=1)
+                flag(g[dim == 0], s, lambda j: IllConditioned(
+                    f"no eigenvector found for eigenvalue {rep[j, s].real:.6g}"))
+                # the null basis is the last dim rows of vh
+                for d in np.unique(dim[dim > 0]):
+                    at = np.flatnonzero(dim == d)
+                    heads, zero = _pivoted(vh[at, n - d:n - d + min(d, m)])
+                    flag(g[at[zero.any(axis=1)]], s, lambda j: IllConditioned("zero autovector"))
+                    if d >= m:
+                        rights[g[at], s:s + m] = heads
+                        continue
+                    for i, j in enumerate(g[at]):
+                        basis = _jordan_basis(B[at[i]], heads[i], m)
+                        if basis is None:
+                            flag([j], s, lambda j: IllConditioned(
+                                f"could not complete a Jordan basis for eigenvalue "
+                                f"{rep[j, s].real:.6g}"))
+                        else:
+                            rights[j, s:s + m], kinds[j, s:s + m] = basis
+
+    ok = np.flatnonzero(np.equal(fail, None))
+    cond = np.full(R, np.nan)
+    cond[ok] = np.linalg.cond(np.swapaxes(rights[ok], 1, 2))
+    flag(ok[~(cond[ok] <= COND_LIMIT)], n,
+         lambda j: IllConditioned(f"autovector matrix condition number {cond[j]:.3g}"))
+    errors[rows] = fail
+    ok = np.equal(fail, None)
+    live = rows[ok]
+    return FrameStack(
+        _scatter(N, live, values[ok]), _scatter(N, live, rights[ok]),
+        _scatter(N, live, np.linalg.inv(np.swapaxes(rights[ok], 1, 2))) if lefts else None,
+        errors, _scatter(N, rows, mult, 1), _scatter(N, rows, cplx, False),
+        _scatter(N, rows, kinds, _EIGEN))
+
+
+def _scatter(N, rows, a, fill=np.nan):
+    """a (len(rows), ...) at `rows` of an (N, ...) array filled with fill."""
+    if len(rows) == N:
+        return a
+    out = np.full((N,) + a.shape[1:], fill, dtype=a.dtype)
+    out[rows] = a
+    return out
 
 
 def spectrum_at(sys_, t, x, u) -> Frame:
-    """Eigenvalues clustered with right/left autovectors at one point.
-
-    Jordan chains are appended when the geometric multiplicity falls short;
-    complex-conjugate pairs contribute real/imaginary part vectors.
-    """
-    A = sys_.eval_matrix(t, x, u)
-    n = sys_.n
-    w, V = np.linalg.eig(A)
-    rho = float(np.max(np.abs(w))) if n else 0.0
-    ctol = CLUSTER_RTOL * (1.0 + rho)
-    scale = max(1.0, float(np.linalg.norm(A)))
-
-    # cluster on (Re, |Im|) so conjugate pairs always share a group
-    w_half = w.real + 1j * np.abs(w.imag)
-    groups = _cluster_eigenvalues(w_half, ctol)
-    # deterministic cluster order: ascending (Re, |Im|)
-    reps = [complex(np.mean(w_half[g])) for g in groups]
-    order = sorted(range(len(groups)), key=lambda k: (reps[k].real, abs(reps[k].imag)))
-
-    values, rights, kinds, clusters = [], [], [], []
-    for k in order:
-        g = sorted(groups[k], key=lambda i: (w[i].real, w[i].imag))
-        rep = reps[k]
-        mult = len(g)
-        start = len(values)
-        if abs(rep.imag) <= ctol:
-            lam = rep.real
-            B = A - lam * np.eye(n)
-            if mult == 1:
-                vec = V[:, g[0]]
-                if np.max(np.abs(vec.imag)) > 1e-8 * np.max(np.abs(vec)):
-                    raise IllConditioned("complex eigenvector for a real eigenvalue")
-                vecs = [_pivot_normalize(vec.real)]
-                slot_kinds = [KIND_EIGEN]
-            else:
-                basis = _null_basis(B, scale)
-                if basis.shape[0] == 0:
-                    raise IllConditioned(f"no eigenvector found for eigenvalue {lam:.6g}")
-                heads = [_pivot_normalize(b) for b in basis[:mult]]
-                vecs = list(heads)
-                slot_kinds = [KIND_EIGEN] * len(vecs)
-                # raise chains by successive least-squares solves (A - lam I) w' = w
-                for head in heads:
-                    prev = head
-                    chain_order = 2
-                    while len(vecs) < mult and chain_order <= n:
-                        wv, *_ = np.linalg.lstsq(B, prev, rcond=None)
-                        if np.linalg.norm(B @ wv - prev) > 1e-6 * (1.0 + np.linalg.norm(prev)):
-                            break
-                        vecs.append(wv)
-                        slot_kinds.append(generalized_kind(chain_order))
-                        prev = wv
-                        chain_order += 1
-                    if len(vecs) >= mult:
-                        break
-                if len(vecs) < mult:
-                    raise IllConditioned(
-                        f"could not complete a Jordan basis for eigenvalue {lam:.6g}")
-            for vec, kd in zip(vecs, slot_kinds):
-                values.append(complex(lam))
-                rights.append(np.asarray(vec, dtype=float))
-                kinds.append(kd)
-            clusters.append(Cluster(complex(lam), mult, list(range(start, start + mult))))
-        else:
-            # complex group: members come in conjugate pairs
-            pos = [i for i in g if w[i].imag > 0]
-            if 2 * len(pos) != mult:
-                raise IllConditioned("unpaired complex eigenvalues")
-            lam = complex(np.mean([w[i] for i in pos]))
-            for i in pos:
-                vec = _pivot_normalize(V[:, i])
-                values.extend([lam, lam])
-                rights.append(vec.real.astype(float))
-                rights.append(vec.imag.astype(float))
-                kinds.extend([KIND_COMPLEX_RE, KIND_COMPLEX_IM])
-            clusters.append(Cluster(lam, mult, list(range(start, start + mult)),
-                                    is_complex=True))
-
-    R = np.column_stack(rights)
-    cond = float(np.linalg.cond(R))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise IllConditioned(f"autovector matrix condition number {cond:.3g}")
-    L = np.linalg.inv(R)
-
-    return Frame(values=np.array(values), rights=np.array(rights), lefts=L,
-                 kinds=kinds, clusters=clusters, point=(t, x, tuple(u)))
-
-
-def _cond_ok(R):
-    """Row mask of a stack (N, n, n): condition number finite and <= COND_LIMIT."""
-    cond = np.linalg.cond(R)
-    return np.isfinite(cond) & (cond <= COND_LIMIT)
+    """The spectrum stage (spectra) at one state: the eigenvalues clustered,
+    with right and left autovectors; raises what the stage keeps there."""
+    u = np.asarray(u, dtype=float)
+    return spectra(sys_, t, x, u[None]).frame(0, point=(t, x, tuple(u)))
 
 
 def _row_norms(V):
@@ -208,120 +319,82 @@ def _row_norms(V):
     return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
 
 
-def _simple_spectra(sys_, t, x, U, references=None):
-    """The rows of U (N, n) whose spectrum is real and simple, from one
-    batched eig, with spectrum_at's gates (finite A, real eigenvectors,
-    nonzero pivots, condition number) and, given the rights (N, slot,
-    component) of reference frames with real simple spectra, align_frames'
-    (kept pivots, condition number of the rescaled frame).  Returns (rows,
-    values, vecs): the eigenvalues in ascending order, as spectrum_at gives
-    them, and the pivot-normalized right vectors (row, slot, component),
-    rescaled against the references when given."""
-    N, n = len(U), sys_.n
-    rows = np.flatnonzero(np.isfinite(U).all(axis=1))
-    t, x = np.broadcast_to(t, N)[rows], np.broadcast_to(x, N)[rows]
-    try:
-        A = sys_.eval_matrix(t, x, U[rows])
-    except (DomainError, np.linalg.LinAlgError):
-        return rows[:0], np.empty((0, n)), np.empty((0, n, n))
-    finite = np.isfinite(A).all(axis=(1, 2))
-    rows, A = rows[finite], A[finite]
-    w, V = np.linalg.eig(A)
-    ctol = CLUSTER_RTOL * (1.0 + np.max(np.abs(w), axis=1))
-    w_half = w.real + 1j * np.abs(w.imag)
-    gaps = np.abs(w_half[:, :, None] - w_half[:, None, :]) + np.diag(np.full(n, np.inf))
-    simple = ((np.abs(w.imag) <= ctol[:, None]).all(axis=1)
-              & (gaps.min(axis=(1, 2)) > ctol))
-    rows, w, V = rows[simple], w[simple], V[simple]
-
-    order = np.argsort(w.real, axis=1)
-    vecs = np.swapaxes(np.take_along_axis(V, order[:, None, :], axis=2), 1, 2)
-    real = (np.abs(vecs.imag).max(axis=2) <= 1e-8 * np.abs(vecs).max(axis=2)).all(axis=1)
-    vecs = vecs.real
-    pivots = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=2)[:, :, None], axis=2)
-    ok = real & (pivots != 0).all(axis=(1, 2))
-    # the cluster mean of spectrum_at, whose real part is w.real + 0.0
-    values = np.take_along_axis(w.real, order, axis=1)[ok] + 0.0
-    rows, vecs = rows[ok], vecs[ok] / pivots[ok]
-    stack, ok = vecs, np.ones(len(rows), dtype=bool)
-    if references is not None:
-        vecs, ok = _rescale(vecs, references[rows])
-        stack = np.concatenate([stack, vecs])
-    # the raw and the rescaled condition numbers in one call; without
-    # references both halves are the raw one
-    cond_ok = _cond_ok(np.swapaxes(stack, 1, 2))
-    ok &= cond_ok[:len(rows)] & cond_ok[len(stack) - len(rows):]
-    return rows[ok], values[ok], vecs[ok]
-
-
 def _rescale(vecs, references):
     """The rescale of align_frames on a stack (N, slot, component): each
     vector scaled so its component at the reference's pivot index matches
     the reference.  Returns the rescaled vectors and the mask of rows that
     kept every pivot."""
-    i_ref = np.abs(references).argmax(axis=2)[:, :, None]
-    denom = np.take_along_axis(vecs, i_ref, axis=2)[:, :, 0]
+    i_ref = np.abs(references).argmax(axis=2)
+    denom = _at(vecs, i_ref)
     ok = (np.abs(denom) >= 1e-12 * (1.0 + np.abs(vecs).max(axis=2))).all(axis=1)
-    scale = np.take_along_axis(references, i_ref, axis=2)[:, :, 0] / np.where(ok[:, None], denom, 1.0)
+    scale = _at(references, i_ref) / np.where(ok[:, None], denom, 1.0)
     return vecs * scale[:, :, None], ok
 
 
-def simple_frames_batch(sys_, t, x, U, references=None):
-    """Frames at the rows of U (N, n) whose spectrum is real and simple, from
-    one batched eig: what spectrum_at gives there or, given the rights
-    (N, slot, component) of reference frames with real simple spectra, what
-    align_frames against them gives, with their gates (_simple_spectra).  t
-    and x are scalars or follow the rows.
+def _mismatch(reference: Frame, raw: Frame):
+    return MismatchedSignature(f"multiplicity pattern changed: {reference.signature()} "
+                               f"vs {raw.signature()}")
 
-    Returns (values, rights, lefts, done): values (N, n) complex, rights and
-    lefts (N, slot, component) in ascending eigenvalue order.  Rows not
-    marked done are NaN and left to the per-point path, which handles them
-    or raises.
-    """
-    N, n = len(U), sys_.n
-    values, done = np.full((N, n), np.nan, dtype=complex), np.zeros(N, dtype=bool)
-    rights, lefts = np.full((N, n, n), np.nan), np.full((N, n, n), np.nan)
-    rows, vals, vecs = _simple_spectra(sys_, t, x, U, references)
-    values[rows], rights[rows], done[rows] = vals, vecs, True
-    lefts[rows] = np.linalg.inv(np.swapaxes(vecs, 1, 2))
-    return values, rights, lefts, done
+
+def aligned(reference: FrameStack, raw: FrameStack, lefts=True) -> FrameStack:
+    """The alignment stage: each row of raw expressed in the normalization
+    of the same row of reference, a stack of the same n (a one-row
+    reference serves every row).  A raw row with an error keeps it.  The
+    k-th reference cluster is matched to the k-th raw cluster, so the
+    signatures must agree (MismatchedSignature).  Within a cluster of d > 1
+    slots the raw basis is rotated onto the reference (orthogonal
+    Procrustes: one stacked svd of reference @ raw^T per cluster and
+    signature).  Each vector is then rescaled so its component at the
+    reference pivot index matches the reference, which it must not have
+    lost (MismatchedSignature), and the condition number is gated at
+    COND_LIMIT.  With `lefts` the lefts invert the rights.  The values are
+    raw's, the kinds the reference's."""
+    N, n = raw.values.shape
+    # the reference row of each raw row: a one-row reference serves them all
+    of = np.zeros(N, dtype=int) if len(reference.values) < N else np.arange(N)
+    errors = raw.errors.copy()
+    same = ((reference.mult == raw.mult) & (reference.cplx == raw.cplx)).all(axis=1)
+    rows = np.flatnonzero(np.equal(errors, None))
+    for k in rows[~same[rows]]:
+        errors[k] = _mismatch(reference.frame(of[k]), raw.frame(k))
+    rows = rows[same[rows]]
+    X, ref, mult = raw.rights[rows], reference.rights[of[rows]], raw.mult[rows]
+    multi = np.flatnonzero((mult > 1).any(axis=1))
+    for pattern in np.unique(mult[multi], axis=0) if multi.size else ():
+        g = multi[(mult[multi] == pattern).all(axis=1)]
+        for s, m in _runs(pattern):
+            if m > 1:
+                Xc = X[g, s:s + m]
+                Us, _, Vt = np.linalg.svd(ref[g, s:s + m] @ np.swapaxes(Xc, 1, 2))
+                X[g, s:s + m] = (Us @ Vt) @ Xc
+    X, kept = _rescale(X, ref)
+    cond = np.linalg.cond(np.swapaxes(X, 1, 2))
+    for k in rows[~kept]:
+        errors[k] = MismatchedSignature("aligned vector lost its pivot component")
+    ill = kept & ~(cond <= COND_LIMIT)
+    for k, c in zip(rows[ill], cond[ill]):
+        errors[k] = IllConditioned(f"aligned frame condition number {c:.3g}")
+    ok = kept & ~ill
+    rows, X = rows[ok], X[ok]
+    return FrameStack(_scatter(N, rows, raw.values[rows]), _scatter(N, rows, X),
+                      _scatter(N, rows, np.linalg.inv(np.swapaxes(X, 1, 2))) if lefts else None,
+                      errors, raw.mult, raw.cplx, reference.kinds[of])
 
 
 def align_frames(reference: Frame, raw: Frame) -> Frame:
-    """Express a freshly computed frame in the reference's normalization.
-
-    The k-th reference cluster is matched to the k-th raw cluster, both in the
-    ascending order spectrum_at gives; their multiplicity patterns must agree.
-    Within a matched eigenspace of dimension d the raw basis is rotated onto
-    the reference (orthogonal Procrustes; a sign flip when d = 1) and each
-    vector is rescaled so its component at the reference pivot index matches
-    the reference.  Left vectors are re-solved for biorthogonality.
-    """
-    if reference.signature() != raw.signature():
-        raise MismatchedSignature(f"multiplicity pattern changed: {reference.signature()} "
-                                  f"vs {raw.signature()}")
-    n = reference.n
-    rights = np.empty((n, n))
-    values = np.empty(n, dtype=complex)
-    clusters = []
-    for rc, cc in zip(reference.clusters, raw.clusters):
-        Xraw = raw.rights[cc.slots]
-        if len(rc.slots) > 1:
-            U, _, Vt = np.linalg.svd(reference.rights[rc.slots] @ Xraw.T)
-            Xraw = (U @ Vt) @ Xraw
-        rights[rc.slots] = Xraw
-        values[rc.slots] = raw.values[cc.slots]
-        clusters.append(Cluster(cc.value, rc.alg_mult, list(rc.slots), rc.is_complex))
-    rights, kept = _rescale(rights[None], reference.rights[None])
-    if not kept[0]:
-        raise MismatchedSignature("aligned vector lost its pivot component")
-    rights = rights[0]
-
-    R = rights.T
-    cond = float(np.linalg.cond(R))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise IllConditioned(f"aligned frame condition number {cond:.3g}")
-    lefts = np.linalg.inv(R)
+    """The alignment stage (aligned) on one frame, whose slots it takes in
+    the order of its clusters (as spectrum_at orders them) and puts back.
+    Raises what the stage keeps."""
+    if reference.n != raw.n:
+        raise _mismatch(reference, raw)
+    slots = [[s for c in f.clusters for s in c.slots] for f in (reference, raw)]
+    out = aligned(FrameStack.of(reference, slots[0]), FrameStack.of(raw, slots[1]))
+    if out.errors[0] is not None:
+        raise out.errors[0]
+    values, rights, lefts = (np.empty_like(a[0]) for a in (out.values, out.rights, out.lefts))
+    values[slots[0]], rights[slots[0]], lefts[slots[0]] = out.values[0], out.rights[0], out.lefts[0]
+    clusters = [Cluster(cc.value, rc.alg_mult, list(rc.slots), rc.is_complex)
+                for rc, cc in zip(reference.clusters, raw.clusters)]
     return Frame(values=values, rights=rights, lefts=lefts, kinds=list(reference.kinds),
                  clusters=clusters, point=raw.point)
 
@@ -367,7 +440,7 @@ class AnalyticFrameField:
         _, rights, ok = self._hint_batch(t, x, U)
         with np.errstate(all="ignore"):
             ok &= np.isfinite(self.sys.eval_matrix(t, x, U)).all(axis=(1, 2))
-        ok[ok] = _cond_ok(np.swapaxes(rights[ok], 1, 2))
+        ok[ok] = np.linalg.cond(np.swapaxes(rights[ok], 1, 2)) <= COND_LIMIT
         rights[~ok] = np.nan
         return rights
 
@@ -385,13 +458,7 @@ class AnalyticFrameField:
         vals, rights, ok = self._hint_batch(t, x, U)
         errors = [None if k else HintInconsistent("hint expressions evaluate non-finite")
                   for k in ok]
-        with np.errstate(all="ignore"):
-            A = np.ascontiguousarray(self.sys.eval_matrix(t, x, U))
-        for k in np.flatnonzero(ok & ~np.isfinite(A).all(axis=(1, 2))):
-            try:
-                self.sys.eval_matrix(t[k], x[k], U[k])
-            except DomainError as err:
-                errors[k] = err
+        A = _matrices(self.sys, t, x, U, errors)
         # fmax, like max(1.0, norm(A)) at one state, ignores a nan norm
         nrmA = np.fmax(1.0, _row_norms(A.reshape(N, n * n)))
 

@@ -454,8 +454,9 @@ def free_symbols(e: Expr) -> set:
 
 
 def substitute(e: Expr, mapping) -> Expr:
-    """Replace symbols by expressions (or numbers); folds constants.  A
-    constant that overflows while folding raises ParseError."""
+    """Replace symbols by expressions (or numbers); folds constants.  A fold
+    of finite constants that overflows, or gives inf or nan, raises
+    ParseError."""
     if isinstance(e, Const):
         return e
     if isinstance(e, Sym):
@@ -478,11 +479,15 @@ def substitute(e: Expr, mapping) -> Expr:
     b = substitute(e.b, mapping)
     folder = {"+": fold_add, "-": fold_sub, "*": fold_mul, "/": fold_div, "^": fold_pow}[e.op]
     try:
-        return folder(a, b)
+        out = folder(a, b)
     except (DomainError, ZeroDivisionError):
         return Bin(e.op, a, b)
     except OverflowError:
-        raise ParseError(f"constant out of range: {to_string(Bin(e.op, a, b))}") from None
+        out = Const(math.inf)
+    if isinstance(out, Const) and not math.isfinite(out.value) and all(
+            isinstance(c, Const) and math.isfinite(c.value) for c in (a, b)):
+        raise ParseError(f"constant out of range: {to_string(Bin(e.op, a, b))}")
+    return out
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 2.5, "^": 3}

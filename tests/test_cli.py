@@ -152,10 +152,12 @@ def test_overflowing_constant_exponent_is_usage_error(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"] == "ParseError"
 
 
-@pytest.mark.parametrize("entry", ["2^2000*u", "exp(1000)*u"])
+@pytest.mark.parametrize("entry", ["2^2000*u", "exp(1000)*u", "1e200*1e200*u",
+                                   "1e308*10-1e308*10+u"])
 def test_overflowing_folded_constant_is_usage_error(tmp_path, capsys, entry):
     # load-time folding computes 2^2000 and exp(1000) with math.pow and
-    # math.exp, which raise OverflowError instead of returning inf
+    # math.exp, which raise OverflowError instead of returning inf; a
+    # product of floats folds to inf and a difference of infs to nan
     model = tmp_path / "folded.json"
     model.write_text(json.dumps({"n": 2, "states": ["u", "v"],
                                  "A": [[entry, "0"], ["0", "2"]],

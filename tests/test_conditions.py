@@ -704,8 +704,8 @@ def test_kernel_rows_equal_one_state_calls(seed, n, shape, sourced, mode, defect
 
 def test_kernel_fallback_rows_match_one_state_calls():
     # [[0, 1], [a, 0]] has real simple eigenvalues for a > 0, a Jordan block
-    # at a = 0 and a complex pair for a < 0: the last two rows leave the
-    # batch for spectrum_at and align_frames, one state at a time
+    # at a = 0 and a complex pair for a < 0: the middle two rows have a
+    # multiple cluster, which their per-row signature and kinds record
     doc = {"n": 3, "states": ["a", "b", "c"],
            "A": [["0", "1", "0"], ["a", "0", "0"], ["b", "c", "3 + b"]],
            "g": ["b", "a*c", "c"],
@@ -715,8 +715,9 @@ def test_kernel_fallback_rows_match_one_state_calls():
                         [0.1, 0.2, -0.4, 0.1, 0.6], [0.4, 0.7, 0.9, -0.5, 0.1]])
     machine = cond.FrameMachine(sys_, "numeric")
     base = machine.frames(samples[:, 0], samples[:, 1], samples[:, 2:])
-    assert [f is not None for f in base.points] == [False, True, True, False]
-    assert any(k.startswith("generalized") for k in base.points[1].kinds)
+    assert (base.mult > 1).any(axis=1).tolist() == [False, True, True, False]
+    assert base.cplx.any(axis=1).tolist() == [False, False, True, False]
+    assert any(k.startswith("generalized") for k in base.kinds[1])
     for k, (t, x, *u) in enumerate(samples):
         f = machine.base(t, x, np.array(u))
         assert np.array_equal(base.rights[k], f.rights)
@@ -857,7 +858,7 @@ def test_stacked_sweeps_give_each_row_its_bits_alone(case):
         sys_ = load_system(json.dumps(SWEEP_FAILS))
         samples, frame = sys_.sample_points(plan(count=20, seed=3)), "analytic"
     else:
-        # batch rows, a Jordan row and a complex row that leave the batch, and
+        # simple rows, a Jordan row and a complex row in one stack, and
         # rows whose sweeps leave the domain of sqrt(c)
         doc = {"n": 3, "states": ["a", "b", "c"],
                "A": [["0", "1", "0"], ["a", "0", "0"], ["b", "sqrt(c)", "3 + b"]],

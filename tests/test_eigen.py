@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qldecouple import eigen
 from qldecouple.errors import DomainError, HintInconsistent, IllConditioned, MismatchedSignature
@@ -299,8 +301,8 @@ def _rights_or_nan(machine, u, reference):
 def test_rights_batch_matches_pointwise_near(case):
     # the batched frame evaluation agrees row by row with near(), gates
     # included: A = [[0, 1], [a, 0]] has real simple, Jordan (a = 0) and
-    # complex spectra, so rows take the batched path, the per-point
-    # fallback, or are rejected by either; on GATED (below) the hints stay
+    # complex spectra, so a row shares the reference's signature or has
+    # another, which the alignment rejects; on GATED (below) the hints stay
     # finite where sqrt(q) in A does not, and near() rejects those rows.
     # A = [[1, 0], [-tan(p), 2]] has the right vectors (1, tan p) and
     # (0, 1): rescaled at the pivot of the reference at p = 0 their
@@ -394,3 +396,78 @@ def test_hinted_stack_keeps_frame_at_error_per_row():
     unchecked = [None if kind is HintInconsistent and "vector" in words else kind
                  for _, kind, words in GATED_ROWS]
     assert [type(e) if e is not None else None for e in swept.errors] == unchecked
+
+
+# --- the two stages on a stack against one row at a time ----------------------
+
+def mixed_spectra_system():
+    """A = P B P^-1 with P unimodular and
+    B = [[a, c, 0, 0], [0, b, 0, 0], [0, 0, s, 1], [0, 0, d, s]], s = 5 + sqrt(x):
+    b = a gives a double eigenvalue (semisimple for c = 0, a Jordan pair
+    otherwise) and b = a + 1e-9 a nearly equal pair; d > 0 gives a real
+    pair around s, d < 0 a complex pair, d = 0 a Jordan pair and d = 1e-14
+    a nearly defective one; a = s joins the two blocks' clusters; x < 0
+    makes A non-finite (a DomainError)."""
+    P = np.array([[1, 0, 0, 0], [2, 1, 0, 0], [-1, 1, 1, 0], [0, 3, -2, 1]]) @ \
+        np.array([[1, -1, 2, 0], [0, 1, 1, -1], [0, 0, 1, 2], [0, 0, 0, 1]])
+    Pinv = np.rint(np.linalg.inv(P)).astype(int)
+    assert (P @ Pinv == np.eye(4)).all()
+    B = [["a", "c", "0", "0"], ["0", "b", "0", "0"],
+         ["0", "0", "(5 + sqrt(x))", "1"], ["0", "0", "d", "(5 + sqrt(x))"]]
+    A = [[" + ".join(f"({P[i, k] * Pinv[m, j]})*{B[k][m]}" for k in range(4) for m in range(4)
+                     if P[i, k] * Pinv[m, j] and B[k][m] != "0") or "0" for j in range(4)]
+         for i in range(4)]
+    return load_system(json.dumps({"n": 4, "states": ["a", "b", "c", "d"], "A": A,
+                                   "domain": {s: [-3, 3] for s in "abcd"}}))
+
+
+MIXED = mixed_spectra_system()
+MIXED_ROW = st.tuples(st.sampled_from([-1.0, 0.5, 2.0, 5.0]),
+                      st.sampled_from([0.0, 1e-9, 1.5]),
+                      st.sampled_from([0.0, 0.7, -1.3]),
+                      st.sampled_from([0.0, 0.8, -0.6, 1e-14]),
+                      st.sampled_from([0.0, 0.3, -1.0]))
+
+
+def _one_row(call):
+    try:
+        return call()
+    except (DomainError, IllConditioned, MismatchedSignature) as err:
+        return err
+
+
+def _assert_row_is(stack, k, one):
+    """Row k of a stack equals the one-row result `one` (a Frame or the
+    error it raised) bit for bit."""
+    if isinstance(one, Exception):
+        err = stack.errors[k]
+        assert type(err) is type(one) and str(err) == str(one)
+        return
+    f = stack.frame(k)
+    for got, want in ((f.values, one.values), (f.rights, one.rights), (f.lefts, one.lefts)):
+        assert got.tobytes() == want.tobytes()
+    assert f.kinds == one.kinds and f.signature() == one.signature()
+    assert [c.slots for c in f.clusters] == [c.slots for c in one.clusters]
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.lists(MIXED_ROW, min_size=1, max_size=8), shift=st.integers(0, 7))
+def test_stacked_stages_equal_one_row_calls(rows, shift):
+    # every row of one stack, whatever its spectrum, gets the bits, the
+    # signature, the kinds and the error of spectrum_at at its state; against
+    # references (other rows' frames, so signatures may differ) every row
+    # gets what align_frames gives it alone
+    a, gap, c, d, x = np.array(rows).T
+    U, t = np.column_stack([a, a + gap, c, d]), np.zeros(len(rows))
+    base = eigen.spectra(MIXED, t, x, U)
+    for k in range(len(rows)):
+        _assert_row_is(base, k, _one_row(lambda: eigen.spectrum_at(MIXED, 0.0, x[k], U[k])))
+    framed = np.flatnonzero(np.equal(base.errors, None))
+    if not framed.size:
+        return
+    refs = framed[(np.arange(len(rows)) + shift) % framed.size]
+    V = U + 1e-6 * np.array([1.0, -1.0, 2.0, 0.5])
+    out = eigen.aligned(base.take(refs), eigen.spectra(MIXED, t, x, V, lefts=False))
+    for k in range(len(rows)):
+        _assert_row_is(out, k, _one_row(lambda: eigen.align_frames(
+            base.frame(refs[k]), eigen.spectrum_at(MIXED, 0.0, x[k], V[k]))))

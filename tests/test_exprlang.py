@@ -249,14 +249,16 @@ def test_overflowing_constant_exponent_is_parse_error():
 def test_overflowing_folded_constant_is_parse_error():
     # substitute folds constant subtrees with math.pow and math.exp, which
     # raise OverflowError instead of returning inf
-    for text in ("2^2000*u", "exp(1000)*u", "u + 3*(1e300^2)", "(2^10)^200*u"):
+    for text in ("2^2000*u", "exp(1000)*u", "u + 3*(1e300^2)", "(2^10)^200*u",
+                 "1e200*1e200*u", "1e308*10-1e308*10+u", "u*((0-1e200)*1e200)"):
         with pytest.raises(ParseError, match="constant out of range"):
             ex.substitute(ex.parse(text, {"u"}), {})
     with pytest.raises(ParseError, match=r"constant out of range: exp\(1000\)"):
         ex.substitute(ex.parse("exp(a)*u", {"a", "u"}), {"a": 1000.0})
-    with pytest.raises(ParseError):
-        load_system(json.dumps({"n": 1, "states": ["u"], "A": [["2^2000*u"]],
-                                "domain": {"u": [0.5, 1]}}))
+    for entry in ("2^2000*u", "1e200*1e200*u"):
+        with pytest.raises(ParseError):
+            load_system(json.dumps({"n": 1, "states": ["u"], "A": [[entry]],
+                                    "domain": {"u": [0.5, 1]}}))
     # folds that stay finite, or fail on the domain, are unchanged
     assert ex.substitute(ex.parse("2^10*u", {"u"}), {}) == ex.parse("1024*u", {"u"})
     assert ex.substitute(ex.parse("exp(709)*u", {"u"}), {}).a.value == math.exp(709)

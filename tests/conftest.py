@@ -1,4 +1,4 @@
-"""Session setup shared by the test modules."""
+"""Test setup shared by every test module, run once before collection."""
 
 import warnings
 

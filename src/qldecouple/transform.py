@@ -21,7 +21,6 @@ from .conditions import FrameMachine, PartitionScheme, _cause
 from .errors import (
     DegenerateSample,
     DomainError,
-    IllConditioned,
     SchemaError,
     ShootingFailed,
     SingularCandidate,
@@ -358,35 +357,26 @@ def characteristic_flow(sys_: QuasilinearSystem, slot, start, arc_length,
                         steps=64, frame="auto", t=0.0, x=0.0):
     """Integrate du/ds = r_slot(u) from admissible start states: a 1-D start
     is one curve and returns its polyline, a 2-D start (N, n) is N curves in
-    one integrate_field batch (slot an int or one per row) and returns their
-    end states.  The field is FrameMachine.rights_batch, so the flow reads
-    near() frames with the gates frame sweeps apply, NaN where near()
-    rejects the state.  Numeric frames are aligned to the frame at the first
-    start state, which fixes the orientation and scale of the field.  Each
-    row carries its slot as a last column with field component 0."""
+    one integrate_field batch and returns their end states.  The field is
+    FrameMachine.rights_batch, so the flow reads near() frames with the
+    gates frame sweeps apply, NaN where near() rejects the state.  Numeric
+    frames are aligned to the frame at the first start state, which fixes
+    the orientation and scale of the field."""
     start = np.asarray(start, dtype=float)
     n = start.shape[-1]
     rows = start.reshape(-1, n)
     if not sys_.in_domain(t, x, rows).all() or sys_.is_excluded(t, x, rows).any():
         raise DomainError("start state is outside the admissible domain")
+    if slot not in range(n):
+        raise IndexError(f"flow slot out of range 0..{n - 1}")
     machine = FrameMachine(sys_, frame)
     reference = machine.base(t, x, rows[0]) if machine.field is None else None
 
-    def field(V):
-        r = machine.rights_batch(t, x, V[:, :n], reference)
-        out = np.zeros(V.shape)
-        for s in range(n):
-            g = V[:, n] == s
-            out[g, :n] = r[g, s]
-        return out
+    def field(U):
+        return machine.rights_batch(t, x, U, reference)[:, slot]
 
-    slots = np.broadcast_to(slot, len(rows))
-    if not np.isin(slots, range(n)).all():
-        raise IndexError(f"flow slot out of range 0..{n - 1}")
-    V = np.column_stack([rows, slots])
-    pts, info = integrate_field(field, V.reshape(start.shape[:-1] + (n + 1,)), arc_length,
-                                steps, in_domain=lambda V: sys_.in_domain(t, x, V[:, :n]))
-    return pts[..., :n], info
+    return integrate_field(field, start, arc_length, steps,
+                           in_domain=lambda U: sys_.in_domain(t, x, U))
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +463,10 @@ def construct_transform_numeric(sys_: QuasilinearSystem, partition: PartitionSch
     carried together along those flows, each normalized to move its own
     slice coordinate at unit rate, onto a transversal slice through the base
     point; the slice coordinates of the landing point provide the block's
-    map components.  Quality gates: flow-invariance of the interpolated map
-    and a grid-difference annihilation check.  The work done is returned
-    under "work": batched shots and legs, batched field calls, and the field
-    rows and RK4 steps of the shooting legs and of the invariance curves.
+    map components.  Quality gates: the annihilation residual and the
+    determinant of the map's grid-difference Jacobian (_construction_quality).
+    The work done is returned under "work": batched shots and legs, batched
+    field calls, and the field rows and RK4 steps of the shooting legs.
     """
     n = sys_.n
     partition.validate_for(n)
@@ -497,8 +487,7 @@ def construct_transform_numeric(sys_: QuasilinearSystem, partition: PartitionSch
     points = np.stack([g.ravel() for g in mesh], axis=1)
     admissible = np.flatnonzero(~sys_.is_excluded(t, x, points))
 
-    work = Counter(dict.fromkeys(["shots", "legs", "fieldCalls", "fieldEvaluations", "steps",
-                                  "invarianceFieldEvaluations", "invarianceSteps"], 0))
+    work = Counter(dict.fromkeys(["shots", "legs", "fieldCalls", "fieldEvaluations", "steps"], 0))
     specs = []
     for i, blk in enumerate(partition.blocks):
         keep, flow = [], []
@@ -534,7 +523,7 @@ def construct_transform_numeric(sys_: QuasilinearSystem, partition: PartitionSch
     H_grid = H_grid[:, inv_order]
 
     quality = _construction_quality(sys_, partition, axes, grid_shape, H_grid,
-                                    machine, flagged, t, x, work)
+                                    machine, flagged, t, x)
     quality["toleranceMissed"] = missed
     quality["untrusted"] = bool(report is None or
                                 getattr(report, "verdict", "fail") != "pass")
@@ -550,7 +539,8 @@ def construct_transform_numeric(sys_: QuasilinearSystem, partition: PartitionSch
 
 
 def interpolate_grid(axes, values, u):
-    """Multilinear interpolation of gridded map values at one state."""
+    """Multilinear interpolation of gridded map values at one state.  No
+    package code calls it; bench/tracer.py resolves it by name."""
     u = np.asarray(u, dtype=float)
     nd = len(axes)
     idx = []
@@ -573,44 +563,14 @@ def interpolate_grid(axes, values, u):
 
 
 def _construction_quality(sys_, partition, axes, grid_shape, H_grid, machine,
-                          flagged, t, x, work=None):
-    """Invariance and grid-Jacobian gates of a constructed map.  The
-    invariance curves, one per (block, forbidden slot), all start at the
-    grid center and run as one characteristic_flow batch; their field rows
-    and RK4 steps are added to `work` when given.  Cells whose np.gradient
-    stencil touches a flagged (NaN) value are skipped and counted, not
-    filled."""
+                          flagged, t, x):
+    """Grid-Jacobian gates of a constructed map: the largest annihilation
+    residual (grad H_a) . r_b of its np.gradient Jacobian over the interior
+    grid states, and the smallest |det| of that Jacobian.  Cells whose
+    np.gradient stencil touches a flagged (NaN) value are skipped and
+    counted, not filled."""
     n = sys_.n
     values = H_grid.reshape(*grid_shape, n)
-
-    # invariance: interpolated map constant along the forbidden flows
-    center = np.array([0.5 * (ax[0] + ax[-1]) for ax in axes])
-    curves = [(blk, slot) for i, blk in enumerate(partition.blocks)
-              for j, bj in enumerate(partition.blocks) if partition.forbidden(i, j)
-              for slot in bj]
-    landed = []
-    if curves:
-        try:
-            ends, info = characteristic_flow(sys_, [s for _, s in curves],
-                                             np.tile(center, (len(curves), 1)), 0.1,
-                                             steps=16, frame=machine.mode, t=t, x=x)
-        except (DomainError, IllConditioned):
-            pass
-        else:
-            if work is not None:
-                work.update(fieldCalls=info["fieldCalls"], invarianceSteps=info["steps"],
-                            invarianceFieldEvaluations=info["fieldRows"])
-            landed = [(blk, end) for (blk, _), end, left
-                      in zip(curves, ends, info["left_domain"]) if not left]
-    h0 = interpolate_grid(axes, values, center)
-    inv_max, done = 0.0, 0
-    for blk, end in landed:
-        h1 = interpolate_grid(axes, values, end)
-        if not (np.all(np.isfinite(h0)) and np.all(np.isfinite(h1))):
-            continue
-        for a in blk:
-            inv_max = max(inv_max, abs(float(h1[a] - h0[a])))
-        done += 1
 
     # grid-difference Jacobian: annihilation and invertibility
     grads = np.stack(np.gradient(values, *axes, axis=tuple(range(n))), axis=-1)
@@ -629,8 +589,6 @@ def _construction_quality(sys_, partition, axes, grid_shape, H_grid, machine,
     ann = np.abs(_annihilation(grads[tuple(cells[ok].T)], frames.rights[ok],
                                partition.forbidden_pairs()))
     return {
-        "invarianceResidual": inv_max,
-        "invarianceCurves": done,
         "gridAnnihilationMax": float(np.max(ann, initial=0.0)),
         "minAbsGridJacobianDet": min_det,
         "gridCellsSkipped": int(np.count_nonzero(skipped)),

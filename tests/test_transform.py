@@ -227,35 +227,26 @@ def test_flow_batch_rows_have_their_own_arcs_and_masks():
 @pytest.mark.parametrize("name, start", [("barotropic", [1.0, 0.2]),
                                          ("threadline", [1.0, 0.1, 0.2, 0.1])])
 def test_flow_batch_rows_match_single_curves(name, start, frame):
-    # every slot from one start as one batch, some rows twice: each row
-    # ends bit for bit where its slot's curve run alone ends, and where a
-    # plain one-slot field on the states alone ends
+    # the first and last slot, each on two rows of one start as one batch:
+    # each row ends bit for bit where the slot's curve run alone ends, and
+    # where a plain integrate_field on the rights of that slot ends
     sys_ = (models.build_barotropic("p0*rho^3") if name == "barotropic"
             else models.build_threadline(1.0)).system
     start = np.array(start)
     machine = cond.FrameMachine(sys_, frame)
     reference = machine.base(0.0, 0.0, start) if frame == "numeric" else None
-    slots = list(range(sys_.n)) + [0, sys_.n - 1]
-    for arc in (0.1, 2.0):
-        ends, info = transform.characteristic_flow(sys_, slots, np.tile(start, (len(slots), 1)),
-                                                   arc, steps=16, frame=frame)
-        assert ends.shape == (len(slots), sys_.n)
-        for k, slot in enumerate(slots):
-            pts, one = transform.characteristic_flow(sys_, slot, start, arc, steps=16,
-                                                     frame=frame)
-            plain, _ = transform.integrate_field(
-                lambda U, s=slot: machine.rights_batch(0.0, 0.0, U, reference)[:, s], start,
-                arc, 16, in_domain=lambda U: sys_.in_domain(0.0, 0.0, U))
-            assert ends[k].tobytes() == pts[-1].tobytes() == plain[-1].tobytes()
-            assert info["left_domain"][k] == one["left_domain"]
-            assert info["error_estimate"][k] == one["error_estimate"]
-    assert info["left_domain"].any()
-    # one int slot is that slot on every row
-    ends, _ = transform.characteristic_flow(sys_, 1, np.tile(start, (2, 1)), 0.1, steps=16,
-                                            frame=frame)
-    pts, _ = transform.characteristic_flow(sys_, 1, start, 0.1, steps=16, frame=frame)
-    assert ends[0].tobytes() == ends[1].tobytes() == pts[-1].tobytes()
-    for bad in (sys_.n, -1, [0, sys_.n]):
+    for slot in (0, sys_.n - 1):
+        ends, info = transform.characteristic_flow(sys_, slot, np.tile(start, (2, 1)), 0.1,
+                                                   steps=16, frame=frame)
+        assert ends.shape == (2, sys_.n)
+        pts, one = transform.characteristic_flow(sys_, slot, start, 0.1, steps=16, frame=frame)
+        plain, _ = transform.integrate_field(
+            lambda U: machine.rights_batch(0.0, 0.0, U, reference)[:, slot], start,
+            0.1, 16, in_domain=lambda U: sys_.in_domain(0.0, 0.0, U))
+        assert ends[0].tobytes() == ends[1].tobytes() == pts[-1].tobytes() == plain[-1].tobytes()
+        assert info["left_domain"].tolist() == [one["left_domain"]] * 2
+        assert info["error_estimate"].tolist() == [one["error_estimate"]] * 2
+    for bad in (sys_.n, -1):
         with pytest.raises(IndexError, match="flow slot out of range"):
             transform.characteristic_flow(sys_, bad, np.tile(start, (2, 1)), 0.1, frame=frame)
 
@@ -302,7 +293,8 @@ def test_construct_transform_barotropic_monotone(barotropic, frame):
     assert not q["untrusted"]
     assert q["flaggedCells"] == 0
     assert q["toleranceMissed"] == 0
-    assert q["invarianceResidual"] <= 1e-6
+    # reads 1.8e-14 (analytic) and 1.1e-14 (numeric)
+    assert q["gridAnnihilationMax"] <= 1e-12
     # constructed first component is a strictly monotone function of a known
     # invariant: v + sqrt(3) rho for the hinted slot order, v - sqrt(3) rho
     # when numeric slots ascend by eigenvalue
@@ -348,7 +340,64 @@ def test_construct_transform_on_triangular_synthetic():
     assert report.verdict == "pass"
     base = np.zeros(2)
     out = transform.construct_transform_numeric(sys_, p, base, (10, 10), report=report)
-    assert out["quality"]["invarianceResidual"] <= 1e-6
+    # reads 4.2e-8
+    assert out["quality"]["gridAnnihilationMax"] <= 1e-7
+
+
+def _span_residual(entry, out):
+    """Largest relative least-squares residual, over the interior grid states,
+    of each constructed block component's np.gradient against the row span of
+    the closed-form grad H^s of the slots s its block may depend on.  Numeric
+    slots ascend by eigenvalue, which the oracle's diagonal offsets sort by
+    block, so slot s is the oracle's component H^s."""
+    n = entry.system.n
+    names = entry.extras["u_names"]
+    axes = out["axes"]
+    inner = tuple(slice(1, -1) for _ in range(n))
+    grads = np.stack(np.gradient(out["values"], *axes, axis=tuple(range(n))), axis=-1)
+    grads = grads[inner].reshape(-1, n, n)
+    mesh = np.meshgrid(*[ax[1:-1] for ax in axes], indexing="ij")
+    U = np.stack([m.ravel() for m in mesh], axis=1)
+    fn = ex.compile_expression([ex.differentiate(h, nm) for h in entry.extras["H"]
+                                for nm in names], names)
+    closed = np.array(fn(*U.T)).T.reshape(-1, n, n)
+    partition = cond.PartitionScheme(entry.extras["blocks"], "partial")
+    worst = 0.0
+    for i, blk in enumerate(partition.blocks):
+        keep = [s for j, bj in enumerate(partition.blocks)
+                if not partition.forbidden(i, j) for s in bj]
+        Q, _ = np.linalg.qr(np.swapaxes(closed[:, keep], 1, 2))
+        for a in blk:
+            g = grads[:, a]
+            res = g - (Q @ (np.swapaxes(Q, 1, 2) @ g[:, :, None]))[:, :, 0]
+            worst = max(worst, float(np.max(np.linalg.norm(res, axis=1)
+                                            / np.linalg.norm(g, axis=1))))
+    return worst
+
+
+@pytest.mark.parametrize("seed, n, sizes, defect, grid, verdict", [
+    (21, 2, (1, 1), 0.0, 10, "pass"),
+    (3, 3, (1, 1, 1), 0.0, 5, "pass"),
+    (4, 3, (2, 1), 0.2, 5, "fail"),
+])
+def test_constructed_components_depend_only_on_allowed_oracle_components(
+        seed, n, sizes, defect, grid, verdict):
+    # known answer: the oracle's block-i components H^s, s in the blocks
+    # block i may depend on, are closed form, and each constructed block-i
+    # component must be a function of them alone; its grid gradient lies in
+    # their gradients' span up to 1e-5 relative (these cases read 4.3e-8,
+    # 1.3e-7 and 5.7e-7)
+    _, _, entry = models.build_synthetic_triangular(seed=seed, n=n, block_sizes=sizes,
+                                                    off_block_defect=defect)
+    p = cond.PartitionScheme(entry.extras["blocks"], "partial")
+    report = cond.check_partition(entry.system, p, plan(count=40))
+    out = transform.construct_transform_numeric(entry.system, p, np.zeros(n), (grid,) * n,
+                                                report=report)
+    assert _span_residual(entry, out) <= 1e-5
+    assert out["quality"]["gridAnnihilationMax"] <= 1e-5
+    # an off-block defect keeps the forbidden autovectors annihilated: the
+    # partition verdict alone rejects it
+    assert report.verdict == verdict
 
 
 def test_construction_quality_skips_flagged_cells(barotropic):

@@ -28,7 +28,8 @@ from .system import SamplePlan, load_system
 
 USAGE_ERRORS = (SchemaError, ParseError, UnknownSymbol)
 # decouple passes when the partition check passes and the constructed map's
-# grid Jacobian annihilates the forbidden autovectors to this bound
+# grid Jacobian annihilates the forbidden autovectors to this bound at one
+# interior grid state or more
 GRID_ANNIHILATION_TOL = 1e-4
 
 
@@ -345,8 +346,9 @@ def cmd_decouple(args):
     }, t0)
     payload["timing"]["construct"] = out["work"]
     _emit(args, os.path.join(run_dir, "report.json"), payload)
-    ok = (report.verdict == "pass"
-          and out["quality"]["gridAnnihilationMax"] <= GRID_ANNIHILATION_TOL)
+    quality = out["quality"]
+    ok = (report.verdict == "pass" and quality["gridCellsChecked"] > 0
+          and quality["gridAnnihilationMax"] <= GRID_ANNIHILATION_TOL)
     return 0 if ok else 1
 
 

@@ -566,9 +566,9 @@ def _construction_quality(sys_, partition, axes, grid_shape, H_grid, machine,
                           flagged, t, x):
     """Grid-Jacobian gates of a constructed map: the largest annihilation
     residual (grad H_a) . r_b of its np.gradient Jacobian over the interior
-    grid states, and the smallest |det| of that Jacobian.  Cells whose
-    np.gradient stencil touches a flagged (NaN) value are skipped and
-    counted, not filled."""
+    grid states, the number of those states it was checked at, and the
+    smallest |det| of that Jacobian.  Cells whose np.gradient stencil touches
+    a flagged (NaN) value are skipped and counted, not filled."""
     n = sys_.n
     values = H_grid.reshape(*grid_shape, n)
 
@@ -590,6 +590,7 @@ def _construction_quality(sys_, partition, axes, grid_shape, H_grid, machine,
                                partition.forbidden_pairs()))
     return {
         "gridAnnihilationMax": float(np.max(ann, initial=0.0)),
+        "gridCellsChecked": int(np.count_nonzero(ok)),
         "minAbsGridJacobianDet": min_det,
         "gridCellsSkipped": int(np.count_nonzero(skipped)),
         "flaggedCells": flagged,

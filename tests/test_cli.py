@@ -345,6 +345,52 @@ def test_decouple_passes_a_sound_oracle_on_a_coarse_grid(tmp_path, capsys, frame
     assert code == 0
 
 
+DECOUPLE_1_1 = ["--partition", "1,1", "--mode", "full", "--base-point", "1.0,0.0",
+                "--samples", "40"]
+
+
+@pytest.mark.parametrize("annihilation, expected", [(1e-5, 0), (1e-3, 1)])
+def test_decouple_exit_follows_the_grid_gate(tmp_path, capsys, monkeypatch,
+                                             annihilation, expected):
+    # a passing verdict with the map's annihilation set on either side of
+    # the 1e-4 gate: the gate alone decides the exit code
+    construct = cli.transform.construct_transform_numeric
+
+    def construct_with(*args, **kwargs):
+        out = construct(*args, **kwargs)
+        out["quality"]["gridAnnihilationMax"] = annihilation
+        return out
+
+    monkeypatch.setattr(cli.transform, "construct_transform_numeric", construct_with)
+    code = run(["decouple", "--model", "barotropic", "--pressure", "p0*rho^3",
+                "--param", "p0=1", "--grid", "4", "--out", str(tmp_path)] + DECOUPLE_1_1)
+    payload, _ = read_report(capsys)
+    assert payload["report"]["partitionReport"]["verdict"] == "pass"
+    assert payload["report"]["quality"]["gridAnnihilationMax"] == annihilation
+    assert code == expected
+
+
+@pytest.mark.parametrize("grid, checked, expected", [(3, 0, 1), (4, 4, 0)])
+def test_decouple_fails_when_no_interior_state_is_checked(tmp_path, capsys, grid, checked,
+                                                          expected):
+    # a hole excluded around (rho, v) = (1.25, 0), the center of a 3-point
+    # grid and its only interior state: nothing is left to check the gate
+    # at, so the run fails; a 4-point grid has no state in the hole
+    assert run(["models", "emit", "barotropic", "--param", "p0=1", "--out", str(tmp_path)]) == 0
+    doc = json.load(open(capsys.readouterr().out.strip()))
+    doc["exclude"].append("0.01 - (rho - 1.25)^2 - v^2")
+    path = tmp_path / "holed.json"
+    path.write_text(json.dumps(doc))
+    code = run(["decouple", "--model", str(path), "--grid", str(grid),
+                "--out", str(tmp_path)] + DECOUPLE_1_1)
+    payload, _ = read_report(capsys)
+    quality = payload["report"]["quality"]
+    assert payload["report"]["partitionReport"]["verdict"] == "pass"
+    assert quality["gridCellsChecked"] == checked
+    assert quality["gridAnnihilationMax"] <= 1e-12
+    assert code == expected
+
+
 def test_models_list_and_emit(tmp_path, capsys):
     assert run(["models", "list"]) == 0
     names = capsys.readouterr().out.split()

@@ -224,31 +224,53 @@ def test_flow_batch_rows_have_their_own_arcs_and_masks():
 
 
 @pytest.mark.parametrize("frame", ["analytic", "numeric"])
-@pytest.mark.parametrize("name, start", [("barotropic", [1.0, 0.2]),
-                                         ("threadline", [1.0, 0.1, 0.2, 0.1])])
+@pytest.mark.parametrize("name, start", [
+    ("barotropic", [[1.0, 0.2], [1.9, 0.9]]),
+    ("threadline", [[1.0, 0.1, 0.2, 0.1], [1.9, 0.9, 0.2, 0.45]]),
+])
 def test_flow_batch_rows_match_single_curves(name, start, frame):
-    # the first and last slot, each on two rows of one start as one batch:
-    # each row ends bit for bit where the slot's curve run alone ends, and
-    # where a plain integrate_field on the rights of that slot ends
+    # the first and last slot from two starts as one batch, the second near
+    # the domain's corner: each row ends bit for bit where a plain
+    # integrate_field of that slot's rights, aligned to the batch's first
+    # start, ends from that row alone, and stops at the domain boundary when
+    # and only when that curve does; the first row (every row for analytic
+    # frames, which need no alignment) also ends where its curve run alone ends
     sys_ = (models.build_barotropic("p0*rho^3") if name == "barotropic"
             else models.build_threadline(1.0)).system
-    start = np.array(start)
+    starts = np.array(start)
     machine = cond.FrameMachine(sys_, frame)
-    reference = machine.base(0.0, 0.0, start) if frame == "numeric" else None
+    reference = machine.base(0.0, 0.0, starts[0]) if frame == "numeric" else None
+    alone = range(len(starts)) if frame == "analytic" else range(1)
+    split = False
     for slot in (0, sys_.n - 1):
-        ends, info = transform.characteristic_flow(sys_, slot, np.tile(start, (2, 1)), 0.1,
-                                                   steps=16, frame=frame)
-        assert ends.shape == (2, sys_.n)
-        pts, one = transform.characteristic_flow(sys_, slot, start, 0.1, steps=16, frame=frame)
-        plain, _ = transform.integrate_field(
-            lambda U: machine.rights_batch(0.0, 0.0, U, reference)[:, slot], start,
-            0.1, 16, in_domain=lambda U: sys_.in_domain(0.0, 0.0, U))
-        assert ends[0].tobytes() == ends[1].tobytes() == pts[-1].tobytes() == plain[-1].tobytes()
-        assert info["left_domain"].tolist() == [one["left_domain"]] * 2
-        assert info["error_estimate"].tolist() == [one["error_estimate"]] * 2
+        for arc in (0.1, 2.0):
+            ends, info = transform.characteristic_flow(sys_, slot, starts, arc, steps=16,
+                                                       frame=frame)
+            assert ends.shape == starts.shape
+            lengths = []
+            for k, start in enumerate(starts):
+                plain, one = transform.integrate_field(
+                    lambda U: machine.rights_batch(0.0, 0.0, U, reference)[:, slot], start,
+                    arc, 16, in_domain=lambda U: sys_.in_domain(0.0, 0.0, U))
+                assert ends[k].tobytes() == plain[-1].tobytes()
+                assert info["left_domain"][k] == one["left_domain"]
+                assert info["error_estimate"][k] == one["error_estimate"]
+                lengths.append(len(plain))
+                if k in alone:
+                    pts, _ = transform.characteristic_flow(sys_, slot, start, arc, steps=16,
+                                                           frame=frame)
+                    assert ends[k].tobytes() == pts[-1].tobytes()
+            if arc == 2.0:
+                # both rows leave the domain, at different steps
+                assert info["left_domain"].all() and lengths[0] != lengths[1]
+            else:
+                assert not info["left_domain"][0]
+                split |= bool(info["left_domain"][1])
+    # on some short pass the corner row leaves while the first row runs on
+    assert split
     for bad in (sys_.n, -1):
         with pytest.raises(IndexError, match="flow slot out of range"):
-            transform.characteristic_flow(sys_, bad, np.tile(start, (2, 1)), 0.1, frame=frame)
+            transform.characteristic_flow(sys_, bad, starts, 0.1, frame=frame)
 
 
 def test_flows_commute_in_adapted_scaling():
@@ -420,6 +442,9 @@ def test_construction_quality_skips_flagged_cells(barotropic):
     q = quality(holed)
     assert clean["gridCellsSkipped"] == 0
     assert q["gridCellsSkipped"] > 0
+    # the gate checks the 6 x 6 interior states whose stencil is NaN-free
+    assert clean["gridCellsChecked"] == 36
+    assert 0 < q["gridCellsChecked"] < 36
     assert q["minAbsGridJacobianDet"] == clean["minAbsGridJacobianDet"]
     assert q["gridAnnihilationMax"] <= 1e-12
 

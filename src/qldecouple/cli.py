@@ -204,8 +204,7 @@ def _partition(args, sys_, required=True):
             if required:
                 raise SchemaError("no partition given and the model has no hint")
             return None
-        scheme = cond.PartitionScheme([list(b) for b in hint["blocks"]],
-                                      mode or hint.get("mode", "partial"))
+        scheme = cond.PartitionScheme.from_hint(hint, mode)
     scheme.validate_for(sys_.n)
     return scheme
 
@@ -355,26 +354,23 @@ def cmd_decouple(args):
 def cmd_simulate(args):
     t0 = time.time()
     sys_, doc = _resolve_model(args)
-    initial = args.initial.split(";")
-    if len(initial) != sys_.n:
+    texts = args.initial.split(";")
+    if len(texts) != sys_.n:
         raise SchemaError(f"expected {sys_.n} initial components")
+    initial = [ex.parse(s, {"x", "pi"} | set(sys_.parameters)) for s in texts]
     config = _config_dict(args)
     run_dir = _run_dir(args, config)
     coupled = hypsolve.solve_coupled(sys_, initial, args.cells, args.t_end,
                                      scheme=args.scheme, cfl=args.cfl,
                                      boundary=args.boundary)
     _solution_csv(os.path.join(run_dir, "solution_coupled.csv"), sys_.states, coupled)
-    report = {"coupled": json.loads(hypsolve.solution_meta_json(coupled))}
+    report = {"coupled": hypsolve.solution_meta(coupled)}
     solve = {"coupled": coupled.work}
 
-    if doc and "decoupledHint" in doc and "transformHint" in doc:
+    if doc and "decoupledHint" in doc and "transform" in sys_.hints:
         dec = models.decoupled_system(doc)
-        symbols = {"x", "pi"} | set(sys_.parameters)
-        u0 = [ex.parse(s, symbols) for s in initial]
-        subs_map = dict(zip(sys_.states, u0))
-        H_syms = set(sys_.states) | set(sys_.parameters)
-        U0 = [ex.substitute(ex.substitute(ex.parse(h, H_syms), sys_.parameters), subs_map)
-              for h in doc["transformHint"]]
+        at_initial = dict(zip(sys_.states, initial))
+        U0 = [ex.substitute(h, at_initial) for h in sys_.hints["transform"]]
         sizes = [len(b) for b in dec.hints["partition"]["blocks"]] \
             if "partition" in dec.hints else [dec.n]
         hier = hypsolve.solve_hierarchical(dec, sizes, U0, args.cells, args.t_end,
@@ -382,11 +378,9 @@ def cmd_simulate(args):
                                            boundary=args.boundary)
         _solution_csv(os.path.join(run_dir, "solution_hierarchical.csv"),
                       dec.states, hier)
-        norms = hypsolve.compare_solutions(coupled, hier,
-                                           mapping=doc["transformHint"],
-                                           map_states=sys_.states,
-                                           parameters=sys_.parameters)
-        report["hierarchical"] = json.loads(hypsolve.solution_meta_json(hier))
+        norms = hypsolve.compare_solutions(coupled, hier, mapping=sys_.hints["transform"],
+                                           map_states=sys_.states)
+        report["hierarchical"] = hypsolve.solution_meta(hier)
         report["comparison"] = norms
         solve["hierarchical"] = hier.work
     payload = _report_payload(config, report, t0)

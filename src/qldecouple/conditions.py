@@ -72,7 +72,12 @@ FAMILIES = ("gradient", "interaction", "source")
 
 @dataclass
 class PartitionScheme:
-    """Ordered blocks of frame slots; mode partial (hierarchy) or full."""
+    """Ordered blocks of frame slots and the dependence relation the
+    conditions constrain block pair by block pair: block i must not depend
+    on block j when j > i in partial mode (a hierarchy), or when j != i in
+    full mode.  forbidden(i, j) is that relation; allowed(i) and
+    forbidden_pairs() are the slots it leaves and the slot pairs it
+    excludes."""
 
     blocks: list
     mode: str = "partial"
@@ -113,6 +118,10 @@ class PartitionScheme:
         partial mode, every other block in full mode."""
         return j > i if self.mode == "partial" else j != i
 
+    def allowed(self, i):
+        """Slots of the blocks block i may depend on, in block order."""
+        return [s for j, bj in enumerate(self.blocks) if not self.forbidden(i, j) for s in bj]
+
     def forbidden_pairs(self):
         """Slot pairs (a, b) with a in block i, b in block j, (i, j) forbidden."""
         return [(a, b) for i, bi in enumerate(self.blocks)
@@ -131,6 +140,13 @@ class PartitionScheme:
             start += s
         return PartitionScheme(blocks, mode)
 
+    @staticmethod
+    def from_hint(hint, mode=None):
+        """The scheme of a model's partition hint {"blocks", "mode"}; `mode`,
+        when given, overrides the hint's (partial by default)."""
+        return PartitionScheme([list(b) for b in hint["blocks"]],
+                               mode or hint.get("mode", "partial"))
+
     def constraint_count(self):
         """Sum over blocks of n_i * m_i * (n - m_i)."""
         n = self.n
@@ -139,10 +155,6 @@ class PartitionScheme:
             m += size
             total += size * m * (n - m)
         return total
-
-
-def gradient_tuples(p: PartitionScheme):
-    yield from p.forbidden_pairs()
 
 
 def interaction_tuples(p: PartitionScheme):
@@ -288,7 +300,7 @@ class _Residuals:
             need[b] |= ~exact[a]
         for _, b, c in int_tuples:
             need[[b, c]] = True
-        sources = [(tuple(_allowed(partition, a)), b) for a, b in src_tuples]
+        sources = [(tuple(partition.allowed(partition.block_of(a))), b) for a, b in src_tuples]
         for slots, b in sources:
             need[[b, *slots]] = True
         for slot in range(len(need)):
@@ -383,31 +395,13 @@ class _Residuals:
             nonzero = self.base.rights[rows, b] != 0
             for pattern in np.unique(nonzero, axis=0):
                 sel = rows[(nonzero == pattern).all(axis=1)]
-                DA[sel] = self._coefficient("directional_matrix_derivative", sel, errors,
-                                            self.U[sel], self.base.rights[sel, b])
+                errs = errors[sel]
+                DA[sel] = self.machine.sys.eval_rows(
+                    "directional_matrix_derivative", self.t[sel], self.x[sel], self.U[sel],
+                    errs, self.base.rights[sel, b])
+                errors[sel] = errs
         return self._item(("dA", b), rows, compute,
                           lambda: np.full(self.base.rights.shape, np.nan))
-
-    def _coefficient(self, method, rows, errors, U, *w):
-        """sys_.<method>(t, x, U, *w) on the stack of `rows`.  A row left
-        non-finite (every row, when the stacked call raises) is redone at
-        its one state, which raises DomainError where the per-point call
-        does; the row then keeps the error, unless it has one already."""
-        fn, t, x = getattr(self.machine.sys, method), self.t[rows], self.x[rows]
-        try:
-            out = fn(t, x, U, *w)
-            redo = np.flatnonzero(~np.isfinite(out.reshape(len(rows), -1)).all(axis=1))
-        except (DomainError, np.linalg.LinAlgError):
-            # g is a vector per state, dA (along a direction w) a matrix
-            out = np.full(U.shape + U.shape[1:] if w else U.shape, np.nan)
-            redo = range(len(rows))
-        for k in redo:
-            try:
-                out[k] = fn(t[k], x[k], U[k], *(v[k] for v in w))
-            except (DomainError, np.linalg.LinAlgError) as err:
-                if errors[rows[k]] is None:
-                    errors[rows[k]] = err
-        return np.ascontiguousarray(out)
 
     def interaction(self, a, b, c, rows):
         # l_a . ((D r_b) r_c - (D r_c) r_b)
@@ -422,7 +416,7 @@ class _Residuals:
         left and right rows of `slots`, psi = L g and
         dL(r_b, r_c) = r_b(L r_c) - L [r_b, r_c]; (N, len(slots))."""
         def compute(rows, out, errors):
-            h, U = self.step(rows), self.U[rows]
+            h, t, x, U = self.step(rows), self.t[rows], self.x[rows], self.U[rows]
             h2 = (2.0 * h)[:, None]
             d = h[:, None] * self.base.rights[rows, b]
             L = self.base.lefts[rows][:, slots]
@@ -430,13 +424,15 @@ class _Residuals:
             (_, Rp, Lp), (_, Rm, Lm) = ([part[rows] for part in side]
                                         for side in self.sweep(b, rows)[0])
             Lp, Lm = Lp[:, slots], Lm[:, slots]
-            g_p, g_m, g = (self._coefficient("eval_source", rows, errors, V)[:, :, None]
+            errs = errors[rows]
+            g_p, g_m, g = (self.machine.sys.eval_rows("eval_source", t, x, V, errs)[:, :, None]
                            for V in (U + d, U - d, U))
+            errors[rows] = errs
             d_psi = ((Lp @ g_p)[:, :, 0] - (Lm @ g_m)[:, :, 0]) / h2
             d_LR = (Lp @ np.swapaxes(Rp[:, slots], 1, 2)
                     - Lm @ np.swapaxes(Rm[:, slots], 1, 2)) / h2[:, :, None]
             dL = d_LR - L @ np.stack([self.bracket(b, c, rows)[rows] for c in slots], axis=2)
-            live = np.array([errors[k] is None for k in rows], dtype=bool)
+            live = np.equal(errs, None)
             rows, LR, psi = rows[live], L[live] @ R[live], L[live] @ g[live]
             try:
                 sol = np.linalg.solve(LR, psi)
@@ -451,13 +447,6 @@ class _Residuals:
             out[rows] = d_psi[live] - (dL[live] @ sol)[:, :, 0]
         return self._item(("source", slots, b), rows, compute,
                           lambda: np.full((len(self.U), len(slots)), np.nan))
-
-
-def _allowed(partition, a):
-    """Slots of the blocks a's block may depend on."""
-    i = partition.block_of(a)
-    return [s for j, bj in enumerate(partition.blocks) if not partition.forbidden(i, j)
-            for s in bj]
 
 
 def _at_state(sys_, t, x, u, frame, machine, base, gradient_path, partition=None, **tuples):
@@ -664,9 +653,9 @@ class _SampleStack:
         degeneracy cause (see _cause); values holds one row of residuals per
         "ok" sample, in the order of tuples = (gradient, interaction,
         source)."""
-        tuples = (list(gradient_tuples(partition)) if "gradient" in families else [],
+        tuples = (partition.forbidden_pairs() if "gradient" in families else [],
                   list(interaction_tuples(partition)) if "interaction" in families else [],
-                  list(gradient_tuples(partition))
+                  partition.forbidden_pairs()
                   if "source" in families and not self.sys.homogeneous else [])
         status = self.status.copy()
         excluded = self._separation_excluded(partition)

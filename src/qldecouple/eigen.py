@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprlang as ex
-from .errors import DomainError, HintInconsistent, IllConditioned, MismatchedSignature
+from .errors import HintInconsistent, IllConditioned, MismatchedSignature
 from .system import _evaluate
 
 COND_LIMIT = 1e8
@@ -114,23 +114,6 @@ class FrameStack:
                      kinds=self.kinds[k].tolist(), clusters=clusters, point=point)
 
 
-def _matrices(sys_, t, x, U, errors):
-    """A at the rows of U (N, n), t and x (N,), evaluated on the stack.  A row
-    without an error yet whose A is not finite (every row, when the stacked
-    call raises) is redone at its state, keeping what eval_matrix raises."""
-    try:
-        A = np.ascontiguousarray(sys_.eval_matrix(t, x, U))
-    except (DomainError, np.linalg.LinAlgError):
-        A = np.full((len(U), sys_.n, sys_.n), np.nan)
-    bad = ~np.isfinite(A).all(axis=(1, 2))
-    for k in np.flatnonzero(bad & np.equal(errors, None)) if bad.any() else ():
-        try:
-            A[k] = sys_.eval_matrix(t[k], x[k], U[k])
-        except (DomainError, np.linalg.LinAlgError) as err:
-            errors[k] = err
-    return A
-
-
 def _at(V, index):
     """V[r, s, index[r, s]] of a stack V (R, S, m): one entry per vector."""
     return V[np.arange(len(V))[:, None], np.arange(V.shape[1]), index]
@@ -180,7 +163,7 @@ def spectra(sys_, t, x, U, lefts=True) -> FrameStack:
     N, n = U.shape
     t, x = np.full(N, t), np.full(N, x)
     errors = np.full(N, None, dtype=object)
-    A = _matrices(sys_, t, x, U, errors)
+    A = sys_.eval_rows("eval_matrix", t, x, U, errors)
     rows = np.flatnonzero(np.equal(errors, None))
     try:
         w, V = np.linalg.eig(A[rows])
@@ -458,7 +441,7 @@ class AnalyticFrameField:
         vals, rights, ok = self._hint_batch(t, x, U)
         errors = [None if k else HintInconsistent("hint expressions evaluate non-finite")
                   for k in ok]
-        A = _matrices(self.sys, t, x, U, errors)
+        A = self.sys.eval_rows("eval_matrix", t, x, U, errors)
         # fmax, like max(1.0, norm(A)) at one state, ignores a nan norm
         nrmA = np.fmax(1.0, _row_norms(A.reshape(N, n * n)))
 

@@ -9,7 +9,6 @@ upwinding.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -395,8 +394,10 @@ def burgers_exact(u0_fn, x, t, length=None, tol=1e-12, max_iter=500):
     return u
 
 
-def solution_meta_json(sol: GridSolution, **kw):
-    meta = {
+def solution_meta(sol: GridSolution):
+    """The solve's settings, time levels and march metadata, as a report
+    entry."""
+    return {
         "scheme": sol.scheme,
         "cfl": sol.cfl,
         "boundary": sol.boundary,
@@ -404,4 +405,3 @@ def solution_meta_json(sol: GridSolution, **kw):
         "times": [float(t) for t in sol.times],
         "meta": sol.meta,
     }
-    return json.dumps(meta, sort_keys=True, **kw)

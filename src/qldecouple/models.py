@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exprlang as ex
+from .conditions import PartitionScheme
 from .errors import RetryExhausted, SchemaError
 from .system import QuasilinearSystem, conjugate_system, load_system
 
@@ -283,30 +284,27 @@ def build_synthetic_triangular(seed, n, block_sizes, with_source=False,
     u_names = [f"u{i+1}" for i in range(n)]
     U_names = [f"U{i+1}" for i in range(n)]
 
-    blocks, start = [], 0
-    for s in block_sizes:
-        blocks.append(list(range(start, start + s)))
-        start += s
+    scheme = PartitionScheme.from_sizes(block_sizes)
+    blocks = scheme.blocks
 
     def lower_vars(bi):
-        return [U_names[s] for b in blocks[:bi + 1] for s in b]
+        return [U_names[s] for s in scheme.allowed(bi)]
 
     zero = ex.Const(0.0)
     entries = [[zero] * n for _ in range(n)]
     for bi, blk in enumerate(blocks):
         deps = lower_vars(bi)
         for r in blk:
-            for bj in range(bi + 1):
-                for c in blocks[bj]:
-                    if r == c:
-                        entries[r][c] = _random_poly(rng, deps, 0.45, bias=4.0 * r)
-                    else:
-                        entries[r][c] = _random_poly(rng, deps, 0.28)
+            for c in scheme.allowed(bi):
+                if r == c:
+                    entries[r][c] = _random_poly(rng, deps, 0.45, bias=4.0 * r)
+                else:
+                    entries[r][c] = _random_poly(rng, deps, 0.28)
 
     if off_block_defect:
         # inject a dependence on a later-block variable into an allowed entry
         candidates = [(r, c, bi) for bi, blk in enumerate(blocks[:-1])
-                      for r in blk for bj in range(bi + 1) for c in blocks[bj]]
+                      for r in blk for c in scheme.allowed(bi)]
         r, c, bi = candidates[rng.integers(0, len(candidates))]
         later = [U_names[s] for b in blocks[bi + 1:] for s in b]
         bad = later[rng.integers(0, len(later))]

@@ -266,6 +266,29 @@ class QuasilinearSystem:
         """Sum_k w_k dA/du_k, exact via symbolic differentiation."""
         return self._core("_derivative", t, x, u, np.asarray(w, dtype=float))
 
+    def eval_rows(self, method, t, x, U, errors, *w):
+        """self.<method>(t, x, U, *w), method eval_matrix, eval_source or
+        directional_matrix_derivative, on a stack U (N, n) with t, x and the
+        rows of each w following it.  A row left non-finite (every row, when
+        the stacked call raises) that has no error yet in `errors` is redone
+        at its one state and keeps the DomainError or LinAlgError that call
+        raises, so each row has the values or the error of its one-state
+        call."""
+        fn = getattr(self, method)
+        try:
+            out = np.ascontiguousarray(fn(t, x, U, *w))
+            redo = ~np.isfinite(out).all(axis=tuple(range(1, out.ndim)))
+        except (DomainError, np.linalg.LinAlgError):
+            # g is a vector per state, A and dA matrices
+            out = np.full(U.shape if method == "eval_source" else U.shape + U.shape[1:], np.nan)
+            redo = np.ones(len(U), dtype=bool)
+        for k in np.flatnonzero(redo & np.equal(errors, None)):
+            try:
+                out[k] = fn(t[k], x[k], U[k], *(v[k] for v in w))
+            except (DomainError, np.linalg.LinAlgError) as err:
+                errors[k] = err
+        return out
+
     def eval_matrix_batch(self, t, x, U) -> np.ndarray:
         """A at the columns of U (n, N), each at its own x when x is an
         array; returns (n, n, N).  Non-finite entries stay in the result."""

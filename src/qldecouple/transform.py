@@ -32,6 +32,12 @@ SINGULAR_FRACTION = 0.01  # share of singular samples that rejects a candidate
 DEPENDENCE_STEP = 1e-5    # relative FD step of the block-dependence probe
 INTEGRATION_TOL = 1e-8    # integrate_field error budget per unit arc
 MAX_REFINE = 6            # step-count doublings a curve may take to meet it
+# arcs shorter than this get its budget, 1e-14: an m-step pass estimates its
+# error as the sum of |full - half| / 15 over its steps, which on a short arc
+# is roundoff in the last bits of u, about m eps |u| / 28 (4e-15 at the 512
+# steps of a shooting leg's last refinement, for |u| near 1), and refining
+# only raises it
+ARC_FLOOR = 1e-6
 SHOOT_TOL = 1e-8          # distance from the slice at which a shot lands
 MAX_SHOTS = 100
 
@@ -62,14 +68,11 @@ class TransformCandidate:
         hints = sys_.hints
         if "transform" not in hints:
             raise SchemaError("model supplies no transform hint")
-        ph = hints.get("partition")
-        if ph is None:
+        if "partition" not in hints:
             raise SchemaError("model supplies no partition hint")
-        partition = PartitionScheme([list(b) for b in ph["blocks"]],
-                                    mode or ph.get("mode", "partial"))
-        inv = hints.get("inverse")
-        return TransformCandidate(list(hints["transform"]), partition, inv,
-                                  hints.get("inverse_states"))
+        return TransformCandidate(list(hints["transform"]),
+                                  PartitionScheme.from_hint(hints["partition"], mode),
+                                  hints.get("inverse"), hints.get("inverse_states"))
 
 
 @dataclass
@@ -111,13 +114,6 @@ class TransformedSystem:
         return json.dumps(self.to_dict(), sort_keys=True, **kw)
 
 
-def _off_block_mask(partition: PartitionScheme, n):
-    mask = np.zeros((n, n), dtype=bool)
-    for r, c in partition.forbidden_pairs():
-        mask[r, c] = True
-    return mask
-
-
 def verify_transform(sys_: QuasilinearSystem, candidate: TransformCandidate,
                      plan: SamplePlan = None, tol: float = 1e-6,
                      frame="auto") -> TransformedSystem:
@@ -137,9 +133,9 @@ def verify_transform(sys_: QuasilinearSystem, candidate: TransformCandidate,
     grads = [ex.differentiate(candidate.components, nm) for nm in sys_.states]
     grad_fn = ex.compile_expression([g[i] for i in range(n) for g in grads], order)
     machine = FrameMachine(sys_, frame)
-    mask = _off_block_mask(partition, n)
-    # annihilation index set: H components of block i against r slots of the
-    # blocks that the mode forbids block i to depend on
+    # annihilation index set, and the off-block entries of T: H components
+    # (rows) of block i against r slots (columns) of the blocks that the mode
+    # forbids block i to depend on
     pairs = partition.forbidden_pairs()
 
     samples = sys_.sample_points(plan)
@@ -164,7 +160,8 @@ def verify_transform(sys_: QuasilinearSystem, candidate: TransformCandidate,
 
     ann = np.abs(_annihilation(J, rights, pairs))
     T = _transformed(J, sys_.eval_matrix(t, x, U))
-    off = np.max(np.abs(T[:, mask]), axis=1)
+    rows, cols = np.transpose(pairs)
+    off = np.max(np.abs(T[:, rows, cols]), axis=1)
     # a running max and sum, sample by sample and pair by pair; a nan
     # entry leaves the max alone
     ann_max = float(np.fmax.reduce(ann.ravel(), initial=0.0))
@@ -233,12 +230,10 @@ def _block_dependence(sys_, candidate, rows, comp_fn, grad_fn):
         dT = (T[:, 0] - T[:, 1]) / (2.0 * h.T)[:, :, None, None]
     out = {}
     for i, bi in enumerate(partition.blocks):
-        allowed = sorted(s for j, bj in enumerate(partition.blocks)
-                         if not partition.forbidden(i, j) for s in bj)
-        forbidden = [m for m in range(n) if m not in allowed]
+        allowed = np.isin(np.arange(n), partition.allowed(i))
         # the max over each probe's entries is NaN where T is undefined, and
         # fmax skips it
-        worst = np.max(np.abs(dT[forbidden][:, :, bi][..., allowed]), axis=(2, 3))
+        worst = np.max(np.abs(dT[~allowed][:, :, bi][..., allowed]), axis=(2, 3))
         out[f"block{i + 1}"] = float(np.fmax.reduce(worst.ravel(), initial=0.0))
     return out
 
@@ -303,7 +298,7 @@ def integrate_field(field_fn, start, arc_length, steps, in_domain=None):
     A curve stops before a non-finite field value and at its first point
     outside in_domain.  It is integrated again with twice the steps, at most
     MAX_REFINE times, while it stopped early on the field or its error
-    estimate exceeds INTEGRATION_TOL * |arc|.
+    estimate exceeds INTEGRATION_TOL * max(|arc|, ARC_FLOOR).
 
     info holds error_estimate and left_domain (one per row for a batch),
     steps (the step count of each curve's last pass, summed), fieldCalls
@@ -317,7 +312,7 @@ def integrate_field(field_fn, start, arc_length, steps, in_domain=None):
         start = start[None]
     N = len(start)
     arcs = np.broadcast_to(np.asarray(arc_length, dtype=float), N)
-    budget = INTEGRATION_TOL * np.maximum(np.abs(arcs), 1e-12)
+    budget = INTEGRATION_TOL * np.maximum(np.abs(arcs), ARC_FLOOR)
     ends = start.copy()
     err = np.zeros(N)
     left = np.zeros(N, dtype=bool)
@@ -488,11 +483,13 @@ def construct_transform_numeric(sys_: QuasilinearSystem, partition: PartitionSch
     admissible = np.flatnonzero(~sys_.is_excluded(t, x, points))
 
     work = Counter(dict.fromkeys(["shots", "legs", "fieldCalls", "fieldEvaluations", "steps"], 0))
+    # slots in block order: each level's columns of M are the slots it keeps,
+    # then those it flows along
+    col_order = [s for blk in partition.blocks for s in blk]
     specs = []
     for i, blk in enumerate(partition.blocks):
-        keep, flow = [], []
-        for j, bj in enumerate(partition.blocks):
-            (flow if partition.forbidden(i, j) else keep).extend(bj)
+        keep = partition.allowed(i)
+        flow = [s for s in col_order if s not in keep]
         M = np.column_stack([base_frame.rights[s] for s in keep + flow])
         specs.append((blk, keep, flow, M, np.linalg.inv(M) if flow else None))
     levels = [(Minv, flow) for _, _, flow, _, Minv in specs if flow]
@@ -518,7 +515,6 @@ def construct_transform_numeric(sys_: QuasilinearSystem, partition: PartitionSch
 
     H_grid = np.concatenate(H_parts, axis=1)
     # reorder columns to slot order: parts were emitted block by block
-    col_order = [s for blk in partition.blocks for s in blk]
     inv_order = np.argsort(col_order)
     H_grid = H_grid[:, inv_order]
 

@@ -343,6 +343,11 @@ def test_decouple_passes_a_sound_oracle_on_a_coarse_grid(tmp_path, capsys, frame
     # 1.2e-6 with either frame
     assert payload["report"]["quality"]["gridAnnihilationMax"] <= 1e-5
     assert code == 0
+    # late shots move rows by arcs of 1e-11 to 1e-8, whose budget the
+    # estimate's roundoff would exceed at every refinement without
+    # transform.ARC_FLOOR: 528 field calls with it, 11,616 without
+    assert payload["report"]["quality"]["toleranceMissed"] == 0
+    assert payload["timing"]["construct"]["fieldCalls"] <= 1000
 
 
 DECOUPLE_1_1 = ["--partition", "1,1", "--mode", "full", "--base-point", "1.0,0.0",

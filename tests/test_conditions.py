@@ -15,6 +15,7 @@ from qldecouple.errors import (
     IllConditioned,
     MismatchedSignature,
     NotApplicable,
+    SchemaError,
     TooLarge,
 )
 from qldecouple.system import SamplePlan, conjugate_system, load_system
@@ -44,15 +45,15 @@ def full_11():
 
 def test_tuple_index_sets():
     p = cond.PartitionScheme([[0], [1], [2]], "partial")
-    assert set(cond.gradient_tuples(p)) == {(0, 1), (0, 2), (1, 2)}
+    assert set(p.forbidden_pairs()) == {(0, 1), (0, 2), (1, 2)}
     assert set(cond.interaction_tuples(p)) == {(1, 0, 2)}
 
     pf = cond.PartitionScheme([[0], [1], [2]], "full")
-    assert set(cond.gradient_tuples(pf)) == {(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)}
+    assert set(pf.forbidden_pairs()) == {(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)}
     assert set(cond.interaction_tuples(pf)) == set()  # all blocks are singletons
 
     p22 = cond.PartitionScheme([[0, 1], [2, 3]], "partial")
-    grads = set(cond.gradient_tuples(p22))
+    grads = set(p22.forbidden_pairs())
     assert grads == {(0, 2), (0, 3), (1, 2), (1, 3)}
     inter = set(cond.interaction_tuples(p22))
     assert inter == {(0, 1, 2), (0, 1, 3), (1, 0, 2), (1, 0, 3)}
@@ -61,6 +62,28 @@ def test_tuple_index_sets():
     assert set(cond.interaction_tuples(p22f)) == {
         (0, 1, 2), (0, 1, 3), (1, 0, 2), (1, 0, 3),
         (2, 3, 0), (2, 3, 1), (3, 2, 0), (3, 2, 1)}
+
+
+@pytest.mark.parametrize("mode", ["partial", "full"])
+def test_allowed_slots_complement_the_forbidden_ones(mode):
+    p = cond.PartitionScheme([[2], [0, 3], [1]], mode)
+    want = {"partial": [[2], [2, 0, 3], [2, 0, 3, 1]], "full": [[2], [0, 3], [1]]}[mode]
+    assert [p.allowed(i) for i in range(p.k)] == want       # block order
+    for i, bi in enumerate(p.blocks):
+        forbidden = {s for j, bj in enumerate(p.blocks) if p.forbidden(i, j) for s in bj}
+        assert sorted(p.allowed(i)) == sorted(set(range(p.n)) - forbidden)
+        assert {b for a, b in p.forbidden_pairs() if a in bi} == forbidden
+
+
+def test_scheme_from_hint_and_mode_override():
+    hint = {"blocks": [(0, 1), (2,)], "mode": "full"}
+    p = cond.PartitionScheme.from_hint(hint)
+    assert (p.blocks, p.mode) == ([[0, 1], [2]], "full")
+    assert cond.PartitionScheme.from_hint(hint, "partial").mode == "partial"
+    assert cond.PartitionScheme.from_hint({"blocks": [[1], [0]]}).mode == "partial"
+    assert cond.PartitionScheme.from_hint({"blocks": [[1], [0]]}, "full").mode == "full"
+    with pytest.raises(SchemaError):
+        cond.PartitionScheme.from_hint({"blocks": [[0, 1]]})
 
 
 def test_constraint_count_formula():
@@ -670,7 +693,7 @@ def _stack_and_pointwise(sys_, p, samples, frame="auto", gradient_path="auto"):
             pointwise.append([call(t, x, np.array(u)) for call in calls])
         except (IllConditioned, HintInconsistent, DomainError, MismatchedSignature,
                 np.linalg.LinAlgError) as err:
-            pointwise.append(type(err).__name__)
+            pointwise.append(err)
     return status, values, pointwise
 
 
@@ -680,7 +703,7 @@ def _assert_rows_match(status, values, pointwise):
         if st_ == "ok":
             assert next(rows) == want     # bit for bit
         elif st_ != "excluded":
-            assert isinstance(want, str)
+            assert st_ == cond._cause(want)
 
 
 SHAPES = {3: [[2, 1], [1, 2], [1, 1, 1]], 4: [[2, 2], [1, 1, 2], [3, 1]]}
@@ -700,6 +723,49 @@ def test_kernel_rows_equal_one_state_calls(seed, n, shape, sourced, mode, defect
     status, values, pointwise = _stack_and_pointwise(entry.system, p, samples)
     assert (status == "ok").sum() == len(values)
     _assert_rows_match(status, values, pointwise)
+
+
+def test_kernel_rows_with_non_finite_coefficients_keep_their_one_state_errors():
+    # A is lower triangular with eigenvalues 1 + a^2 + sqrt(a + 1), 3 and
+    # 5 + sqrt(c^2): not finite for a < -1; dA/dc divides by sqrt(c^2), so it
+    # is not finite at c = 0 along r_2 = e_3; g = sqrt(b) is not finite for
+    # b < 0, and for b = 1e-7 only at u - h r_b.  Every such row keeps the
+    # DomainError, type and message, that the coefficient raises at its one
+    # state, and every other row keeps its bits
+    doc = {"n": 3, "states": ["a", "b", "c"],
+           "A": [["1 + a^2 + sqrt(a + 1)", "0", "0"], ["b", "3", "0"],
+                 ["0", "c", "5 + sqrt(c^2)"]],
+           "g": ["sqrt(b)", "a", "c"],
+           "domain": {"a": [-2, 1], "b": [-1, 1], "c": [-1, 1]}}
+    sys_ = load_system(json.dumps(doc))
+    u = np.array([[0.3, 0.5, 0.4], [-1.5, 0.5, 0.4], [0.3, -0.5, 0.4], [0.3, 1e-7, 0.4],
+                  [0.3, 0.5, 0.0], [0.3, -0.5, 0.0], [0.6, 0.2, -0.7]])
+    samples = np.column_stack([np.full(len(u), 0.2), np.full(len(u), 0.1), u])
+
+    def raised(method, *args):
+        with pytest.raises(DomainError) as info:
+            getattr(sys_, method)(0.2, 0.1, *args)
+        return info.value
+
+    along_c = np.array([0.0, 0.0, 1.0])
+    want = [None, raised("eval_matrix", u[1]), raised("eval_source", u[2]),
+            raised("eval_source", u[3] - [0.0, 1e-5, 0.0]),
+            raised("directional_matrix_derivative", u[4], along_c),
+            raised("directional_matrix_derivative", u[5], along_c), None]
+    for mode in ("partial", "full"):
+        p = cond.PartitionScheme([[0], [1], [2]], mode)
+        status, values, pointwise = _stack_and_pointwise(sys_, p, samples)
+        assert list(status) == ["ok"] + ["DomainError"] * 5 + ["ok"]
+        _assert_rows_match(status, values, pointwise)
+        stack = cond._SampleStack(sys_, samples, cond.FrameMachine(sys_), "auto", 1e-3)
+        _, kernel = stack.kernel.run(np.arange(len(stack.rows)), p,
+                                     *stack.evaluate(p)[2])
+        errors = list(stack.base.errors)
+        for k, err in zip(stack.rows, kernel):
+            errors[k] = err
+        for err, one, w in zip(errors, pointwise, want):
+            if w is not None:
+                assert (type(err), str(err)) == (type(one), str(one)) == (type(w), str(w))
 
 
 def test_kernel_fallback_rows_match_one_state_calls():

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qldecouple import exprlang as ex
@@ -350,14 +350,50 @@ def test_to_string_parse_round_trip_keeps_values(e, point):
     assert _value(ex.parse(ex.to_string(e), {"x", "y"}), point) == v
 
 
+def _dual(e, point):
+    """(value, d/dx) of a SMOOTH_TREES expression at point in forward-mode
+    dual numbers: exact up to rounding, with no step to truncate."""
+    if isinstance(e, ex.Const):
+        return e.value, 0.0
+    if isinstance(e, ex.Sym):
+        return point[e.name], float(e.name == "x")
+    if isinstance(e, ex.Un):
+        v, dv = _dual(e.a, point)
+        if e.op == "neg":
+            return -v, -dv
+        if e.op == "exp":
+            return math.exp(v), math.exp(v) * dv
+        if e.op == "sin":
+            return math.sin(v), math.cos(v) * dv
+        return math.cos(v), -math.sin(v) * dv
+    (a, da), (b, db) = _dual(e.a, point), _dual(e.b, point)
+    if e.op == "+":
+        return a + b, da + db
+    if e.op == "-":
+        return a - b, da - db
+    if e.op == "*":
+        return a * b, da * b + a * db
+    if e.op == "^":
+        # the exponents of SMOOTH_TREES are the constants 2 and 3
+        return a ** b, b * a ** (b - 1.0) * da
+    return a / b, (da * b - a * db) / (b * b)
+
+
+# a central difference with h = 1e-6 read -5708.20 here, 6e-4 off the exact
+# -5711.60
+@example(e=ex.parse("x / (2 + cos(exp(exp(x) * exp(x))))", {"x", "y"}),
+         point={"x": 1.0, "y": 0.0})
 @settings(max_examples=300, deadline=None)
 @given(e=SMOOTH_TREES, point=POINTS)
-def test_differentiate_matches_central_difference(e, point):
-    h = 1e-6
-    f, fp, fm = (_value(e, {**point, "x": point["x"] + s}) for s in (0.0, h, -h))
-    d = _value(ex.differentiate(e, "x"), point)
-    assume(None not in (f, fp, fm, d))
-    assert abs(d - (fp - fm) / (2.0 * h)) <= 1e-5 * (1.0 + abs(f) + abs(d))
+def test_differentiate_matches_forward_mode_dual_numbers(e, point):
+    f, d = _value(e, point), _value(ex.differentiate(e, "x"), point)
+    assume(None not in (f, d))
+    try:
+        reference = _dual(e, point)[1]
+    except OverflowError:
+        assume(False)
+    assume(math.isfinite(reference))
+    assert abs(d - reference) <= 1e-5 * (1.0 + abs(f) + abs(d))
 
 
 def _rebuild(e):

@@ -183,3 +183,12 @@ def test_synthetic_retry_exhausted():
 def test_synthetic_bad_block_sizes():
     with pytest.raises(SchemaError):
         models.build_synthetic_triangular(seed=1, n=3, block_sizes=(2, 2))
+
+
+@pytest.mark.parametrize("sizes, defect", [((3,), 0.0), ((3,), 0.2), ((2, 0, 1), 0.0)])
+def test_synthetic_blocks_form_a_partition(sizes, defect):
+    # one block leaves nothing to decouple (and no later block for a defect
+    # to use); an empty block is no block
+    with pytest.raises(SchemaError):
+        models.build_synthetic_triangular(seed=1, n=3, block_sizes=sizes,
+                                          off_block_defect=defect)

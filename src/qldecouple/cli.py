@@ -390,13 +390,16 @@ def cmd_simulate(args):
 
 
 def _solution_csv(path, states, sol):
+    """csv.writer's bytes (.17g needs no quoting), 128 cells per write to keep RSS flat."""
+    fmt = "{:.17g}".format
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "x"] + list(states))
-        for level, t in enumerate(sol.times):
-            for i, xi in enumerate(sol.x):
-                w.writerow([f"{t:.17g}", f"{xi:.17g}"]
-                           + [f"{v:.17g}" for v in sol.data[level][:, i]])
+        csv.writer(fh).writerow(["t", "x"] + list(states))
+        for t, U in zip(sol.times, sol.data):
+            head = fmt(t) + ","
+            XU = np.vstack([sol.x, U])
+            for lo in range(0, XU.shape[1], 128):
+                cols = [map(fmt, row) for row in XU[:, lo:lo + 128].tolist()]
+                fh.writelines(head + ",".join(row) + "\r\n" for row in zip(*cols))
 
 
 def cmd_nijenhuis(args):

@@ -85,13 +85,14 @@ def _initial_values(sys_, initial, x):
 
 
 def _shift(U, k, boundary):
-    if boundary == "periodic":
-        return np.roll(U, -k, axis=1)
-    out = np.roll(U, -k, axis=1)
+    """np.roll(U, -k, axis=1) by slicing, the edge cell held for outflow."""
+    out = np.empty_like(U)
     if k > 0:
-        out[:, -k:] = U[:, -1:]
-    elif k < 0:
-        out[:, :-k] = U[:, :1]
+        out[:, :-k] = U[:, k:]
+        out[:, -k:] = U[:, :k] if boundary == "periodic" else U[:, -1:]
+    else:
+        out[:, -k:] = U[:, :k]
+        out[:, :-k] = U[:, k:] if boundary == "periodic" else U[:, :1]
     return out
 
 
@@ -102,13 +103,11 @@ def _check_state(U, initial_scale, t):
         raise BlowupDetected(f"state magnitude exceeded blowup threshold at t = {t:.6g}")
 
 
-def _block_update(U, A, pairs, rhs, dt, dx, scheme, boundary):
-    """One first-order step of U_t + A U_x = rhs on one block.  pairs holds
-    the block's characteristic speeds, right vectors V and left vectors
-    L = V^-1 (upwind only); rhs is None when the block has no right-hand
-    side."""
-    Up = _shift(U, 1, boundary)
-    Um = _shift(U, -1, boundary)
+def _block_update(U, Up, Um, A, pairs, rhs, dt, dx, scheme):
+    """One first-order step of U_t + A U_x = rhs on one block from U and its
+    neighbours Up, Um (see _shift).  pairs holds the block's characteristic
+    speeds, right vectors V and left vectors L = V^-1 (upwind only); rhs is
+    None when the block has no right-hand side."""
     if scheme == "laxFriedrichs":
         DU = (Up - Um) / (2.0 * dx)                       # (n, N)
         AU = np.einsum("Nij,jN->iN", A, DU)
@@ -144,17 +143,16 @@ def _scaled_2x2(A):
     return s, (a, b, c, d), 0.5 * (a + d), np.sqrt(np.where(safe, disc, 0.0)), safe
 
 
-def _max_speed(A, work):
-    """The CFL speed max |lambda| over a stack, with the bits of
-    max |eigvals(A).real| and its NonHyperbolic decision.  An exactly lower
-    triangular stack reads its diagonal.  A 2x2 stack whose cells are all
-    safely real sends to eigvals only the cells whose closed-form speed lies
-    within SPEED_MARGIN of the largest; eigvals gives each matrix of a stack
-    its own bits.  Any other stack, or candidates that come back complex,
-    take eigvals of the whole stack."""
-    if not np.triu(A, 1).any():
-        return _real_max(np.diagonal(A, axis1=1, axis2=2))
-    if A.shape[-1] == 2:
+def _block_speeds(A, work):
+    """The eigenvalues of a block stack that hold its largest |lambda| and
+    any complex one: a 1x1 block's entries; for a 2x2 block whose cells are
+    all safely real, eigvals of the cells whose closed-form speed lies within
+    SPEED_MARGIN of the largest (eigvals gives each matrix its own bits);
+    else, or when those come back complex, eigvals of the whole block."""
+    m = A.shape[-1]
+    if m == 1:
+        return A.ravel()
+    if m == 2:
         s, _, mean, root, safe = _scaled_2x2(A)
         if safe.all():
             est = s * (np.abs(mean) + root)
@@ -162,9 +160,19 @@ def _max_speed(A, work):
             lam = np.linalg.eigvals(A[near])
             work["eigvalsCells"] += int(near.sum())
             if not lam.imag.any():
-                return _real_max(lam)
+                return lam.ravel()
     work["eigvalsCells"] += len(A)
-    return _real_max(np.linalg.eigvals(A))
+    return np.linalg.eigvals(A).ravel()
+
+
+def _max_speed(A, work):
+    """The CFL speed max |lambda| and its NonHyperbolic decision, one test
+    over the union of the spectra of A's diagonal blocks (_block_speeds), A
+    cut at every r where A[:, :r, r:] is exactly zero in every cell."""
+    n = A.shape[-1]
+    cuts = [0] + [r for r in range(1, n) if not A[:, :r, r:].any()] + [n]
+    return _real_max(np.concatenate([_block_speeds(A[:, r0:r1, r0:r1], work)
+                                     for r0, r1 in zip(cuts[:-1], cuts[1:])]))
 
 
 def _eig_pairs(A, work, cells=None):
@@ -241,14 +249,15 @@ def _march(sys_, sizes, initial, n_cells, t_end, scheme, cfl, boundary, t0):
     counts it in GridSolution.work.  A non-finite A at a realized state
     raises DomainError.
 
-    Speeds.  The CFL speed max |lambda| and the hyperbolicity check keep the
-    bits of max |eigvals(A).real| (see _max_speed): A's diagonal when every
-    cell's A is exactly lower triangular; for a 2x2 A whose cells are all
-    safely real, eigvals of the few cells whose closed-form speed is near the
-    largest; otherwise eigvals of the whole stack.  An upwind solve of a
-    system with n > 2 in one block reads the eigenvalues of its one eig(A)
-    instead, which have the same bits.  So time levels and step counts never
-    depend on how the pairs are formed.
+    Speeds.  The CFL speed max |lambda| and the hyperbolicity check come
+    from A's diagonal blocks (see _max_speed and _block_speeds).  They keep
+    the bits of max |eigvals(A).real| when the cut leaves one block, only
+    1x1 blocks (A exactly lower triangular), or blocks of at most 2x2 with
+    exact zeros below them, as on threadline; other stacks move the speed in
+    the last bits.  An upwind solve of a system with n > 2 in one block
+    reads the eigenvalues of its one eig(A) instead, with the bits of
+    eigvals(A).  So time levels and step counts never depend on how the
+    pairs are formed.
 
     Pairs.  Upwinding alone reads eigenpairs (lam, V, L = V^-1), per block
     (see _pairs): (a, 1, 1) for a 1x1 block, closed form for the safely real
@@ -261,6 +270,8 @@ def _march(sys_, sizes, initial, n_cells, t_end, scheme, cfl, boundary, t0):
         raise CFLViolation(f"cfl must lie in (0, 1], got {cfl}")
     if sum(sizes) != sys_.n:
         raise SchemaError("block sizes must sum to the system dimension")
+    if n_cells < 2:
+        raise SchemaError(f"the grid needs at least 2 cells, got {n_cells}")
     bounds = np.cumsum([0] + list(sizes))
     if len(sizes) > 1:
         _validate_block_triangular(sys_, bounds)
@@ -268,12 +279,9 @@ def _march(sys_, sizes, initial, n_cells, t_end, scheme, cfl, boundary, t0):
     full_eig = upwind and len(sizes) == 1 and sys_.n > 2
     work = {"steps": 0, "closedFormCells": 0, "eigvalsCells": 0, "eigCells": 0}
     x, dx = _grid(sys_, n_cells)
-    U = _initial_values(sys_, initial, x)
+    U0 = U = _initial_values(sys_, initial, x)
     initial_scale = float(np.max(np.abs(U)))
-    times = [t0]
-    data = [U.copy()]
     t = t0
-    guard = 0
     while t < t_end - 1e-14:
         A = np.moveaxis(sys_.eval_matrix_batch(t, x, U), 2, 0)      # (N, n, n)
         if not np.isfinite(A).all():
@@ -291,12 +299,13 @@ def _march(sys_, sizes, initial, n_cells, t_end, scheme, cfl, boundary, t0):
             break
         g = sys_.eval_source_batch(t, x, U) if not sys_.homogeneous else None
         new = np.empty_like(U)
+        Up, Um = _shift(U, 1, boundary), _shift(U, -1, boundary)
         for r0, r1 in zip(bounds[:-1], bounds[1:]):
             Ab = A[:, r0:r1, r0:r1]
             rhs = None if g is None else g[r0:r1]
             if r0 > 0:
                 # cross-flux from already-known lower blocks, central differences
-                Dlow = (_shift(U[:r0], 1, boundary) - _shift(U[:r0], -1, boundary)) / (2.0 * dx)
+                Dlow = (Up[:r0] - Um[:r0]) / (2.0 * dx)
                 cross = np.einsum("Nij,jN->iN", A[:, r0:r1, :r0], Dlow)
                 rhs = -cross if rhs is None else rhs - cross
             if not upwind:
@@ -305,19 +314,17 @@ def _march(sys_, sizes, initial, n_cells, t_end, scheme, cfl, boundary, t0):
                 pairs = _real_pairs(lam, V)
             else:
                 pairs = _pairs(Ab, work)
-            new[r0:r1] = _block_update(U[r0:r1], Ab, pairs, rhs, dt, dx, scheme, boundary)
+            new[r0:r1] = _block_update(U[r0:r1], Up[r0:r1], Um[r0:r1], Ab, pairs, rhs,
+                                       dt, dx, scheme)
         U = new
         t += dt
         _check_state(U, initial_scale, t)
-        guard += 1
-        if guard > 200000:
+        work["steps"] += 1
+        if work["steps"] > 200000:
             raise BlowupDetected("step count safety limit reached")
-    times.append(t)
-    data.append(U.copy())
-    work["steps"] = guard
-    return GridSolution(x=x, times=times, data=data, scheme=scheme, cfl=cfl,
-                        boundary=boundary,
-                        meta={"steps": guard, "cells": n_cells, "tEnd": t_end}, work=work)
+    meta = {"steps": work["steps"], "cells": n_cells, "tEnd": t_end}
+    return GridSolution(x=x, times=[t0, t], data=[U0, U], scheme=scheme, cfl=cfl,
+                        boundary=boundary, meta=meta, work=work)
 
 
 def solve_coupled(sys_: QuasilinearSystem, initial, n_cells, t_end,

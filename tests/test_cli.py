@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from qldecouple import cli
+from qldecouple import cli, hypsolve
 from qldecouple.errors import DomainError
 from qldecouple.system import load_system
 
@@ -471,6 +472,52 @@ def test_simulate_threadline_identity_hierarchy(tmp_path, capsys):
     assert code == 0
     assert "hierarchical" in payload["report"]
     assert payload["report"]["comparison"][-1]["L1total"] <= 0.1
+
+
+THREADLINE_SIMULATE = ["simulate", "--model", "threadline", "--param", "k=1", "--initial",
+                       "1 + 0.05*sin(2*pi*x);0.1*cos(2*pi*x);0.05*sin(2*pi*x);0.02*cos(2*pi*x)",
+                       "--t-end", "0.05", "--seed", "42"]
+
+
+def test_simulate_threadline_speeds_come_from_the_diagonal_blocks(tmp_path, capsys):
+    # both threadline systems are block diagonal as (2, 2): each step sends
+    # at most the near-largest cells of each 2x2 block to eigvals
+    code = run(THREADLINE_SIMULATE + ["--cells", "100", "--out", str(tmp_path)])
+    payload, _ = read_report(capsys)
+    assert code == 0
+    for work in payload["timing"]["solve"].values():
+        assert 0 < work["eigvalsCells"] <= 4 * work["steps"]
+
+
+@pytest.mark.parametrize("cells", ["1", "0", "-3"])
+def test_simulate_degenerate_grid_is_usage_error(tmp_path, capsys, cells):
+    code = run(THREADLINE_SIMULATE + ["--cells", cells, "--out", str(tmp_path)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "SchemaError"
+
+
+def csv_writer_solution(path, states, sol):
+    """The reference writer: one csv.writer row per cell and time level."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "x"] + list(states))
+        for level, t in enumerate(sol.times):
+            for i, xi in enumerate(sol.x):
+                w.writerow([f"{t:.17g}", f"{xi:.17g}"]
+                           + [f"{v:.17g}" for v in sol.data[level][:, i]])
+
+
+@pytest.mark.parametrize("states", [["u"], ["U1", "U2", "U3", "U4"]])
+def test_solution_csv_writes_the_csv_writer_bytes(tmp_path, states):
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e-300, 1 / 3]
+    rng = np.random.default_rng(len(states))
+    x = np.linspace(-0.05, 1.05, 300)      # more cells than one write takes
+    data = [rng.choice(special, (len(states), len(x))), rng.normal(size=(len(states), len(x)))]
+    sol = hypsolve.GridSolution(x=x, times=[0.0, 0.1 + 1e-17], data=data,
+                                scheme="laxFriedrichs", cfl=0.9, boundary="periodic")
+    cli._solution_csv(tmp_path / "got.csv", states, sol)
+    csv_writer_solution(tmp_path / "want.csv", states, sol)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_wrong_builder_option_is_usage_error(tmp_path, capsys):

@@ -505,3 +505,128 @@ def test_closed_form_upwind_matches_eig_pairs(monkeypatch, case, boundary):
     assert (got.times, got.meta) == (ref.times, ref.meta)
     scale = np.abs(ref.data[-1]).max(axis=1, keepdims=True)
     assert np.all(np.abs(got.data[-1] - ref.data[-1]) <= 1e-13 * scale)
+
+
+# ---------------------------------------------------------------------------
+# CFL speeds from the diagonal blocks of a stack
+# ---------------------------------------------------------------------------
+
+@st.composite
+def block_diagonal_stacks(draw, pattern):
+    """An exactly block-diagonal stack: each 2x2 block drawn by
+    two_by_two_stacks, each 1x1 block a scaled entry (zero allowed), each
+    3x3 block S D S^-1 with a real or one complex pair D; every block
+    truncated to the shortest block's cells."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    blocks = []
+    for m in pattern:
+        if m == 2:
+            blocks.append(draw(two_by_two_stacks()))
+            continue
+        N = draw(st.integers(1, 12), label="N")
+        scale = draw(st.sampled_from([0.0, 1e-8, 1.0, 1e8]), label="scale")
+        if m == 1:
+            blocks.append(scale * rng.uniform(-3.0, 3.0, (N, 1, 1)))
+            continue
+        D = np.zeros((N, m, m))
+        D[:, range(m), range(m)] = rng.uniform(-3.0, 3.0, (N, m))
+        if draw(st.booleans(), label="complex pair"):
+            D[:, 0, 1], D[:, 1, 0] = -0.5, 0.5
+        S = rng.normal(size=(N, m, m)) + m * np.eye(m)
+        blocks.append(scale * (S @ D @ np.linalg.inv(S)))
+    N = min(len(b) for b in blocks)
+    A = np.zeros((N, sum(pattern), sum(pattern)))
+    r = 0
+    for b in blocks:
+        m = b.shape[-1]
+        A[:, r:r + m, r:r + m] = b[:N]
+        r += m
+    return A
+
+
+@pytest.mark.parametrize("pattern", [[2, 2], [2, 2, 2], [1, 1, 2], [2, 1, 1], [1, 1, 1, 1]])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_block_speed_keeps_the_eigvals_bits_and_decision(pattern, data):
+    A = data.draw(block_diagonal_stacks(pattern))
+    assert closed_form_speed(A, work_counter()) == eigvals_speed(A)
+
+
+@pytest.mark.parametrize("pattern", [[1, 3], [2, 3], [3, 3], [1, 2, 1]])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_larger_block_speed_lies_within_last_bits_of_eigvals(pattern, data):
+    A = data.draw(block_diagonal_stacks(pattern))
+    got, want = closed_form_speed(A, work_counter()), eigvals_speed(A)
+    if want is NonHyperbolic or got is NonHyperbolic:
+        assert got is want
+    else:
+        assert abs(got - want) <= 1e-11 * want
+
+
+def eigvals_max_speed(A, work):
+    """The reference CFL speed: eigvals of the whole stack."""
+    work["eigvalsCells"] += len(A)
+    return hypsolve._real_max(np.linalg.eigvals(A))
+
+
+THREADLINE_INITIAL = ["1 + 0.05*sin(2*pi*x)", "0.1*cos(2*pi*x)", "0.05*sin(2*pi*x)",
+                      "0.02*cos(2*pi*x)"]
+
+
+@pytest.mark.parametrize("scheme", hypsolve.SCHEMES)
+@pytest.mark.parametrize("side", ["coupled", "hierarchical"])
+def test_threadline_block_speeds_keep_every_bit(monkeypatch, scheme, side):
+    # both threadline systems are exactly block diagonal as (2, 2)
+    if side == "coupled":
+        sys_, sizes = models.build_threadline(k=1.0).system, (4,)
+    else:
+        sys_, sizes = models.decoupled_system(models.build_threadline(k=1.0).document), (2, 2)
+
+    def solve():
+        return hypsolve._march(sys_, sizes, THREADLINE_INITIAL, 200, 0.05, scheme, 0.9,
+                               "periodic", 0.0)
+
+    got = solve()
+    monkeypatch.setattr(hypsolve, "_max_speed", eigvals_max_speed)
+    ref = solve()
+    assert (got.times, got.meta) == (ref.times, ref.meta)
+    np.testing.assert_array_equal(got.data[-1], ref.data[-1])
+    assert got.work["eigvalsCells"] <= 4 * got.meta["steps"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_block_speeds_below_a_nonzero_lower_block_keep_the_steps(monkeypatch, seed):
+    # the lower-left block is not zero: the cut still holds, the bits may move
+    tri, _, _ = models.build_synthetic_triangular(seed, 4, (2, 2))
+    initial = ["0.5*sin(2*pi*x)", "0.3*cos(2*pi*x)", "0.4*sin(4*pi*x)", "0.2"]
+
+    def solve():
+        return hypsolve.solve_hierarchical(tri, (2, 2), initial, 200, 0.05)
+
+    got = solve()
+    monkeypatch.setattr(hypsolve, "_max_speed", eigvals_max_speed)
+    ref = solve()
+    assert got.meta["steps"] == ref.meta["steps"]
+    np.testing.assert_allclose(got.times, ref.times, rtol=1e-12, atol=0)
+    assert ref.work["eigvalsCells"] == 200 * ref.meta["steps"]
+    assert got.work["eigvalsCells"] <= 4 * got.meta["steps"]
+
+
+def rolled(U, k, boundary):
+    """The np.roll reference of _shift."""
+    out = np.roll(U, -k, axis=1)
+    if boundary == "outflow":
+        if k > 0:
+            out[:, -k:] = U[:, -1:]
+        else:
+            out[:, :-k] = U[:, :1]
+    return out
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "outflow"])
+@pytest.mark.parametrize("k", [1, -1])
+def test_shift_equals_the_roll(k, boundary):
+    U = np.random.default_rng(0).normal(size=(3, 7))
+    np.testing.assert_array_equal(hypsolve._shift(U, k, boundary), rolled(U, k, boundary))
+

@@ -25,16 +25,18 @@ Evaluation has two stages.  A _SampleStack, which does not depend on the
 partition, holds a plan's samples, their is_excluded mask, the base frames
 of the admissible ones (FrameMachine.frames, one batch) and one kernel
 (_Residuals) over the rows with a frame.  The kernel computes each sweep
-(FrameMachine.sweep, the frames at u +- h r_b), dA, bracket and residual
-column at the rows asked for, once, and keeps each row's error per item.  A
-partition reduces the stack: separation exclusion, its tuples' columns, each
-row's first error as its degeneracy cause (_cause), and the report.
-check_partition is one stack and one reduction; search_partitions reduces
-two stacks (pilot and full plan) per candidate; the public
-*_condition_residual functions run the kernel on one state.  Every frame
-is built on the stack: hinted frames by frame_at's gates row by row,
-numeric frames by the spectrum and alignment stages of eigen, whatever the
-spectrum (simple, clustered, complex or Jordan).  Every stacked product runs
+(FrameMachine.sweep, the near frames at u +- h r_b), dA, bracket and
+residual column at the rows asked for, once, and keeps each row's error per
+item.  A partition reduces the stack: separation exclusion, its tuples'
+columns, each row's first error as its degeneracy cause (_cause), and the
+report.  check_partition is one stack and one reduction; search_partitions
+reduces two stacks (pilot and full plan) per candidate; the public
+*_condition_residual functions run the kernel on one state, whose base= is
+a one-row stack (FrameMachine.base).  FrameMachine.frames builds every
+frame, base or near, on a stack: hinted frames by frame_at's gates on a
+mask of live rows, numeric frames by the spectrum and alignment stages of
+eigen, whatever the spectrum (simple, clustered, complex or Jordan).  The
+flows of transform read its near frames' rights.  Every stacked product runs
 the BLAS or LAPACK call of the per-point one, so a row's bits do not depend
 on its stack.  nijenhuis_residual, too, takes one state or a stack (NaN in
 the rows where A or dA/du is not finite).
@@ -174,8 +176,8 @@ def interaction_tuples(p: PartitionScheme):
 # ---------------------------------------------------------------------------
 
 class FrameMachine:
-    """Builds base frames and centered FD sweeps of the frame field, at one
-    state or on a stack of states."""
+    """Builds frames of the frame field on a stack of states: base frames,
+    near frames against a reference and the centered FD sweeps."""
 
     def __init__(self, sys_: QuasilinearSystem, frame="auto"):
         self.sys = sys_
@@ -186,60 +188,44 @@ class FrameMachine:
             raise HintInconsistent("model supplies no autovector hints")
         self.mode = frame
         self.field = eigen.analytic_field(sys_) if frame == "analytic" else None
-        # the last reference of rights_batch, and it as a one-row stack
-        self._reference = None, None
 
     @property
     def provenance(self):
         return "analyticHint" if self.mode == "analytic" else "numeric"
 
-    def base(self, t, x, u) -> eigen.Frame:
-        if self.field is not None:
-            return self.field.frame_at(t, x, u)
-        return eigen.spectrum_at(self.sys, t, x, u)
+    def base(self, t, x, u) -> eigen.FrameStack:
+        """frames() at the one state u, as a one-row stack; raises what
+        building that row raised."""
+        out = self.frames(np.array([t], dtype=float), np.array([x], dtype=float),
+                          np.asarray(u, dtype=float)[None])
+        if out.errors[0] is not None:
+            raise out.errors[0]
+        return out
 
-    def near(self, t, x, u, reference: eigen.Frame) -> eigen.Frame:
+    def frames(self, t, x, U, reference: eigen.FrameStack = None,
+               lefts=True) -> eigen.FrameStack:
+        """Base frames at the rows of U (N, n), or near frames against the
+        rows of `reference` (a one-row reference serves every row); t and x
+        are scalars or (N,).  A row that fails a gate keeps the exception,
+        but for a LinAlgError of a base frame, which is raised.  Hinted
+        frames come from AnalyticFrameField.frames_batch, whose near frames
+        skip the residual gates.  Numeric frames come from the spectrum
+        stage (eigen.spectra) and, against a reference, the alignment stage
+        (eigen.aligned).  Without `lefts` the stack's lefts are None."""
         if self.field is not None:
-            return self.field.frame_at(t, x, u, check=False)
-        raw = eigen.spectrum_at(self.sys, t, x, u)
-        return eigen.align_frames(reference, raw)
-
-    def frames(self, t, x, U, reference: eigen.FrameStack = None) -> eigen.FrameStack:
-        """base() at the rows of U (N, n), or near() against the rows of
-        `reference`; t and x are (N,).  A row where that raises keeps the
-        exception, but for a LinAlgError of base(), which is raised.
-        Hinted frames come from AnalyticFrameField.frames_batch, which is
-        frame_at on a stack.  Numeric frames come from the spectrum stage
-        (eigen.spectra) and, against a reference, the alignment stage
-        (eigen.aligned), as base() and near() do at one state."""
-        if self.field is not None:
-            values, rights, lefts, errors = self.field.frames_batch(t, x, U,
-                                                                    check=reference is None)
-            return eigen.FrameStack(values, rights, lefts,
-                                    np.fromiter(errors, dtype=object, count=len(errors)))
+            return self.field.frames_batch(t, x, U, check=reference is None, lefts=lefts)
         if reference is not None:
-            return eigen.aligned(reference, eigen.spectra(self.sys, t, x, U, lefts=False))
-        out = eigen.spectra(self.sys, t, x, U)
+            return eigen.aligned(reference, eigen.spectra(self.sys, t, x, U, lefts=False),
+                                 lefts=lefts)
+        out = eigen.spectra(self.sys, t, x, U, lefts=lefts)
         for err in out.errors:
             if isinstance(err, np.linalg.LinAlgError):
                 raise err
         return out
 
-    def rights_batch(self, t, x, U, reference: eigen.Frame):
-        """Right autovectors near() gives at the rows of U (N, n) against one
-        reference frame, as (N, slot, component), NaN in rows near() rejects.
-        Hinted rows come from AnalyticFrameField.rights_batch, numeric rows
-        from the two stages without lefts."""
-        if self.field is not None:
-            return self.field.rights_batch(t, x, U)
-        if self._reference[0] is not reference:
-            self._reference = reference, eigen.FrameStack.of(reference)
-        return eigen.aligned(self._reference[1], eigen.spectra(self.sys, t, x, U, lefts=False),
-                             lefts=False).rights
-
     def sweep(self, t, x, U, base: eigen.FrameStack, slot, h):
-        """near() at U + h r_slot and at U - h r_slot, each row against its
-        row of base; h is (N,)."""
+        """Near frames at U + h r_slot and at U - h r_slot, each row against
+        its row of base; h is (N,)."""
         d = h[:, None] * base.rights[:, slot]
         return self.frames(t, x, U + d, base), self.frames(t, x, U - d, base)
 
@@ -454,9 +440,8 @@ def _at_state(sys_, t, x, u, frame, machine, base, gradient_path, partition=None
     stack; raises what a frame, sweep, derivative or solve it reads raised."""
     u = np.asarray(u, dtype=float)
     m = machine or FrameMachine(sys_, frame)
-    f = base if base is not None else m.base(t, x, u)
     kernel = _Residuals(m, np.array([t], dtype=float), np.array([x], dtype=float), u[None],
-                        eigen.FrameStack.of(f), gradient_path)
+                        base if base is not None else m.base(t, x, u), gradient_path)
     values, errors = kernel.run(np.arange(1), partition, **tuples)
     if errors[0] is not None:
         raise errors[0]

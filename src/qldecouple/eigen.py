@@ -392,8 +392,10 @@ class AnalyticFrameField:
         self.sys = sys_
         self.n = sys_.n
         order = sys_.arg_order
-        self.value_fn = ex.compile_expression(hints["eigenvalues"], order)
-        self.right_fn = ex.compile_expression([c for vec in hints["right"] for c in vec], order)
+        # the eigenvalues, then the rights' entries: one call per stack, and
+        # the subtrees they share computed once
+        self.hint_fn = ex.compile_expression(
+            list(hints["eigenvalues"]) + [c for vec in hints["right"] for c in vec], order)
         self.left_fn = (ex.compile_expression([c for vec in hints["left"] for c in vec], order)
                         if "left" in hints else None)
         self.value_exprs = hints["eigenvalues"]
@@ -406,49 +408,34 @@ class AnalyticFrameField:
             self._grad_cache[slot] = ex.compile_expression(grads, self.sys.arg_order)
         return self._grad_cache[slot]
 
-    def _hint_batch(self, t, x, U):
-        """Hinted values (N, n) and rights (N, slot, component) at the rows
-        of U (N, n), and the mask of rows where both are finite."""
-        N, n = U.shape
-        with np.errstate(all="ignore"):
-            vals = np.ascontiguousarray(_evaluate(self.value_fn, t, x, U))
-            rights = _evaluate(self.right_fn, t, x, U)
-        rights = np.ascontiguousarray(rights).reshape(N, n, n)
-        return vals, rights, np.isfinite(vals).all(axis=1) & np.isfinite(rights).all(axis=(1, 2))
-
-    def rights_batch(self, t, x, U):
-        """Hinted right autovectors at the rows of U (N, n) as (N, slot,
-        component); NaN in rows frame_at(check=False) rejects: non-finite
-        hints, non-finite A, or condition number above COND_LIMIT."""
-        _, rights, ok = self._hint_batch(t, x, U)
-        with np.errstate(all="ignore"):
-            ok &= np.isfinite(self.sys.eval_matrix(t, x, U)).all(axis=(1, 2))
-        ok[ok] = np.linalg.cond(np.swapaxes(rights[ok], 1, 2)) <= COND_LIMIT
-        rights[~ok] = np.nan
-        return rights
-
-    def frames_batch(self, t, x, U, check=True):
+    def frames_batch(self, t, x, U, check=True, lefts=True) -> FrameStack:
         """frame_at at the rows of U (N, n), t and x scalars or following the
-        rows.  Returns (values, rights, lefts, errors): values (N, n) complex,
-        rights and lefts (N, slot, component), and errors[k] what frame_at
-        raises at row k, or None; the arrays are NaN in the rows with an
-        error.  The gates run in this order: finite hints, finite A (the
-        DomainError eval_matrix raises at that state), with `check` the right
-        residuals, the condition number, and with `check` the residuals of the
-        hinted lefts; without left hints the lefts invert the rights."""
+        rows, as a FrameStack whose errors[k] is what frame_at raises at row
+        k, or None; its arrays are NaN in the rows with an error.  A mask of
+        live rows runs through the gates in this order: finite hints, finite
+        A (the DomainError eval_matrix raises at that state), with `check`
+        the right residuals, the condition number, and with `check` the
+        residuals of the hinted lefts.  A gate builds an error only at a live
+        row it rejects.  With `lefts` the lefts are the hinted ones, or
+        without left hints the inverse of the rights; otherwise None."""
         N, n = U.shape
-        t, x = np.broadcast_to(t, N), np.broadcast_to(x, N)
-        vals, rights, ok = self._hint_batch(t, x, U)
-        errors = [None if k else HintInconsistent("hint expressions evaluate non-finite")
-                  for k in ok]
-        A = self.sys.eval_rows("eval_matrix", t, x, U, errors)
-        # fmax, like max(1.0, norm(A)) at one state, ignores a nan norm
-        nrmA = np.fmax(1.0, _row_norms(A.reshape(N, n * n)))
+        with np.errstate(all="ignore"):
+            hinted = _evaluate(self.hint_fn, t, x, U)
+        vals, rights = hinted[:, :n], np.ascontiguousarray(hinted[:, n:]).reshape(N, n, n)
+        live, errors = np.ones(N, dtype=bool), np.full(N, None, dtype=object)
 
         def gate(bad, make):
-            """The error make(k) at each bad row k that has none yet."""
-            for k in np.flatnonzero(bad):
-                errors[k] = errors[k] or make(k)
+            """The error make(k) at each live row k that bad rejects."""
+            for k in np.flatnonzero(bad & live):
+                errors[k], live[k] = make(k), False
+
+        gate(~np.isfinite(hinted).all(axis=1),
+             lambda k: HintInconsistent("hint expressions evaluate non-finite"))
+        A = self.sys.eval_rows("eval_matrix", t, x, U, errors)
+        live &= np.equal(errors, None)
+        if check:
+            # fmax, like max(1.0, norm(A)) at one state, ignores a nan norm
+            nrmA = np.fmax(1.0, _row_norms(A.reshape(N, n * n)))
 
         def residual_gate(vecs, side):
             for slot in range(n):
@@ -463,34 +450,33 @@ class AnalyticFrameField:
 
         if check:
             residual_gate(rights, "right")
-        live, cond = np.array([err is None for err in errors], dtype=bool), np.full(N, np.nan)
+        cond = np.full(N, np.nan)
         cond[live] = np.linalg.cond(np.swapaxes(rights[live], 1, 2))
-        gate(live & ~(cond <= COND_LIMIT),
+        gate(~(cond <= COND_LIMIT),
              lambda k: IllConditioned(f"hinted frame condition number {cond[k]:.3g}"))
-        live = np.array([err is None for err in errors], dtype=bool)
-        if self.left_fn is None:
-            lefts = np.full((N, n, n), np.nan)
-            lefts[live] = np.linalg.inv(np.swapaxes(rights[live], 1, 2))
-        else:
+        if self.left_fn is not None and (lefts or check):
             with np.errstate(all="ignore"):
-                lefts = _evaluate(self.left_fn, t, x, U)
-            lefts = np.ascontiguousarray(lefts).reshape(N, n, n)
+                L = np.ascontiguousarray(_evaluate(self.left_fn, t, x, U)).reshape(N, n, n)
             if check:
-                residual_gate(lefts, "left")
-        values = vals.astype(complex)
-        bad = np.array([err is not None for err in errors], dtype=bool)
-        values[bad], rights[bad], lefts[bad] = np.nan, np.nan, np.nan
-        return values, rights, lefts, errors
+                residual_gate(L, "left")
+        elif lefts:
+            L = np.full((N, n, n), np.nan)
+            L[live] = np.linalg.inv(np.swapaxes(rights[live], 1, 2))
+        values, bad = vals.astype(complex), ~live
+        if bad.any():
+            values[bad], rights[bad] = np.nan, np.nan
+            if lefts:
+                L[bad] = np.nan
+        return FrameStack(values, rights, L if lefts else None, errors)
 
     def frame_at(self, t, x, u, check=True) -> Frame:
         """The hinted frame at one state: frames_batch on one row, with equal
         hinted values grouped into clusters in slot order."""
-        values, rights, lefts, errors = self.frames_batch(
-            np.array([t], dtype=float), np.array([x], dtype=float),
-            np.asarray(u, dtype=float)[None], check)
-        if errors[0] is not None:
-            raise errors[0]
-        vals = values[0].real
+        out = self.frames_batch(np.array([t], dtype=float), np.array([x], dtype=float),
+                                np.asarray(u, dtype=float)[None], check)
+        if out.errors[0] is not None:
+            raise out.errors[0]
+        vals = out.values[0].real
         clusters = []
         assigned = set()
         ctol = CLUSTER_RTOL * (1.0 + float(np.max(np.abs(vals))))
@@ -500,7 +486,7 @@ class AnalyticFrameField:
             members = [s for s in range(self.n) if abs(vals[s] - vals[slot]) <= ctol]
             assigned.update(members)
             clusters.append(Cluster(complex(vals[slot]), len(members), members))
-        return Frame(values=values[0], rights=rights[0], lefts=lefts[0],
+        return Frame(values=out.values[0], rights=out.rights[0], lefts=out.lefts[0],
                      kinds=[KIND_EIGEN] * self.n, clusters=clusters,
                      point=(t, x, tuple(u)))
 

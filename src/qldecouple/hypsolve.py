@@ -250,14 +250,15 @@ def _march(sys_, sizes, initial, n_cells, t_end, scheme, cfl, boundary, t0):
     raises DomainError.
 
     Speeds.  The CFL speed max |lambda| and the hyperbolicity check come
-    from A's diagonal blocks (see _max_speed and _block_speeds).  They keep
-    the bits of max |eigvals(A).real| when the cut leaves one block, only
-    1x1 blocks (A exactly lower triangular), or blocks of at most 2x2 with
-    exact zeros below them, as on threadline; other stacks move the speed in
-    the last bits.  An upwind solve of a system with n > 2 in one block
-    reads the eigenvalues of its one eig(A) instead, with the bits of
-    eigvals(A).  So time levels and step counts never depend on how the
-    pairs are formed.
+    from A's diagonal blocks (see _max_speed and _block_speeds), with the
+    bits of the largest |eigvals(block).real|.  These are the bits of
+    max |eigvals(A).real| when the cut leaves one block, only 1x1 blocks (A
+    exactly lower triangular), or blocks of at most 2x2 with exact zeros
+    below them that share no eigenvalue (threadline keeps them too);
+    elsewhere the two can differ in the last bits.  An upwind solve of a
+    system with n > 2 in one block reads the eigenvalues of its one eig(A)
+    instead, with the bits of eigvals(A).  So time levels and step counts
+    never depend on how the pairs are formed.
 
     Pairs.  Upwinding alone reads eigenpairs (lam, V, L = V^-1), per block
     (see _pairs): (a, 1, 1) for a 1x1 block, closed form for the safely real

@@ -141,7 +141,7 @@ def verify_transform(sys_: QuasilinearSystem, candidate: TransformCandidate,
     samples = sys_.sample_points(plan)
     states = samples[~sys_.is_excluded(samples[:, 0], samples[:, 1], samples[:, 2:])]
     excluded = len(samples) - len(states)
-    frames = machine.frames(states[:, 0], states[:, 1], states[:, 2:])
+    frames = machine.frames(states[:, 0], states[:, 1], states[:, 2:], lefts=False)
     by_cause = Counter(_cause(err) for err in frames.errors if err is not None)
     live = np.array([err is None for err in frames.errors], dtype=bool)
     J = _jacobians(grad_fn, states[live])
@@ -352,11 +352,13 @@ def characteristic_flow(sys_: QuasilinearSystem, slot, start, arc_length,
                         steps=64, frame="auto", t=0.0, x=0.0):
     """Integrate du/ds = r_slot(u) from admissible start states: a 1-D start
     is one curve and returns its polyline, a 2-D start (N, n) is N curves in
-    one integrate_field batch and returns their end states.  The field is
-    FrameMachine.rights_batch, so the flow reads near() frames with the
-    gates frame sweeps apply, NaN where near() rejects the state.  Numeric
-    frames are aligned to the frame at the first start state, which fixes
-    the orientation and scale of the field."""
+    one integrate_field batch and returns their end states.  The base frame
+    at the first start state (FrameMachine.base, which raises where it fails
+    a gate) is the reference of the field's near frames,
+    FrameMachine.frames(..., lefts=False).rights, so the flow reads the
+    frames sweeps read, NaN where one fails a gate.  Numeric frames are
+    aligned to the reference, which fixes the orientation and scale of the
+    field."""
     start = np.asarray(start, dtype=float)
     n = start.shape[-1]
     rows = start.reshape(-1, n)
@@ -365,10 +367,10 @@ def characteristic_flow(sys_: QuasilinearSystem, slot, start, arc_length,
     if slot not in range(n):
         raise IndexError(f"flow slot out of range 0..{n - 1}")
     machine = FrameMachine(sys_, frame)
-    reference = machine.base(t, x, rows[0]) if machine.field is None else None
+    reference = machine.base(t, x, rows[0])
 
     def field(U):
-        return machine.rights_batch(t, x, U, reference)[:, slot]
+        return machine.frames(t, x, U, reference, lefts=False).rights[:, slot]
 
     return integrate_field(field, start, arc_length, steps,
                            in_domain=lambda U: sys_.in_domain(t, x, U))
@@ -387,7 +389,7 @@ def _slice_field(machine, reference, t, x, legs):
     slice, or the frame is rejected, are NaN."""
     def field(V):
         n = V.shape[1] - 1
-        rights = machine.rights_batch(t, x, V[:, :n], reference)
+        rights = machine.frames(t, x, V[:, :n], reference, lefts=False).rights
         out = np.zeros(V.shape)
         # each level's rows as one group keep the bits of the level run alone
         for level, (slot, ell) in legs.items():
@@ -490,7 +492,7 @@ def construct_transform_numeric(sys_: QuasilinearSystem, partition: PartitionSch
     for i, blk in enumerate(partition.blocks):
         keep = partition.allowed(i)
         flow = [s for s in col_order if s not in keep]
-        M = np.column_stack([base_frame.rights[s] for s in keep + flow])
+        M = np.column_stack([base_frame.rights[0, s] for s in keep + flow])
         specs.append((blk, keep, flow, M, np.linalg.inv(M) if flow else None))
     levels = [(Minv, flow) for _, _, flow, _, Minv in specs if flow]
     land, reached, level_missed = _shoot(machine, base_frame, t, x, points[admissible],
@@ -580,7 +582,7 @@ def _construction_quality(sys_, partition, axes, grid_shape, H_grid, machine,
     U = np.stack([axes[d][cells[:, d]] for d in range(n)], axis=-1)
     admissible = ~sys_.is_excluded(t, x, U)
     cells, U = cells[admissible], U[admissible]
-    frames = machine.frames(np.full(len(U), t), np.full(len(U), x), U)
+    frames = machine.frames(np.full(len(U), t), np.full(len(U), x), U, lefts=False)
     ok = np.array([err is None for err in frames.errors], dtype=bool)
     ann = np.abs(_annihilation(grads[tuple(cells[ok].T)], frames.rights[ok],
                                partition.forbidden_pairs()))

@@ -290,8 +290,14 @@ def test_eigenvalue_directional_derivative_at_frame_point():
 
 
 def _rights_or_nan(machine, u, reference):
+    """The near frame's rights at one state by the public one-state path:
+    frame_at without the residual gates for hinted frames, spectrum_at
+    aligned to the reference for numeric ones; NaN where that raises."""
     try:
-        return machine.near(0.0, 0.0, u, reference).rights
+        if machine.field is not None:
+            return machine.field.frame_at(0.0, 0.0, u, check=False).rights
+        raw = eigen.spectrum_at(machine.sys, 0.0, 0.0, u)
+        return eigen.align_frames(reference.frame(0), raw).rights
     except (IllConditioned, MismatchedSignature, HintInconsistent, DomainError):
         return np.full((len(u), len(u)), np.nan)
 
@@ -299,11 +305,12 @@ def _rights_or_nan(machine, u, reference):
 @pytest.mark.parametrize("case", ["hinted", "numeric", "real-reference", "complex-reference",
                                   "hinted-gated", "numeric-aligned-gate"])
 def test_rights_batch_matches_pointwise_near(case):
-    # the batched frame evaluation agrees row by row with near(), gates
-    # included: A = [[0, 1], [a, 0]] has real simple, Jordan (a = 0) and
-    # complex spectra, so a row shares the reference's signature or has
-    # another, which the alignment rejects; on GATED (below) the hints stay
-    # finite where sqrt(q) in A does not, and near() rejects those rows.
+    # the batched near frames (the flows' field) agree row by row with the
+    # one-state path, gates included: A = [[0, 1], [a, 0]] has real simple,
+    # Jordan (a = 0) and complex spectra, so a row shares the reference's
+    # signature or has another, which the alignment rejects; on GATED
+    # (below) the hints stay finite where sqrt(q) in A does not, and the
+    # one-state path rejects those rows.
     # A = [[1, 0], [-tan(p), 2]] has the right vectors (1, tan p) and
     # (0, 1): rescaled at the pivot of the reference at p = 0 their
     # condition number grows like tan(p)^2, past COND_LIMIT near p = pi/2,
@@ -336,7 +343,7 @@ def test_rights_batch_matches_pointwise_near(case):
                              rng.uniform(0.0, 1.0, 40)])
     machine = FrameMachine(sys_, "analytic" if case.startswith("hinted") else "numeric")
     reference = machine.base(0.0, 0.0, base)
-    got = machine.rights_batch(0.0, 0.0, U, reference)
+    got = machine.frames(0, 0, U, reference, lefts=False).rights
     want = np.array([_rights_or_nan(machine, u, reference) for u in U])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
     assert np.isfinite(got).all(axis=(1, 2)).sum() >= 15
@@ -391,11 +398,27 @@ def test_hinted_stack_keeps_frame_at_error_per_row():
         assert type(err) is kind and words in str(err)
         with pytest.raises(kind, match=words.replace("[", r"\[").replace("]", r"\]")):
             machine.field.frame_at(0.0, x, np.array(u))
-    # near() frames skip the residual gates, so those rows build
-    swept = machine.frames(t, X, U, reference=base)
+    # near frames skip the residual gates, so those rows build; with and
+    # without lefts each row keeps frame_at(check=False)'s error, message
+    # and rights
     unchecked = [None if kind is HintInconsistent and "vector" in words else kind
                  for _, kind, words in GATED_ROWS]
-    assert [type(e) if e is not None else None for e in swept.errors] == unchecked
+    for lefts in (True, False):
+        swept = machine.frames(t, X, U, reference=base, lefts=lefts)
+        assert [type(e) if e is not None else None for e in swept.errors] == unchecked
+        assert (swept.lefts is None) is not lefts
+        for k, (x, *u) in enumerate(row[0] for row in GATED_ROWS):
+            try:
+                f = machine.field.frame_at(0.0, x, np.array(u), check=False)
+            except (HintInconsistent, DomainError, IllConditioned) as err:
+                assert type(swept.errors[k]) is type(err)
+                assert str(swept.errors[k]) == str(err)
+                assert np.isnan(swept.rights[k]).all()
+                continue
+            assert swept.errors[k] is None
+            assert swept.rights[k].tobytes() == f.rights.tobytes()
+            if lefts:
+                assert swept.lefts[k].tobytes() == f.lefts.tobytes()
 
 
 # --- the two stages on a stack against one row at a time ----------------------

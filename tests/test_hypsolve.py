@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qldecouple import hypsolve, models
@@ -368,12 +368,25 @@ def work_counter():
     return {"steps": 0, "closedFormCells": 0, "eigvalsCells": 0, "eigCells": 0}
 
 
-def eigvals_speed(A):
-    """The CFL speed and hyperbolicity decision from eigvals of the whole stack."""
-    lam = np.linalg.eigvals(A)
+def spectrum_speed(lam):
+    """The CFL speed and hyperbolicity decision of the eigenvalues lam."""
     if np.max(np.abs(lam.imag)) > 1e-8 * (1.0 + np.max(np.abs(lam.real))):
         return NonHyperbolic
     return float(np.max(np.abs(lam.real)))
+
+
+def eigvals_speed(A):
+    """The CFL speed and hyperbolicity decision from eigvals of the whole stack."""
+    return spectrum_speed(np.linalg.eigvals(A))
+
+
+def block_eigvals_speed(A, pattern):
+    """The CFL speed and hyperbolicity decision from the union of the
+    spectra of the diagonal blocks of sizes `pattern`, each block's eigvals
+    taken alone."""
+    r = np.cumsum([0, *pattern])
+    return spectrum_speed(np.concatenate([np.linalg.eigvals(A[:, a:b, a:b])
+                                          for a, b in zip(r[:-1], r[1:])], axis=1))
 
 
 def closed_form_speed(A, work):
@@ -544,12 +557,59 @@ def block_diagonal_stacks(draw, pattern):
     return A
 
 
-@pytest.mark.parametrize("pattern", [[2, 2], [2, 2, 2], [1, 1, 2], [2, 1, 1], [1, 1, 1, 1]])
+def block_diagonal(*cells):
+    """The one-cell stack with the square arrays `cells` on its diagonal."""
+    r = np.cumsum([0] + [len(c) for c in cells])
+    A = np.zeros((1, r[-1], r[-1]))
+    for c, a, b in zip(cells, r[:-1], r[1:]):
+        A[0, a:b, a:b] = c
+    return A
+
+
+# a real 2x2 cell and a lower triangular one whose diagonal holds its
+# eigenvalues to the last bits; eigvals of a whole stack where two blocks
+# share an eigenvalue may move it by 2 ulp (1.3812797174167786e-08 for the
+# [2, 2] and [2, 2, 2] stacks, which are what --hypothesis-seed 9 shrinks
+# to), eigvals of each block alone does not
+REAL_CELL = np.array([[8.020947885385589e-09, -9.698370640958745e-10],
+                      [-4.429468338277947e-09, -1.3616043820266114e-08]])
+LOWER_CELL = np.array([[8.217701239287258e-09, 0.0],
+                       [1.3040000451301372e-08, -1.3812797174167782e-08]])
+LOWER_ENTRIES = [[[v]] for v in np.diag(LOWER_CELL)]
+SHARED_EIGENVALUE_STACKS = {
+    (2, 2): block_diagonal(LOWER_CELL, REAL_CELL),
+    (2, 2, 2): block_diagonal(REAL_CELL, LOWER_CELL, REAL_CELL),
+    (1, 1, 2): block_diagonal(*LOWER_ENTRIES, REAL_CELL),
+    (2, 1, 1): block_diagonal(REAL_CELL, *LOWER_ENTRIES),
+    (1, 1, 1, 1): block_diagonal(*LOWER_ENTRIES, *LOWER_ENTRIES[::-1]),
+}
+BLOCK_PATTERNS = [[2, 2], [2, 2, 2], [1, 1, 2], [2, 1, 1], [1, 1, 1, 1]]
+
+
+@pytest.mark.parametrize("pattern", BLOCK_PATTERNS)
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
+@example(data=None)  # the pattern's stack in SHARED_EIGENVALUE_STACKS
 def test_block_speed_keeps_the_eigvals_bits_and_decision(pattern, data):
+    # the bits of the largest |eigvals(block).real| over the diagonal blocks
+    A = (SHARED_EIGENVALUE_STACKS[tuple(pattern)] if data is None
+         else data.draw(block_diagonal_stacks(pattern)))
+    assert closed_form_speed(A, work_counter()) == block_eigvals_speed(A, pattern)
+
+
+def assert_within_last_bits(got, want):
+    if want is NonHyperbolic or got is NonHyperbolic:
+        assert got is want
+    else:
+        assert abs(got - want) <= 1e-11 * want
+
+
+@pytest.mark.parametrize("pattern", BLOCK_PATTERNS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_block_speed_lies_within_last_bits_of_whole_stack_eigvals(pattern, data):
     A = data.draw(block_diagonal_stacks(pattern))
-    assert closed_form_speed(A, work_counter()) == eigvals_speed(A)
+    assert_within_last_bits(closed_form_speed(A, work_counter()), eigvals_speed(A))
 
 
 @pytest.mark.parametrize("pattern", [[1, 3], [2, 3], [3, 3], [1, 2, 1]])
@@ -557,11 +617,7 @@ def test_block_speed_keeps_the_eigvals_bits_and_decision(pattern, data):
 @given(data=st.data())
 def test_larger_block_speed_lies_within_last_bits_of_eigvals(pattern, data):
     A = data.draw(block_diagonal_stacks(pattern))
-    got, want = closed_form_speed(A, work_counter()), eigvals_speed(A)
-    if want is NonHyperbolic or got is NonHyperbolic:
-        assert got is want
-    else:
-        assert abs(got - want) <= 1e-11 * want
+    assert_within_last_bits(closed_form_speed(A, work_counter()), eigvals_speed(A))
 
 
 def eigvals_max_speed(A, work):

@@ -8,7 +8,7 @@ import pytest
 from qldecouple import conditions as cond
 from qldecouple import eigen, models, transform
 from qldecouple import exprlang as ex
-from qldecouple.errors import DomainError, ShootingFailed, SingularCandidate
+from qldecouple.errors import DomainError, HintInconsistent, ShootingFailed, SingularCandidate
 from qldecouple.system import SamplePlan, load_system
 
 S3 = math.sqrt(3.0)
@@ -223,6 +223,23 @@ def test_flow_batch_rows_have_their_own_arcs_and_masks():
         assert "tolerance_met" not in one
 
 
+def test_hinted_flow_raises_where_its_start_fails_the_residual_gate():
+    # abs(p) is the wrong eigenvalue of diag(p, 2) for p < 0: the near
+    # frames of the field skip the residual gates, but the base frame at the
+    # first start, the field's reference as for numeric frames, does not
+    doc = {"n": 2, "states": ["p", "q"], "A": [["p", "0"], ["0", "2"]],
+           "domain": {"p": [-1.0, 1.0], "q": [-1.0, 1.0]},
+           "autovectorHint": {"eigenvalues": ["abs(p)", "2"],
+                              "right": [["1", "0"], ["0", "1"]]}}
+    sys_ = load_system(json.dumps(doc))
+    pts, info = transform.characteristic_flow(sys_, 0, np.array([0.2, 0.0]), 0.5,
+                                              frame="analytic")
+    assert pts[-1] == pytest.approx([0.7, 0.0]) and not info["left_domain"]
+    for start in ([-0.5, 0.0], [[-0.5, 0.0], [0.2, 0.0]]):
+        with pytest.raises(HintInconsistent, match="hinted right vector 0"):
+            transform.characteristic_flow(sys_, 0, np.array(start), 0.5, frame="analytic")
+
+
 @pytest.mark.parametrize("frame", ["analytic", "numeric"])
 @pytest.mark.parametrize("name, start", [
     ("barotropic", [[1.0, 0.2], [1.9, 0.9]]),
@@ -239,7 +256,7 @@ def test_flow_batch_rows_match_single_curves(name, start, frame):
             else models.build_threadline(1.0)).system
     starts = np.array(start)
     machine = cond.FrameMachine(sys_, frame)
-    reference = machine.base(0.0, 0.0, starts[0]) if frame == "numeric" else None
+    reference = machine.base(0.0, 0.0, starts[0])
     alone = range(len(starts)) if frame == "analytic" else range(1)
     split = False
     for slot in (0, sys_.n - 1):
@@ -250,8 +267,8 @@ def test_flow_batch_rows_match_single_curves(name, start, frame):
             lengths = []
             for k, start in enumerate(starts):
                 plain, one = transform.integrate_field(
-                    lambda U: machine.rights_batch(0.0, 0.0, U, reference)[:, slot], start,
-                    arc, 16, in_domain=lambda U: sys_.in_domain(0.0, 0.0, U))
+                    lambda U: machine.frames(0.0, 0.0, U, reference, lefts=False).rights[:, slot],
+                    start, arc, 16, in_domain=lambda U: sys_.in_domain(0.0, 0.0, U))
                 assert ends[k].tobytes() == plain[-1].tobytes()
                 assert info["left_domain"][k] == one["left_domain"]
                 assert info["error_estimate"][k] == one["error_estimate"]
@@ -460,7 +477,7 @@ def _levels(sys_, partition, frame, base):
         for j, bj in enumerate(partition.blocks):
             (flow if partition.forbidden(i, j) else keep).extend(bj)
         if flow:
-            M = np.column_stack([base_frame.rights[s] for s in keep + flow])
+            M = np.column_stack([base_frame.rights[0, s] for s in keep + flow])
             levels.append((np.linalg.inv(M), flow))
     return machine, base_frame, levels
 

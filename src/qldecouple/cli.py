@@ -327,15 +327,11 @@ def cmd_decouple(args):
                                   frame=args.frame)
     out = transform.construct_transform_numeric(sys_, scheme, base, counts,
                                                 frame=args.frame, report=report)
-    grid_csv = os.path.join(run_dir, "transform_grid.csv")
-    with open(grid_csv, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(list(sys_.states) + [f"H{i+1}" for i in range(sys_.n)])
-        mesh = np.meshgrid(*out["axes"], indexing="ij")
-        coords = np.stack([g.ravel() for g in mesh], axis=1)
-        vals = out["values"].reshape(-1, sys_.n)
-        for crow, vrow in zip(coords, vals):
-            w.writerow([f"{v:.17g}" for v in crow] + [f"{v:.17g}" for v in vrow])
+    mesh = np.meshgrid(*out["axes"], indexing="ij")
+    coords = np.stack([g.ravel() for g in mesh], axis=1)
+    _write_csv(os.path.join(run_dir, "transform_grid.csv"),
+               list(sys_.states) + [f"H{i+1}" for i in range(sys_.n)],
+               [((), np.hstack([coords, out["values"].reshape(-1, sys_.n)]))])
     payload = _report_payload(config, {
         "quality": out["quality"],
         "basePoint": out["basePoint"],
@@ -390,16 +386,24 @@ def cmd_simulate(args):
 
 
 def _solution_csv(path, states, sol):
-    """csv.writer's bytes (.17g needs no quoting), 128 cells per write to keep RSS flat."""
+    """One row per time level and cell: t, x and the states."""
+    _write_csv(path, ["t", "x"] + list(states),
+               (((t,), np.vstack([sol.x, U]).T) for t, U in zip(sol.times, sol.data)))
+
+
+def _write_csv(path, header, tables):
+    """The header, then for each (lead, table) of tables the rows of the
+    float array table, each led by the floats of lead, every float as .17g:
+    csv.writer's bytes (.17g needs no quoting), 128 rows per write to keep
+    RSS flat."""
     fmt = "{:.17g}".format
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["t", "x"] + list(states))
-        for t, U in zip(sol.times, sol.data):
-            head = fmt(t) + ","
-            XU = np.vstack([sol.x, U])
-            for lo in range(0, XU.shape[1], 128):
-                cols = [map(fmt, row) for row in XU[:, lo:lo + 128].tolist()]
-                fh.writelines(head + ",".join(row) + "\r\n" for row in zip(*cols))
+        csv.writer(fh).writerow(header)
+        for lead, table in tables:
+            head = "".join(fmt(v) + "," for v in lead)
+            for lo in range(0, len(table), 128):
+                fh.writelines(head + ",".join(map(fmt, row)) + "\r\n"
+                              for row in table[lo:lo + 128].tolist())
 
 
 def cmd_nijenhuis(args):

@@ -196,11 +196,8 @@ class FrameMachine:
     def base(self, t, x, u) -> eigen.FrameStack:
         """frames() at the one state u, as a one-row stack; raises what
         building that row raised."""
-        out = self.frames(np.array([t], dtype=float), np.array([x], dtype=float),
-                          np.asarray(u, dtype=float)[None])
-        if out.errors[0] is not None:
-            raise out.errors[0]
-        return out
+        return self.frames(np.array([t], dtype=float), np.array([x], dtype=float),
+                           np.asarray(u, dtype=float)[None]).row(0)
 
     def frames(self, t, x, U, reference: eigen.FrameStack = None,
                lefts=True) -> eigen.FrameStack:
@@ -223,11 +220,12 @@ class FrameMachine:
                 raise err
         return out
 
-    def sweep(self, t, x, U, base: eigen.FrameStack, slot, h):
+    def sweep(self, t, x, U, base: eigen.FrameStack, slot, h, lefts):
         """Near frames at U + h r_slot and at U - h r_slot, each row against
-        its row of base; h is (N,)."""
+        its row of base; h is (N,).  Without `lefts` their lefts are None."""
         d = h[:, None] * base.rights[:, slot]
-        return self.frames(t, x, U + d, base), self.frames(t, x, U - d, base)
+        return (self.frames(t, x, U + d, base, lefts=lefts),
+                self.frames(t, x, U - d, base, lefts=lefts))
 
 
 def _fd_step(u):
@@ -242,11 +240,12 @@ class _Residuals:
     for, once per row, and memoized; a row's bits do not depend on the rows
     that share its call.  The items that can fail (sweeps, dA, block
     sources) keep what each row raised.  run() reads the items a set of
-    tuples needs."""
+    tuples needs.  The sweeps build left vectors only with `lefts`, which
+    the block sources need."""
 
-    def __init__(self, machine, t, x, U, base: eigen.FrameStack, gradient_path):
+    def __init__(self, machine, t, x, U, base: eigen.FrameStack, gradient_path, lefts):
         self.machine, self.gradient_path = machine, gradient_path
-        self.t, self.x, self.U, self.base = t, x, U, base
+        self.t, self.x, self.U, self.base, self.lefts = t, x, U, base, lefts
         self.items = {}
 
     def _item(self, key, rows, compute, new=None):
@@ -320,19 +319,22 @@ class _Residuals:
 
     def sweep(self, slot, rows):
         """The sweep along r_slot as two (values, rights, lefts) triples, at
-        +h and -h, of (N, ...) stacks NaN in the rows not computed."""
+        +h and -h, of (N, ...) stacks NaN in the rows not computed (lefts
+        None without self.lefts)."""
         N, n = self.U.shape
 
         def compute(rows, out, errors):
             sides = self.machine.sweep(self.t[rows], self.x[rows], self.U[rows],
-                                       self.base.take(rows), slot, self.step(rows))
+                                       self.base.take(rows), slot, self.step(rows), self.lefts)
             errors[rows] = [ep or em for ep, em in zip(sides[0].errors, sides[1].errors)]
             for parts, f in zip(out, sides):
-                parts[0][rows], parts[1][rows], parts[2][rows] = f.values, f.rights, f.lefts
+                parts[0][rows], parts[1][rows] = f.values, f.rights
+                if self.lefts:
+                    parts[2][rows] = f.lefts
 
         return self._item(("sweep", slot), rows, compute, lambda: [
             [np.full((N, n), np.nan, dtype=complex), np.full((N, n, n), np.nan),
-             np.full((N, n, n), np.nan)] for _ in range(2)])
+             np.full((N, n, n), np.nan) if self.lefts else None] for _ in range(2)])
 
     def _central(self, slot, part, index, rows):
         """Central difference along r_slot of the sweep frames' part
@@ -441,7 +443,8 @@ def _at_state(sys_, t, x, u, frame, machine, base, gradient_path, partition=None
     u = np.asarray(u, dtype=float)
     m = machine or FrameMachine(sys_, frame)
     kernel = _Residuals(m, np.array([t], dtype=float), np.array([x], dtype=float), u[None],
-                        base if base is not None else m.base(t, x, u), gradient_path)
+                        base if base is not None else m.base(t, x, u), gradient_path,
+                        lefts=bool(tuples.get("src_tuples")))
     values, errors = kernel.run(np.arange(1), partition, **tuples)
     if errors[0] is not None:
         raise errors[0]
@@ -616,7 +619,8 @@ class _SampleStack:
         # the sample of each kernel row
         self.rows = rows[alive]
         self.kernel = _Residuals(machine, t[self.rows], x[self.rows], U[self.rows],
-                                 self.base.take(alive), gradient_path)
+                                 self.base.take(alive), gradient_path,
+                                 lefts=not sys_.homogeneous)
 
     def _separation_excluded(self, partition):
         """Kernel rows where a slot and a slot of a later block have
@@ -745,7 +749,7 @@ def _assignment_units(stack: _SampleStack):
         return [[s] for s in range(stack.sys.n)]
     for k, err in enumerate(stack.base.errors):
         if err is None:
-            return [list(c.slots) for c in stack.base.frame(k).clusters]
+            return [list(range(s, s + m)) for s, m in eigen._runs(stack.base.mult[k])]
         if not isinstance(err, (IllConditioned, DomainError)):
             raise err
     raise DegenerateSample("no admissible sample to determine the cluster structure")

@@ -7,13 +7,12 @@ eigenvector FIELDS by finite differences, so vectors computed at nearby
 points must belong to one smooth field.  That is what the alignment stage
 (aligned) provides: it maps freshly computed frames onto the normalization
 of reference frames (orthogonal Procrustes inside each eigenspace, then a
-rescale anchored at the reference pivot component).  spectrum_at and
-align_frames are the two stages on one state.
+rescale anchored at the reference pivot component).  Every frame is a
+FrameStack; spectrum_at and align_frames (the two stages) and the hinted
+frame_at work on one state and return one-row stacks.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,33 +34,6 @@ _EIGEN = np.array(KIND_EIGEN, dtype=object)
 
 def generalized_kind(order):
     return f"generalized-rank-{order}"
-
-
-@dataclass
-class Cluster:
-    value: complex
-    alg_mult: int
-    slots: list
-    is_complex: bool = False
-
-
-@dataclass
-class Frame:
-    """Ordered autovector slots spanning R^n."""
-
-    values: np.ndarray          # complex (n,)
-    rights: np.ndarray          # (n, n), row per slot
-    lefts: np.ndarray           # (n, n), row per slot
-    kinds: list
-    clusters: list              # list of Cluster over slot indices
-    point: tuple = None
-
-    @property
-    def n(self):
-        return self.rights.shape[0]
-
-    def signature(self):
-        return tuple((c.alg_mult, c.is_complex) for c in self.clusters)
 
 
 def _runs(mult):
@@ -88,30 +60,19 @@ class FrameStack:
         self.cplx = np.zeros((N, n), dtype=bool) if cplx is None else cplx
         self.kinds = np.full((N, n), _EIGEN) if kinds is None else kinds
 
-    @staticmethod
-    def of(frame: Frame, slots=None):
-        """frame as a one-row stack, its slots taken in the order `slots`."""
-        slots = list(range(frame.n)) if slots is None else slots
-        cluster = {s: c for c in frame.clusters for s in c.slots}
-        clusters = [cluster[s] for s in slots]
-        return FrameStack(*(a[slots][None] for a in (frame.values, frame.rights, frame.lefts)),
-                          mult=np.array([[c.alg_mult for c in clusters]]),
-                          cplx=np.array([[c.is_complex for c in clusters]]),
-                          kinds=np.array([[frame.kinds[s] for s in slots]], dtype=object))
-
     def take(self, rows):
         return FrameStack(*(None if a is None else a[rows] for a in (
             self.values, self.rights, self.lefts, self.errors, self.mult, self.cplx, self.kinds)))
 
-    def frame(self, k, point=None) -> Frame:
-        """Row k as a Frame; raises what building it raised."""
+    def row(self, k):
+        """Row k as a one-row stack; raises what building it raised."""
         if self.errors[k] is not None:
             raise self.errors[k]
-        clusters = [Cluster(complex(self.values[k, s]), m, list(range(s, s + m)),
-                            bool(self.cplx[k, s])) for s, m in _runs(self.mult[k])]
-        return Frame(values=self.values[k], rights=self.rights[k],
-                     lefts=None if self.lefts is None else self.lefts[k],
-                     kinds=self.kinds[k].tolist(), clusters=clusters, point=point)
+        return self.take([k])
+
+    def signature(self, k):
+        """Row k's clusters in slot order, as (multiplicity, complex) pairs."""
+        return tuple((m, bool(self.cplx[k, s])) for s, m in _runs(self.mult[k]))
 
 
 def _at(V, index):
@@ -288,11 +249,10 @@ def _scatter(N, rows, a, fill=np.nan):
     return out
 
 
-def spectrum_at(sys_, t, x, u) -> Frame:
-    """The spectrum stage (spectra) at one state: the eigenvalues clustered,
-    with right and left autovectors; raises what the stage keeps there."""
-    u = np.asarray(u, dtype=float)
-    return spectra(sys_, t, x, u[None]).frame(0, point=(t, x, tuple(u)))
+def spectrum_at(sys_, t, x, u) -> FrameStack:
+    """The spectrum stage (spectra) at one state, as a one-row stack; raises
+    what the stage keeps there."""
+    return spectra(sys_, t, x, np.asarray(u, dtype=float)[None]).row(0)
 
 
 def _row_norms(V):
@@ -314,9 +274,10 @@ def _rescale(vecs, references):
     return vecs * scale[:, :, None], ok
 
 
-def _mismatch(reference: Frame, raw: Frame):
-    return MismatchedSignature(f"multiplicity pattern changed: {reference.signature()} "
-                               f"vs {raw.signature()}")
+def _mismatch(reference: FrameStack, i, raw: FrameStack, k):
+    """The error of raw row k whose signature differs from reference row i."""
+    return MismatchedSignature(f"multiplicity pattern changed: {reference.signature(i)} "
+                               f"vs {raw.signature(k)}")
 
 
 def aligned(reference: FrameStack, raw: FrameStack, lefts=True) -> FrameStack:
@@ -339,7 +300,7 @@ def aligned(reference: FrameStack, raw: FrameStack, lefts=True) -> FrameStack:
     same = ((reference.mult == raw.mult) & (reference.cplx == raw.cplx)).all(axis=1)
     rows = np.flatnonzero(np.equal(errors, None))
     for k in rows[~same[rows]]:
-        errors[k] = _mismatch(reference.frame(of[k]), raw.frame(k))
+        errors[k] = _mismatch(reference, of[k], raw, k)
     rows = rows[same[rows]]
     X, ref, mult = raw.rights[rows], reference.rights[of[rows]], raw.mult[rows]
     multi = np.flatnonzero((mult > 1).any(axis=1))
@@ -364,22 +325,12 @@ def aligned(reference: FrameStack, raw: FrameStack, lefts=True) -> FrameStack:
                       errors, raw.mult, raw.cplx, reference.kinds[of])
 
 
-def align_frames(reference: Frame, raw: Frame) -> Frame:
-    """The alignment stage (aligned) on one frame, whose slots it takes in
-    the order of its clusters (as spectrum_at orders them) and puts back.
-    Raises what the stage keeps."""
-    if reference.n != raw.n:
-        raise _mismatch(reference, raw)
-    slots = [[s for c in f.clusters for s in c.slots] for f in (reference, raw)]
-    out = aligned(FrameStack.of(reference, slots[0]), FrameStack.of(raw, slots[1]))
-    if out.errors[0] is not None:
-        raise out.errors[0]
-    values, rights, lefts = (np.empty_like(a[0]) for a in (out.values, out.rights, out.lefts))
-    values[slots[0]], rights[slots[0]], lefts[slots[0]] = out.values[0], out.rights[0], out.lefts[0]
-    clusters = [Cluster(cc.value, rc.alg_mult, list(rc.slots), rc.is_complex)
-                for rc, cc in zip(reference.clusters, raw.clusters)]
-    return Frame(values=values, rights=rights, lefts=lefts, kinds=list(reference.kinds),
-                 clusters=clusters, point=raw.point)
+def align_frames(reference: FrameStack, raw: FrameStack) -> FrameStack:
+    """The alignment stage (aligned) on one-row stacks; raises what the
+    stage keeps."""
+    if reference.values.shape[1] != raw.values.shape[1]:
+        raise _mismatch(reference, 0, raw, 0)
+    return aligned(reference, raw).row(0)
 
 
 class AnalyticFrameField:
@@ -390,7 +341,6 @@ class AnalyticFrameField:
         if not hints:
             raise HintInconsistent("model supplies no autovector hints")
         self.sys = sys_
-        self.n = sys_.n
         order = sys_.arg_order
         # the eigenvalues, then the rights' entries: one call per stack, and
         # the subtrees they share computed once
@@ -469,26 +419,11 @@ class AnalyticFrameField:
                 L[bad] = np.nan
         return FrameStack(values, rights, L if lefts else None, errors)
 
-    def frame_at(self, t, x, u, check=True) -> Frame:
-        """The hinted frame at one state: frames_batch on one row, with equal
-        hinted values grouped into clusters in slot order."""
-        out = self.frames_batch(np.array([t], dtype=float), np.array([x], dtype=float),
-                                np.asarray(u, dtype=float)[None], check)
-        if out.errors[0] is not None:
-            raise out.errors[0]
-        vals = out.values[0].real
-        clusters = []
-        assigned = set()
-        ctol = CLUSTER_RTOL * (1.0 + float(np.max(np.abs(vals))))
-        for slot in range(self.n):
-            if slot in assigned:
-                continue
-            members = [s for s in range(self.n) if abs(vals[s] - vals[slot]) <= ctol]
-            assigned.update(members)
-            clusters.append(Cluster(complex(vals[slot]), len(members), members))
-        return Frame(values=out.values[0], rights=out.rights[0], lefts=out.lefts[0],
-                     kinds=[KIND_EIGEN] * self.n, clusters=clusters,
-                     point=(t, x, tuple(u)))
+    def frame_at(self, t, x, u, check=True) -> FrameStack:
+        """frames_batch at one state, as a one-row stack; raises what it
+        keeps there."""
+        return self.frames_batch(np.array([t], dtype=float), np.array([x], dtype=float),
+                                 np.asarray(u, dtype=float)[None], check).row(0)
 
 
 def analytic_field(sys_) -> AnalyticFrameField:
@@ -501,8 +436,9 @@ def analytic_field(sys_) -> AnalyticFrameField:
     return field
 
 
-def analytic_frame(sys_, t, x, u) -> Frame:
-    """Frame built from the model's autovector hints, residual-gated."""
+def analytic_frame(sys_, t, x, u) -> FrameStack:
+    """The one-row stack built from the model's autovector hints,
+    residual-gated."""
     return analytic_field(sys_).frame_at(t, x, u)
 
 
@@ -514,10 +450,8 @@ def eigenvalue_derivatives(lefts, DA, rights):
     return ((lefts @ np.ascontiguousarray(DA)) @ rights)[:, 0, 0] / (lefts @ rights)[:, 0, 0]
 
 
-def eigenvalue_directional_derivative(sys_, frame: Frame, slot, w):
-    """eigenvalue_derivatives for one simple eigenvalue of a frame, along w
-    at the frame's point (t, x, u)."""
-    t, x, u = frame.point
-    DA = sys_.directional_matrix_derivative(t, x, np.array(u), w)
-    return float(eigenvalue_derivatives(frame.lefts[slot][None], DA[None],
-                                        frame.rights[slot][None])[0])
+def eigenvalue_directional_derivative(sys_, t, x, u, frame: FrameStack, slot, w):
+    """eigenvalue_derivatives for one simple eigenvalue of the one-row stack
+    `frame` built at the state (t, x, u), along w."""
+    DA = sys_.directional_matrix_derivative(t, x, np.asarray(u, dtype=float), w)
+    return float(eigenvalue_derivatives(frame.lefts[:, slot], DA[None], frame.rights[:, slot])[0])

@@ -520,6 +520,22 @@ def test_solution_csv_writes_the_csv_writer_bytes(tmp_path, states):
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
+def test_transform_grid_csv_writes_the_csv_writer_bytes(tmp_path):
+    # the grid states then the map values, as cmd_decouple writes them
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e-300, 1 / 3]
+    rng = np.random.default_rng(3)
+    coords = rng.normal(size=(300, 3))     # more rows than one write takes
+    values = np.vstack([rng.choice(special, (150, 3)), rng.normal(size=(150, 3))])
+    header = ["a", "b", "c", "H1", "H2", "H3"]
+    cli._write_csv(tmp_path / "got.csv", header, [((), np.hstack([coords, values]))])
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for crow, vrow in zip(coords, values):
+            w.writerow([f"{v:.17g}" for v in crow] + [f"{v:.17g}" for v in vrow])
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def test_wrong_builder_option_is_usage_error(tmp_path, capsys):
     code = run(["check", "--model", "isentropic", "--pressure", "p0*rho^3",
                 "--partition", "1,1,1", "--out", str(tmp_path)] + BASE)

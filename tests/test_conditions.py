@@ -900,15 +900,17 @@ def test_search_candidates_equal_standalone_checks(monkeypatch, name):
         assert causes[(2,), (0, 1)] == {}
 
 
-def _stacked_sweep_rows(sys_, frame, samples):
-    """Each sweep of the stack's kernel over all its rows, and the same
-    sweep of a kernel over each row alone: ((values, rights, lefts) at
-    +h and -h, errors) per slot."""
+def _stacked_sweep_rows(sys_, frame, samples, lefts):
+    """Each sweep of a kernel over all the stack's rows, and the same sweep
+    of a kernel over each row alone: ((values, rights, lefts) at +h and -h,
+    errors) per slot; the lefts are None without `lefts`."""
     stack = cond._SampleStack(sys_, samples, cond.FrameMachine(sys_, frame), "auto", 1e-3)
-    kernel = stack.kernel
+    assert stack.kernel.lefts is not sys_.homogeneous
+    kernel = cond._Residuals(stack.machine, stack.kernel.t, stack.kernel.x, stack.kernel.U,
+                             stack.kernel.base, "auto", lefts)
     rows = np.arange(len(kernel.U))
     alone = [cond._Residuals(kernel.machine, kernel.t[[k]], kernel.x[[k]], kernel.U[[k]],
-                             kernel.base.take([k]), "auto") for k in rows]
+                             kernel.base.take([k]), "auto", lefts) for k in rows]
     for slot in range(sys_.n):
         # the stack computes a prefix first and the rest later, as a search does
         kernel.sweep(slot, rows[:len(rows) // 2])
@@ -933,11 +935,14 @@ def test_stacked_sweeps_give_each_row_its_bits_alone(case):
         samples = np.vstack([sys_.sample_points(plan(count=12, seed=5)),
                              [[0.1, 0.2, 0.0, 0.3, 2e-5], [0.1, 0.2, -0.4, 0.1, 1e-5]]])
         frame = "numeric"
-    failed = 0
-    for whole, errors, k, one, one_errors in _stacked_sweep_rows(sys_, frame, samples):
-        for side, one_side in zip(whole, one):
-            for part, one_part in zip(side, one_side):
-                assert np.array_equal(part[k], one_part[0], equal_nan=True)
-        assert type(errors[k]) is type(one_errors[0])
-        failed += errors[k] is not None
-    assert failed
+    for lefts in (True, False):
+        failed = 0
+        for whole, errors, k, one, one_errors in _stacked_sweep_rows(sys_, frame, samples,
+                                                                     lefts):
+            for side, one_side in zip(whole, one):
+                assert (side[2] is None) is (one_side[2] is None) is not lefts
+                for part, one_part in zip(side[:2 + lefts], one_side):
+                    assert np.array_equal(part[k], one_part[0], equal_nan=True)
+            assert type(errors[k]) is type(one_errors[0])
+            failed += errors[k] is not None
+        assert failed

@@ -69,42 +69,40 @@ def fixed_matrix_system(rows, n=None, box=4.0):
 def test_barotropic_spectrum_matches_closed_form():
     sys_ = barotropic(with_hints=False)
     f = eigen.spectrum_at(sys_, 0.0, 0.0, np.array([1.0, 0.0]))
-    np.testing.assert_allclose(sorted(f.values.real), [-S3, S3], rtol=1e-12)
-    assert all(abs(v.imag) < 1e-12 for v in f.values)
+    np.testing.assert_allclose(sorted(f.values[0].real), [-S3, S3], rtol=1e-12)
+    assert all(abs(v.imag) < 1e-12 for v in f.values[0])
     # rights proportional to (1, +-sqrt3): slot order ascending eigenvalue
     for slot, sign in ((0, -1.0), (1, 1.0)):
-        r = f.rights[slot]
+        r = f.rights[0, slot]
         assert abs(r[1] / r[0] - sign * S3) < 1e-10
     # pivot convention: largest component is +1
-    for r in f.rights:
+    for r in f.rights[0]:
         assert np.max(np.abs(r)) == pytest.approx(1.0)
         assert r[np.argmax(np.abs(r))] == pytest.approx(1.0)
     # biorthogonality
-    np.testing.assert_allclose(f.lefts @ f.rights.T, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(f.lefts[0] @ f.rights[0].T, np.eye(2), atol=1e-12)
 
 
 def test_identity_spectrum_single_cluster():
     sys_ = fixed_matrix_system([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     sp = eigen.spectrum_at(sys_, 0, 0, np.zeros(3))
-    assert len(sp.clusters) == 1
-    c = sp.clusters[0]
-    assert c.alg_mult == 3
-    assert sp.kinds == [eigen.KIND_EIGEN] * 3
+    assert sp.signature(0) == ((3, False),)
+    assert sp.mult[0].tolist() == [3, 3, 3]
+    assert sp.kinds[0].tolist() == [eigen.KIND_EIGEN] * 3
     # autovectors span the standard basis
-    np.testing.assert_allclose(np.abs(sp.rights), np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(np.abs(sp.rights[0]), np.eye(3), atol=1e-12)
 
 
 def test_rotation_matrix_complex_pair():
     sys_ = fixed_matrix_system([[0, -1], [1, 0]])
     f = eigen.spectrum_at(sys_, 0, 0, np.zeros(2))
-    assert len(f.clusters) == 1
-    c = f.clusters[0]
-    assert c.is_complex and c.alg_mult == 2
-    lam = c.value
+    assert f.signature(0) == ((2, True),)
+    assert f.cplx[0].all() and f.mult[0].tolist() == [2, 2]
+    lam = f.values[0, 0]
     assert lam.real == pytest.approx(0.0, abs=1e-12)
     assert lam.imag == pytest.approx(1.0, rel=1e-12)
-    assert f.kinds == [eigen.KIND_COMPLEX_RE, eigen.KIND_COMPLEX_IM]
-    r_re, r_im = f.rights
+    assert f.kinds[0].tolist() == [eigen.KIND_COMPLEX_RE, eigen.KIND_COMPLEX_IM]
+    r_re, r_im = f.rights[0]
     np.testing.assert_allclose(r_re, [1.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(r_im, [0.0, -1.0], atol=1e-12)
     # real Jordan pair relations: A r_re = Re(lam) r_re - Im(lam) r_im
@@ -116,9 +114,8 @@ def test_rotation_matrix_complex_pair():
 def test_threadline_two_double_clusters():
     sys_ = threadline()
     sp = eigen.spectrum_at(sys_, 0, 0, np.array([1.0, 0.3, 0.0, 0.1]))
-    assert len(sp.clusters) == 2
-    assert sorted(c.alg_mult for c in sp.clusters) == [2, 2]
-    vals = sorted(c.value.real for c in sp.clusters)
+    assert sp.signature(0) == ((2, False), (2, False))
+    vals = sorted(sp.values[0, [0, 2]].real)
     assert vals[0] == pytest.approx(0.3 - 1.0, rel=1e-9)
     assert vals[1] == pytest.approx(0.3 + 1.0, rel=1e-9)
 
@@ -126,14 +123,14 @@ def test_threadline_two_double_clusters():
 def test_jordan_chain():
     sys_ = fixed_matrix_system([[1, 1], [0, 1]])
     f = eigen.spectrum_at(sys_, 0, 0, np.zeros(2))
-    assert len(f.clusters) == 1
-    assert f.kinds[0] == eigen.KIND_EIGEN
-    assert f.kinds[1] == eigen.generalized_kind(2)
+    assert f.signature(0) == ((2, False),)
+    assert f.kinds[0, 0] == eigen.KIND_EIGEN
+    assert f.kinds[0, 1] == eigen.generalized_kind(2)
     A = np.array([[1.0, 1.0], [0.0, 1.0]])
     B = A - np.eye(2)
-    assert np.linalg.norm(B @ f.rights[0]) < 1e-10
-    assert np.linalg.norm(B @ B @ f.rights[1]) < 1e-10
-    assert np.linalg.norm(B @ f.rights[1]) > 0.5
+    assert np.linalg.norm(B @ f.rights[0, 0]) < 1e-10
+    assert np.linalg.norm(B @ B @ f.rights[0, 1]) < 1e-10
+    assert np.linalg.norm(B @ f.rights[0, 1]) > 0.5
 
 
 def test_ill_conditioned_raises():
@@ -149,10 +146,9 @@ def test_align_sign_flip():
     ref = eigen.spectrum_at(sys_, 0, 0, np.array([1.0, 0.0]))
     raw = eigen.spectrum_at(sys_, 0, 0, np.array([1.0, 0.0]))
     flipped = raw.rights.copy()
-    flipped[0] = -flipped[0]
-    raw2 = eigen.Frame(values=raw.values, rights=flipped,
-                       lefts=np.linalg.inv(flipped.T), kinds=raw.kinds,
-                       clusters=raw.clusters, point=raw.point)
+    flipped[0, 0] = -flipped[0, 0]
+    raw2 = eigen.FrameStack(raw.values, flipped, np.linalg.inv(np.swapaxes(flipped, 1, 2)),
+                            mult=raw.mult, cplx=raw.cplx, kinds=raw.kinds)
     out = eigen.align_frames(ref, raw2)
     np.testing.assert_allclose(out.rights, ref.rights, atol=1e-12)
 
@@ -172,22 +168,20 @@ def test_align_continuity_nearby_points():
     raw = eigen.spectrum_at(sys_, 0, 0, np.array([1.001, 0.0]))
     out = eigen.align_frames(ref, raw)
     for slot in range(2):
-        assert np.linalg.norm(out.rights[slot] - ref.rights[slot]) <= 0.01
+        assert np.linalg.norm(out.rights[0, slot] - ref.rights[0, slot]) <= 0.01
 
 
 def test_align_scale_anchoring_matches_reference_scale():
     # reference r = (1, sqrt3); raw = (-1, -sqrt3) must align to (1, sqrt3)
     def mk(r0):
         rights = np.array([r0, [1.0, -S3]])
-        return eigen.Frame(values=np.array([1.0 + 0j, -1.0 + 0j]), rights=rights,
-                           lefts=np.linalg.inv(rights.T), kinds=[eigen.KIND_EIGEN] * 2,
-                           clusters=[eigen.Cluster(1.0 + 0j, 1, [0]),
-                                     eigen.Cluster(-1.0 + 0j, 1, [1])])
+        return eigen.FrameStack(np.array([[1.0 + 0j, -1.0 + 0j]]), rights[None],
+                                np.linalg.inv(rights.T)[None])
     ref = mk([1.0, S3])
     raw = mk([-1.0, -S3])
     out = eigen.align_frames(ref, raw)
-    np.testing.assert_allclose(out.rights[0], [1.0, S3], rtol=1e-14)
-    np.testing.assert_allclose(out.rights[1], [1.0, -S3], rtol=1e-14)
+    np.testing.assert_allclose(out.rights[0, 0], [1.0, S3], rtol=1e-14)
+    np.testing.assert_allclose(out.rights[0, 1], [1.0, -S3], rtol=1e-14)
 
 
 def test_align_matches_clusters_in_ascending_order():
@@ -198,8 +192,8 @@ def test_align_matches_clusters_in_ascending_order():
                                    "domain": {"a": [-6, 0], "b": [-1, 1]}}))
     ref = eigen.spectrum_at(sys_, 0, 0, np.array([-1.0, 0.0]))
     out = eigen.align_frames(ref, eigen.spectrum_at(sys_, 0, 0, np.array([-5.0, 0.0])))
-    np.testing.assert_array_equal(out.values, [-5.0, -3.0])
-    assert [c.slots for c in out.clusters] == [[0], [1]]
+    np.testing.assert_array_equal(out.values[0], [-5.0, -3.0])
+    assert out.mult[0].tolist() == [1, 1]
     np.testing.assert_array_equal(out.rights, ref.rights)
 
 
@@ -221,7 +215,7 @@ def test_analytic_frame_barotropic_residuals():
         f = field.frame_at(row[0], row[1], row[2:])
         A = sys_.eval_matrix(row[0], row[1], row[2:])
         for slot in range(2):
-            res = np.linalg.norm(A @ f.rights[slot] - f.values[slot].real * f.rights[slot])
+            res = np.linalg.norm(A @ f.rights[0, slot] - f.values[0, slot].real * f.rights[0, slot])
             assert res <= 1e-12 * (1.0 + np.linalg.norm(A))
 
 
@@ -232,8 +226,9 @@ def test_analytic_frame_threadline_residuals():
         f = field.frame_at(row[0], row[1], row[2:])
         A = sys_.eval_matrix(row[0], row[1], row[2:])
         for slot in range(4):
-            res = np.linalg.norm(A @ f.rights[slot] - f.values[slot].real * f.rights[slot])
-            assert res <= 1e-8 * (1.0 + np.linalg.norm(A)) * (1 + np.linalg.norm(f.rights[slot]))
+            r = f.rights[0, slot]
+            res = np.linalg.norm(A @ r - f.values[0, slot].real * r)
+            assert res <= 1e-8 * (1.0 + np.linalg.norm(A)) * (1 + np.linalg.norm(r))
 
 
 def test_analytic_frame_rejects_wrong_hint():
@@ -254,11 +249,13 @@ def test_analytic_frame_rejects_wrong_hint():
 def test_threadline_hinted_cluster_structure():
     sys_ = threadline()
     f = eigen.analytic_frame(sys_, 0, 0, np.array([1.0, 0.3, 0.0, 0.1]))
-    assert len(f.clusters) == 2
-    assert sorted(len(c.slots) for c in f.clusters) == [2, 2]
-    # slots of one multiple eigenvalue are split between hint families 1,2 | 3,4
-    plus = [c for c in f.clusters if c.value.real > 0.3][0]
-    assert plus.slots == [0, 2]
+    # a hinted stack groups no slots: each is its own cluster, and the slots
+    # of one double eigenvalue are split between hint families 1,2 | 3,4
+    assert f.mult.tolist() == [[1, 1, 1, 1]]
+    assert not f.cplx.any()
+    values = f.values[0].real
+    assert values[0] == values[2] == pytest.approx(0.3 + 1.0, rel=1e-9)
+    assert values[1] == values[3] == pytest.approx(0.3 - 1.0, rel=1e-9)
 
 
 # --- perturbation identity ---------------------------------------------------
@@ -272,10 +269,10 @@ def test_eigenvalue_directional_derivative_matches_fd():
         w = rng.normal(size=2)
         base = eigen.spectrum_at(sys_, 0, 0, u)
         for slot in range(2):
-            pred = eigen.eigenvalue_directional_derivative(sys_, base, slot, w)
+            pred = eigen.eigenvalue_directional_derivative(sys_, 0, 0, u, base, slot, w)
             fp = eigen.align_frames(base, eigen.spectrum_at(sys_, 0, 0, u + h * w))
             fm = eigen.align_frames(base, eigen.spectrum_at(sys_, 0, 0, u - h * w))
-            fd = (fp.values[slot].real - fm.values[slot].real) / (2 * h)
+            fd = (fp.values[0, slot].real - fm.values[0, slot].real) / (2 * h)
             assert pred == pytest.approx(fd, rel=1e-5, abs=1e-5)
 
 
@@ -284,8 +281,10 @@ def test_eigenvalue_directional_derivative_at_frame_point():
     # which is 2 * 0.7 * 0.8 = 1.12 at the frame's own x = 0.7
     doc = {"n": 2, "states": ["a", "b"], "A": [["x*a^2", "0"], ["0", "b + 3"]]}
     sys_ = load_system(json.dumps(doc))
-    frame = eigen.spectrum_at(sys_, 0.0, 0.7, np.array([0.8, 0.2]))
-    got = eigen.eigenvalue_directional_derivative(sys_, frame, 0, np.array([1.0, 0.0]))
+    u = np.array([0.8, 0.2])
+    frame = eigen.spectrum_at(sys_, 0.0, 0.7, u)
+    got = eigen.eigenvalue_directional_derivative(sys_, 0.0, 0.7, u, frame, 0,
+                                                  np.array([1.0, 0.0]))
     assert got == pytest.approx(1.12, rel=1e-12)
 
 
@@ -295,9 +294,9 @@ def _rights_or_nan(machine, u, reference):
     aligned to the reference for numeric ones; NaN where that raises."""
     try:
         if machine.field is not None:
-            return machine.field.frame_at(0.0, 0.0, u, check=False).rights
+            return machine.field.frame_at(0.0, 0.0, u, check=False).rights[0]
         raw = eigen.spectrum_at(machine.sys, 0.0, 0.0, u)
-        return eigen.align_frames(reference.frame(0), raw).rights
+        return eigen.align_frames(reference, raw).rights[0]
     except (IllConditioned, MismatchedSignature, HintInconsistent, DomainError):
         return np.full((len(u), len(u)), np.nan)
 
@@ -391,8 +390,8 @@ def test_hinted_stack_keeps_frame_at_error_per_row():
         if kind is None:
             assert err is None
             f = machine.field.frame_at(0.0, x, np.array(u))
-            for got, want in ((base.values[k], f.values), (base.rights[k], f.rights),
-                              (base.lefts[k], f.lefts)):
+            for got, want in ((base.values[k], f.values[0]), (base.rights[k], f.rights[0]),
+                              (base.lefts[k], f.lefts[0])):
                 assert got.tobytes() == want.tobytes()
             continue
         assert type(err) is kind and words in str(err)
@@ -416,9 +415,9 @@ def test_hinted_stack_keeps_frame_at_error_per_row():
                 assert np.isnan(swept.rights[k]).all()
                 continue
             assert swept.errors[k] is None
-            assert swept.rights[k].tobytes() == f.rights.tobytes()
+            assert swept.rights[k].tobytes() == f.rights[0].tobytes()
             if lefts:
-                assert swept.lefts[k].tobytes() == f.lefts.tobytes()
+                assert swept.lefts[k].tobytes() == f.lefts[0].tobytes()
 
 
 # --- the two stages on a stack against one row at a time ----------------------
@@ -460,17 +459,17 @@ def _one_row(call):
 
 
 def _assert_row_is(stack, k, one):
-    """Row k of a stack equals the one-row result `one` (a Frame or the
-    error it raised) bit for bit."""
+    """Row k of a stack equals the one-row result `one` (a one-row stack or
+    the error it raised) bit for bit."""
     if isinstance(one, Exception):
         err = stack.errors[k]
         assert type(err) is type(one) and str(err) == str(one)
         return
-    f = stack.frame(k)
+    f = stack.row(k)
     for got, want in ((f.values, one.values), (f.rights, one.rights), (f.lefts, one.lefts)):
         assert got.tobytes() == want.tobytes()
-    assert f.kinds == one.kinds and f.signature() == one.signature()
-    assert [c.slots for c in f.clusters] == [c.slots for c in one.clusters]
+    assert f.kinds.tolist() == one.kinds.tolist() and f.signature(0) == one.signature(0)
+    assert f.mult.tolist() == one.mult.tolist() and f.cplx.tolist() == one.cplx.tolist()
 
 
 @settings(max_examples=80, deadline=None)
@@ -497,4 +496,4 @@ def test_stacked_stages_equal_one_row_calls(rows, shift):
     out = eigen.aligned(base.take(refs), eigen.spectra(MIXED, t, x, V, lefts=False))
     for k in range(len(rows)):
         _assert_row_is(out, k, _one_row(lambda: eigen.align_frames(
-            base.frame(refs[k]), eigen.spectrum_at(MIXED, 0.0, x[k], V[k]))))
+            base.row(refs[k]), eigen.spectrum_at(MIXED, 0.0, x[k], V[k]))))

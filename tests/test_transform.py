@@ -120,11 +120,11 @@ def test_conjugation_identities(barotropic):
         wT_raw = np.linalg.eigvals(T)
         fA = eigen.spectrum_at(barotropic, t, x, u)
         for slot in range(2):
-            lam = fA.values[slot].real
+            lam = fA.values[0, slot].real
             col = VT[:, int(np.argmin(np.abs(wT_raw - lam)))].real
             back = np.linalg.solve(J, col)
             back = back / back[np.argmax(np.abs(back))]
-            np.testing.assert_allclose(back, fA.rights[slot], atol=1e-6)
+            np.testing.assert_allclose(back, fA.rights[0, slot], atol=1e-6)
 
 
 def test_equivalence_chain_annihilation_implies_off_block():

@@ -335,6 +335,7 @@ def cmd_decouple(args):
     payload = _report_payload(config, {
         "quality": out["quality"],
         "basePoint": out["basePoint"],
+        "slotEigenvalues": out["slotEigenvalues"],
         "blocks": out["blocks"],
         "gridShape": list(out["gridShape"]),
         "partitionReport": report.to_dict(),

@@ -421,20 +421,28 @@ class _Residuals:
                     - Lm @ np.swapaxes(Rm[:, slots], 1, 2)) / h2[:, :, None]
             dL = d_LR - L @ np.stack([self.bracket(b, c, rows)[rows] for c in slots], axis=2)
             live = np.equal(errs, None)
-            rows, LR, psi = rows[live], L[live] @ R[live], L[live] @ g[live]
-            try:
-                sol = np.linalg.solve(LR, psi)
-            except np.linalg.LinAlgError:
-                # a singular L R: find its rows one at a time
-                sol = np.full(psi.shape, np.nan)
-                for j, k in enumerate(rows):
-                    try:
-                        sol[j] = np.linalg.solve(LR[j], psi[j])
-                    except np.linalg.LinAlgError as err:
-                        errors[k] = err
+            rows = rows[live]
+            sol, singular = _solve_rows(L[live] @ R[live], L[live] @ g[live])
+            for j, err in singular.items():
+                errors[rows[j]] = err
             out[rows] = d_psi[live] - (dL[live] @ sol)[:, :, 0]
         return self._item(("source", slots, b), rows, compute,
                           lambda: np.full((len(self.U), len(slots)), np.nan))
+
+
+def _solve_rows(a, b):
+    """np.linalg.solve on stacks a (M, k, k), b (M, k, m); if a matrix is exactly
+    singular, row by row: NaN and {row: LinAlgError} at the singular rows."""
+    try:
+        return np.linalg.solve(a, b), {}
+    except np.linalg.LinAlgError:
+        sol, singular = np.full(b.shape, np.nan), {}
+        for j in range(len(a)):
+            try:
+                sol[j] = np.linalg.solve(a[j], b[j])
+            except np.linalg.LinAlgError as err:
+                singular[j] = err
+        return sol, singular
 
 
 def _at_state(sys_, t, x, u, frame, machine, base, gradient_path, partition=None, **tuples):

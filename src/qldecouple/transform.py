@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exprlang as ex
-from .conditions import FrameMachine, PartitionScheme, _cause
+from .conditions import FrameMachine, PartitionScheme, _cause, _solve_rows
 from .errors import (
     DegenerateSample,
     DomainError,
@@ -380,72 +380,63 @@ def characteristic_flow(sys_: QuasilinearSystem, slot, start, arc_length,
 # numeric construction of the decoupling map
 # ---------------------------------------------------------------------------
 
-def _slice_field(machine, reference, t, x, legs):
-    """Batched field r_slot / (ell . r_slot), legs mapping a level to its
-    (slot, ell), on states that carry their level as a last column (field
-    component 0).  Along it the slice offset ell . (u - base) falls at unit
-    rate whatever the scale or sign of r, so a leg of arc -offset lands on
-    the slice.  Rows where the flow runs within 1e-12 of parallel to the
-    slice, or the frame is rejected, are NaN."""
+def _landing_field(machine, reference, t, x, levels):
+    """Batched field -R_f c with (Ell R_f) c = d, for levels (Ell, flow), on
+    rows (u, level, d): R_f holds the rights of the row's flow slots and Ell
+    the slice covectors of its level.  The offsets Ell . (u - base) then
+    move at the constant rate -d, so with d = eta0 / |eta0| a leg of arc
+    |eta0| lands every offset of a row at once.  A row whose frame is
+    rejected, whose Ell R_f is exactly singular or whose speed |R_f c|
+    exceeds 1e12 is NaN; only the u columns of a row move."""
     def field(V):
-        n = V.shape[1] - 1
+        n = levels[0][0].shape[1]
         rights = machine.frames(t, x, V[:, :n], reference, lefts=False).rights
         out = np.zeros(V.shape)
         # each level's rows as one group keep the bits of the level run alone
-        for level, (slot, ell) in legs.items():
+        for level, (ell, flow) in enumerate(levels):
             g = V[:, n] == level
-            r = rights[g][:, slot]
-            d = r @ ell
-            ok = np.abs(d) > 1e-12 * np.linalg.norm(r, axis=1)
-            out[g, :n] = np.where(ok[:, None], r / np.where(ok, d, 1.0)[:, None], np.nan)
+            Rf = np.swapaxes(rights[g][:, flow], 1, 2)
+            c, _ = _solve_rows(ell @ Rf, V[g, n + 1:n + 1 + len(flow), None])
+            v = (Rf @ c)[:, :, 0]
+            out[g, :n] = np.where((np.linalg.norm(v, axis=1) <= 1e12)[:, None], -v, np.nan)
         return out
     return field
 
 
 def _shoot(machine, base_frame, t, x, start, base_point, levels, work):
-    """Carry the states start (N, n), for each level (Minv, flow), along the
-    flows of the slots in flow, the last rows of Minv, onto the slice where
-    those coordinates of u - base_point vanish.  The levels run as one stack:
-    each shot runs leg q as one batch over the rows still off the slice of
-    every level with a q-th slot.  Returns the landing states (levels, N, n)
-    and the masks (levels, N) of rows that reached the slice and of rows
-    with a leg over its error budget."""
+    """Carry the states start (N, n), for each level (Minv, flow), along
+    _landing_field onto the slice where the coordinates Ell (u - base_point)
+    vanish, Ell the last len(flow) rows of Minv.  Each shot is one batch over
+    the rows of every level still off their slice.  Returns the landing
+    states (levels, N, n) and the masks (levels, N) of rows that reached the
+    slice and of rows with a shot over its error budget."""
     N, n = start.shape
-    ells = [Minv[len(Minv) - len(flow):] for Minv, flow in levels]
+    slices = [(Minv[len(Minv) - len(flow):], flow) for Minv, flow in levels]
+    width = max(len(flow) for _, flow in levels)
+    field = _landing_field(machine, base_frame, t, x, slices)
     cur = np.tile(start, (len(levels), 1))  # level lv holds rows lv * N to (lv + 1) * N
     reached = np.zeros(len(cur), dtype=bool)
     missed = np.zeros(len(cur), dtype=bool)
     active = np.arange(len(cur))
     for _ in range(MAX_SHOTS):
-        for lv, ell in enumerate(ells):
-            rows = active[active // N == lv]
-            eta = (cur[rows] - base_point) @ ell.T
-            reached[rows[np.linalg.norm(eta, axis=1) <= SHOOT_TOL]] = True
-        active = active[~reached[active]]
+        eta = np.zeros((len(active), width))
+        for lv, (ell, _) in enumerate(slices):
+            g = active // N == lv
+            eta[g, :len(ell)] = (cur[active[g]] - base_point) @ ell.T
+        arcs = np.linalg.norm(eta, axis=1)
+        off = arcs > SHOOT_TOL
+        reached[active[~off]] = True
+        active, eta, arcs = active[off], eta[off], arcs[off]
         if not active.size:
             break
         work["shots"] += 1
-        for q in range(max(map(len, ells))):
-            legs, rows, arcs = {}, [], []
-            for lv, ell in enumerate(ells):
-                if q < len(ell):
-                    at = active[active // N == lv]
-                    eta_q = (cur[at] - base_point) @ ell[q]
-                    move = np.abs(eta_q) >= 1e-14
-                    legs[lv] = levels[lv][1][q], ell[q]
-                    rows.append(at[move])
-                    arcs.append(-eta_q[move])
-            rows = np.concatenate(rows)
-            if not rows.size:
-                continue
-            field = _slice_field(machine, base_frame, t, x, legs)
-            end, info = integrate_field(field, np.column_stack([cur[rows], rows // N]),
-                                        np.concatenate(arcs), steps=8)
-            cur[rows] = end[:, :n]
-            work.update(legs=1, fieldCalls=info["fieldCalls"],
-                        fieldEvaluations=info["fieldRows"], steps=info["steps"])
-            missed[rows[info["missed"]]] = True
-            active = active[~np.isin(active, rows[info["failed"]])]
+        V = np.column_stack([cur[active], active // N, eta / arcs[:, None]])
+        end, info = integrate_field(field, V, arcs, steps=8)
+        cur[active] = end[:, :n]
+        work.update(fieldCalls=info["fieldCalls"], fieldEvaluations=info["fieldRows"],
+                    steps=info["steps"])
+        missed[active[info["missed"]]] = True
+        active = active[~info["failed"]]
     shape = (len(levels), N)
     return cur.reshape(shape + (n,)), reached.reshape(shape), (missed & reached).reshape(shape)
 
@@ -456,14 +447,15 @@ def construct_transform_numeric(sys_: QuasilinearSystem, partition: PartitionSch
     """Flow-coordinate construction of the decoupling map on a state grid.
 
     For block level i the annihilating distribution is spanned by the right
-    autovectors of the forbidden blocks.  All admissible grid states are
-    carried together along those flows, each normalized to move its own
-    slice coordinate at unit rate, onto a transversal slice through the base
-    point; the slice coordinates of the landing point provide the block's
-    map components.  Quality gates: the annihilation residual and the
-    determinant of the map's grid-difference Jacobian (_construction_quality).
-    The work done is returned under "work": batched shots and legs, batched
-    field calls, and the field rows and RK4 steps of the shooting legs.
+    autovectors of the forbidden blocks.  All admissible grid states of all
+    levels are shot together along the combination of those flows that moves
+    every slice offset at once (_shoot) onto a transversal slice through the
+    base point; the slice coordinates of the landing point provide the
+    block's map components.  Quality gates: the annihilation residual and
+    the determinant of the map's grid-difference Jacobian
+    (_construction_quality).  "work" holds the batched shots and field
+    calls and the field rows and RK4 steps of the shots; "slotEigenvalues"
+    the real part of each slot's eigenvalue (map column) at the base point.
     """
     n = sys_.n
     partition.validate_for(n)
@@ -484,7 +476,7 @@ def construct_transform_numeric(sys_: QuasilinearSystem, partition: PartitionSch
     points = np.stack([g.ravel() for g in mesh], axis=1)
     admissible = np.flatnonzero(~sys_.is_excluded(t, x, points))
 
-    work = Counter(dict.fromkeys(["shots", "legs", "fieldCalls", "fieldEvaluations", "steps"], 0))
+    work = Counter(dict.fromkeys(["shots", "fieldCalls", "fieldEvaluations", "steps"], 0))
     # slots in block order: each level's columns of M are the slots it keeps,
     # then those it flows along
     col_order = [s for blk in partition.blocks for s in blk]
@@ -498,22 +490,20 @@ def construct_transform_numeric(sys_: QuasilinearSystem, partition: PartitionSch
     land, reached, level_missed = _shoot(machine, base_frame, t, x, points[admissible],
                                          base_point, levels, work)
     flagged, missed = int(np.count_nonzero(~reached)), int(np.count_nonzero(level_missed))
-    H_parts = []
-    lv = 0
+    H_parts, landed = [], iter(zip(land, reached))
     for i, (blk, keep, flow, M, Minv) in enumerate(specs):
         sel = [keep.index(s) for s in blk]
         if not flow:
             # unconstrained block: coordinates in the base frame directions
             H_parts.append(np.linalg.solve(M, (points - base_point).T).T[:, sel])
             continue
-        hit = reached[lv]
-        xi = (land[lv][hit] - base_point) @ Minv[: len(keep)].T
+        ends, hit = next(landed)
+        xi = (ends[hit] - base_point) @ Minv[: len(keep)].T
         vals = np.full((len(points), len(blk)), np.nan)
         vals[admissible[hit]] = xi[:, sel]
         if np.isnan(vals).all():
             raise ShootingFailed(f"no grid state reached the level-{i + 1} slice")
         H_parts.append(vals)
-        lv += 1
 
     H_grid = np.concatenate(H_parts, axis=1)
     # reorder columns to slot order: parts were emitted block by block
@@ -531,6 +521,7 @@ def construct_transform_numeric(sys_: QuasilinearSystem, partition: PartitionSch
         "values": H_grid.reshape(*grid_shape, n),
         "blocks": [list(b) for b in partition.blocks],
         "basePoint": base_point.tolist(),
+        "slotEigenvalues": base_frame.values[0].real.tolist(),
         "quality": quality,
         "work": dict(work),
     }

@@ -320,13 +320,47 @@ def test_decouple_runs_and_writes_grid(tmp_path, capsys):
     assert payload["report"]["quality"]["gridAnnihilationMax"] <= 1e-12
     assert payload["report"]["quality"]["toleranceMissed"] == 0
     assert payload["report"]["quality"]["gridCellsSkipped"] == 0
-    # both levels shoot as one batch: one shot of one leg, 8 RK4 steps
-    # (11 field calls each) for the 2 x 64 grid rows
+    # both levels shoot as one batch: one shot, 8 RK4 steps (11 field calls
+    # each) for the 2 x 64 grid rows
     work = payload["timing"]["construct"]
-    assert sorted(work) == ["fieldCalls", "fieldEvaluations", "legs", "shots", "steps"]
-    assert (work["shots"], work["legs"]) == (1, 1)
+    assert sorted(work) == ["fieldCalls", "fieldEvaluations", "shots", "steps"]
+    assert work["shots"] == 1
     assert (work["steps"], work["fieldEvaluations"]) == (8 * 128, 11 * 8 * 128)
     assert work["fieldCalls"] == 11 * 8
+
+
+@pytest.mark.parametrize("frame, sign", [("auto", 1.0), ("numeric", -1.0)])
+def test_decouple_names_the_eigenvalue_of_each_map_column(tmp_path, capsys, frame, sign):
+    # hinted frames follow the hint (slot 0 is v + sqrt(3) rho), numeric
+    # frames ascend; at the base (1, 0) the slot eigenvalues are +-sqrt(3),
+    # and H1 is a monotone function of the Riemann invariant v + s sqrt(3) rho
+    # with s the sign of the first one
+    code = run(["decouple", "--model", "barotropic", "--pressure", "p0*rho^3",
+                "--param", "p0=1", "--partition", "1,1", "--mode", "full",
+                "--base-point", "1.0,0.0", "--grid", "5", "--frame", frame,
+                "--out", str(tmp_path)] + BASE)
+    payload, path = read_report(capsys)
+    assert code == 0
+    s3 = np.sqrt(3.0)
+    assert payload["report"]["slotEigenvalues"] == pytest.approx([sign * s3, -sign * s3],
+                                                                  abs=1e-12)
+    grid = np.loadtxt(os.path.join(os.path.dirname(path), "transform_grid.csv"),
+                      delimiter=",", skiprows=1)
+    invariant = grid[:, 1] + sign * s3 * grid[:, 0]
+    h1 = grid[np.argsort(invariant, kind="stable"), 2]
+    steps = np.diff(h1)[np.diff(np.sort(invariant)) > 1e-9]
+    assert (steps > 0).all() or (steps < 0).all()
+
+
+def test_decouple_lands_threadline_levels_in_one_shot(tmp_path, capsys):
+    # each threadline 2,2 level flows along two slots; one leg along their
+    # combination lands both slice offsets at once, where legs along one
+    # slot after the other took 35 shots
+    code = run(["decouple", "--model", "threadline", "--param", "k=1", "--partition", "2,2",
+                "--base-point", "1.0,0.1,0.2,0.1", "--grid", "3", "--out", str(tmp_path)])
+    payload, _ = read_report(capsys)
+    assert code == 0
+    assert payload["timing"]["construct"]["shots"] == 1
 
 
 @pytest.mark.parametrize("frame", ["auto", "numeric"])

@@ -508,26 +508,63 @@ def test_shoot_levels_together_match_each_level_alone(name, frame):
         assert reached[lv].any()
     assert work["fieldEvaluations"] == alone["fieldEvaluations"]
     assert work["steps"] == alone["steps"]
-    assert work["legs"] < alone["legs"] and work["shots"] < alone["shots"]
+    assert work["shots"] < alone["shots"]
     assert work["fieldCalls"] < alone["fieldCalls"]
+
+
+class _TableFrames:
+    """A frame machine stub: the rights of row k are table[int(U[k, 0])]."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def frames(self, t, x, U, reference=None, lefts=True):
+        return eigen.FrameStack(np.zeros(U.shape, dtype=complex),
+                                self.table[U[:, 0].astype(int)], None)
+
+
+def test_landing_field_gates_parallel_rows_and_lands_every_offset():
+    # level 0 flows along slot 2, level 1 along slots 1 and 2; rows are
+    # (u, level, d) with u_0 naming the row's rights
+    ell0 = np.array([[0.0, 0.0, 1.0]])
+    ell1 = np.array([[0.2, 1.0, -0.3], [0.1, 0.4, 1.0]])
+    table = np.stack([np.array([[1.0, 0.0, 0.0], [0.3, 0.9, -0.2], [0.5, -0.4, 1.1]])] * 4)
+    table[1, 2] = [1.0, 2.0, 0.0]    # exactly parallel to the level-0 slice
+    table[2, 2] = [1.0, 0.0, 1e-13]  # ell0 . r = 1e-13 |r|
+    table[3] = np.nan                # a rejected frame
+    field = transform._landing_field(_TableFrames(table), None, 0.0, 0.0,
+                                     [(ell0, [2]), (ell1, [1, 2])])
+    V = np.array([[0, 0.3, 0.1, 0, 1.0, 0.0],
+                  [1, 0.3, 0.1, 0, 1.0, 0.0],
+                  [2, 0.3, 0.1, 0, -1.0, 0.0],
+                  [0, 0.3, 0.1, 0, -1.0, 0.0],
+                  [0, 0.3, 0.1, 1, 0.6, -0.8],
+                  [3, 0.3, 0.1, 1, 0.6, -0.8],
+                  [2, 0.3, 0.1, 1, -0.8, 0.6]])
+    out = field(V)
+    assert np.isnan(out[[1, 2, 5], :3]).all()
+    for k, ell in [(0, ell0), (3, ell0), (4, ell1), (6, ell1)]:
+        assert np.isfinite(out[k]).all()
+        np.testing.assert_allclose(ell @ out[k, :3], -V[k, 4:4 + len(ell)], rtol=0, atol=1e-12)
+    assert not out[:, 3:].any()
 
 
 @pytest.mark.parametrize("broken, level", [({1}, 2), ({0, 1}, 1)])
 def test_shooting_failed_names_first_level_without_landing(barotropic, monkeypatch,
                                                            broken, level):
     # a flow field undefined on every row of a level lands none of its states
-    slice_field = transform._slice_field
+    landing_field = transform._landing_field
 
     def failing(*args):
-        field = slice_field(*args)
+        field = landing_field(*args)
 
         def fn(V):
             out = field(V)
-            out[np.isin(V[:, -1], list(broken)), :-1] = np.nan
+            out[np.isin(V[:, 2], list(broken)), :2] = np.nan
             return out
         return fn
 
-    monkeypatch.setattr(transform, "_slice_field", failing)
+    monkeypatch.setattr(transform, "_landing_field", failing)
     p = cond.PartitionScheme([[0], [1]], "full")
     with pytest.raises(ShootingFailed) as exc:
         transform.construct_transform_numeric(barotropic, p, np.array([1.0, 0.0]), (4, 4))

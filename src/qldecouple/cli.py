@@ -367,7 +367,7 @@ def cmd_simulate(args):
     if doc and "decoupledHint" in doc and "transform" in sys_.hints:
         dec = models.decoupled_system(doc)
         at_initial = dict(zip(sys_.states, initial))
-        U0 = [ex.substitute(h, at_initial) for h in sys_.hints["transform"]]
+        U0 = ex.substitute(sys_.hints["transform"], at_initial)
         sizes = [len(b) for b in dec.hints["partition"]["blocks"]] \
             if "partition" in dec.hints else [dec.n]
         hier = hypsolve.solve_hierarchical(dec, sizes, U0, args.cells, args.t_end,

@@ -15,10 +15,15 @@ to constant (rational) values so differentiation stays exact.
 
 Expressions are immutable and interned: building a node equal to a live one
 returns that node, so identical subtrees are one object and a dict keyed by
-nodes hashes no trees.  `differentiate` takes a list of entries and
-differentiates each distinct node once across them.  `compile_expression`
-turns a list of entries (a whole coefficient) into one generated function
-that computes each distinct subtree once, into a local.
+nodes hashes no trees.  The walks cost what the graph costs, not what its
+tree expansion costs: `differentiate`, `substitute`, `free_symbols` and
+`to_string` visit each distinct node once per call, and `differentiate` and
+`substitute` take a list of entries and visit each node once across them.
+`compile_expression` turns a list of entries (a whole coefficient) into one
+generated function that computes each distinct subtree once.  A node gets a
+local when it roots an entry or is used more than once; a node used once is
+written inline inside its parent's expression, up to INLINE_DEPTH levels of
+nesting, past which it gets a local again.
 """
 
 from __future__ import annotations
@@ -119,6 +124,11 @@ class Bin(Expr):
     __slots__ = ("op", "a", "b")
 
 
+# held for the life of the process: the folds and the differentiator make
+# these constants most often
+_ZERO, _ONE, _TWO = Const(0.0), Const(1.0), Const(2.0)
+
+
 def _coerce(x):
     if isinstance(x, Expr):
         return x
@@ -129,69 +139,70 @@ def _coerce(x):
 # folding constructors: constant arithmetic and 0/1 identities only
 # ---------------------------------------------------------------------------
 
-def _is_const(e, value=None):
-    if not isinstance(e, Const):
-        return False
-    return value is None or e.value == value
-
-
 def fold_add(a, b):
-    if _is_const(a) and _is_const(b):
-        return Const(a.value + b.value)
-    if _is_const(a, 0.0):
-        return b
-    if _is_const(b, 0.0):
+    if type(a) is Const:
+        if type(b) is Const:
+            return Const(a.value + b.value)
+        if a.value == 0.0:
+            return b
+    elif type(b) is Const and b.value == 0.0:
         return a
     return Bin("+", a, b)
 
 
 def fold_sub(a, b):
-    if _is_const(a) and _is_const(b):
-        return Const(a.value - b.value)
-    if _is_const(b, 0.0):
-        return a
-    if _is_const(a, 0.0):
+    if type(b) is Const:
+        if type(a) is Const:
+            return Const(a.value - b.value)
+        if b.value == 0.0:
+            return a
+    elif type(a) is Const and a.value == 0.0:
         return fold_neg(b)
     return Bin("-", a, b)
 
 
 def fold_mul(a, b):
-    if _is_const(a) and _is_const(b):
-        return Const(a.value * b.value)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return Const(0.0)
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
+    if type(a) is Const:
+        if type(b) is Const:
+            return Const(a.value * b.value)
+        if a.value == 0.0:
+            return _ZERO
+        if a.value == 1.0:
+            return b
+    elif type(b) is Const:
+        if b.value == 0.0:
+            return _ZERO
+        if b.value == 1.0:
+            return a
     return Bin("*", a, b)
 
 
 def fold_div(a, b):
-    if _is_const(b) and b.value != 0.0:
-        if _is_const(a):
+    b_const = type(b) is Const
+    if b_const and b.value != 0.0:
+        if type(a) is Const:
             return Const(a.value / b.value)
         if b.value == 1.0:
             return a
-    if _is_const(a, 0.0) and not _is_const(b, 0.0):
-        return Const(0.0)
+    if type(a) is Const and a.value == 0.0 and not (b_const and b.value == 0.0):
+        return _ZERO
     return Bin("/", a, b)
 
 
 def fold_pow(a, b):
-    if not isinstance(b, Const):
+    if type(b) is not Const:
         raise ParseError("exponent must be a constant")
     if b.value == 0.0:
-        return Const(1.0)
+        return _ONE
     if b.value == 1.0:
         return a
-    if _is_const(a):
+    if type(a) is Const:
         return Const(_pow_value(a.value, b.value, None))
     return Bin("^", a, b)
 
 
 def fold_neg(a):
-    if _is_const(a):
+    if type(a) is Const:
         return Const(-a.value)
     return Un("neg", a)
 
@@ -393,19 +404,19 @@ def differentiate(exprs, var: str):
     memo = {}
 
     def d(e):
-        if e in memo:
-            return memo[e]
-        out = None
+        out = memo.get(e)
+        if out is not None:
+            return out
         if isinstance(e, Const):
-            out = Const(0.0)
+            out = _ZERO
         elif isinstance(e, Sym):
-            out = Const(1.0) if e.name == var else Const(0.0)
+            out = _ONE if e.name == var else _ZERO
         elif isinstance(e, Un):
             da = d(e.a)
             if e.op == "neg":
                 out = fold_neg(da)
             elif e.op == "sqrt":
-                out = fold_div(da, fold_mul(Const(2.0), Un("sqrt", e.a)))
+                out = fold_div(da, fold_mul(_TWO, Un("sqrt", e.a)))
             elif e.op == "exp":
                 out = fold_mul(da, e)
             elif e.op == "log":
@@ -430,7 +441,7 @@ def differentiate(exprs, var: str):
                 out = fold_add(fold_mul(da, e.b), fold_mul(e.a, db))
             elif e.op == "/":
                 num = fold_sub(fold_mul(da, e.b), fold_mul(e.a, db))
-                out = fold_div(num, fold_pow(e.b, Const(2.0)))
+                out = fold_div(num, fold_pow(e.b, _TWO))
         if out is None:
             raise TypeError(f"not an expression node: {e!r}")
         memo[e] = out
@@ -443,20 +454,66 @@ def differentiate(exprs, var: str):
 # utilities: free symbols, substitution, printing, compilation
 # ---------------------------------------------------------------------------
 
+def use_counts(exprs) -> dict:
+    """Uses of each distinct node of one expression or a list of entries:
+    one per entry it roots and one per reference from a distinct parent
+    node (two for x*x).  The dict lists each node after its children."""
+    counts = {}
+
+    def visit(e):
+        if e in counts:
+            counts[e] += 1
+            return
+        if type(e) is Bin:
+            visit(e.a)
+            visit(e.b)
+        elif type(e) is Un:
+            visit(e.a)
+        counts[e] = 1
+
+    for e in [exprs] if isinstance(exprs, Expr) else exprs:
+        visit(e)
+    return counts
+
+
 def free_symbols(e: Expr) -> set:
-    if isinstance(e, Const):
-        return set()
-    if isinstance(e, Sym):
-        return {e.name}
-    if isinstance(e, Un):
-        return free_symbols(e.a)
-    return free_symbols(e.a) | free_symbols(e.b)
+    """Names of the symbols of e, each distinct node visited once."""
+    seen, names, todo = set(), set(), [e]
+    while todo:
+        e = todo.pop()
+        if e in seen:
+            continue
+        seen.add(e)
+        if isinstance(e, Sym):
+            names.add(e.name)
+        elif isinstance(e, Un):
+            todo.append(e.a)
+        elif isinstance(e, Bin):
+            todo += (e.a, e.b)
+    return names
 
 
-def substitute(e: Expr, mapping) -> Expr:
-    """Replace symbols by expressions (or numbers); folds constants.  A fold
-    of finite constants that overflows, or gives inf or nan, raises
-    ParseError."""
+_FOLDERS = {"+": fold_add, "-": fold_sub, "*": fold_mul, "/": fold_div, "^": fold_pow}
+
+
+def substitute(exprs, mapping):
+    """Replace symbols by expressions (or numbers) in one expression or in
+    each entry of a list; folds constants.  Each distinct node is rebuilt
+    once across all the entries.  A fold of finite constants that
+    overflows, or gives inf or nan, raises ParseError."""
+    memo = {}
+
+    def sub(e):
+        out = memo.get(e)
+        if out is None:
+            out = memo[e] = _substitute_node(e, sub, mapping)
+        return out
+
+    return sub(exprs) if isinstance(exprs, Expr) else [sub(e) for e in exprs]
+
+
+def _substitute_node(e, sub, mapping):
+    """e rebuilt from its children's substitutions sub(child)."""
     if isinstance(e, Const):
         return e
     if isinstance(e, Sym):
@@ -464,7 +521,7 @@ def substitute(e: Expr, mapping) -> Expr:
             return _coerce(mapping[e.name])
         return e
     if isinstance(e, Un):
-        a = substitute(e.a, mapping)
+        a = sub(e.a)
         if e.op == "neg":
             return fold_neg(a)
         if isinstance(a, Const):
@@ -475,11 +532,9 @@ def substitute(e: Expr, mapping) -> Expr:
             except OverflowError:
                 raise ParseError(f"constant out of range: {to_string(Un(e.op, a))}") from None
         return Un(e.op, a)
-    a = substitute(e.a, mapping)
-    b = substitute(e.b, mapping)
-    folder = {"+": fold_add, "-": fold_sub, "*": fold_mul, "/": fold_div, "^": fold_pow}[e.op]
+    a, b = sub(e.a), sub(e.b)
     try:
-        out = folder(a, b)
+        out = _FOLDERS[e.op](a, b)
     except (DomainError, ZeroDivisionError):
         return Bin(e.op, a, b)
     except OverflowError:
@@ -490,6 +545,8 @@ def substitute(e: Expr, mapping) -> Expr:
     return out
 
 
+# binding strength of the printed operators, the same in Python for all
+# but "^", which the generated code writes as a call
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 2.5, "^": 3}
 
 
@@ -509,37 +566,44 @@ def _fmt_const(v):
     return repr(v)
 
 
-def to_string(e: Expr) -> str:
-    """Infix form that parses back to an evaluation-equivalent tree."""
-    if isinstance(e, Const):
-        return _fmt_const(e.value)
-    if isinstance(e, Sym):
-        return e.name
-    if isinstance(e, Un):
-        if e.op == "neg":
-            inner = to_string(e.a)
-            if _prec(e.a) < 2.5:
-                inner = f"({inner})"
-            return f"-{inner}"
-        return f"{e.op}({to_string(e.a)})"
-    a, b = to_string(e.a), to_string(e.b)
-    if _prec(e.a) < _PREC[e.op]:
-        a = f"({a})"
-    # left-associative tiers: parenthesize right child at equal precedence
-    if _prec(e.b) <= _PREC[e.op]:
-        b = f"({b})"
-    return f"{a} {e.op} {b}" if e.op in "+-" else f"{a}{e.op}{b}"
+def to_string(e: Expr, names=None) -> str:
+    """Infix form that parses back to an evaluation-equivalent tree.  Each
+    distinct node is printed once per call.  `names` maps nodes to the names
+    that stand for them below the top node (a document's definitions)."""
+    names = names or {}
+    memo = {}
+
+    def operand(c, parens):
+        """The text of child c, in parentheses when `parens` and c is not
+        printed as a name."""
+        if c in names:
+            return names[c]
+        text = memo.get(c)
+        if text is None:
+            text = memo[c] = show(c)
+        return f"({text})" if parens else text
+
+    def show(e):
+        if isinstance(e, Const):
+            return _fmt_const(e.value)
+        if isinstance(e, Sym):
+            return e.name
+        if isinstance(e, Un):
+            if e.op == "neg":
+                return "-" + operand(e.a, _prec(e.a) < 2.5)
+            return f"{e.op}({operand(e.a, False)})"
+        a = operand(e.a, _prec(e.a) < _PREC[e.op])
+        # left-associative tiers: parenthesize right child at equal precedence
+        b = operand(e.b, _prec(e.b) <= _PREC[e.op])
+        return f"{a} {e.op} {b}" if e.op in "+-" else f"{a}{e.op}{b}"
+
+    return show(e)
 
 
-_UN_NP = {
-    "neg": "(-({0}))",
-    "sqrt": "np.sqrt({0})",
-    "exp": "np.exp({0})",
-    "log": "np.log({0})",
-    "sin": "np.sin({0})",
-    "cos": "np.cos({0})",
-    "abs": "np.abs({0})",
-}
+# Levels of nodes an inline expression may nest before the node gets a
+# local; a level adds at most one pair of parentheses, and CPython rejects
+# more than 200 nested ones.
+INLINE_DEPTH = 32
 
 
 def _pow(base, expo):
@@ -555,41 +619,72 @@ def compile_expression(exprs, arg_order):
     """Compile one expression to a positional callable over floats or numpy
     arrays, or a list of expressions to one callable returning the tuple of
     their values.  The generated function computes each distinct subtree
-    once, into a local, so every entry runs the float operations it would
-    run alone, in the same order.
+    once, so every entry runs the float operations it would run alone, on
+    the same operands.
+
+    A node gets a local when it roots an entry, is used more than once
+    (use_counts) or reads no argument; any other node is written inline
+    inside its parent's expression, and gets a local again where inlining
+    would nest deeper than INLINE_DEPTH.  Symbol-free nodes run on Python
+    floats, which raise on division by zero or overflow; as locals they
+    raise in the order of a post-order walk over the entries.
 
     The compiled form follows IEEE semantics (nan/inf instead of DomainError);
     callers check finiteness and fall back to `evaluate` for diagnostics.
     """
     names = {name: f"_a{i}" for i, name in enumerate(arg_order)}
+    roots = [exprs] if isinstance(exprs, Expr) else list(exprs)
+    counts = use_counts(roots)
+    for e in roots:
+        counts[e] += 1  # a root always gets a local
     lines, refs, missing = [], {}, set()
 
     def ref(e):
-        """The literal, argument or local holding the value of node e."""
-        if e not in refs:
-            if isinstance(e, Const):
-                # repr(inf) and repr(nan) are names the generated code lacks
-                refs[e] = f"({e.value!r})" if math.isfinite(e.value) else f"float('{e.value!r}')"
-            elif isinstance(e, Sym):
-                if e.name not in names:
-                    missing.add(e.name)
-                refs[e] = names.get(e.name, "")
+        """(code, prec, depth, live) for node e: a literal, argument or local
+        with depth 0, or its inline expression nested `depth` levels deep;
+        prec is its precedence in Python (as _PREC, 4 for atoms), and live
+        tells whether it reads an argument."""
+        hit = refs.get(e)
+        if hit is not None:
+            return hit
+        if type(e) is Bin:
+            a, prec_a, depth, live = ref(e.a)
+            b, prec_b, depth_b, live_b = ref(e.b)
+            if e.op == "^":
+                code, prec = f"_pow({a}, {b})", 4
             else:
-                if isinstance(e, Un):
-                    code = _UN_NP[e.op].format(ref(e.a))
-                elif e.op == "^":
-                    code = f"_pow({ref(e.a)}, {ref(e.b)})"
-                else:
-                    code = f"({ref(e.a)}{e.op}{ref(e.b)})"
-                refs[e] = f"_t{len(lines)}"
-                lines.append(f"    {refs[e]} = {code}\n")
-        return refs[e]
+                # left-associative tiers: a right child of equal precedence
+                # keeps its parentheses, and so its order of operations
+                prec = _PREC[e.op]
+                code = (f"({a})" if prec_a < prec else a) + e.op + (f"({b})" if prec_b <= prec else b)
+            depth, live = max(depth, depth_b) + 1, live or live_b
+        elif type(e) is Un:
+            a, prec_a, depth, live = ref(e.a)
+            if e.op == "neg":
+                code, prec = "-" + (f"({a})" if prec_a < _PREC["neg"] else a), _PREC["neg"]
+            else:
+                code, prec = f"np.{e.op}({a})", 4
+            depth += 1
+        elif type(e) is Sym:
+            if e.name not in names:
+                missing.add(e.name)
+            hit = refs[e] = (names.get(e.name, ""), 4, 0, True)
+            return hit
+        else:
+            # repr(inf) and repr(nan) are names the generated code lacks
+            code = repr(e.value) if math.isfinite(e.value) else f"float('{e.value!r}')"
+            hit = refs[e] = (code, _PREC["neg"] if code[0] == "-" else 4, 0, False)
+            return hit
+        if live and depth <= INLINE_DEPTH and counts[e] == 1:
+            return code, prec, depth, live
+        hit = refs[e] = (f"_t{len(lines)}", 4, 0, live)
+        lines.append(f"    {hit[0]} = {code}\n")
+        return hit
 
-    single = isinstance(exprs, Expr)
-    values = [f"{ref(e)} + _z" for e in ([exprs] if single else exprs)]
+    values = [f"{ref(e)[0]} + _z" for e in roots]
     if missing:
         raise UnknownSymbol(sorted(missing)[0])
-    result = values[0] if single else "(" + "".join(v + ", " for v in values) + ")"
+    result = values[0] if isinstance(exprs, Expr) else "(" + "".join(v + ", " for v in values) + ")"
     args = list(names.values())
     src = (f"def _fn({', '.join(args)}):\n    _z = 0.0*({'+'.join(args) or '0'})\n"
            + "".join(lines) + f"    return {result}\n")

@@ -80,7 +80,7 @@ def _initial_values(sys_, initial, x):
     binding = {"pi": np.pi, **sys_.parameters}
     exprs = [text if isinstance(text, ex.Expr) else ex.parse(str(text), symbols)
              for text in initial]
-    fn = ex.compile_expression([ex.substitute(e, binding) for e in exprs], ["x"])
+    fn = ex.compile_expression(ex.substitute(exprs, binding), ["x"])
     return np.array(fn(x))
 
 
@@ -143,17 +143,18 @@ def _scaled_2x2(A):
     return s, (a, b, c, d), 0.5 * (a + d), np.sqrt(np.where(safe, disc, 0.0)), safe
 
 
-def _block_speeds(A, work):
+def _block_speeds(A, work, scaled):
     """The eigenvalues of a block stack that hold its largest |lambda| and
     any complex one: a 1x1 block's entries; for a 2x2 block whose cells are
     all safely real, eigvals of the cells whose closed-form speed lies within
     SPEED_MARGIN of the largest (eigvals gives each matrix its own bits);
-    else, or when those come back complex, eigvals of the whole block."""
+    else, or when those come back complex, eigvals of the whole block.  The
+    _scaled_2x2 stack of a 2x2 block is `scaled`."""
     m = A.shape[-1]
     if m == 1:
         return A.ravel()
     if m == 2:
-        s, _, mean, root, safe = _scaled_2x2(A)
+        s, _, mean, root, safe = scaled
         if safe.all():
             est = s * (np.abs(mean) + root)
             near = est >= (1.0 - SPEED_MARGIN) * est.max()
@@ -165,14 +166,22 @@ def _block_speeds(A, work):
     return np.linalg.eigvals(A).ravel()
 
 
-def _max_speed(A, work):
+def _max_speed(A, work, scaled=None):
     """The CFL speed max |lambda| and its NonHyperbolic decision, one test
     over the union of the spectra of A's diagonal blocks (_block_speeds), A
-    cut at every r where A[:, :r, r:] is exactly zero in every cell."""
+    cut at every r where A[:, :r, r:] is exactly zero in every cell.  The
+    _scaled_2x2 stack of each 2x2 block (r0, r1) goes into the dict
+    `scaled`, for _pairs to reuse."""
     n = A.shape[-1]
     cuts = [0] + [r for r in range(1, n) if not A[:, :r, r:].any()] + [n]
-    return _real_max(np.concatenate([_block_speeds(A[:, r0:r1, r0:r1], work)
-                                     for r0, r1 in zip(cuts[:-1], cuts[1:])]))
+    scaled = {} if scaled is None else scaled
+    speeds = []
+    for r0, r1 in zip(cuts[:-1], cuts[1:]):
+        block = A[:, r0:r1, r0:r1]
+        if r1 - r0 == 2:
+            scaled[r0, r1] = _scaled_2x2(block)
+        speeds.append(_block_speeds(block, work, scaled.get((r0, r1))))
+    return _real_max(np.concatenate(speeds))
 
 
 def _eig_pairs(A, work, cells=None):
@@ -195,12 +204,13 @@ def _real_pairs(lam, V, cells=None):
                             f"{k if cells is None else cells[k]}") from None
 
 
-def _pairs(A, work):
+def _pairs(A, work, scaled=None):
     """Upwind pairs (lam, V, L = V^-1) of a block stack: (a, 1, 1) for 1x1
     blocks; closed form for the safely real cells of 2x2 blocks, where each
     eigenvector is the larger of the null vectors (b, lam - a) and
     (lam - d, c) of the two rows of A - lam I, and eig + inv for the other
-    cells; eig + inv for larger blocks."""
+    cells; eig + inv for larger blocks.  `scaled` is the 2x2 block's
+    _scaled_2x2 stack when the caller has it."""
     m = A.shape[-1]
     if m == 1:
         work["closedFormCells"] += len(A)
@@ -208,7 +218,7 @@ def _pairs(A, work):
         return A[:, :, 0], one, one
     if m > 2:
         return _eig_pairs(A, work)
-    s, (a, b, c, d), mean, root, safe = _scaled_2x2(A)
+    s, (a, b, c, d), mean, root, safe = scaled or _scaled_2x2(A)
     lam = np.stack([mean + root, mean - root], axis=1)            # (N, 2) of A/s
     la, ld = lam - a[:, None], lam - d[:, None]
     b, c = np.broadcast_to(b[:, None], la.shape), np.broadcast_to(c[:, None], la.shape)
@@ -294,7 +304,8 @@ def _march(sys_, sizes, initial, n_cells, t_end, scheme, cfl, boundary, t0):
             work["eigCells"] += len(A)
             lam_max = _real_max(lam)
         else:
-            lam_max = _max_speed(A, work)
+            scaled = {}
+            lam_max = _max_speed(A, work, scaled)
         dt = t_end - t if lam_max == 0.0 else min(cfl * dx / lam_max, t_end - t)
         if dt <= 0:
             break
@@ -314,7 +325,7 @@ def _march(sys_, sizes, initial, n_cells, t_end, scheme, cfl, boundary, t0):
             elif full_eig:
                 pairs = _real_pairs(lam, V)
             else:
-                pairs = _pairs(Ab, work)
+                pairs = _pairs(Ab, work, scaled.get((r0, r1)))
             new[r0:r1] = _block_update(U[r0:r1], Up[r0:r1], Um[r0:r1], Ab, pairs, rhs,
                                        dt, dx, scheme)
         U = new

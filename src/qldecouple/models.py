@@ -366,29 +366,50 @@ def build_synthetic_triangular(seed, n, block_sizes, with_source=False,
     raise RetryExhausted(f"no valid synthetic construction after {max_retries} tries")
 
 
+def _shared_definitions(rows):
+    """Names d1, d2, ... (zero-padded, so that sorted keys keep their order)
+    for every inner node used at least twice in the rows of entries, each
+    after the nodes it uses, and their definitions' texts."""
+    counts = ex.use_counts([e for row in rows for e in row])
+    shared = [e for e, k in counts.items() if k > 1 and isinstance(e, (ex.Un, ex.Bin))]
+    width = len(str(len(shared)))
+    names = {e: f"d{i:0{width}d}" for i, e in enumerate(shared, 1)}
+    return names, {names[e]: ex.to_string(e, names) for e in shared}
+
+
 def emit_synthetic_document(seed, n, block_sizes, with_source=False,
                             off_block_defect=0.0):
     """Printable conjugated model JSON, written as
-    (grad H) u_t + (T(H) grad H) u_x = g_T(H) under `"normalize": true`."""
+    (grad H) u_t + (T(H) grad H) u_x = g_T(H) under `"normalize": true`.
+    Every inner node of A0, A and g used at least twice is written once, as
+    a definition; the names d1, d2, ... cannot clash with the states u1, u2,
+    ..., t, x or a function."""
     tri, maps, entry = build_synthetic_triangular(seed, n, block_sizes,
                                                   with_source, off_block_defect)
     conj = conjugate_system(tri, maps["h"], maps["H"],
                             entry.extras["u_names"],
                             {nm: entry.system.domain[nm] for nm in entry.extras["u_names"]},
                             symbolic=True)
+    rows = conj.a0 + conj.a + ([] if tri.homogeneous else [conj.g])
+    names, definitions = _shared_definitions(rows)
+
+    def text(e):
+        return names.get(e) or ex.to_string(e, names)
+
     doc = {
         "n": n,
         "states": entry.extras["u_names"],
         "normalize": True,
-        "A0": [[_s(e) for e in row] for row in conj.a0],
-        "A": [[_s(e) for e in row] for row in conj.a],
+        "definitions": definitions,
+        "A0": [[text(e) for e in row] for row in conj.a0],
+        "A": [[text(e) for e in row] for row in conj.a],
         "domain": {nm: list(entry.system.domain[nm]) for nm in entry.extras["u_names"]},
         "partitionHint": {"blocks": entry.extras["blocks"], "mode": "partial"},
         "transformHint": [_s(e) for e in maps["H"]],
         "inverseHint": [_s(e) for e in maps["h"]],
     }
     if not tri.homogeneous:
-        doc["g"] = [_s(e) for e in conj.g]
+        doc["g"] = [text(e) for e in conj.g]
     return doc
 
 

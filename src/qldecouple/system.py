@@ -408,6 +408,27 @@ def _number(value, where):
         raise SchemaError(f"{where} must be a number") from None
 
 
+def _definitions(defs, symbols, subs):
+    """Parse each definition once, in order, over `symbols` and the names
+    before it, substituting `subs` and the earlier definitions; returns the
+    nodes by name."""
+    _require(isinstance(defs, dict), "definitions must be an object")
+    names, subs = {}, dict(subs)
+    for name, text in defs.items():
+        _require(ex._NAME.fullmatch(name) is not None,
+                 f"definition name '{name}' is not a NAME of the grammar")
+        _require(name not in symbols and name not in ex.FUNCTIONS,
+                 f"definition '{name}' shadows a state, parameter, t, x or function")
+        try:
+            node = _parse_entry(text, symbols | set(names), f"definitions['{name}']")
+        except UnknownSymbol as err:
+            _require(err.name not in defs, f"definition '{name}' uses '{err.name}', "
+                     "which is not defined before it")
+            raise
+        names[name] = subs[name] = ex.substitute(node, subs)
+    return names
+
+
 def load_system(document: str | dict, name="model") -> QuasilinearSystem:
     """Validate and build a system from a model JSON document."""
     doc = json.loads(document) if isinstance(document, str) else document
@@ -427,29 +448,33 @@ def load_system(document: str | dict, name="model") -> QuasilinearSystem:
 
     symbols = set(INDEPENDENT) | set(states) | set(params)
     subs = {k: _number(v, f"parameter '{k}'") for k, v in params.items()}
+    # coefficient, exclusion and autovector entries may also use definitions
+    definitions = _definitions(doc.get("definitions", {}), symbols, subs)
+    terms, term_subs = symbols | set(definitions), {**subs, **definitions}
+
+    def entry(text, where):
+        return ex.substitute(_parse_entry(text, terms, where), term_subs)
 
     rows = doc["A"]
     _require(_is_list(rows, n), f"A must have {n} rows")
     a_entries = []
     for i, row in enumerate(rows):
         _require(_is_list(row, n), f"A row {i} must have {n} entries")
-        a_entries.append([ex.substitute(_parse_entry(v, symbols, f"A[{i}][{j}]"), subs)
-                          for j, v in enumerate(row)])
+        a_entries.append([entry(v, f"A[{i}][{j}]") for j, v in enumerate(row)])
 
     g_doc = doc.get("g")
     if g_doc is None:
         g_entries = [ex.Const(0.0)] * n
     else:
         _require(_is_list(g_doc, n), f"g must have {n} entries")
-        g_entries = [ex.substitute(_parse_entry(v, symbols, f"g[{i}]"), subs)
-                     for i, v in enumerate(g_doc)]
+        g_entries = [entry(v, f"g[{i}]") for i, v in enumerate(g_doc)]
 
     a0_entries = None
     if doc.get("normalize"):
         a0_doc = doc.get("A0")
         _require(a0_doc is not None, "normalize: true requires A0")
         _require(_is_square(a0_doc, n), "A0 must be n x n")
-        a0_entries = [[ex.substitute(_parse_entry(v, symbols, f"A0[{i}][{j}]"), subs)
+        a0_entries = [[entry(v, f"A0[{i}][{j}]")
                        for j, v in enumerate(row)] for i, row in enumerate(a0_doc)]
 
     domain_doc = doc.get("domain", {})
@@ -464,8 +489,7 @@ def load_system(document: str | dict, name="model") -> QuasilinearSystem:
 
     exclude_doc = doc.get("exclude", [])
     _require(isinstance(exclude_doc, list), "exclude must be a list")
-    exclude = [ex.substitute(_parse_entry(v, symbols, f"exclude[{i}]"), subs)
-               for i, v in enumerate(exclude_doc)]
+    exclude = [entry(v, f"exclude[{i}]") for i, v in enumerate(exclude_doc)]
 
     hints = {}
     if "partitionHint" in doc:
@@ -501,16 +525,13 @@ def load_system(document: str | dict, name="model") -> QuasilinearSystem:
         _require(_is_square(av["right"], n), "autovectorHint.right must have n vectors")
         _require(_is_list(av["eigenvalues"], n), "autovectorHint.eigenvalues must have n entries")
         hints["autovectors"] = {
-            "eigenvalues": [ex.substitute(_parse_entry(v, symbols, "autovectorHint.eigenvalues"), subs)
-                            for v in av["eigenvalues"]],
-            "right": [[ex.substitute(_parse_entry(v, symbols, "autovectorHint.right"), subs)
-                       for v in vec] for vec in av["right"]],
+            "eigenvalues": [entry(v, "autovectorHint.eigenvalues") for v in av["eigenvalues"]],
+            "right": [[entry(v, "autovectorHint.right") for v in vec] for vec in av["right"]],
         }
         if av.get("left"):
             _require(_is_square(av["left"], n), "autovectorHint.left must have n vectors")
             hints["autovectors"]["left"] = [
-                [ex.substitute(_parse_entry(v, symbols, "autovectorHint.left"), subs) for v in vec]
-                for vec in av["left"]]
+                [entry(v, "autovectorHint.left") for v in vec] for vec in av["left"]]
 
     return QuasilinearSystem(n, states, a_entries, g_entries, params, domain,
                              exclude, hints, a0_entries, name=name)
@@ -572,7 +593,8 @@ def conjugate_system(triangular: QuasilinearSystem, h_map, inverse_map,
         at_H = dict(zip(triangular.states, inverse_map))
 
         def composed(rows):
-            return [[ex.substitute(e, at_H) for e in row] for row in rows]
+            flat = iter(ex.substitute([e for row in rows for e in row], at_H))
+            return [[next(flat) for _ in row] for row in rows]
 
         J_exprs = backend.j_entries
         a0 = J_exprs if triangular.a0 is None else symbolic_matmul(composed(triangular.a0), J_exprs)

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -464,3 +465,219 @@ def test_list_differentiate_matches_each_entry_alone(trees, shared):
         want = raised[0] if raised else [s for [s] in each]
         assert printed(lambda: ex.differentiate(entries, var)) == want
         assert raised or want[-2:] == (["1", "0"] if var == "x" else ["0", "1"])
+
+
+# ---------------------------------------------------------------------------
+# shared graphs: generated code and the memoized walks
+# ---------------------------------------------------------------------------
+
+UNARY = ("neg", "sqrt", "exp", "log", "sin", "cos", "abs")
+GRAPH_CONSTANTS = [ex.Const(v) for v in (0.0, -0.0, 1.0, 2.5, -3.0, 1e200)]
+
+
+@st.composite
+def shared_graphs(draw):
+    """Entries of a random graph in which each new node applies an operator
+    to nodes built before it, so subtrees are shared within and across the
+    entries.  Every inner node reads x or y; constants sit at the leaves and
+    in exponents."""
+    nodes = [ex.Sym("x"), ex.Sym("y")]
+    for _ in range(draw(st.integers(1, 12))):
+        a = draw(st.sampled_from(nodes))
+        kind = draw(st.sampled_from(["un", "bin", "pow"]))
+        if kind == "un":
+            node = ex.Un(draw(st.sampled_from(UNARY)), a)
+        elif kind == "pow":
+            node = ex.Bin("^", a, ex.Const(draw(st.sampled_from([2.0, 3.0, 0.5, -1.0, -2.5]))))
+        else:
+            b = draw(st.sampled_from(nodes + GRAPH_CONSTANTS))
+            if draw(st.booleans()):
+                a, b = b, a
+            node = ex.Bin(draw(st.sampled_from("+-*/")), a, b)
+        nodes.append(node)
+    return draw(st.lists(st.sampled_from(nodes[2:]), min_size=1, max_size=4))
+
+
+_NUMPY_UN = {"neg": np.negative, "sqrt": np.sqrt, "exp": np.exp, "log": np.log,
+             "sin": np.sin, "cos": np.cos, "abs": np.abs}
+
+
+def _node_by_node(e, args):
+    """e evaluated one node at a time with the numpy operations of the
+    generated code, plus the 0*(x + y) it adds to give each entry the shape
+    of the arguments."""
+    def walk(e):
+        if isinstance(e, ex.Const):
+            return e.value
+        if isinstance(e, ex.Sym):
+            return args[e.name]
+        if isinstance(e, ex.Un):
+            return _NUMPY_UN[e.op](walk(e.a))
+        a, b = walk(e.a), walk(e.b)
+        return {"+": lambda: a + b, "-": lambda: a - b, "*": lambda: a * b,
+                "/": lambda: a / b, "^": lambda: ex._pow(a, b)}[e.op]()
+    return walk(e) + 0.0 * (args["x"] + args["y"])
+
+
+def _ops(e):
+    return {n.op for n in ex.use_counts(e) if isinstance(n, (ex.Un, ex.Bin))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=shared_graphs(), point=POINTS)
+def test_compiled_entries_equal_a_node_by_node_evaluation(entries, point):
+    fn = ex.compile_expression(entries, ["x", "y"])
+    one = {"x": np.float64(point["x"]), "y": np.float64(point["y"])}
+    stack = {"x": np.array([point["x"], -point["y"], 0.0, 2.0]),
+             "y": np.array([point["y"], 0.0, -0.0, math.inf])}
+    with np.errstate(all="ignore"):
+        for args in (one, stack):
+            got = fn(args["x"], args["y"])
+            assert [np.asarray(v).tobytes() for v in got] == \
+                [np.asarray(_node_by_node(e, args)).tobytes() for e in entries]
+        at_one = fn(one["x"], one["y"])
+    # evaluate reads the C library's exp and log, whose last bits numpy's
+    # own differ from on some arguments; every other operation agrees
+    zero = 0.0 * (point["x"] + point["y"])
+    for e, v in zip(entries, at_one):
+        if _ops(e) & {"exp", "log"}:
+            continue
+        try:
+            want = ex.evaluate(e, point)
+        except (DomainError, OverflowError, ValueError):
+            continue
+        assert np.float64(want + zero).tobytes() == np.asarray(v).tobytes()
+
+
+def test_single_use_chains_past_the_nesting_cap_compile(monkeypatch):
+    # every node of these sums is used once, so all of it would be inline;
+    # the right-nested one nests a pair of parentheses per term
+    terms = [ex.Un("sin", ex.Bin("*", ex.Sym("u"), ex.Const(float(k)))) for k in range(1, 301)]
+    left = ex.parse(" + ".join(f"sin(u*{k})" for k in range(1, 301)), {"u"})
+    right = functools.reduce(lambda acc, term: ex.Bin("+", term, acc), terms[-2::-1], terms[-1])
+    us = [0.3, -1.7, 2.0]
+    for e in (left, right):
+        fn = ex.compile_expression(e, ["u"])
+        want = [ex.evaluate(e, {"u": u}) for u in us]
+        assert [fn(np.float64(u)) for u in us] == want
+        np.testing.assert_array_equal(fn(np.array(us)), want)
+    # without the cap CPython rejects the generated source
+    monkeypatch.setattr(ex, "INLINE_DEPTH", 10**6)
+    ex.compile_expression(left, ["u"])
+    with pytest.raises(SyntaxError, match="too many nested parentheses"):
+        ex.compile_expression(right, ["u"])
+
+
+def test_generated_code_gives_locals_to_shared_nodes_and_roots_only(monkeypatch):
+    sources = []
+    monkeypatch.setattr(ex, "exec", lambda src, scope: (sources.append(src), exec(src, scope)),
+                        raising=False)
+    x, y = ex.Sym("x"), ex.Sym("y")
+    shared = ex.Un("sin", ex.Bin("*", x, y))
+    root = ex.Bin("+", ex.Bin("*", shared, shared), ex.Un("cos", x))
+    fn = ex.compile_expression([root, shared], ["x", "y"])
+    body = sources[0].splitlines()[2:-1]
+    assert body == ["    _t0 = np.sin(_a0*_a1)", "    _t1 = _t0*_t0+np.cos(_a0)"]
+    assert fn(0.5, 2.0) == (ex.evaluate(root, {"x": 0.5, "y": 2.0}), math.sin(1.0))
+
+
+# naive tree walks: the walks as they were before they were memoized
+
+def _naive_free_symbols(e):
+    if isinstance(e, ex.Const):
+        return set()
+    if isinstance(e, ex.Sym):
+        return {e.name}
+    if isinstance(e, ex.Un):
+        return _naive_free_symbols(e.a)
+    return _naive_free_symbols(e.a) | _naive_free_symbols(e.b)
+
+
+def _naive_to_string(e):
+    if isinstance(e, ex.Const):
+        return ex._fmt_const(e.value)
+    if isinstance(e, ex.Sym):
+        return e.name
+    if isinstance(e, ex.Un):
+        if e.op == "neg":
+            inner = _naive_to_string(e.a)
+            return f"-({inner})" if ex._prec(e.a) < 2.5 else f"-{inner}"
+        return f"{e.op}({_naive_to_string(e.a)})"
+    a, b = _naive_to_string(e.a), _naive_to_string(e.b)
+    if ex._prec(e.a) < ex._PREC[e.op]:
+        a = f"({a})"
+    if ex._prec(e.b) <= ex._PREC[e.op]:
+        b = f"({b})"
+    return f"{a} {e.op} {b}" if e.op in "+-" else f"{a}{e.op}{b}"
+
+
+def _naive_substitute(e, mapping):
+    if isinstance(e, ex.Const):
+        return e
+    if isinstance(e, ex.Sym):
+        return ex._coerce(mapping[e.name]) if e.name in mapping else e
+    if isinstance(e, ex.Un):
+        a = _naive_substitute(e.a, mapping)
+        if e.op == "neg":
+            return ex.fold_neg(a)
+        if isinstance(a, ex.Const):
+            try:
+                return ex.Const(ex.evaluate(ex.Un(e.op, a), {}))
+            except DomainError:
+                pass
+            except OverflowError:
+                raise ParseError(f"constant out of range: {_naive_to_string(ex.Un(e.op, a))}") \
+                    from None
+        return ex.Un(e.op, a)
+    a, b = _naive_substitute(e.a, mapping), _naive_substitute(e.b, mapping)
+    folder = {"+": ex.fold_add, "-": ex.fold_sub, "*": ex.fold_mul, "/": ex.fold_div,
+              "^": ex.fold_pow}[e.op]
+    try:
+        out = folder(a, b)
+    except (DomainError, ZeroDivisionError):
+        return ex.Bin(e.op, a, b)
+    except OverflowError:
+        out = ex.Const(math.inf)
+    if isinstance(out, ex.Const) and not math.isfinite(out.value) and all(
+            isinstance(c, ex.Const) and math.isfinite(c.value) for c in (a, b)):
+        raise ParseError(f"constant out of range: {_naive_to_string(ex.Bin(e.op, a, b))}")
+    return out
+
+
+def _substituted(fn):
+    """fn()'s nodes, or the message of the ParseError it raises."""
+    try:
+        return fn()
+    except ParseError as err:
+        return str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=shared_graphs(),
+       value=st.sampled_from([0.0, 1.0, -1.0, 2.5, 1e200, ex.Sym("y"), ex.Const(0.0) - ex.Sym("y")]))
+def test_memoized_walks_match_naive_tree_walks(entries, value):
+    for e in entries:
+        assert ex.free_symbols(e) == _naive_free_symbols(e)
+        assert ex.to_string(e) == _naive_to_string(e)
+    # x = 0 and x = 1 fold products and sums away, other constants fold
+    # whole entries to constants, and 1e200 overflows some of them
+    mapping = {"x": value}
+    want = [_substituted(lambda e=e: _naive_substitute(e, mapping)) for e in entries]
+    got = [_substituted(lambda e=e: ex.substitute(e, mapping)) for e in entries]
+    assert all(g is w or g == w for g, w in zip(got, want))
+    raised = [w for w in want if isinstance(w, str)]
+    together = _substituted(lambda: ex.substitute(entries, mapping))
+    if raised:
+        assert together == raised[0]
+    else:
+        assert all(g is w for g, w in zip(together, want))
+
+
+def test_substitute_keeps_the_constant_out_of_range_message():
+    e = ex.parse("u*u + x*x*u + exp(x)", {"u", "x"})
+    for mapping, text in (({"x": 1e200}, "1e+200*1e+200"), ({"x": 1000.0}, "exp(1000)")):
+        with pytest.raises(ParseError) as naive:
+            _naive_substitute(e, mapping)
+        with pytest.raises(ParseError) as memo:
+            ex.substitute(e, mapping)
+        assert str(memo.value) == str(naive.value) == f"constant out of range: {text}"

@@ -486,7 +486,7 @@ def test_closed_form_pairs_diagonalize_each_cell(A):
     np.testing.assert_array_equal(V[~safe], ref_V)
 
 
-def eig_pairs_everywhere(A, work):
+def eig_pairs_everywhere(A, work, scaled=None):
     """The reference pairs: eig + inv for every block larger than 1x1."""
     if A.shape[-1] == 1:
         one = np.ones_like(A)
@@ -518,6 +518,37 @@ def test_closed_form_upwind_matches_eig_pairs(monkeypatch, case, boundary):
     assert (got.times, got.meta) == (ref.times, ref.meta)
     scale = np.abs(ref.data[-1]).max(axis=1, keepdims=True)
     assert np.all(np.abs(got.data[-1] - ref.data[-1]) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("case", ["barotropic", "threadline"])
+def test_upwind_scales_each_2x2_block_once_per_step(monkeypatch, case):
+    # the speed blocks are the scheme blocks here, so _pairs reuses the
+    # scaled stack _max_speed formed, and the solution keeps its bits
+    if case == "barotropic":
+        sys_, sizes = models.build_barotropic("p0*rho^2").system, (2,)
+        initial = ["1 + 0.3*sin(2*pi*x)", "0.2*cos(2*pi*x)"]
+    else:
+        sys_, sizes = models.decoupled_system(models.build_threadline(k=1.0).document), (2, 2)
+        initial = THREADLINE_INITIAL
+    scaled = []
+
+    def counted(A):
+        scaled.append(len(A))
+        return scale(A)
+
+    def solve():
+        return hypsolve._march(sys_, sizes, initial, 200, 0.05, "upwindCharacteristic",
+                               0.9, "periodic", 0.0)
+
+    scale, pairs = hypsolve._scaled_2x2, hypsolve._pairs
+    monkeypatch.setattr(hypsolve, "_scaled_2x2", counted)
+    got = solve()
+    assert len(scaled) == len(sizes) * got.meta["steps"]
+    monkeypatch.setattr(hypsolve, "_pairs", lambda A, work, stack=None: pairs(A, work))
+    ref = solve()
+    assert len(scaled) == 3 * len(sizes) * got.meta["steps"]
+    assert (got.times, got.meta, got.work) == (ref.times, ref.meta, ref.work)
+    np.testing.assert_array_equal(got.data[-1], ref.data[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -620,8 +651,9 @@ def test_larger_block_speed_lies_within_last_bits_of_eigvals(pattern, data):
     assert_within_last_bits(closed_form_speed(A, work_counter()), eigvals_speed(A))
 
 
-def eigvals_max_speed(A, work):
-    """The reference CFL speed: eigvals of the whole stack."""
+def eigvals_max_speed(A, work, scaled=None):
+    """The reference CFL speed: eigvals of the whole stack.  It leaves
+    `scaled` empty, so _pairs forms its own 2x2 stacks."""
     work["eigvalsCells"] += len(A)
     return hypsolve._real_max(np.linalg.eigvals(A))
 

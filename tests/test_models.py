@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from qldecouple import conditions as cond
 from qldecouple import eigen, models
+from qldecouple import exprlang as ex
 from qldecouple.errors import SchemaError
 from qldecouple.system import SamplePlan, load_system
 
@@ -160,6 +162,51 @@ def test_emit_synthetic_document_round_trip(n, block_sizes, with_source):
             np.testing.assert_allclose(getattr(sys_, method)(0, 0, u, *args),
                                        getattr(entry.system, method)(0, 0, u, *args),
                                        rtol=1e-9, atol=1e-9, err_msg=method)
+
+
+def _tree_text(doc):
+    """doc with each definition name in A0, A and g replaced by its text in
+    parentheses: the tree text of the document, up to redundant
+    parentheses."""
+    expanded = {}
+
+    def expand(text):
+        return re.sub(r"[A-Za-z_][A-Za-z_0-9]*",
+                      lambda m: f"({expanded[m.group()]})" if m.group() in expanded
+                      else m.group(), text)
+
+    for name, text in doc["definitions"].items():
+        expanded[name] = expand(text)
+    tree = {k: v for k, v in doc.items() if k != "definitions"}
+    for key in ("A0", "A"):
+        tree[key] = [[expand(text) for text in row] for row in doc[key]]
+    if "g" in doc:
+        tree["g"] = [expand(text) for text in doc["g"]]
+    return tree
+
+
+@pytest.mark.parametrize("with_source", [False, True], ids=["homogeneous", "sourced"])
+@pytest.mark.parametrize("seed,n,block_sizes", [(0, 3, (2, 1)), (5, 3, (1, 1, 1)),
+                                                (1, 4, (2, 2)), (2, 4, (1, 1, 2))],
+                         ids=["2+1", "1+1+1", "2+2", "1+1+2"])
+def test_emitted_definitions_load_to_the_nodes_of_the_tree_text(seed, n, block_sizes,
+                                                                 with_source):
+    doc = models.emit_synthetic_document(seed, n, block_sizes, with_source=with_source)
+    names = list(doc["definitions"])
+    # sorted keys keep the definitions in order, and no name is taken
+    assert names == sorted(names)
+    assert not set(names) & {*doc["states"], "t", "x", *ex.FUNCTIONS}
+    tree_doc = _tree_text(doc)
+    graph, tree = load_system(json.dumps(doc, sort_keys=True)), load_system(tree_doc)
+    for key in ("a", "a0"):
+        assert all(x is y for ra, rb in zip(getattr(graph, key), getattr(tree, key))
+                   for x, y in zip(ra, rb))
+    assert all(x is y for x, y in zip(graph.g, tree.g))
+    # the definitions are exactly the inner nodes used twice or more
+    rows = graph.a0 + graph.a + ([graph.g] if with_source else [])
+    counts = ex.use_counts([e for row in rows for e in row])
+    assert len(names) == sum(k > 1 for e, k in counts.items() if isinstance(e, (ex.Un, ex.Bin)))
+    assert 5 * len(json.dumps(doc)) < len(json.dumps(tree_doc))
 
 
 def test_decoupled_system_helper():

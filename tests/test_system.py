@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from qldecouple import exprlang as ex
 from qldecouple import models
-from qldecouple.errors import DomainError, NotInverse, SchemaError, SingularJacobian
+from qldecouple.errors import (
+    DomainError,
+    NotInverse,
+    ParseError,
+    SchemaError,
+    SingularJacobian,
+    UnknownSymbol,
+)
 from qldecouple.system import (
     SamplePlan,
     conjugate_system,
@@ -455,3 +462,73 @@ def test_symbolic_conjugation_compiles_no_jacobian_derivative(monkeypatch):
 def test_sample_plan_rejects_negative_or_nan_separation_tolerance(tolerance):
     with pytest.raises(SchemaError):
         SamplePlan(separation_tolerance=tolerance)
+
+
+# ---------------------------------------------------------------------------
+# definitions: shared subexpressions of a model document
+# ---------------------------------------------------------------------------
+
+def _two_state(definitions, A, **extra):
+    return {"n": 2, "states": ["u", "v"], "parameters": {"k": 2.0},
+            "definitions": definitions, "A": A,
+            "domain": {"u": [0.5, 1.0], "v": [0.5, 1.0]}, **extra}
+
+
+def _same_nodes(a, b):
+    return all(x is y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+@pytest.mark.parametrize("name", ["u", "k", "t", "x", "sqrt", "abs"])
+def test_definition_shadowing_a_name_is_a_schema_error(name):
+    with pytest.raises(SchemaError, match="shadows"):
+        load_system(_two_state({name: "u + 1"}, [["u", "0"], ["0", "v"]]))
+
+
+@pytest.mark.parametrize("definitions", [{"a": "b + u", "b": "2*v"}, {"a": "a + u"}])
+def test_definition_using_a_later_name_is_a_schema_error(definitions):
+    with pytest.raises(SchemaError, match="not defined before it"):
+        load_system(_two_state(definitions, [["a", "0"], ["0", "v"]]))
+
+
+def test_definition_errors_name_the_definition():
+    with pytest.raises(UnknownSymbol) as unknown:
+        load_system(_two_state({"a": "w + u"}, [["a", "0"], ["0", "v"]]))
+    assert unknown.value.name == "w"
+    with pytest.raises(ParseError, match=r"definitions\['a'\]"):
+        load_system(_two_state({"a": "u +"}, [["a", "0"], ["0", "v"]]))
+    with pytest.raises(SchemaError, match="not a NAME"):
+        load_system(_two_state({"a b": "u"}, [["u", "0"], ["0", "v"]]))
+    with pytest.raises(SchemaError, match="definitions must be an object"):
+        load_system(_two_state(["u"], [["u", "0"], ["0", "v"]]))
+
+
+def test_definitions_that_fold_leave_the_graph_of_the_tree_text():
+    # z folds to 0, o to 1 (k = 2 is a parameter), c to 6; the entries fold
+    # them away exactly as the same text written out does
+    definitions = {"z": "0*u", "o": "k - 1", "c": "k*3", "w": "c*u + z", "s": "w*w"}
+    graph = load_system(_two_state(definitions, [["z + u*o", "c*v - s"], ["o*v - z", "w^2/o"]],
+                                   g=["s", "z"], exclude=["w - 10"]))
+    z, o, c = "(0*u)", "(k - 1)", "(k*3)"
+    w = f"({c}*u + {z})"
+    s = f"({w}*{w})"
+    tree = load_system(_two_state({}, [[f"{z} + u*{o}", f"{c}*v - {s}"],
+                                       [f"{o}*v - {z}", f"{w}^2/{o}"]],
+                                  g=[s, z], exclude=[f"{w} - 10"]))
+    assert _same_nodes(graph.a, tree.a)
+    assert _same_nodes([graph.g, graph.exclude], [tree.g, tree.exclude])
+    assert graph.a[1][0] is ex.Sym("v") and graph.g[1] == ex.Const(0.0)
+    # a fold out of range raises as the written-out text does
+    big = {"c": "1e200"}
+    for doc in (_two_state(big, [["c*c*u", "0"], ["0", "v"]]),
+                _two_state({}, [["1e200*1e200*u", "0"], ["0", "v"]])):
+        with pytest.raises(ParseError, match=r"constant out of range: 1e\+200\*1e\+200"):
+            load_system(doc)
+
+
+def test_documents_without_definitions_load_as_before():
+    plain = load_system(json.dumps(BAROTROPIC))
+    empty = load_system(json.dumps({**BAROTROPIC, "definitions": {}}))
+    assert _same_nodes(plain.a, empty.a) and _same_nodes([plain.g], [empty.g])
+    # definitions reach A, A0, g, exclude and the autovector hint only
+    with pytest.raises(UnknownSymbol):
+        load_system(_two_state({"a": "u"}, [["u", "0"], ["0", "v"]], transformHint=["a", "v"]))

@@ -66,7 +66,11 @@ def _parser():
     c.add_argument("--partition", help="block sizes, e.g. 1,1")
     c.add_argument("--blocks", help="explicit slot blocks, e.g. 0,1|2,3")
     c.add_argument("--mode", choices=["partial", "full"])
-    c.add_argument("--gradient-path", choices=["auto", "fd"], default="auto")
+    c.add_argument("--gradient-path", choices=["auto", "fd"], default="auto",
+                   help="auto: exact frame derivatives from dA and dg on simple "
+                        "real slots of numeric frames, central differences of "
+                        "aligned frames elsewhere; fd: central differences for "
+                        "every family")
     c.add_argument("--csv", action="store_true", help="stream residuals.csv")
     c.set_defaults(func=cmd_check)
 

@@ -21,30 +21,46 @@ H_t + T H_x, which frames at one (t, x) cannot determine.
 Partial mode constrains block i against all later blocks j > i; full mode
 constrains every ordered pair i != j.
 
+On numeric frames the field derivatives come from dA wherever the slots
+they read are simple and real.  Differentiating A r_e = lambda_e r_e along
+w and applying l_d gives the motion C_w[d, e] = l_d dA[w] r_e / (lambda_d -
+lambda_e) of the frame (eigen.frame_derivatives), with l_d (D r_e) w =
+-C_w[d, e].  So the gradient residual of a simple eigenvalue is the
+perturbation formula l_a dA[r_b] r_a / (l_a r_a), an interaction residual
+whose slots a, b and c are all simple is C_b[a, c] - C_c[a, b] (C_b the
+motion along r_b), and a source residual at a state whose whole spectrum is
+simple reads C and dg along r_b (_Residuals._source_exact).  Multiple,
+complex and Jordan clusters and hinted frames take central differences of
+aligned frames, and gradient_path="fd" forces them for every family.
+
 Evaluation has two stages.  A _SampleStack, which does not depend on the
 partition, holds a plan's samples, their is_excluded mask, the base frames
-of the admissible ones (FrameMachine.frames, one batch) and one kernel
-(_Residuals) over the rows with a frame.  The kernel computes each sweep
-(FrameMachine.sweep, the near frames at u +- h r_b), dA, bracket and
-residual column at the rows asked for, once, and keeps each row's error per
-item.  A partition reduces the stack: separation exclusion, its tuples'
-columns, each row's first error as its degeneracy cause (_cause), and the
-report.  check_partition is one stack and one reduction; search_partitions
-reduces two stacks (pilot and full plan) per candidate; the public
-*_condition_residual functions run the kernel on one state, whose base= is
-a one-row stack (FrameMachine.base).  FrameMachine.frames builds every
-frame, base or near, on a stack: hinted frames by frame_at's gates on a
-mask of live rows, numeric frames by the spectrum and alignment stages of
-eigen, whatever the spectrum (simple, clustered, complex or Jordan).  The
-flows of transform read its near frames' rights.  Every stacked product runs
-the BLAS or LAPACK call of the per-point one, so a row's bits do not depend
-on its stack.  nijenhuis_residual, too, takes one state or a stack (NaN in
-the rows where A or dA/du is not finite).
+of the admissible ones (eigen.FrameMachine.frames, one batch) and one
+kernel (_Residuals) over the rows with a frame.  The kernel evaluates the
+Jacobian of A (and g) once per row and, where differences are needed, each
+sweep (FrameMachine.sweep, the near frames at u +- h r_b); from them it
+computes each dA along r_b, motion, bracket and residual column at the rows
+asked for, once, and keeps each row's error per item.  A partition reduces
+the stack: separation exclusion, its tuples' columns, each row's first
+error as its degeneracy cause (_cause), and the report.  check_partition is
+one stack and one reduction; search_partitions reduces two stacks (pilot
+and full plan) per candidate; the public *_condition_residual functions run
+the kernel on one state, whose base= is a one-row stack
+(FrameMachine.base).  FrameMachine.frames builds every frame, base or near,
+on a stack: hinted frames by frame_at's gates on a mask of live rows,
+numeric frames by the spectrum and alignment stages of eigen, whatever the
+spectrum (simple, clustered, complex or Jordan).  The flows of transform
+read its near frames' rights.  Every stacked product runs the BLAS or
+LAPACK call of the per-point one, so a row's bits do not depend on its
+stack.  nijenhuis_residual, too, takes one state or a stack (NaN in the
+rows where A or dA/du is not finite).
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -53,16 +69,16 @@ from itertools import product
 import numpy as np
 
 from . import eigen
+from .eigen import FrameMachine
 from .errors import (
     DegenerateSample,
     DomainError,
-    HintInconsistent,
     IllConditioned,
     NotApplicable,
     SchemaError,
     TooLarge,
 )
-from .system import QuasilinearSystem, SamplePlan, _evaluate
+from .system import QuasilinearSystem, SamplePlan, _evaluate, _solve_rows, contract
 
 FD_STEP = 1e-5
 DEFAULT_TOL = 1e-6
@@ -172,61 +188,8 @@ def interaction_tuples(p: PartitionScheme):
 
 
 # ---------------------------------------------------------------------------
-# frame machinery shared by the residual operations
+# the residual kernel
 # ---------------------------------------------------------------------------
-
-class FrameMachine:
-    """Builds frames of the frame field on a stack of states: base frames,
-    near frames against a reference and the centered FD sweeps."""
-
-    def __init__(self, sys_: QuasilinearSystem, frame="auto"):
-        self.sys = sys_
-        has_hints = "autovectors" in sys_.hints
-        if frame == "auto":
-            frame = "analytic" if has_hints else "numeric"
-        if frame == "analytic" and not has_hints:
-            raise HintInconsistent("model supplies no autovector hints")
-        self.mode = frame
-        self.field = eigen.analytic_field(sys_) if frame == "analytic" else None
-
-    @property
-    def provenance(self):
-        return "analyticHint" if self.mode == "analytic" else "numeric"
-
-    def base(self, t, x, u) -> eigen.FrameStack:
-        """frames() at the one state u, as a one-row stack; raises what
-        building that row raised."""
-        return self.frames(np.array([t], dtype=float), np.array([x], dtype=float),
-                           np.asarray(u, dtype=float)[None]).row(0)
-
-    def frames(self, t, x, U, reference: eigen.FrameStack = None,
-               lefts=True) -> eigen.FrameStack:
-        """Base frames at the rows of U (N, n), or near frames against the
-        rows of `reference` (a one-row reference serves every row); t and x
-        are scalars or (N,).  A row that fails a gate keeps the exception,
-        but for a LinAlgError of a base frame, which is raised.  Hinted
-        frames come from AnalyticFrameField.frames_batch, whose near frames
-        skip the residual gates.  Numeric frames come from the spectrum
-        stage (eigen.spectra) and, against a reference, the alignment stage
-        (eigen.aligned).  Without `lefts` the stack's lefts are None."""
-        if self.field is not None:
-            return self.field.frames_batch(t, x, U, check=reference is None, lefts=lefts)
-        if reference is not None:
-            return eigen.aligned(reference, eigen.spectra(self.sys, t, x, U, lefts=False),
-                                 lefts=lefts)
-        out = eigen.spectra(self.sys, t, x, U, lefts=lefts)
-        for err in out.errors:
-            if isinstance(err, np.linalg.LinAlgError):
-                raise err
-        return out
-
-    def sweep(self, t, x, U, base: eigen.FrameStack, slot, h, lefts):
-        """Near frames at U + h r_slot and at U - h r_slot, each row against
-        its row of base; h is (N,).  Without `lefts` their lefts are None."""
-        d = h[:, None] * base.rights[:, slot]
-        return (self.frames(t, x, U + d, base, lefts=lefts),
-                self.frames(t, x, U - d, base, lefts=lefts))
-
 
 def _fd_step(u):
     return FD_STEP * (1.0 + float(np.linalg.norm(u)))
@@ -234,14 +197,17 @@ def _fd_step(u):
 
 class _Residuals:
     """The residual kernel on a stack of states (t, x, U) with their base
-    frames.  Its items (the FD step h, the centered sweep along a slot, dA
-    along r_b, a bracket, a gradient column (a, b), an interaction column
-    (a, b, c), a block source) are each computed at the rows a caller asks
-    for, once per row, and memoized; a row's bits do not depend on the rows
-    that share its call.  The items that can fail (sweeps, dA, block
-    sources) keep what each row raised.  run() reads the items a set of
-    tuples needs.  The sweeps build left vectors only with `lefts`, which
-    the block sources need."""
+    frames.  Its items (the FD step h, the centered sweep along a slot, the
+    Jacobian of A (and g) per row, dA along r_b, the frames' motion along
+    r_b, a bracket, a gradient column (a, b), an interaction column
+    (a, b, c), a block source) are each
+    computed at the rows a caller asks for, once per row, and memoized; a
+    row's bits do not depend on the rows that share its call.  The items
+    that can fail (sweeps, dA, block sources) keep what each row raised.
+    run() reads the items a set of tuples needs.  On numeric frames the
+    slots `simple` marks take their frame derivatives from perturbation
+    formulas in dA, and only the others read sweeps.  The sweeps build left
+    vectors only with `lefts`, which the block sources need."""
 
     def __init__(self, machine, t, x, U, base: eigen.FrameStack, gradient_path, lefts):
         self.machine, self.gradient_path = machine, gradient_path
@@ -268,32 +234,34 @@ class _Residuals:
         """Residuals of the tuples at `rows` (indices into the stack), as
         (rows without error, tuples) in order gradient, interaction, source,
         and each row's first error or None.  A row reads the sweeps its
-        tuples need in slot order (the numeric `auto` gradient sweeps only
-        where the eigenvalue's cluster is multiple), then dA along r_b of its
-        gradient tuples, then the block sources in tuple order, and nothing
-        after its first error."""
+        tuples need in slot order: a gradient tuple where `exact` is false,
+        an interaction tuple where one of its slots is not `simple`, a block
+        source where the row's spectrum is not all simple.  It then reads dA
+        along each r_b the others need, in slot order, then the block
+        sources in tuple order, and nothing after its first error."""
         errors, failed = np.full(len(rows), None, dtype=object), np.zeros(len(rows), dtype=bool)
 
         def read(item, key, reads):
             at = np.flatnonzero(reads & ~failed)
-            errors[at] = item(*key, rows[at])[1][rows[at]]
-            failed[at] = [err is not None for err in errors[at]]
+            if at.size:
+                errors[at] = item(*key, rows[at])[1][rows[at]]
+                failed[at] = [err is not None for err in errors[at]]
 
-        exact = {a: self.exact(a)[rows] for a in dict.fromkeys(a for a, _ in grad_tuples)}
-        need = np.zeros((self.U.shape[1], len(rows)), dtype=bool)
-        for a, b in grad_tuples:
-            need[b] |= ~exact[a]
-        for _, b, c in int_tuples:
-            need[[b, c]] = True
+        n, simple = self.U.shape[1], self.simple[rows]
         sources = [(tuple(partition.allowed(partition.block_of(a))), b) for a, b in src_tuples]
-        for slots, b in sources:
-            need[[b, *slots]] = True
-        for slot in range(len(need)):
+        # each tuple's slots, and the rows where it reads dA along their
+        # rights (numeric frames) or nothing, not their sweeps
+        reads = [([b], self.exact(a)[rows]) for a, b in grad_tuples]
+        reads += [([b, c], simple[:, [a, b, c]].all(axis=1)) for a, b, c in int_tuples]
+        reads += [([b, *slots], simple.all(axis=1)) for slots, b in sources]
+        need, along = np.zeros((2, n, len(rows)), dtype=bool)
+        for slots, exact in reads:
+            need[slots] |= ~exact
+            along[slots] |= exact & (self.machine.field is None)
+        for slot in range(n):
             read(self.sweep, (slot,), need[slot])
-        if self.machine.field is None:
-            for b in dict.fromkeys(b for a, b in grad_tuples if exact[a].any()):
-                read(self.derivative, (b,),
-                     np.any([exact[a] for a, bb in grad_tuples if bb == b], axis=0))
+        for slot in range(n):
+            read(self.derivative, (slot,), along[slot])
         for key in dict.fromkeys(sources):
             read(self.source, key, ~failed)
         live = rows[~failed]
@@ -303,19 +271,26 @@ class _Residuals:
                  for (slots, b), (a, _) in zip(sources, src_tuples)]
         return np.array(cols).T.reshape(len(live), len(cols)), errors
 
-    def step(self, rows):
-        """The FD step h at `rows`, computed only for rows that read a sweep."""
-        def compute(rows, h, _):
-            h[rows] = [_fd_step(u) for u in self.U[rows]]
-        return self._item(("h",), rows, compute)[0][rows]
+    @functools.cached_property
+    def simple(self):
+        """(N, n) mask of the slots whose frame derivatives come from the
+        perturbation formulas: the simple real slots of numeric frames, and
+        none for hinted frames or on the fd path."""
+        if self.gradient_path == "fd" or self.machine.field is not None:
+            return np.zeros(self.base.mult.shape, dtype=bool)
+        return (self.base.mult == 1) & ~self.base.cplx
 
     def exact(self, a):
         """Rows whose gradients of slot a read no sweep: hinted fields are
         differentiated exactly, simple numeric eigenvalues by the
         perturbation formula."""
-        if self.gradient_path == "fd" or self.machine.field is not None:
-            return np.full(len(self.U), self.gradient_path != "fd")
-        return self.base.mult[:, a] == 1
+        return self.simple[:, a] | (self.machine.field is not None and self.gradient_path != "fd")
+
+    def step(self, rows):
+        """The FD step h at `rows`, computed only for rows that read a sweep."""
+        def compute(rows, h, _):
+            h[rows] = [_fd_step(u) for u in self.U[rows]]
+        return self._item(("h",), rows, compute)[0][rows]
 
     def sweep(self, slot, rows):
         """The sweep along r_slot as two (values, rights, lefts) triples, at
@@ -375,74 +350,125 @@ class _Residuals:
                                             self.derivative(b, rows)[0][rows],
                                             base.rights[rows, a])
 
+    def jacobian(self, rows):
+        """dA/du_k (N, n, n, n) and, with `lefts`, dg/du_k (N, n, n) at
+        `rows`, from one stacked QuasilinearSystem.jacobian call; NaN where
+        that call gives no finite value or raises, and derivative() finds
+        the error of each such row."""
+        N, n = self.U.shape
+
+        def compute(rows, out, _):
+            with contextlib.suppress(DomainError, np.linalg.LinAlgError):
+                dA, dg = self.machine.sys.jacobian(self.t[rows], self.x[rows], self.U[rows],
+                                                   source=self.lefts)
+                out[0][rows] = dA
+                if self.lefts:
+                    out[1][rows] = dg
+        return self._item(("jacobian",), rows, compute, lambda: (
+            np.full((N, n, n, n), np.nan), np.full((N, n, n), np.nan)))[0]
+
     def derivative(self, b, rows):
-        """dA along r_b, (N, n, n).  Rows with the same nonzero components
-        of r_b share one stacked call, so each row sums the terms its
-        per-point call sums."""
+        """dA along r_b, (N, n, n): the rows' Jacobian contracted with r_b,
+        each row over its own nonzero components.  A row left non-finite
+        keeps the value or the error of its one-state
+        directional_matrix_derivative call (eval_rows)."""
         def compute(rows, DA, errors):
-            nonzero = self.base.rights[rows, b] != 0
-            for pattern in np.unique(nonzero, axis=0):
-                sel = rows[(nonzero == pattern).all(axis=1)]
-                errs = errors[sel]
-                DA[sel] = self.machine.sys.eval_rows(
-                    "directional_matrix_derivative", self.t[sel], self.x[sel], self.U[sel],
-                    errs, self.base.rights[sel, b])
-                errors[sel] = errs
+            w, errs = self.base.rights[rows, b], errors[rows]
+            DA[rows] = self.machine.sys.eval_rows(
+                "directional_matrix_derivative", self.t[rows], self.x[rows], self.U[rows], errs,
+                w, out=contract(self.jacobian(rows)[0][rows], w))
+            errors[rows] = errs
         return self._item(("dA", b), rows, compute,
                           lambda: np.full(self.base.rights.shape, np.nan))
 
-    def interaction(self, a, b, c, rows):
-        # l_a . ((D r_b) r_c - (D r_c) r_b)
+    def moving(self, b, rows):
+        """The motion of the base frames along r_b, (N, n, n): C from
+        eigen.frame_derivatives, at rows whose spectrum is simple and real
+        at the slots read (l_d (D r_e) r_b = -C[d, e])."""
         def compute(rows, out, _):
-            l_a = np.ascontiguousarray(self.base.lefts[rows, a])
-            out[rows] = (l_a[:, None, :] @ self.bracket(c, b, rows)[rows][:, :, None])[:, 0, 0]
+            base = self.base
+            out[rows] = eigen.frame_derivatives(base.lefts[rows], self.derivative(b, rows)[0][rows],
+                                                base.rights[rows], base.values[rows])
+        return self._item(("moving", b), rows, compute,
+                          lambda: np.full(self.base.rights.shape, np.nan))[0]
+
+    def interaction(self, a, b, c, rows):
+        # l_a . ((D r_b) r_c - (D r_c) r_b), exactly C_b[a, c] - C_c[a, b]
+        # with C_w the motion along r_w
+        def compute(rows, out, _):
+            exact = self.simple[rows][:, [a, b, c]].all(axis=1)
+            fd, rows = rows[~exact], rows[exact]
+            if fd.size:
+                l_a = np.ascontiguousarray(self.base.lefts[fd, a])
+                out[fd] = (l_a[:, None, :] @ self.bracket(c, b, fd)[fd][:, :, None])[:, 0, 0]
+            if rows.size:
+                out[rows] = self.moving(b, rows)[rows, a, c] - self.moving(c, rows)[rows, a, b]
         return self._item(("interaction", a, b, c), rows, compute)[0][rows]
 
     def source(self, slots, b, rows):
         """The source residual of the block that may depend on `slots` along
         r_b: res_b = r_b(psi) - dL(r_b, R) (L R)^-1 psi, with L and R the
         left and right rows of `slots`, psi = L g and
-        dL(r_b, r_c) = r_b(L r_c) - L [r_b, r_c]; (N, len(slots))."""
+        dL(r_b, r_c) = r_b(L r_c) - L [r_b, r_c]; (N, len(slots)).  Rows
+        whose spectrum is all simple take r_b(psi) and dL from
+        _source_exact, the others from _source_fd."""
         def compute(rows, out, errors):
-            h, t, x, U = self.step(rows), self.t[rows], self.x[rows], self.U[rows]
-            h2 = (2.0 * h)[:, None]
-            d = h[:, None] * self.base.rights[rows, b]
+            M, n, k = len(rows), self.U.shape[1], len(slots)
+            exact, errs = self.simple[rows].all(axis=1), errors[rows]
+            d_psi, dL, g = np.empty((M, k)), np.empty((M, k, k)), np.empty((M, n))
+            for sel, part in ((~exact, self._source_fd), (exact, self._source_exact)):
+                if sel.any():
+                    e = errs[sel]
+                    d_psi[sel], dL[sel], g[sel] = part(slots, b, rows[sel], e)
+                    errs[sel] = e
+            errors[rows] = errs
             L = self.base.lefts[rows][:, slots]
             R = np.swapaxes(self.base.rights[rows][:, slots], 1, 2)
-            (_, Rp, Lp), (_, Rm, Lm) = ([part[rows] for part in side]
-                                        for side in self.sweep(b, rows)[0])
-            Lp, Lm = Lp[:, slots], Lm[:, slots]
-            errs = errors[rows]
-            g_p, g_m, g = (self.machine.sys.eval_rows("eval_source", t, x, V, errs)[:, :, None]
-                           for V in (U + d, U - d, U))
-            errors[rows] = errs
-            d_psi = ((Lp @ g_p)[:, :, 0] - (Lm @ g_m)[:, :, 0]) / h2
-            d_LR = (Lp @ np.swapaxes(Rp[:, slots], 1, 2)
-                    - Lm @ np.swapaxes(Rm[:, slots], 1, 2)) / h2[:, :, None]
-            dL = d_LR - L @ np.stack([self.bracket(b, c, rows)[rows] for c in slots], axis=2)
             live = np.equal(errs, None)
             rows = rows[live]
-            sol, singular = _solve_rows(L[live] @ R[live], L[live] @ g[live])
+            sol, singular = _solve_rows(L[live] @ R[live], L[live] @ g[live][:, :, None])
             for j, err in singular.items():
                 errors[rows[j]] = err
             out[rows] = d_psi[live] - (dL[live] @ sol)[:, :, 0]
         return self._item(("source", slots, b), rows, compute,
                           lambda: np.full((len(self.U), len(slots)), np.nan))
 
+    def _source_fd(self, slots, b, rows, errs):
+        """(r_b(psi), dL(r_b, R), g) at `rows` by central differences of
+        the sweep along r_b and the brackets; errs receives what evaluating
+        g raises."""
+        h, t, x, U = self.step(rows), self.t[rows], self.x[rows], self.U[rows]
+        h2 = (2.0 * h)[:, None]
+        d = h[:, None] * self.base.rights[rows, b]
+        L = self.base.lefts[rows][:, slots]
+        (_, Rp, Lp), (_, Rm, Lm) = ([part[rows] for part in side]
+                                    for side in self.sweep(b, rows)[0])
+        Lp, Lm = Lp[:, slots], Lm[:, slots]
+        g_p, g_m, g = (self.machine.sys.eval_rows("eval_source", t, x, V, errs)
+                       for V in (U + d, U - d, U))
+        d_psi = ((Lp @ g_p[:, :, None])[:, :, 0] - (Lm @ g_m[:, :, None])[:, :, 0]) / h2
+        d_LR = (Lp @ np.swapaxes(Rp[:, slots], 1, 2)
+                - Lm @ np.swapaxes(Rm[:, slots], 1, 2)) / h2[:, :, None]
+        dL = d_LR - L @ np.stack([self.bracket(b, c, rows)[rows] for c in slots], axis=2)
+        return d_psi, dL, g
 
-def _solve_rows(a, b):
-    """np.linalg.solve on stacks a (M, k, k), b (M, k, m); if a matrix is exactly
-    singular, row by row: NaN and {row: LinAlgError} at the singular rows."""
-    try:
-        return np.linalg.solve(a, b), {}
-    except np.linalg.LinAlgError:
-        sol, singular = np.full(b.shape, np.nan), {}
-        for j in range(len(a)):
-            try:
-                sol[j] = np.linalg.solve(a[j], b[j])
-            except np.linalg.LinAlgError as err:
-                singular[j] = err
-        return sol, singular
+    def _source_exact(self, slots, b, rows, errs):
+        """(r_b(psi), dL(r_b, R), g) at `rows`, whose spectrum is all simple
+        and real, from the motions C_w of the base frames, whose lefts L
+        invert the rights: D L = C_b L along r_b, so r_b(psi) =
+        (C_b L g)[slots] + L dg[r_b], and dL(r_b, r_c) = -L [r_b, r_c] has
+        component d C_b[d, c] - C_c[d, b].  errs receives what evaluating g
+        and dg along r_b raises."""
+        sys_, t, x, U, base = self.machine.sys, self.t[rows], self.x[rows], self.U[rows], self.base
+        r_b, L = base.rights[rows, b], base.lefts[rows]
+        g = sys_.eval_rows("eval_source", t, x, U, errs)
+        dg = sys_.eval_rows("directional_source_derivative", t, x, U, errs, r_b,
+                            out=contract(self.jacobian(rows)[1][rows], r_b))
+        C = self.moving(b, rows)[rows]
+        d_psi = (C @ (L @ g[:, :, None]))[:, slots, 0] + (L[:, slots] @ dg[:, :, None])[:, :, 0]
+        dL = C[:, slots][:, :, slots] - np.stack(
+            [self.moving(c, rows)[rows][:, slots, b] for c in slots], axis=2)
+        return d_psi, dL, g
 
 
 def _at_state(sys_, t, x, u, frame, machine, base, gradient_path, partition=None, **tuples):
@@ -464,21 +490,29 @@ def gradient_condition_residual(sys_, slot_a, slot_b, t, x, u, frame="auto",
     """Directional derivative of the slot-a eigenvalue along the slot-b
     right autovector.  Simple eigenvalues use the perturbation formula
     l (D_w A) r / (l r); hinted fields are differentiated exactly; the FD
-    fallback tracks cluster values across aligned frames."""
+    fallback (multiple clusters, or path="fd") tracks cluster values across
+    aligned frames."""
     return _at_state(sys_, t, x, u, frame, machine, base, gradient_path=path,
                      grad_tuples=[(slot_a, slot_b)])
 
 
 def interaction_condition_residual(sys_, slot_a, slot_b, slot_c, t, x, u,
-                                   frame="auto", machine=None, base=None):
-    """l_a . ((D r_b) r_c - (D r_c) r_b) with the field derivatives taken by
-    central finite differences of aligned frames."""
-    return _at_state(sys_, t, x, u, frame, machine, base, gradient_path="auto",
+                                   frame="auto", path="auto", machine=None, base=None):
+    """l_a . ((D r_b) r_c - (D r_c) r_b).  On numeric frames where slots a,
+    b and c are simple and real it is
+
+        l_a dA[r_c] r_b / (lambda_b - lambda_a) - l_a dA[r_b] r_c / (lambda_c - lambda_a),
+
+    exact and independent of the frame's normalization (l_a r_b = l_a r_c =
+    0).  Otherwise (multiple, complex or Jordan clusters, hinted frames, or
+    path="fd") the field derivatives are central differences of aligned
+    frames at u +- h r_b and u +- h r_c."""
+    return _at_state(sys_, t, x, u, frame, machine, base, gradient_path=path,
                      int_tuples=[(slot_a, slot_b, slot_c)])
 
 
 def source_condition_residual(sys_, partition, slot_a, slot_b, t, x, u, frame="auto",
-                              machine=None, base=None):
+                              path="auto", machine=None, base=None):
     """Component slot_a of the source residual of slot_a's block i along the
     slot_b right autovector:
 
@@ -489,7 +523,11 @@ def source_condition_residual(sys_, partition, slot_a, slot_b, t, x, u, frame="a
     depend on (blocks <= i in partial mode, block i alone in full mode) and
     psi = L g.  Replacing L by M L multiplies res_b by M, so no normalization
     of the left fields has to be singled out; rescaling r_b scales res_b.
-    The field derivatives are central differences of aligned frames.
+    On numeric frames whose whole spectrum is simple and real the field
+    derivatives are exact, from dA and dg along the rights (see
+    _Residuals._source_exact); otherwise (hinted frames, any multiple,
+    complex or Jordan cluster, or path="fd") they are central differences
+    of aligned frames.
 
     The residual vanishes when the block source dH g of a map U = H(u) does
     not depend on the forbidden variables.  When A or g depend on (t, x) the
@@ -497,7 +535,7 @@ def source_condition_residual(sys_, partition, slot_a, slot_b, t, x, u, frame="a
     determine; that case is not covered.
     """
     return _at_state(sys_, t, x, u, frame, machine, base, partition=partition,
-                     gradient_path="auto", src_tuples=[(slot_a, slot_b)])
+                     gradient_path=path, src_tuples=[(slot_a, slot_b)])
 
 
 # ---------------------------------------------------------------------------
@@ -854,8 +892,7 @@ def nijenhuis_residual(sys_: QuasilinearSystem, t, x, u):
     u = np.asarray(u, dtype=float)
     A = sys_.eval_matrix(t, x, u)
     # D[..., m, i, j] = dA_ij/du_m
-    D = np.stack([sys_.directional_matrix_derivative(t, x, u, w) for w in np.eye(sys_.n)],
-                 axis=-3)
+    D = sys_.jacobian(t, x, u)[0]
     with np.errstate(all="ignore"):
         N = (np.einsum("...ai,...ajk->...jik", A, D)
              - np.einsum("...ak,...aji->...jik", A, D)

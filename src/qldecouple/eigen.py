@@ -9,7 +9,10 @@ points must belong to one smooth field.  That is what the alignment stage
 of reference frames (orthogonal Procrustes inside each eigenspace, then a
 rescale anchored at the reference pivot component).  Every frame is a
 FrameStack; spectrum_at and align_frames (the two stages) and the hinted
-frame_at work on one state and return one-row stacks.
+frame_at work on one state and return one-row stacks.  FrameMachine builds
+every frame of a system, base or near, from these stages or from the hinted
+field.  Where the spectrum is simple and real, frame_derivatives gives the
+frame's exact first-order motion from the derivative of A instead.
 """
 
 from __future__ import annotations
@@ -442,12 +445,84 @@ def analytic_frame(sys_, t, x, u) -> FrameStack:
     return analytic_field(sys_).frame_at(t, x, u)
 
 
+class FrameMachine:
+    """Builds frames of the frame field of a system on a stack of states:
+    base frames, near frames against a reference and the centered FD
+    sweeps.  The residual kernel of conditions, the flows of transform and
+    verify_transform read every frame through it."""
+
+    def __init__(self, sys_, frame="auto"):
+        self.sys = sys_
+        has_hints = "autovectors" in sys_.hints
+        if frame == "auto":
+            frame = "analytic" if has_hints else "numeric"
+        if frame == "analytic" and not has_hints:
+            raise HintInconsistent("model supplies no autovector hints")
+        self.mode = frame
+        self.field = analytic_field(sys_) if frame == "analytic" else None
+
+    @property
+    def provenance(self):
+        return "analyticHint" if self.mode == "analytic" else "numeric"
+
+    def base(self, t, x, u) -> FrameStack:
+        """frames() at the one state u, as a one-row stack; raises what
+        building that row raised."""
+        return self.frames(np.array([t], dtype=float), np.array([x], dtype=float),
+                           np.asarray(u, dtype=float)[None]).row(0)
+
+    def frames(self, t, x, U, reference: FrameStack = None,
+               lefts=True) -> FrameStack:
+        """Base frames at the rows of U (N, n), or near frames against the
+        rows of `reference` (a one-row reference serves every row); t and x
+        are scalars or (N,).  A row that fails a gate keeps the exception,
+        but for a LinAlgError of a base frame, which is raised.  Hinted
+        frames come from AnalyticFrameField.frames_batch, whose near frames
+        skip the residual gates.  Numeric frames come from the spectrum
+        stage (spectra) and, against a reference, the alignment stage
+        (aligned).  Without `lefts` the stack's lefts are None."""
+        if self.field is not None:
+            return self.field.frames_batch(t, x, U, check=reference is None, lefts=lefts)
+        if reference is not None:
+            return aligned(reference, spectra(self.sys, t, x, U, lefts=False),
+                                 lefts=lefts)
+        out = spectra(self.sys, t, x, U, lefts=lefts)
+        for err in out.errors:
+            if isinstance(err, np.linalg.LinAlgError):
+                raise err
+        return out
+
+    def sweep(self, t, x, U, base: FrameStack, slot, h, lefts):
+        """Near frames at U + h r_slot and at U - h r_slot, each row against
+        its row of base; h is (N,).  Without `lefts` their lefts are None."""
+        d = h[:, None] * base.rights[:, slot]
+        return (self.frames(t, x, U + d, base, lefts=lefts),
+                self.frames(t, x, U - d, base, lefts=lefts))
+
+
 def eigenvalue_derivatives(lefts, DA, rights):
     """Perturbation formula l (D_w A) r / (l r) for simple eigenvalues, row
     by row: lefts and rights (N, n) hold each eigenvalue's left and right
     autovectors, DA (N, n, n) the derivative of A along w."""
     lefts, rights = np.ascontiguousarray(lefts)[:, None, :], np.ascontiguousarray(rights)[:, :, None]
     return ((lefts @ np.ascontiguousarray(DA)) @ rights)[:, 0, 0] / (lefts @ rights)[:, 0, 0]
+
+
+def frame_derivatives(lefts, DA, rights, values):
+    """The first-order motion along w of frames with a simple real spectrum,
+    row by row: lefts and rights (N, slot, component), values (N, n) and DA
+    (N, n, n) the derivative of A along w give C (N, n, n) with C[d, e] =
+    l_d DA r_e / (lambda_d - lambda_e) off the diagonal and 0 on it.
+    Differentiating A r_e = lambda_e r_e and applying l_d gives, in the
+    gauge that keeps the lefts inverse to the rights and moves no vector
+    along itself, D_w r_e = -sum_d C[d, e] r_d and D_w L = C L.  Entries
+    between equal eigenvalues are not finite."""
+    lam = values.real
+    M = np.ascontiguousarray(lefts) @ DA @ np.swapaxes(rights, 1, 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        C = M / (lam[:, :, None] - lam[:, None, :])
+    C[:, np.arange(lam.shape[1]), np.arange(lam.shape[1])] = 0.0
+    return C
 
 
 def eigenvalue_directional_derivative(sys_, t, x, u, frame: FrameStack, slot, w):

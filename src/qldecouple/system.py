@@ -1,14 +1,13 @@
 """Quasilinear system model u_t + A(t,x,u) u_x = g(t,x,u).
 
 Holds the coefficient matrix and source as expression trees, performs
-validated loading from JSON documents, pointwise evaluation, exact
-directional derivatives of A, deterministic state-space sampling, and the
-conjugation construction used as the property-test oracle.
+validated loading from JSON documents, evaluation of A, g and their exact
+partials (the Jacobian) on one state or a stack, deterministic state-space
+sampling, and the conjugation construction used as the property-test oracle.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import math
@@ -82,6 +81,39 @@ def _directions(w):
     return (w if w.ndim == 1 else w.any(axis=0)).nonzero()[0].tolist()
 
 
+def _solve_rows(a, b):
+    """np.linalg.solve on stacks a (M, ..., k, k), b (M, ..., k, m); if a
+    matrix is exactly singular, row by row: NaN and {row: LinAlgError} at
+    the singular rows."""
+    try:
+        return np.linalg.solve(a, b), {}
+    except np.linalg.LinAlgError:
+        sol, singular = np.full(b.shape, np.nan), {}
+        for j in range(len(a)):
+            try:
+                sol[j] = np.linalg.solve(a[j], b[j])
+            except np.linalg.LinAlgError as err:
+                singular[j] = err
+        return sol, singular
+
+
+def contract(D, w, ks=None):
+    """sum_k w_k D_k, w (n,) or (N, n) and D holding the partials along the
+    states ks (all by default) on the axis after w's leading one.  Each row
+    sums only its nonzero w_k, in increasing k, as out += w_k * D_k, so a
+    non-finite D_k with w_k = 0 adds nothing and a row's bits do not depend
+    on the rows beside it."""
+    single = w.ndim == 1
+    if single:
+        w, D = w[None], D[None]
+    out = np.zeros((len(w),) + D.shape[2:])
+    for i, k in enumerate(range(w.shape[1]) if ks is None else ks):
+        at = w[:, k] != 0
+        at = slice(None) if at.all() else at
+        out[at] += w[at, k].reshape((-1,) + (1,) * (D.ndim - 2)) * D[at, i]
+    return out[0] if single else out
+
+
 class QuasilinearSystem:
     """Immutable-by-convention system model.
 
@@ -141,14 +173,15 @@ class QuasilinearSystem:
 
     def _compiled(self, key):
         """The one compiled function of the flat entries of `key` ("A", "g",
-        "A0", "exclude", or ("dA", k) / ("dA0", k) for the derivative along
-        state k), with their expressions and the name used in diagnostics."""
+        "A0", "exclude", or ("dA", k) / ("dg", k) / ("dA0", k) for the
+        derivative along state k), with their expressions and the name used
+        in diagnostics."""
         hit = self._cache.get(key)
         if hit is None:
             name, k = (key, None) if isinstance(key, str) else key
-            rows = {"A": self.a, "dA": self.a, "A0": self.a0, "dA0": self.a0}.get(name)
-            exprs = ({"g": self.g, "exclude": self.exclude}[name] if rows is None
-                     else [e for row in rows for e in row])
+            rows = {"A": self.a, "dA": self.a, "A0": self.a0, "dA0": self.a0,
+                    "g": [self.g], "dg": [self.g], "exclude": [self.exclude]}[name]
+            exprs = [e for row in rows for e in row]
             if k is not None:
                 exprs = ex.differentiate(exprs, self.states[k])
                 name = f"{name}/d{self.states[k]}"
@@ -181,18 +214,18 @@ class QuasilinearSystem:
 
     # -- evaluation ------------------------------------------------------------
     #
-    # One core per coefficient (_matrix, _source, _derivative) evaluates at one
+    # One core per coefficient (_matrix, _source, _jacobian) evaluates at one
     # state u of shape (n,) or a stack of states of shape (N, n); t and x are
     # scalars or follow the stack.  A conjugated backend implements the same
     # three cores, and the public methods call whichever the system has.
 
     def _values(self, key, t, x, u):
-        """Entries of `key` (see _compiled), shaped (n,) for g and (n, n)
-        otherwise, with a leading N axis on a stack.  At one state a
+        """Entries of `key` (see _compiled), shaped (n,) for g and dg and
+        (n, n) otherwise, with a leading N axis on a stack.  At one state a
         non-finite entry raises DomainError naming it; a stack keeps nan and
         inf."""
         fn, exprs, name = self._compiled(key)
-        shape = (self.n,) if name == "g" else (self.n, self.n)
+        shape = (self.n,) if name.split("/")[0] in ("g", "dg") else (self.n, self.n)
         vals = _evaluate(fn, t, x, u)
         # vals . vals is finite when every entry is (unless it overflows),
         # and costs less than the entrywise check
@@ -206,23 +239,29 @@ class QuasilinearSystem:
             raise DomainError(f"non-finite value in {where}")
         return vals.reshape(u.shape[:-1] + shape)
 
+    def _partials(self, name, t, x, u, ks):
+        """_values of (name, k) for each k in ks, in order, on the axis after
+        u's leading ones."""
+        tail = (self.n,) if name == "dg" else (self.n, self.n)
+        out = np.empty(u.shape[:-1] + (len(ks),) + tail)
+        for i, k in enumerate(ks):
+            out[(Ellipsis, i) + (slice(None),) * len(tail)] = self._values((name, k), t, x, u)
+        return out
+
     def _a0_solver(self, t, x, u):
-        """The map b -> A0^-1 b with A0 evaluated once at u.  A singular A0
-        raises DomainError at one state and leaves nan in its rows of a
-        stack."""
+        """The map b -> A0^-1 b with A0 evaluated once at u, b one matrix
+        per state or one stack of matrices per state.  A singular A0 raises
+        DomainError at one state and leaves nan in its rows of a stack."""
         A0 = self._values("A0", t, x, u)
 
         def solve(b):
+            a = A0 if b.ndim == A0.ndim else A0[..., None, :, :]
+            if u.ndim > 1:
+                return _solve_rows(a, b)[0]
             try:
-                return np.linalg.solve(A0, b)
+                return np.linalg.solve(a, b)
             except np.linalg.LinAlgError:
-                if u.ndim == 1:
-                    raise DomainError("singular A0") from None
-            out = np.full(b.shape, np.nan)
-            for i, a0 in enumerate(A0):
-                with contextlib.suppress(np.linalg.LinAlgError):
-                    out[i] = np.linalg.solve(a0, b[i])
-            return out
+                raise DomainError("singular A0") from None
 
         return solve
 
@@ -234,27 +273,29 @@ class QuasilinearSystem:
         g = self._values("g", t, x, u)
         return g if self.a0 is None else self._a0_solver(t, x, u)(g[..., None])[..., 0]
 
-    def _derivative(self, t, x, u, w):
-        def along(name):
-            out = np.zeros(u.shape[:-1] + (self.n, self.n))
-            for k in _directions(w):
-                out += w[..., k, None, None] * self._values((name, k), t, x, u)
-            return out
-
-        D = along("dA")
+    def _jacobian(self, t, x, u, ks, matrix=True, source=False):
+        """(dA/du_k with `matrix`, dg/du_k with `source`; None otherwise)
+        for each k in ks, on the axis after u's leading ones."""
+        dA = self._partials("dA", t, x, u, ks) if matrix else None
+        dg = self._partials("dg", t, x, u, ks) if source else None
         if self.a0 is not None:
-            # A = A0^-1 A1, so dA = A0^-1 (dA1 - dA0 A)
+            # A = A0^-1 A1 and g = A0^-1 g1, so dA = A0^-1 (dA1 - dA0 A) and
+            # dg = A0^-1 (dg1 - dA0 g)
             solve = self._a0_solver(t, x, u)
-            A = solve(self._values("A", t, x, u))
-            D = solve(D - along("dA0") @ A)
-        return D
+            dA0 = self._partials("dA0", t, x, u, ks)
+            if matrix:
+                dA = solve(dA - dA0 @ solve(self._values("A", t, x, u))[..., None, :, :])
+            if source:
+                g = solve(self._values("g", t, x, u)[..., None])
+                dg = solve(dg[..., None] - dA0 @ g[..., None, :, :])[..., 0]
+        return dA, dg
 
-    def _core(self, core, t, x, u, *w):
+    def _core(self, core, t, x, u, *args):
         """Run `core` on this system or its conjugated backend, with
         floating-point warnings off (_values handles non-finite entries)."""
         backend = self if self._conjugated is None else self._conjugated
         with np.errstate(all="ignore"):
-            return getattr(backend, core)(t, x, np.asarray(u, dtype=float), *w)
+            return getattr(backend, core)(t, x, np.asarray(u, dtype=float), *args)
 
     def eval_matrix(self, t, x, u) -> np.ndarray:
         return self._core("_matrix", t, x, u)
@@ -262,26 +303,43 @@ class QuasilinearSystem:
     def eval_source(self, t, x, u) -> np.ndarray:
         return self._core("_source", t, x, u)
 
-    def directional_matrix_derivative(self, t, x, u, w) -> np.ndarray:
-        """Sum_k w_k dA/du_k, exact via symbolic differentiation."""
-        return self._core("_derivative", t, x, u, np.asarray(w, dtype=float))
+    def jacobian(self, t, x, u, source=False):
+        """(dA/du_k, dg/du_k) for every state k, exact via symbolic
+        differentiation: dA (..., n, n, n) with k on the axis after u's
+        leading ones, and with `source` dg (..., n, n) likewise, else None.
+        At one state a non-finite partial raises DomainError naming it."""
+        return self._core("_jacobian", t, x, u, list(range(self.n)), True, source)
 
-    def eval_rows(self, method, t, x, U, errors, *w):
-        """self.<method>(t, x, U, *w), method eval_matrix, eval_source or
-        directional_matrix_derivative, on a stack U (N, n) with t and x
-        scalars or following it and the rows of each w following it.  A row
-        left non-finite (every row, when the stacked call raises) that has
-        no error yet in `errors` is redone at its one state and keeps the
-        DomainError or LinAlgError that call raises, so each row has the
-        values or the error of its one-state call."""
+    def directional_matrix_derivative(self, t, x, u, w) -> np.ndarray:
+        """Sum_k w_k dA/du_k: the partials along the k with w_k != 0, and
+        only those, contracted with w (contract)."""
+        w = np.asarray(w, dtype=float)
+        ks = _directions(w)
+        return contract(self._core("_jacobian", t, x, u, ks)[0], w, ks)
+
+    def directional_source_derivative(self, t, x, u, w) -> np.ndarray:
+        """Sum_k w_k dg/du_k, as directional_matrix_derivative."""
+        w = np.asarray(w, dtype=float)
+        ks = _directions(w)
+        return contract(self._core("_jacobian", t, x, u, ks, False, True)[1], w, ks)
+
+    def eval_rows(self, method, t, x, U, errors, *w, out=None):
+        """self.<method>(t, x, U, *w), method eval_matrix, eval_source or a
+        directional derivative, on a stack U (N, n) with t and x scalars or
+        following it and the rows of each w following it; `out`, when given,
+        holds the stacked values already.  A row left non-finite (every row,
+        when the stacked call raises) that has no error yet in `errors` is
+        redone at its one state and keeps the DomainError or LinAlgError
+        that call raises, so each row has the values or the error of its
+        one-state call."""
         fn = getattr(self, method)
-        try:
-            out = np.ascontiguousarray(fn(t, x, U, *w))
-            finite = np.isfinite(out).all(axis=tuple(range(1, out.ndim)))
-        except (DomainError, np.linalg.LinAlgError):
-            # g is a vector per state, A and dA matrices
-            out = np.full(U.shape if method == "eval_source" else U.shape + U.shape[1:], np.nan)
-            finite = np.zeros(len(U), dtype=bool)
+        if out is None:
+            try:
+                out = np.ascontiguousarray(fn(t, x, U, *w))
+            except (DomainError, np.linalg.LinAlgError):
+                # g is a vector per state, A and dA matrices
+                out = np.full(U.shape if "source" in method else U.shape + U.shape[1:], np.nan)
+        finite = np.isfinite(out).all(axis=tuple(range(1, out.ndim)))
         if finite.all():
             return out
         t, x = np.broadcast_to(t, len(U)), np.broadcast_to(x, len(U))
@@ -343,7 +401,7 @@ class _ConjugatedBackend:
     @functools.cached_property
     def dj_fns(self):
         """dJ/du_k compiled, entries flat, for each state k: built on the first
-        _derivative call, which a symbolic conjugation never makes."""
+        _jacobian call, which a symbolic conjugation never makes."""
         return [ex.compile_expression(ex.differentiate(self.j_flat, nm), self.order)
                 for nm in self.u_names]
 
@@ -362,17 +420,38 @@ class _ConjugatedBackend:
         J, H = self._jh(t, x, u)
         return np.linalg.solve(J, self.tri._source(t, x, H)[..., None])[..., 0]
 
-    def _derivative(self, t, x, u, w):
+    def _jacobian(self, t, x, u, ks, matrix=True, source=False):
+        """With `matrix` dA/du_k = J^-1 (dT_k J + T dJ_k) - J^-1 dJ_k A and
+        with `source` dg/du_k = J^-1 (dg_T,k - dJ_k g), each None otherwise,
+        for every k in ks with J, dJ and J^-1 formed once.  Along u_k, H
+        moves by column k of J, so dT_k = sum_m J[m, k] dT/dU_m at H, summed
+        in increasing m, and likewise dg_T,k."""
+        lead = u.ndim - 1
         J, H = self._jh(t, x, u)
-        T = self.tri._matrix(t, x, H)
-        dJ = np.zeros(J.shape)
-        for k in _directions(w):
-            dJ += w[..., k, None, None] * _evaluate(self.dj_fns[k], t, x, u).reshape(J.shape)
-        dH = (J @ w[..., None])[..., 0]
-        dT = self.tri._derivative(t, x, H, dH)
-        Jinv = np.linalg.inv(J)
-        A = Jinv @ T @ J
-        return Jinv @ (dT @ J + T @ dJ) - Jinv @ dJ @ A
+        dJ = np.empty(J.shape[:-2] + (len(ks),) + J.shape[-2:])
+        for i, k in enumerate(ks):
+            dJ[..., i, :, :] = _evaluate(self.dj_fns[k], t, x, u).reshape(J.shape)
+        Jk = J[..., :, ks]
+        ms = np.flatnonzero((Jk != 0).any(axis=-1).reshape(-1, self.n).any(axis=0)).tolist()
+        dT, dgT = self.tri._jacobian(t, x, H, ms, matrix, source)
+
+        def chain(P):
+            out = np.zeros(Jk.shape[:-2] + (len(ks),) + P.shape[lead + 1:])
+            for i, m in enumerate(ms):
+                Pm = np.expand_dims(P[(slice(None),) * lead + (i,)], lead)
+                out += Jk[..., m, :].reshape(out.shape[:lead + 1] + (1,) * (Pm.ndim - lead - 1)) * Pm
+            return out
+
+        Jinv = np.expand_dims(np.linalg.inv(J), lead)
+        dA = dg = None
+        if matrix:
+            T = np.ascontiguousarray(self.tri._matrix(t, x, H))
+            Je, Te = np.expand_dims(J, lead), np.expand_dims(T, lead)
+            dA = Jinv @ (chain(dT) @ Je + Te @ dJ) - Jinv @ dJ @ (Jinv @ Te @ Je)
+        if source:
+            g = np.linalg.solve(J, self.tri._source(t, x, H)[..., None])
+            dg = (Jinv @ (chain(dgT)[..., None] - dJ @ np.expand_dims(g, lead)))[..., 0]
+        return dA, dg
 
 
 # ---------------------------------------------------------------------------

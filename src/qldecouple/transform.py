@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exprlang as ex
-from .conditions import FrameMachine, PartitionScheme, _cause, _solve_rows
+from .conditions import PartitionScheme, _cause
+from .eigen import FrameMachine
 from .errors import (
     DegenerateSample,
     DomainError,
@@ -25,7 +26,7 @@ from .errors import (
     ShootingFailed,
     SingularCandidate,
 )
-from .system import INDEPENDENT, QuasilinearSystem, SamplePlan, _evaluate
+from .system import INDEPENDENT, QuasilinearSystem, SamplePlan, _evaluate, _solve_rows
 
 DET_FLOOR = 1e-8          # |det grad H| below this makes a sample singular
 SINGULAR_FRACTION = 0.01  # share of singular samples that rejects a candidate
@@ -298,7 +299,10 @@ def integrate_field(field_fn, start, arc_length, steps, in_domain=None):
     A curve stops before a non-finite field value and at its first point
     outside in_domain.  It is integrated again with twice the steps, at most
     MAX_REFINE times, while it stopped early on the field or its error
-    estimate exceeds INTEGRATION_TOL * max(|arc|, ARC_FLOOR).
+    estimate exceeds INTEGRATION_TOL * max(|arc|, ARC_FLOOR), unless that
+    estimate is above half the curve's estimate of its last pass: RK4 cuts
+    it by about 16 per doubling, so such a curve cannot meet its budget by
+    refining, and it ends over budget.
 
     info holds error_estimate and left_domain (one per row for a batch),
     steps (the step count of each curve's last pass, summed), fieldCalls
@@ -319,6 +323,10 @@ def integrate_field(field_fn, start, arc_length, steps, in_domain=None):
     failed = np.zeros(N, dtype=bool)
     steps_used = np.zeros(N, dtype=int)
     todo = np.arange(N)
+    # the rows that end over budget, and each row's last estimate of a pass
+    # that did not stop on the field
+    missed = np.zeros(N, dtype=bool)
+    last = np.full(N, np.inf)
     n_steps = max(1, int(steps))
     calls = []
 
@@ -332,18 +340,19 @@ def integrate_field(field_fn, start, arc_length, steps, in_domain=None):
         ends[todo] = pts[count - 1, np.arange(len(todo))]
         err[todo], left[todo], failed[todo], steps_used[todo] = e, l, f, n_steps
         accepted = ~f & ((e <= budget[todo]) | l)
-        todo = todo[~accepted]
+        stall = ~accepted & ~f & (e > 0.5 * last[todo])
+        missed[todo[stall]], last[todo] = True, np.where(f, np.inf, e)
+        todo = todo[~accepted & ~stall]
         if not todo.size:
             break
         n_steps *= 2
     info = {"steps": int(steps_used.sum()), "fieldCalls": len(calls), "fieldRows": sum(calls)}
-    if todo.size:
+    missed[todo] = True
+    if missed.any():
         info["tolerance_met"] = False
     if single:
         info.update(error_estimate=float(err[0]), left_domain=bool(left[0]))
         return pts[:count[0], 0], info
-    missed = np.zeros(N, dtype=bool)
-    missed[todo] = True
     info.update(error_estimate=err, left_domain=left, missed=missed, failed=failed)
     return ends, info
 

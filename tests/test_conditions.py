@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -587,13 +588,15 @@ def test_interaction_residual_hand_oracle():
            "A": [["1", "u3", "0"], ["0", "2", "0"], ["0", "0", "4"]],
            "domain": {"u1": [-1, 1], "u2": [-1, 1], "u3": [0.2, 0.8]}}
     sys_ = load_system(json.dumps(doc))
-    got = cond.interaction_condition_residual(sys_, 0, 1, 2, 0.0, 0.0,
-                                              np.array([0.1, -0.2, 0.5]))
-    assert got == pytest.approx(1.0, abs=1e-6)
-    # swapped roles flip the sign
-    got2 = cond.interaction_condition_residual(sys_, 0, 2, 1, 0.0, 0.0,
-                                               np.array([0.1, -0.2, 0.5]))
-    assert got2 == pytest.approx(-1.0, abs=1e-6)
+    # the formula in dA is exact; the fd path carries the FD truncation
+    for path, tol in (("auto", 1e-12), ("fd", 1e-6)):
+        got = cond.interaction_condition_residual(sys_, 0, 1, 2, 0.0, 0.0,
+                                                  np.array([0.1, -0.2, 0.5]), path=path)
+        assert got == pytest.approx(1.0, abs=tol)
+        # swapped roles flip the sign
+        got2 = cond.interaction_condition_residual(sys_, 0, 2, 1, 0.0, 0.0,
+                                                   np.array([0.1, -0.2, 0.5]), path=path)
+        assert got2 == pytest.approx(-1.0, abs=tol)
     # and the full check flags the coupling
     p = cond.PartitionScheme([[0, 1], [2]], "partial")
     report = cond.check_partition(sys_, p, plan(count=40))
@@ -684,9 +687,9 @@ def _stack_and_pointwise(sys_, p, samples, frame="auto", gradient_path="auto"):
                  sys_, a, b, t, x, u, frame=frame, path=gradient_path)
              for a, b in grad]
     calls += [lambda t, x, u, a=a, b=b, c=c: cond.interaction_condition_residual(
-                  sys_, a, b, c, t, x, u, frame=frame) for a, b, c in ints]
+                  sys_, a, b, c, t, x, u, frame=frame, path=gradient_path) for a, b, c in ints]
     calls += [lambda t, x, u, a=a, b=b: cond.source_condition_residual(
-                  sys_, p, a, b, t, x, u, frame=frame) for a, b in src]
+                  sys_, p, a, b, t, x, u, frame=frame, path=gradient_path) for a, b in src]
     pointwise = []
     for t, x, *u in samples:
         try:
@@ -729,9 +732,12 @@ def test_kernel_rows_with_non_finite_coefficients_keep_their_one_state_errors():
     # A is lower triangular with eigenvalues 1 + a^2 + sqrt(a + 1), 3 and
     # 5 + sqrt(c^2): not finite for a < -1; dA/dc divides by sqrt(c^2), so it
     # is not finite at c = 0 along r_2 = e_3; g = sqrt(b) is not finite for
-    # b < 0, and for b = 1e-7 only at u - h r_b.  Every such row keeps the
-    # DomainError, type and message, that the coefficient raises at its one
-    # state, and every other row keeps its bits
+    # b < 0, and for b = 1e-7 only at u - h r_b, which the fd path reads and
+    # the exact source formula does not.  The fd path reads no dA, so there
+    # the c = 0 row with b > 0 is evaluated and the one with b < 0 keeps the
+    # error of g.  Every such row keeps the DomainError, type and message,
+    # that the coefficient raises at its one state, and every other row
+    # keeps its bits
     doc = {"n": 3, "states": ["a", "b", "c"],
            "A": [["1 + a^2 + sqrt(a + 1)", "0", "0"], ["b", "3", "0"],
                  ["0", "c", "5 + sqrt(c^2)"]],
@@ -748,16 +754,18 @@ def test_kernel_rows_with_non_finite_coefficients_keep_their_one_state_errors():
         return info.value
 
     along_c = np.array([0.0, 0.0, 1.0])
-    want = [None, raised("eval_matrix", u[1]), raised("eval_source", u[2]),
-            raised("eval_source", u[3] - [0.0, 1e-5, 0.0]),
-            raised("directional_matrix_derivative", u[4], along_c),
-            raised("directional_matrix_derivative", u[5], along_c), None]
-    for mode in ("partial", "full"):
-        p = cond.PartitionScheme([[0], [1], [2]], mode)
-        status, values, pointwise = _stack_and_pointwise(sys_, p, samples)
-        assert list(status) == ["ok"] + ["DomainError"] * 5 + ["ok"]
+    wants = {"auto": [None, raised("eval_matrix", u[1]), raised("eval_source", u[2]), None,
+                      raised("directional_matrix_derivative", u[4], along_c),
+                      raised("directional_matrix_derivative", u[5], along_c), None],
+             "fd": [None, raised("eval_matrix", u[1]), raised("eval_source", u[2]),
+                    raised("eval_source", u[3] - [0.0, 1e-5, 0.0]), None,
+                    raised("eval_source", u[5]), None]}
+    for path, mode in product(wants, ("partial", "full")):
+        want, p = wants[path], cond.PartitionScheme([[0], [1], [2]], mode)
+        status, values, pointwise = _stack_and_pointwise(sys_, p, samples, gradient_path=path)
+        assert list(status) == ["ok" if w is None else "DomainError" for w in want]
         _assert_rows_match(status, values, pointwise)
-        stack = cond._SampleStack(sys_, samples, cond.FrameMachine(sys_), "auto", 1e-3)
+        stack = cond._SampleStack(sys_, samples, cond.FrameMachine(sys_), path, 1e-3)
         _, kernel = stack.kernel.run(np.arange(len(stack.rows)), p,
                                      *stack.evaluate(p)[2])
         errors = list(stack.base.errors)
@@ -819,6 +827,52 @@ def test_row_reads_only_its_own_sweeps():
     leaves = sum(u[1] - cond._fd_step(u) < 0 for u in U)
     assert 0 < leaves < 40
     assert fd.degenerate == leaves and fd.degenerate_by_cause == {"DomainError": leaves}
+
+
+def test_sourced_row_whose_sweep_leaves_the_domain():
+    # A = diag(a, sqrt(b) + 2) with g = (b, a): the sweep along r_1 = e_2
+    # reads sqrt(b - h), which is not finite for b < h.  The exact source
+    # formula reads dA and dg at u alone, so auto evaluates every row; the
+    # fd path drops exactly the rows whose b - h < 0, as DomainError
+    doc = {"n": 2, "states": ["a", "b"], "A": [["a", "0"], ["0", "sqrt(b) + 2"]],
+           "g": ["b", "a"], "domain": {"a": [-1, 0], "b": [0, 1e-4]}}
+    sys_ = load_system(json.dumps(doc))
+    p = cond.PartitionScheme([[0], [1]], "partial")
+    auto = cond.check_partition(sys_, p, plan(count=40), frame="numeric",
+                                families=("source",))
+    assert auto.evaluated == 40 and auto.degenerate_by_cause == {}
+    # the slot-0 source b along r_1 = e_2 has derivative 1
+    assert auto.families["source"].max_abs == pytest.approx(1.0, abs=1e-12)
+    fd = cond.check_partition(sys_, p, plan(count=40), frame="numeric", gradient_path="fd",
+                              families=("source",))
+    U = sys_.sample_points(plan(count=40))[:, 2:]
+    leaves = sum(u[1] - cond._fd_step(u) < 0 for u in U)
+    assert 0 < leaves < 40
+    assert fd.degenerate_by_cause == {"DomainError": leaves}
+
+
+@settings(max_examples=16, deadline=None)
+@given(seed=st.integers(0, 40), n=st.sampled_from([3, 4]), shape=st.integers(0, 2),
+       sourced=st.booleans(), mode=st.sampled_from(["partial", "full"]),
+       defect=st.sampled_from([0.0, 0.2]))
+def test_exact_frame_derivatives_match_the_fd_path_on_oracles(seed, n, shape, sourced,
+                                                                mode, defect):
+    # the interaction and source formulas against central differences of
+    # aligned frames (truncation O(h^2), h = 1e-5 (1 + |u|)): the same
+    # statuses, and every interaction and source column within 1e-8
+    # relative to 1 + |fd|, on sound and defect oracles
+    _, _, entry = models.build_synthetic_triangular(seed=seed, n=n, block_sizes=SHAPES[n][shape],
+                                                    with_source=sourced,
+                                                    off_block_defect=defect)
+    p = cond.PartitionScheme(entry.extras["blocks"], mode)
+    samples = entry.system.sample_points(plan(count=8, seed=seed))
+    machine = cond.FrameMachine(entry.system, "numeric")
+    (status, auto, (grad, _, _)), (fd_status, fd, _) = (
+        cond._SampleStack(entry.system, samples, machine, path, 1e-3).evaluate(p)
+        for path in ("auto", "fd"))
+    assert list(status) == list(fd_status)
+    cols = slice(len(grad), None)
+    assert np.all(np.abs(auto[:, cols] - fd[:, cols]) <= 1e-8 * (1.0 + np.abs(fd[:, cols])))
 
 
 # --- search candidates as reductions of shared sample stacks ---------------------

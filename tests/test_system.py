@@ -162,6 +162,64 @@ def test_directional_derivative_linear_in_w():
     np.testing.assert_allclose(D12, 2.0 * D1 + 3.0 * D2, rtol=1e-12, atol=1e-12)
 
 
+def test_jacobian_contraction_keeps_bits_and_reads_only_nonzero_weights():
+    # dA/dc = 1/(2 sqrt(c)) in A[1][1] is not finite at c = 0
+    doc = {"n": 3, "states": ["a", "b", "c"],
+           "A": [["a*b", "b^2", "0"], ["exp(a)", "sqrt(c)", "a"], ["0", "c*b", "1"]],
+           "g": ["sqrt(c)", "a*b", "0"], "domain": {"a": [-1, 1], "b": [-1, 1], "c": [0, 1]}}
+    sys_ = load_system(json.dumps(doc))
+    rng = np.random.default_rng(5)
+    U = np.column_stack([rng.uniform(-1, 1, (12, 2)), rng.uniform(0.1, 1, 12)])
+    W = rng.normal(size=U.shape)
+    W[::3, 1] = 0.0
+    dA, dg = sys_.jacobian(0.0, 0.0, U, source=True)
+    for k, (u, w) in enumerate(zip(U, W)):
+        one_dA, one_dg = sys_.jacobian(0.0, 0.0, u, source=True)
+        assert np.array_equal(one_dA, dA[k]) and np.array_equal(one_dg, dg[k])
+        # out += w_k D_k over the nonzero w_k, in increasing k
+        want = np.zeros((3, 3))
+        for j in np.flatnonzero(w):
+            want += w[j] * one_dA[j]
+        assert np.array_equal(sys_.directional_matrix_derivative(0.0, 0.0, u, w), want)
+    stacked = sys_.directional_matrix_derivative(0.0, 0.0, U, W)
+    assert all(np.array_equal(stacked[k], sys_.directional_matrix_derivative(0.0, 0.0, U[k], W[k]))
+               for k in range(len(U)))
+    # at c = 0 only a direction that moves c reads the non-finite partial
+    u = np.array([0.3, -0.4, 0.0])
+    assert np.isfinite(sys_.directional_matrix_derivative(0, 0, u, [1.0, 2.0, 0.0])).all()
+    assert np.isfinite(sys_.directional_source_derivative(0, 0, u, [1.0, 2.0, 0.0])).all()
+    with pytest.raises(DomainError, match=r"dA/dc\[1\]\[1\]"):
+        sys_.directional_matrix_derivative(0, 0, u, [1.0, 0.0, 0.5])
+    with pytest.raises(DomainError, match=r"dg/dc\[0\]"):
+        sys_.directional_source_derivative(0, 0, u, [0.0, 0.0, 1.0])
+    # a stack keeps the non-finite row, and the rows beside it their bits
+    mixed = sys_.directional_matrix_derivative(0, 0, np.vstack([u, u]), [[1.0, 2.0, 0.0],
+                                                                         [0.0, 0.0, 1.0]])
+    assert np.isfinite(mixed[0]).all() and not np.isfinite(mixed[1]).all()
+
+
+@pytest.mark.parametrize("form", ["plain", "normalized", "conjugated", "symbolic"])
+def test_source_and_matrix_derivatives_match_fd(form):
+    tri, _, entry = models.build_synthetic_triangular(seed=2, n=3, block_sizes=(2, 1),
+                                                      with_source=True)
+    sys_ = {"plain": lambda: tri,
+            "normalized": lambda: load_system(json.dumps(NORMALIZED)),
+            "conjugated": lambda: entry.system,
+            "symbolic": lambda: load_system(json.dumps(
+                models.emit_synthetic_document(2, 3, (2, 1), with_source=True)))}[form]()
+    rng = np.random.default_rng(7)
+    h = 1e-6
+    for row in sys_.sample_points(SamplePlan(count=8, seed=2)):
+        t, x, u = row[0], row[1], row[2:]
+        w = rng.normal(size=sys_.n)
+        for method, f in (("directional_matrix_derivative", sys_.eval_matrix),
+                          ("directional_source_derivative", sys_.eval_source)):
+            got = getattr(sys_, method)(t, x, u, w)
+            fd = (f(t, x, u + h * w) - f(t, x, u - h * w)) / (2 * h)
+            np.testing.assert_allclose(got, fd, rtol=1e-6, atol=1e-6 * (1 + np.abs(fd).max()),
+                                       err_msg=method)
+
+
 def test_normalized_loader_diagonal_a0():
     doc = {"n": 2, "states": ["a", "b"], "normalize": True,
            "A0": [["2", "0"], ["0", "4"]],
@@ -454,7 +512,7 @@ def test_symbolic_conjugation_compiles_no_jacobian_derivative(monkeypatch):
                                {"p": (-1.0, 1.0), "q": (-1.0, 1.0)})._conjugated
     assert "dj_fns" not in vars(backend)
     del compiled[:]
-    backend._derivative(0.0, 0.0, np.array([0.3, 0.7]), np.array([1.0, 0.0]))
+    backend._jacobian(0.0, 0.0, np.array([0.3, 0.7]), [0])
     assert len(vars(backend)["dj_fns"]) == n and n * n * n <= len(compiled)
 
 

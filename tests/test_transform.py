@@ -223,6 +223,30 @@ def test_flow_batch_rows_have_their_own_arcs_and_masks():
         assert "tolerance_met" not in one
 
 
+def test_flow_rows_whose_error_does_not_fall_stop_refining():
+    # row 0 follows a smooth field that meets its budget after refining;
+    # row 1 a field with a kink at every 1e-3 in u_0, whose error estimate
+    # stops falling as the steps double, so it stops refining over budget
+    def field(U):
+        out = np.column_stack([np.ones(len(U)), -U[:, 1]])
+        kinked = U[:, 1] > 5.0
+        out[kinked, 1] = np.abs(np.sin(1e3 * np.pi * U[kinked, 0]))
+        return out
+
+    start = np.array([[0.0, 1.0], [0.0, 10.0]])
+    ends, info = transform.integrate_field(field, start, np.array([3.0, 3.0]), 8)
+    np.testing.assert_allclose(ends[0], [3.0, np.exp(-3.0)], rtol=0, atol=3e-8)
+    assert info["missed"].tolist() == [False, True] and not info["failed"].any()
+    assert info["tolerance_met"] is False
+    smooth, _ = transform.integrate_field(field, start[0], 3.0, 8)
+    assert np.array_equal(smooth[-1], ends[0])
+    # 11 field calls per RK4 step with its two half steps: row 1 alone runs
+    # the passes of 8, 16 and 32 steps, where all 7 would take 11 * 1016
+    kinked, alone = transform.integrate_field(field, start[1], 3.0, 8)
+    assert np.array_equal(kinked[-1], ends[1])
+    assert alone["fieldCalls"] == 11 * (8 + 16 + 32) and alone["tolerance_met"] is False
+
+
 def test_hinted_flow_raises_where_its_start_fails_the_residual_gate():
     # abs(p) is the wrong eigenvalue of diag(p, 2) for p < 0: the near
     # frames of the field skip the residual gates, but the base frame at the

@@ -78,7 +78,7 @@ from .errors import (
     SchemaError,
     TooLarge,
 )
-from .system import QuasilinearSystem, SamplePlan, _evaluate, _solve_rows, contract
+from .system import QuasilinearSystem, SamplePlan, _solve_rows, contract
 
 FD_STEP = 1e-5
 DEFAULT_TOL = 1e-6
@@ -344,7 +344,7 @@ class _Residuals:
         r_b = base.rights[rows, b]
         field_ = self.machine.field
         if field_ is not None:
-            grads = np.ascontiguousarray(_evaluate(field_.value_gradient_fn(a), t, x, U))
+            grads = field_.value_gradients(a, t, x, U)
             return (grads[:, None, :] @ r_b[:, :, None])[:, 0, 0]
         return eigen.eigenvalue_derivatives(base.lefts[rows, a],
                                             self.derivative(b, rows)[0][rows],

@@ -351,15 +351,16 @@ class AnalyticFrameField:
             list(hints["eigenvalues"]) + [c for vec in hints["right"] for c in vec], order)
         self.left_fn = (ex.compile_expression([c for vec in hints["left"] for c in vec], order)
                         if "left" in hints else None)
-        self.value_exprs = hints["eigenvalues"]
-        self._grad_cache = {}
+        self.gradient_fn = None  # compiled on the first value_gradients call
 
-    def value_gradient_fn(self, slot):
-        """Compiled exact state-gradient of the hinted eigenvalue field."""
-        if slot not in self._grad_cache:
-            grads = [ex.differentiate(self.value_exprs[slot], nm) for nm in self.sys.states]
-            self._grad_cache[slot] = ex.compile_expression(grads, self.sys.arg_order)
-        return self._grad_cache[slot]
+    def value_gradients(self, slot, t, x, U):
+        """d lambda_slot / du_k at the rows of U (N, n), k on the last axis, from
+        one compiled function of every hinted eigenvalue's exact gradient,
+        k-major: its entry k * n + c is d lambda_c / du_k."""
+        if self.gradient_fn is None:
+            grads = ex.differentiate(self.sys.hints["autovectors"]["eigenvalues"], self.sys.states)
+            self.gradient_fn = ex.compile_expression([e for g in grads for e in g], self.sys.arg_order)
+        return np.ascontiguousarray(_evaluate(self.gradient_fn, t, x, U)[:, slot::self.sys.n])
 
     def frames_batch(self, t, x, U, check=True, lefts=True) -> FrameStack:
         """frame_at at the rows of U (N, n), t and x scalars or following the

@@ -18,12 +18,14 @@ returns that node, so identical subtrees are one object and a dict keyed by
 nodes hashes no trees.  The walks cost what the graph costs, not what its
 tree expansion costs: `differentiate`, `substitute`, `free_symbols` and
 `to_string` visit each distinct node once per call, and `differentiate` and
-`substitute` take a list of entries and visit each node once across them.
-`compile_expression` turns a list of entries (a whole coefficient) into one
-generated function that computes each distinct subtree once.  A node gets a
-local when it roots an entry or is used more than once; a node used once is
-written inline inside its parent's expression, up to INLINE_DEPTH levels of
-nesting, past which it gets a local again.
+`substitute` take a list of entries and visit each node once across them;
+`differentiate` takes a list of names too, and gives a node its partials
+along all of them in one visit.  `compile_expression` turns a list of
+entries (a coefficient or its Jacobian) into one generated function that
+computes each distinct subtree once.  A node gets a local when it roots an
+entry or is used more than once; a node used once is written inline inside
+its parent's expression, up to INLINE_DEPTH levels of nesting, past which it
+gets a local again.
 """
 
 from __future__ import annotations
@@ -364,11 +366,12 @@ def evaluate(e: Expr, bindings) -> float:
                 raise DomainError(f"sqrt of negative in {to_string(e)}", e)
             return math.sqrt(v)
         if e.op == "exp":
-            return math.exp(v)
+            math.exp(v)  # raises OverflowError where exp overflows
+            return float(np.exp(v))  # compiled code's bits, not always math.exp's
         if e.op == "log":
             if v <= 0.0:
                 raise DomainError(f"log of non-positive in {to_string(e)}", e)
-            return math.log(v)
+            return float(np.log(v))
         if e.op == "sin":
             return math.sin(v)
         if e.op == "cos":
@@ -397,57 +400,56 @@ def evaluate(e: Expr, bindings) -> float:
 # differentiation
 # ---------------------------------------------------------------------------
 
-def differentiate(exprs, var: str):
+# the derivative of a node e from those of its children: da of e.a and,
+# for a binary operator, db of e.b
+_RULES = {
+    "neg": lambda e, da, db: fold_neg(da),
+    "sqrt": lambda e, da, db: fold_div(da, fold_mul(_TWO, Un("sqrt", e.a))),
+    "exp": lambda e, da, db: fold_mul(da, e),
+    "log": lambda e, da, db: fold_div(da, e.a),
+    "sin": lambda e, da, db: fold_mul(da, Un("cos", e.a)),
+    "cos": lambda e, da, db: fold_neg(fold_mul(da, Un("sin", e.a))),
+    # piecewise sign(x) = x/|x|; undefined at 0, caught at eval time
+    "abs": lambda e, da, db: fold_mul(da, fold_div(e.a, Un("abs", e.a))),
+    "+": lambda e, da, db: fold_add(da, db),
+    "-": lambda e, da, db: fold_sub(da, db),
+    "*": lambda e, da, db: fold_add(fold_mul(da, e.b), fold_mul(e.a, db)),
+    "/": lambda e, da, db: fold_div(fold_sub(fold_mul(da, e.b), fold_mul(e.a, db)),
+                                    fold_pow(e.b, _TWO)),
+    # the exponent is a constant
+    "^": lambda e, da, db: fold_mul(fold_mul(e.b, fold_pow(e.a, Const(e.b.value - 1.0))), da),
+}
+
+
+def differentiate(exprs, var):
     """Exact derivative along `var`, with 0/1 constant folding, of one
-    expression or of each entry of a list.  Each distinct node is
-    differentiated once across all the entries."""
+    expression or of each entry of a list; with a list of names `var`, one
+    such result per name.  One walk with one memo: each distinct node is
+    differentiated once, along every name, across all the entries."""
+    names = [var] if isinstance(var, str) else list(var)
     memo = {}
 
     def d(e):
+        """The partials of e along each of the names."""
         out = memo.get(e)
-        if out is not None:
-            return out
-        if isinstance(e, Const):
-            out = _ZERO
-        elif isinstance(e, Sym):
-            out = _ONE if e.name == var else _ZERO
-        elif isinstance(e, Un):
-            da = d(e.a)
-            if e.op == "neg":
-                out = fold_neg(da)
-            elif e.op == "sqrt":
-                out = fold_div(da, fold_mul(_TWO, Un("sqrt", e.a)))
-            elif e.op == "exp":
-                out = fold_mul(da, e)
-            elif e.op == "log":
-                out = fold_div(da, e.a)
-            elif e.op == "sin":
-                out = fold_mul(da, Un("cos", e.a))
-            elif e.op == "cos":
-                out = fold_neg(fold_mul(da, Un("sin", e.a)))
-            elif e.op == "abs":
-                # piecewise sign(x) = x/|x|; undefined at 0, caught at eval time
-                out = fold_mul(da, fold_div(e.a, Un("abs", e.a)))
-        elif isinstance(e, Bin) and e.op == "^":
-            da, c = d(e.a), e.b.value
-            out = fold_mul(fold_mul(Const(c), fold_pow(e.a, Const(c - 1.0))), da)
-        elif isinstance(e, Bin):
-            da, db = d(e.a), d(e.b)
-            if e.op == "+":
-                out = fold_add(da, db)
-            elif e.op == "-":
-                out = fold_sub(da, db)
-            elif e.op == "*":
-                out = fold_add(fold_mul(da, e.b), fold_mul(e.a, db))
-            elif e.op == "/":
-                num = fold_sub(fold_mul(da, e.b), fold_mul(e.a, db))
-                out = fold_div(num, fold_pow(e.b, _TWO))
         if out is None:
-            raise TypeError(f"not an expression node: {e!r}")
-        memo[e] = out
+            if isinstance(e, (Un, Bin)):
+                rule = _RULES[e.op]
+                pairs = zip(d(e.a), d(e.b)) if isinstance(e, Bin) else ((da, None) for da in d(e.a))
+                out = tuple(rule(e, da, db) for da, db in pairs)
+            elif isinstance(e, Sym):
+                out = tuple(_ONE if e.name == nm else _ZERO for nm in names)
+            elif isinstance(e, Const):
+                out = (_ZERO,) * len(names)
+            else:
+                raise TypeError(f"not an expression node: {e!r}")
+            memo[e] = out
         return out
 
-    return d(exprs) if isinstance(exprs, Expr) else [d(e) for e in exprs]
+    if isinstance(exprs, Expr):
+        return d(exprs)[0] if isinstance(var, str) else list(d(exprs))
+    per_name = [list(p) for p in zip(*map(d, exprs))] or [[] for _ in names]
+    return per_name[0] if isinstance(var, str) else per_name
 
 
 # ---------------------------------------------------------------------------

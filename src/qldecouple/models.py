@@ -114,8 +114,7 @@ def build_isentropic(f="s", parameters=None, domain=None) -> ModelEntry:
     fsym = ex.parse(f, {"s"} | set(parameters))
     p0, rho, s = ex.Sym("p0"), ex.Sym("rho"), ex.Sym("s")
     p = p0 * rho**3 * s**2 + fsym
-    dp_rho = ex.differentiate(p, "rho")
-    dp_s = ex.differentiate(p, "s")
+    dp_rho, dp_s = ex.differentiate(p, ["rho", "s"])
     c2 = _s(dp_rho)
 
     doc = {

@@ -2,8 +2,9 @@
 
 Holds the coefficient matrix and source as expression trees, performs
 validated loading from JSON documents, evaluation of A, g and their exact
-partials (the Jacobian) on one state or a stack, deterministic state-space
-sampling, and the conjugation construction used as the property-test oracle.
+partials (one walk and one compiled function per coefficient's Jacobian) on
+one state or a stack, deterministic state-space sampling, and the
+conjugation construction used as the property-test oracle.
 """
 
 from __future__ import annotations
@@ -172,21 +173,18 @@ class QuasilinearSystem:
         return list(INDEPENDENT) + self.states
 
     def _compiled(self, key):
-        """The one compiled function of the flat entries of `key` ("A", "g",
-        "A0", "exclude", or ("dA", k) / ("dg", k) / ("dA0", k) for the
-        derivative along state k), with their expressions and the name used
-        in diagnostics."""
+        """The one compiled function of the flat entries of `key`, with their
+        expressions: "A", "g", "A0", "exclude", or the Jacobian "dA", "dg" or
+        "dA0" of a coefficient, its partials along every state from one
+        differentiate walk, k-major (d/du_0's entries, then d/du_1's, ...)."""
         hit = self._cache.get(key)
         if hit is None:
-            name, k = (key, None) if isinstance(key, str) else key
-            rows = {"A": self.a, "dA": self.a, "A0": self.a0, "dA0": self.a0,
-                    "g": [self.g], "dg": [self.g], "exclude": [self.exclude]}[name]
+            rows = {"A": self.a, "A0": self.a0, "g": [self.g],
+                    "exclude": [self.exclude]}[key.removeprefix("d")]
             exprs = [e for row in rows for e in row]
-            if k is not None:
-                exprs = ex.differentiate(exprs, self.states[k])
-                name = f"{name}/d{self.states[k]}"
-            hit = (ex.compile_expression(exprs, self.arg_order), exprs, name)
-            self._cache[key] = hit
+            if key.startswith("d"):
+                exprs = [e for partials in ex.differentiate(exprs, self.states) for e in partials]
+            hit = self._cache[key] = (ex.compile_expression(exprs, self.arg_order), exprs)
         return hit
 
     # -- admissibility ---------------------------------------------------------
@@ -219,34 +217,35 @@ class QuasilinearSystem:
     # scalars or follow the stack.  A conjugated backend implements the same
     # three cores, and the public methods call whichever the system has.
 
-    def _values(self, key, t, x, u):
+    def _values(self, key, t, x, u, ks=None):
         """Entries of `key` (see _compiled), shaped (n,) for g and dg and
-        (n, n) otherwise, with a leading N axis on a stack.  At one state a
-        non-finite entry raises DomainError naming it; a stack keeps nan and
-        inf."""
-        fn, exprs, name = self._compiled(key)
-        shape = (self.n,) if name.split("/")[0] in ("g", "dg") else (self.n, self.n)
+        (n, n) otherwise, with a leading N axis on a stack; a Jacobian key
+        gives its partials along the states ks, on the axis after N.  At one
+        state a non-finite entry among them raises DomainError naming it, as
+        A[0][1] or dA/du[0][1]; a stack keeps nan and inf."""
+        fn, exprs = self._compiled(key)
+        shape = (self.n,) if key.endswith("g") else (self.n, self.n)
         vals = _evaluate(fn, t, x, u)
+        if ks is not None:
+            # the entries are k-major: keep the blocks of the states ks
+            size, lead = math.prod(shape), u.shape[:-1]
+            vals = vals.reshape(lead + (self.n, size))[..., ks, :].reshape(lead + (len(ks) * size,))
+            shape = (len(ks),) + shape
         # vals . vals is finite when every entry is (unless it overflows),
         # and costs less than the entrywise check
         if u.ndim == 1 and not math.isfinite(vals.dot(vals)) and not np.isfinite(vals).all():
-            k = int(np.argmin(np.isfinite(vals)))
-            where = name + "".join(f"[{i}]" for i in np.unravel_index(k, shape))
+            i = int(np.argmin(np.isfinite(vals)))
+            at, where = np.unravel_index(i, shape), key
+            if ks is not None:
+                k, at = ks[at[0]], at[1:]
+                where, i = f"{key}/d{self.states[k]}", k * size + i % size
+            where += "".join(f"[{j}]" for j in at)
             try:
-                ex.evaluate(exprs[k], dict(zip(self.arg_order, (t, x, *u))))
+                ex.evaluate(exprs[i], dict(zip(self.arg_order, (t, x, *u))))
             except (DomainError, OverflowError) as err:
                 raise DomainError(f"{where}: {err}") from None
             raise DomainError(f"non-finite value in {where}")
         return vals.reshape(u.shape[:-1] + shape)
-
-    def _partials(self, name, t, x, u, ks):
-        """_values of (name, k) for each k in ks, in order, on the axis after
-        u's leading ones."""
-        tail = (self.n,) if name == "dg" else (self.n, self.n)
-        out = np.empty(u.shape[:-1] + (len(ks),) + tail)
-        for i, k in enumerate(ks):
-            out[(Ellipsis, i) + (slice(None),) * len(tail)] = self._values((name, k), t, x, u)
-        return out
 
     def _a0_solver(self, t, x, u):
         """The map b -> A0^-1 b with A0 evaluated once at u, b one matrix
@@ -276,13 +275,13 @@ class QuasilinearSystem:
     def _jacobian(self, t, x, u, ks, matrix=True, source=False):
         """(dA/du_k with `matrix`, dg/du_k with `source`; None otherwise)
         for each k in ks, on the axis after u's leading ones."""
-        dA = self._partials("dA", t, x, u, ks) if matrix else None
-        dg = self._partials("dg", t, x, u, ks) if source else None
+        dA = self._values("dA", t, x, u, ks) if matrix else None
+        dg = self._values("dg", t, x, u, ks) if source else None
         if self.a0 is not None:
             # A = A0^-1 A1 and g = A0^-1 g1, so dA = A0^-1 (dA1 - dA0 A) and
             # dg = A0^-1 (dg1 - dA0 g)
             solve = self._a0_solver(t, x, u)
-            dA0 = self._partials("dA0", t, x, u, ks)
+            dA0 = self._values("dA0", t, x, u, ks)
             if matrix:
                 dA = solve(dA - dA0 @ solve(self._values("A", t, x, u))[..., None, :, :])
             if source:
@@ -392,18 +391,18 @@ class _ConjugatedBackend:
         self.autonomous = tri_system.autonomous and not any(
             ex.free_symbols(e) & set(INDEPENDENT) for e in forward_map)
         self.u_names, self.order = list(u_names), list(INDEPENDENT) + list(u_names)
-        columns = [ex.differentiate(forward_map, nm) for nm in u_names]
-        self.j_entries = [list(row) for row in zip(*columns)]
+        self.j_entries = [list(row) for row in zip(*ex.differentiate(forward_map, u_names))]
         self.j_flat = [e for row in self.j_entries for e in row]
         # H, then the entries of J = grad H
         self.hj_fn = ex.compile_expression(list(forward_map) + self.j_flat, self.order)
 
     @functools.cached_property
-    def dj_fns(self):
-        """dJ/du_k compiled, entries flat, for each state k: built on the first
-        _jacobian call, which a symbolic conjugation never makes."""
-        return [ex.compile_expression(ex.differentiate(self.j_flat, nm), self.order)
-                for nm in self.u_names]
+    def dj_fn(self):
+        """dJ/du_k for every state k compiled as one function, k-major with
+        J's entries flat: built on the first _jacobian call, which a
+        symbolic conjugation never makes."""
+        partials = ex.differentiate(self.j_flat, self.u_names)
+        return ex.compile_expression([e for dj in partials for e in dj], self.order)
 
     # J and T are made contiguous so that a stacked product runs the same
     # BLAS call per state as the product at one state
@@ -426,20 +425,17 @@ class _ConjugatedBackend:
         for every k in ks with J, dJ and J^-1 formed once.  Along u_k, H
         moves by column k of J, so dT_k = sum_m J[m, k] dT/dU_m at H, summed
         in increasing m, and likewise dg_T,k."""
-        lead = u.ndim - 1
+        lead, n = u.ndim - 1, self.n
         J, H = self._jh(t, x, u)
-        dJ = np.empty(J.shape[:-2] + (len(ks),) + J.shape[-2:])
-        for i, k in enumerate(ks):
-            dJ[..., i, :, :] = _evaluate(self.dj_fns[k], t, x, u).reshape(J.shape)
-        Jk = J[..., :, ks]
-        ms = np.flatnonzero((Jk != 0).any(axis=-1).reshape(-1, self.n).any(axis=0)).tolist()
+        dJ = _evaluate(self.dj_fn, t, x, u).reshape(u.shape[:-1] + (n, n, n))[..., ks, :, :]
+        ms = np.flatnonzero((J[..., :, ks] != 0).any(axis=-1).reshape(-1, n).any(axis=0)).tolist()
         dT, dgT = self.tri._jacobian(t, x, H, ms, matrix, source)
 
-        def chain(P):
-            out = np.zeros(Jk.shape[:-2] + (len(ks),) + P.shape[lead + 1:])
-            for i, m in enumerate(ms):
-                Pm = np.expand_dims(P[(slice(None),) * lead + (i,)], lead)
-                out += Jk[..., m, :].reshape(out.shape[:lead + 1] + (1,) * (Pm.ndim - lead - 1)) * Pm
+        def along(P):
+            # P's partials along the ms contracted with column k of J, per k
+            out = np.empty(dJ.shape[:-2] + P.shape[lead + 1:])
+            for i, k in enumerate(ks):
+                out[(slice(None),) * lead + (i,)] = contract(P, J[..., :, k], ms)
             return out
 
         Jinv = np.expand_dims(np.linalg.inv(J), lead)
@@ -447,10 +443,10 @@ class _ConjugatedBackend:
         if matrix:
             T = np.ascontiguousarray(self.tri._matrix(t, x, H))
             Je, Te = np.expand_dims(J, lead), np.expand_dims(T, lead)
-            dA = Jinv @ (chain(dT) @ Je + Te @ dJ) - Jinv @ dJ @ (Jinv @ Te @ Je)
+            dA = Jinv @ (along(dT) @ Je + Te @ dJ) - Jinv @ dJ @ (Jinv @ Te @ Je)
         if source:
             g = np.linalg.solve(J, self.tri._source(t, x, H)[..., None])
-            dg = (Jinv @ (chain(dgT)[..., None] - dJ @ np.expand_dims(g, lead)))[..., 0]
+            dg = (Jinv @ (along(dgT)[..., None] - dJ @ np.expand_dims(g, lead)))[..., 0]
         return dA, dg
 
 

@@ -131,7 +131,7 @@ def verify_transform(sys_: QuasilinearSystem, candidate: TransformCandidate,
     order = sys_.arg_order
     comp_fn = ex.compile_expression(candidate.components, order)
     # grad H row by row: component i along state k is grads[k][i]
-    grads = [ex.differentiate(candidate.components, nm) for nm in sys_.states]
+    grads = ex.differentiate(candidate.components, sys_.states)
     grad_fn = ex.compile_expression([g[i] for i in range(n) for g in grads], order)
     machine = FrameMachine(sys_, frame)
     # annihilation index set, and the off-block entries of T: H components

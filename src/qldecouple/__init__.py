@@ -15,7 +15,7 @@ from .conditions import (
     search_partitions,
     source_condition_residual,
 )
-from .eigen import FrameStack, align_frames, analytic_frame, spectrum_at
+from .eigen import FrameStack, align_frames, spectrum_at
 from .exprlang import (
     Expr,
     compile_expression,
@@ -55,8 +55,8 @@ __all__ = [
     "ConditionReport", "PartitionScheme", "check_partition",
     "gradient_condition_residual", "interaction_condition_residual",
     "source_condition_residual", "search_partitions", "nijenhuis_residual",
-    "nijenhuis_max", "FrameStack", "spectrum_at", "align_frames",
-    "analytic_frame", "Expr", "parse", "evaluate", "differentiate",
+    "nijenhuis_max", "FrameStack", "spectrum_at", "align_frames", "Expr",
+    "parse", "evaluate", "differentiate",
     "substitute", "to_string", "compile_expression", "GridSolution",
     "solve_coupled", "solve_hierarchical", "compare_solutions", "burgers_exact",
     "ModelEntry", "build_barotropic", "build_isentropic", "build_threadline",

@@ -2,17 +2,17 @@
 
 Numeric frames come from two stages, each on a stack of states.  The
 spectrum stage (spectra) clusters each row's eigenvalues and builds its
-right and left autovectors.  The condition checker differentiates
-eigenvector FIELDS by finite differences, so vectors computed at nearby
-points must belong to one smooth field.  That is what the alignment stage
-(aligned) provides: it maps freshly computed frames onto the normalization
-of reference frames (orthogonal Procrustes inside each eigenspace, then a
-rescale anchored at the reference pivot component).  Every frame is a
-FrameStack; spectrum_at and align_frames (the two stages) and the hinted
-frame_at work on one state and return one-row stacks.  FrameMachine builds
-every frame of a system, base or near, from these stages or from the hinted
-field.  Where the spectrum is simple and real, frame_derivatives gives the
-frame's exact first-order motion from the derivative of A instead.
+right autovectors.  The condition checker differentiates eigenvector
+FIELDS by finite differences, so vectors computed at nearby points must
+belong to one smooth field.  That is what the alignment stage (aligned)
+provides: it maps freshly computed frames onto the normalization of
+reference frames (orthogonal Procrustes inside each eigenspace, then a
+rescale anchored at the reference pivot component).  One step (close)
+gates, inverts and NaN-fills every stack, numeric or hinted, once.  Every
+frame is a FrameStack; spectrum_at and align_frames (the closed stages) and
+the hinted frame_at return one-row stacks.  FrameMachine builds every frame
+of a system, base or near.  Where the spectrum is simple and real,
+frame_derivatives gives the frame's exact first-order motion from dA.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def _jordan_basis(B, heads, mult):
     return None
 
 
-def spectra(sys_, t, x, U, lefts=True) -> FrameStack:
+def spectra(sys_, t, x, U) -> FrameStack:
     """The spectrum stage: numeric frames at the rows of U (N, n), t and x
     scalars or following the rows, from one evaluation of A (a row where it
     is not finite keeps the DomainError eval_matrix raises at its state) and
@@ -121,9 +121,9 @@ def spectra(sys_, t, x, U, lefts=True) -> FrameStack:
     which must be real; a multiple one lam the null basis of A - lam I from
     one stacked svd per signature, completed by Jordan chains (lstsq, row by
     row); a complex cluster the real and imaginary parts of eig's vectors of
-    its members with Im > 0; each divided by its pivot.  The condition number
-    is gated at COND_LIMIT and, with `lefts`, the lefts invert the rights,
-    each in one stacked call.  A row keeps its first error in slot order."""
+    its members with Im > 0; each divided by its pivot.  A row keeps its
+    first error in slot order.  The stack is not closed (see close): it has
+    no lefts, and its rows with an error hold what the stage left there."""
     N, n = U.shape
     t, x = np.full(N, t), np.full(N, x)
     errors = np.full(N, None, dtype=object)
@@ -228,19 +228,32 @@ def spectra(sys_, t, x, U, lefts=True) -> FrameStack:
                         else:
                             rights[j, s:s + m], kinds[j, s:s + m] = basis
 
-    ok = np.flatnonzero(np.equal(fail, None))
-    cond = np.full(R, np.nan)
-    cond[ok] = np.linalg.cond(np.swapaxes(rights[ok], 1, 2))
-    flag(ok[~(cond[ok] <= COND_LIMIT)], n,
-         lambda j: IllConditioned(f"autovector matrix condition number {cond[j]:.3g}"))
     errors[rows] = fail
-    ok = np.equal(fail, None)
-    live = rows[ok]
-    return FrameStack(
-        _scatter(N, live, values[ok]), _scatter(N, live, rights[ok]),
-        _scatter(N, live, np.linalg.inv(np.swapaxes(rights[ok], 1, 2))) if lefts else None,
-        errors, _scatter(N, rows, mult, 1), _scatter(N, rows, cplx, False),
-        _scatter(N, rows, kinds, _EIGEN))
+    return FrameStack(_scatter(N, rows, values), _scatter(N, rows, rights), None, errors,
+                      _scatter(N, rows, mult, 1), _scatter(N, rows, cplx, False),
+                      _scatter(N, rows, kinds, _EIGEN))
+
+
+def close(stack: FrameStack, what, lefts=True, then=None) -> FrameStack:
+    """The one closing step of a frame stack: the condition number of each
+    row without an error is gated at COND_LIMIT ("<what> condition number"),
+    then `then()` may reject more rows, both into stack.errors in place.
+    The lefts are the stack's own or, with `lefts`, the inverse of the
+    rights (one stacked call).  Every row with an error is NaN."""
+    errors, N = stack.errors, len(stack.errors)
+    ok = np.flatnonzero(np.equal(errors, None))
+    cond = np.linalg.cond(np.swapaxes(stack.rights[ok], 1, 2))
+    ill = ~(cond <= COND_LIMIT)
+    for k, c in zip(ok[ill], cond[ill]):
+        errors[k] = IllConditioned(f"{what} condition number {c:.3g}")
+    if then is not None:
+        then()
+    ok = np.flatnonzero(np.equal(errors, None))
+    values, rights, L = (a if a is None else _scatter(N, ok, a[ok])
+                         for a in (stack.values, stack.rights, stack.lefts))
+    if L is None and lefts:
+        L = _scatter(N, ok, np.linalg.inv(np.swapaxes(rights[ok], 1, 2)))
+    return FrameStack(values, rights, L, errors, stack.mult, stack.cplx, stack.kinds)
 
 
 def _scatter(N, rows, a, fill=np.nan):
@@ -253,9 +266,9 @@ def _scatter(N, rows, a, fill=np.nan):
 
 
 def spectrum_at(sys_, t, x, u) -> FrameStack:
-    """The spectrum stage (spectra) at one state, as a one-row stack; raises
-    what the stage keeps there."""
-    return spectra(sys_, t, x, np.asarray(u, dtype=float)[None]).row(0)
+    """The closed spectrum stage (spectra) at one state, as a one-row stack;
+    raises what it keeps there."""
+    return close(spectra(sys_, t, x, np.asarray(u, dtype=float)[None]), "autovector matrix").row(0)
 
 
 def _row_norms(V):
@@ -283,7 +296,7 @@ def _mismatch(reference: FrameStack, i, raw: FrameStack, k):
                                f"vs {raw.signature(k)}")
 
 
-def aligned(reference: FrameStack, raw: FrameStack, lefts=True) -> FrameStack:
+def aligned(reference: FrameStack, raw: FrameStack) -> FrameStack:
     """The alignment stage: each row of raw expressed in the normalization
     of the same row of reference, a stack of the same n (a one-row
     reference serves every row).  A raw row with an error keeps it.  The
@@ -293,9 +306,8 @@ def aligned(reference: FrameStack, raw: FrameStack, lefts=True) -> FrameStack:
     Procrustes: one stacked svd of reference @ raw^T per cluster and
     signature).  Each vector is then rescaled so its component at the
     reference pivot index matches the reference, which it must not have
-    lost (MismatchedSignature), and the condition number is gated at
-    COND_LIMIT.  With `lefts` the lefts invert the rights.  The values are
-    raw's, the kinds the reference's."""
+    lost (MismatchedSignature).  The values are raw's, the kinds the
+    reference's.  The stack is not closed (see close)."""
     N, n = raw.values.shape
     # the reference row of each raw row: a one-row reference serves them all
     of = np.zeros(N, dtype=int) if len(reference.values) < N else np.arange(N)
@@ -315,25 +327,18 @@ def aligned(reference: FrameStack, raw: FrameStack, lefts=True) -> FrameStack:
                 Us, _, Vt = np.linalg.svd(ref[g, s:s + m] @ np.swapaxes(Xc, 1, 2))
                 X[g, s:s + m] = (Us @ Vt) @ Xc
     X, kept = _rescale(X, ref)
-    cond = np.linalg.cond(np.swapaxes(X, 1, 2))
     for k in rows[~kept]:
         errors[k] = MismatchedSignature("aligned vector lost its pivot component")
-    ill = kept & ~(cond <= COND_LIMIT)
-    for k, c in zip(rows[ill], cond[ill]):
-        errors[k] = IllConditioned(f"aligned frame condition number {c:.3g}")
-    ok = kept & ~ill
-    rows, X = rows[ok], X[ok]
-    return FrameStack(_scatter(N, rows, raw.values[rows]), _scatter(N, rows, X),
-                      _scatter(N, rows, np.linalg.inv(np.swapaxes(X, 1, 2))) if lefts else None,
-                      errors, raw.mult, raw.cplx, reference.kinds[of])
+    return FrameStack(raw.values, _scatter(N, rows, X), None, errors, raw.mult, raw.cplx,
+                      reference.kinds[of])
 
 
 def align_frames(reference: FrameStack, raw: FrameStack) -> FrameStack:
-    """The alignment stage (aligned) on one-row stacks; raises what the
-    stage keeps."""
+    """The closed alignment stage (aligned) on one-row stacks; raises what
+    it keeps."""
     if reference.values.shape[1] != raw.values.shape[1]:
         raise _mismatch(reference, 0, raw, 0)
-    return aligned(reference, raw).row(0)
+    return close(aligned(reference, raw), "aligned frame").row(0)
 
 
 class AnalyticFrameField:
@@ -365,28 +370,27 @@ class AnalyticFrameField:
     def frames_batch(self, t, x, U, check=True, lefts=True) -> FrameStack:
         """frame_at at the rows of U (N, n), t and x scalars or following the
         rows, as a FrameStack whose errors[k] is what frame_at raises at row
-        k, or None; its arrays are NaN in the rows with an error.  A mask of
-        live rows runs through the gates in this order: finite hints, finite
-        A (the DomainError eval_matrix raises at that state), with `check`
-        the right residuals, the condition number, and with `check` the
-        residuals of the hinted lefts.  A gate builds an error only at a live
-        row it rejects.  With `lefts` the lefts are the hinted ones, or
-        without left hints the inverse of the rights; otherwise None."""
+        k, or None; its arrays are NaN in the rows with an error.  The gates
+        run in this order: finite hints, finite A (the DomainError
+        eval_matrix raises at that state), with `check` the right residuals,
+        the condition number (close), and with `check` the residuals of the
+        hinted lefts; each builds an error only at a row without one that it
+        rejects.  With `lefts` the lefts are the hinted ones, or without left
+        hints the inverse of the rights; otherwise None."""
         N, n = U.shape
         with np.errstate(all="ignore"):
             hinted = _evaluate(self.hint_fn, t, x, U)
         vals, rights = hinted[:, :n], np.ascontiguousarray(hinted[:, n:]).reshape(N, n, n)
-        live, errors = np.ones(N, dtype=bool), np.full(N, None, dtype=object)
+        errors = np.full(N, None, dtype=object)
 
         def gate(bad, make):
-            """The error make(k) at each live row k that bad rejects."""
-            for k in np.flatnonzero(bad & live):
-                errors[k], live[k] = make(k), False
+            """The error make(k) at each row k without one that bad rejects."""
+            for k in np.flatnonzero(bad & np.equal(errors, None)):
+                errors[k] = make(k)
 
         gate(~np.isfinite(hinted).all(axis=1),
              lambda k: HintInconsistent("hint expressions evaluate non-finite"))
         A = self.sys.eval_rows("eval_matrix", t, x, U, errors)
-        live &= np.equal(errors, None)
         if check:
             # fmax, like max(1.0, norm(A)) at one state, ignores a nan norm
             nrmA = np.fmax(1.0, _row_norms(A.reshape(N, n * n)))
@@ -404,24 +408,12 @@ class AnalyticFrameField:
 
         if check:
             residual_gate(rights, "right")
-        cond = np.full(N, np.nan)
-        cond[live] = np.linalg.cond(np.swapaxes(rights[live], 1, 2))
-        gate(~(cond <= COND_LIMIT),
-             lambda k: IllConditioned(f"hinted frame condition number {cond[k]:.3g}"))
-        if self.left_fn is not None and (lefts or check):
-            with np.errstate(all="ignore"):
-                L = np.ascontiguousarray(_evaluate(self.left_fn, t, x, U)).reshape(N, n, n)
-            if check:
-                residual_gate(L, "left")
-        elif lefts:
-            L = np.full((N, n, n), np.nan)
-            L[live] = np.linalg.inv(np.swapaxes(rights[live], 1, 2))
-        values, bad = vals.astype(complex), ~live
-        if bad.any():
-            values[bad], rights[bad] = np.nan, np.nan
-            if lefts:
-                L[bad] = np.nan
-        return FrameStack(values, rights, L if lefts else None, errors)
+        with np.errstate(all="ignore"):
+            L = (np.ascontiguousarray(_evaluate(self.left_fn, t, x, U)).reshape(N, n, n)
+                 if self.left_fn is not None and (lefts or check) else None)
+        return close(FrameStack(vals.astype(complex), rights, L if lefts else None, errors),
+                     "hinted frame", lefts,
+                     (lambda: residual_gate(L, "left")) if check and L is not None else None)
 
     def frame_at(self, t, x, u, check=True) -> FrameStack:
         """frames_batch at one state, as a one-row stack; raises what it
@@ -438,12 +430,6 @@ def analytic_field(sys_) -> AnalyticFrameField:
     if field is None:
         field = sys_._cache["autovectors"] = AnalyticFrameField(sys_)
     return field
-
-
-def analytic_frame(sys_, t, x, u) -> FrameStack:
-    """The one-row stack built from the model's autovector hints,
-    residual-gated."""
-    return analytic_field(sys_).frame_at(t, x, u)
 
 
 class FrameMachine:
@@ -479,19 +465,18 @@ class FrameMachine:
         are scalars or (N,).  A row that fails a gate keeps the exception,
         but for a LinAlgError of a base frame, which is raised.  Hinted
         frames come from AnalyticFrameField.frames_batch, whose near frames
-        skip the residual gates.  Numeric frames come from the spectrum
-        stage (spectra) and, against a reference, the alignment stage
-        (aligned).  Without `lefts` the stack's lefts are None."""
+        skip the residual gates.  Numeric frames are the spectrum stage
+        (spectra), against a reference aligned to it (aligned), closed once
+        (close).  Without `lefts` the stack's lefts are None."""
         if self.field is not None:
             return self.field.frames_batch(t, x, U, check=reference is None, lefts=lefts)
         if reference is not None:
-            return aligned(reference, spectra(self.sys, t, x, U, lefts=False),
-                                 lefts=lefts)
-        out = spectra(self.sys, t, x, U, lefts=lefts)
+            return close(aligned(reference, spectra(self.sys, t, x, U)), "aligned frame", lefts)
+        out = spectra(self.sys, t, x, U)
         for err in out.errors:
             if isinstance(err, np.linalg.LinAlgError):
                 raise err
-        return out
+        return close(out, "autovector matrix", lefts)
 
     def sweep(self, t, x, U, base: FrameStack, slot, h, lefts):
         """Near frames at U + h r_slot and at U - h r_slot, each row against

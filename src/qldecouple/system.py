@@ -77,6 +77,14 @@ def _evaluate(fn, t, x, u):
     return np.array(fn(t, x, *u.T)).T
 
 
+def _evaluated(e, bindings):
+    """evaluate(e, bindings), or nan where it raises."""
+    try:
+        return ex.evaluate(e, bindings)
+    except (DomainError, ArithmeticError):
+        return math.nan
+
+
 def _directions(w):
     """Indices k of the state directions with a nonzero weight w[..., k]."""
     return (w if w.ndim == 1 else w.any(axis=0)).nonzero()[0].tolist()
@@ -222,10 +230,16 @@ class QuasilinearSystem:
         (n, n) otherwise, with a leading N axis on a stack; a Jacobian key
         gives its partials along the states ks, on the axis after N.  At one
         state a non-finite entry among them raises DomainError naming it, as
-        A[0][1] or dA/du[0][1]; a stack keeps nan and inf."""
+        A[0][1] or dA/du[0][1]; a stack keeps nan and inf (all nan where
+        compiled code raises on a symbol-free x/0: one state evaluates)."""
         fn, exprs = self._compiled(key)
         shape = (self.n,) if key.endswith("g") else (self.n, self.n)
-        vals = _evaluate(fn, t, x, u)
+        try:
+            vals = _evaluate(fn, t, x, u)
+        except ArithmeticError:
+            vals = np.full(u.shape[:-1] + (len(exprs),), np.nan)
+            if u.ndim == 1:
+                vals[:] = [_evaluated(e, dict(zip(self.arg_order, (t, x, *u)))) for e in exprs]
         if ks is not None:
             # the entries are k-major: keep the blocks of the states ks
             size, lead = math.prod(shape), u.shape[:-1]

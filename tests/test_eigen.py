@@ -243,12 +243,12 @@ def test_analytic_frame_rejects_wrong_hint():
     }))
     sys_ = load_system(json.dumps(doc))
     with pytest.raises(HintInconsistent):
-        eigen.analytic_frame(sys_, 0.0, 0.0, np.array([1.0, 0.0]))
+        eigen.FrameMachine(sys_, "analytic").base(0.0, 0.0, np.array([1.0, 0.0]))
 
 
 def test_threadline_hinted_cluster_structure():
     sys_ = threadline()
-    f = eigen.analytic_frame(sys_, 0, 0, np.array([1.0, 0.3, 0.0, 0.1]))
+    f = eigen.FrameMachine(sys_, "analytic").base(0, 0, np.array([1.0, 0.3, 0.0, 0.1]))
     # a hinted stack groups no slots: each is its own cluster, and the slots
     # of one double eigenvalue are split between hint families 1,2 | 3,4
     assert f.mult.tolist() == [[1, 1, 1, 1]]
@@ -475,13 +475,14 @@ def _assert_row_is(stack, k, one):
 @settings(max_examples=80, deadline=None)
 @given(rows=st.lists(MIXED_ROW, min_size=1, max_size=8), shift=st.integers(0, 7))
 def test_stacked_stages_equal_one_row_calls(rows, shift):
-    # every row of one stack, whatever its spectrum, gets the bits, the
-    # signature, the kinds and the error of spectrum_at at its state; against
-    # references (other rows' frames, so signatures may differ) every row
-    # gets what align_frames gives it alone
+    # every row of one closed spectrum stack, whatever its spectrum, gets the
+    # bits, the signature, the kinds and the error of spectrum_at (the closed
+    # stage on one row) at its state; against references (other rows'
+    # frames, so signatures may differ) every row of the closed alignment of
+    # an unclosed spectrum stack gets what the same pipeline gives it alone
     a, gap, c, d, x = np.array(rows).T
     U, t = np.column_stack([a, a + gap, c, d]), np.zeros(len(rows))
-    base = eigen.spectra(MIXED, t, x, U)
+    base = eigen.close(eigen.spectra(MIXED, t, x, U), "autovector matrix")
     for k in range(len(rows)):
         one = _one_row(lambda: eigen.spectrum_at(MIXED, 0.0, x[k], U[k]))
         _assert_row_is(base, k, one)
@@ -493,7 +494,26 @@ def test_stacked_stages_equal_one_row_calls(rows, shift):
         return
     refs = framed[(np.arange(len(rows)) + shift) % framed.size]
     V = U + 1e-6 * np.array([1.0, -1.0, 2.0, 0.5])
-    out = eigen.aligned(base.take(refs), eigen.spectra(MIXED, t, x, V, lefts=False))
+    out = eigen.close(eigen.aligned(base.take(refs), eigen.spectra(MIXED, t, x, V)),
+                      "aligned frame")
     for k in range(len(rows)):
-        _assert_row_is(out, k, _one_row(lambda: eigen.align_frames(
-            base.row(refs[k]), eigen.spectrum_at(MIXED, 0.0, x[k], V[k]))))
+        _assert_row_is(out, k, _one_row(lambda: eigen.close(eigen.aligned(
+            base.row(refs[k]), eigen.spectra(MIXED, 0.0, x[k], V[k][None])),
+            "aligned frame").row(0)))
+
+
+@pytest.mark.parametrize("frame", ["numeric", "analytic"])
+def test_each_frame_stack_is_closed_once(frame, monkeypatch):
+    # base and near frames, numeric or hinted, each run one condition-number
+    # evaluation per stack: a near numeric frame is gated after alignment only
+    sys_ = threadline()
+    machine = eigen.FrameMachine(sys_, frame)
+    U = np.array([[1.0, 0.3, 0.0, 0.1], [0.8, -0.2, 0.5, 0.0], [1.5, 0.1, -0.3, 0.2]])
+    calls, cond = [], np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda *a, **k: calls.append(1) or cond(*a, **k))
+    base = machine.frames(0.0, 0.0, U)
+    assert len(calls) == 1 and all(err is None for err in base.errors)
+    for lefts in (True, False):
+        near = machine.frames(0.0, 0.0, U + 1e-6, base, lefts=lefts)
+        assert all(err is None for err in near.errors)
+    assert len(calls) == 3

@@ -258,6 +258,31 @@ def test_jacobian_contraction_keeps_bits_and_reads_only_nonzero_weights():
                     assert dA[:, k].tobytes() == np.array(fn(t, x, *U.T)).T.reshape(dA[:, k].shape).tobytes()
 
 
+def test_symbol_free_zero_over_zero_partial_is_a_domain_error():
+    # the loader keeps a/(1-1) as a/0, whose partials fold to a symbol-free
+    # 0/0 along both states; compiled code runs that on Python floats
+    doc = {"n": 2, "states": ["a", "b"], "A": [["a/(1-1)", "0"], ["0", "b"]],
+           "domain": {"a": [0.5, 1], "b": [0.5, 1]}}
+    sys_ = load_system(json.dumps(doc))
+    u = np.array([0.7, 0.7])
+    for call, where in ((lambda: sys_.jacobian(0, 0, u), "dA/da[0][0]"),
+                        (lambda: sys_.directional_matrix_derivative(0, 0, u, [1.0, 0.0]),
+                         "dA/da[0][0]"),
+                        (lambda: sys_.directional_matrix_derivative(0, 0, u, [0.0, 1.0]),
+                         "dA/db[0][0]")):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == f"{where}: division by zero in 0/0"
+    # a stack keeps nan, and each row gets its one-state error
+    U, W = np.array([[0.7, 0.7], [0.6, 0.9]]), np.array([[1.0, 0.0], [0.0, 1.0]])
+    assert np.isnan(sys_.jacobian(0, 0, U)[0]).all()
+    assert np.isnan(sys_.directional_matrix_derivative(0, 0, U, W)).all()
+    errors = np.full(2, None, dtype=object)
+    sys_.eval_rows("directional_matrix_derivative", 0.0, 0.0, U, errors, W)
+    assert [str(e) for e in errors] == ["dA/da[0][0]: division by zero in 0/0",
+                                        "dA/db[0][0]: division by zero in 0/0"]
+
+
 @pytest.mark.parametrize("form", ["plain", "normalized", "conjugated", "symbolic"])
 def test_source_and_matrix_derivatives_match_fd(form):
     tri, _, entry = models.build_synthetic_triangular(seed=2, n=3, block_sizes=(2, 1),

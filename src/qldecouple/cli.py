@@ -5,6 +5,14 @@ oracle-gen, models.  Every run writes its outputs into a directory named by
 a content hash of the run configuration, so identical configurations land in
 identical places with identical bytes (timing fields aside).
 
+The parser is built once per process, on the first call of main.  Options
+that several subcommands take are declared once, as argparse parents: the
+builder options (--param, --pressure, --f, --tension, --out) of the model
+commands and of models, and the partition options (--partition, --blocks,
+--mode) of check, verify-transform and decouple.  Builder options apply to
+registry models only.  A malformed number in any option, and a builder
+option on a model file or one the model does not take, are usage errors.
+
 Exit codes: 0 pass, 1 fail verdict, 2 usage error, 3 runtime error.
 """
 
@@ -12,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -33,21 +42,25 @@ USAGE_ERRORS = (SchemaError, ParseError, UnknownSymbol)
 GRID_ANNIHILATION_TOL = 1e-4
 
 
+@functools.cache
 def _parser():
     p = argparse.ArgumentParser(prog="qldecouple",
                                 description="decoupling analysis of first-order "
                                             "quasilinear systems in two variables")
     sub = p.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+    builder = argparse.ArgumentParser(add_help=False)
+    builder.add_argument("--param", action="append", default=[],
+                         help="model parameter NAME=VALUE (repeatable)")
+    builder.add_argument("--pressure", help="barotropic pressure law p(rho)")
+    builder.add_argument("--f", dest="entropy_f", help="isentropic f(s) term")
+    builder.add_argument("--tension", help="threadline tension law T(m)")
+    builder.add_argument("--out", default="runs", help="output parent directory")
+
+    common = argparse.ArgumentParser(add_help=False, parents=[builder])
     common.add_argument("--model", required=True,
                         help="registry name (barotropic, isentropic, threadline) "
                              "or path to a model JSON file")
-    common.add_argument("--param", action="append", default=[],
-                        help="model parameter NAME=VALUE (repeatable)")
-    common.add_argument("--pressure", help="barotropic pressure law p(rho)")
-    common.add_argument("--f", dest="entropy_f", help="isentropic f(s) term")
-    common.add_argument("--tension", help="threadline tension law T(m)")
     common.add_argument("--samples", type=int, default=200)
     common.add_argument("--strategy", choices=["lowDiscrepancy", "tensorGrid"],
                         default="lowDiscrepancy")
@@ -58,14 +71,15 @@ def _parser():
                         default="auto")
     common.add_argument("--workers", type=int, default=1,
                         help="accepted for compatibility; has no effect")
-    common.add_argument("--out", default="runs", help="output parent directory")
     common.add_argument("-v", "--verbose", action="store_true")
 
-    c = sub.add_parser("check", parents=[common],
+    partition = argparse.ArgumentParser(add_help=False)
+    partition.add_argument("--partition", help="block sizes, e.g. 1,1")
+    partition.add_argument("--blocks", help="explicit slot blocks, e.g. 0,1|2,3")
+    partition.add_argument("--mode", choices=["partial", "full"])
+
+    c = sub.add_parser("check", parents=[common, partition],
                        help="evaluate the structure conditions for one partition")
-    c.add_argument("--partition", help="block sizes, e.g. 1,1")
-    c.add_argument("--blocks", help="explicit slot blocks, e.g. 0,1|2,3")
-    c.add_argument("--mode", choices=["partial", "full"])
     c.add_argument("--gradient-path", choices=["auto", "fd"], default="auto",
                    help="auto: exact frame derivatives from dA and dg on simple "
                         "real slots of numeric frames, central differences of "
@@ -80,20 +94,14 @@ def _parser():
     s.add_argument("--mode", choices=["partial", "full"], default="partial")
     s.set_defaults(func=cmd_search)
 
-    vt = sub.add_parser("verify-transform", parents=[common],
+    vt = sub.add_parser("verify-transform", parents=[common, partition],
                         help="verify a candidate decoupling map")
     vt.add_argument("--transform", help="semicolon-separated components U = H(u)")
     vt.add_argument("--inverse", help="semicolon-separated inverse components")
-    vt.add_argument("--partition")
-    vt.add_argument("--blocks")
-    vt.add_argument("--mode", choices=["partial", "full"])
     vt.set_defaults(func=cmd_verify)
 
-    d = sub.add_parser("decouple", parents=[common],
+    d = sub.add_parser("decouple", parents=[common, partition],
                        help="construct the decoupling map numerically")
-    d.add_argument("--partition")
-    d.add_argument("--blocks")
-    d.add_argument("--mode", choices=["partial", "full"])
     d.add_argument("--base-point", required=True, help="comma-separated state")
     d.add_argument("--grid", default="10", help="grid counts per state, e.g. 12,12")
     d.set_defaults(func=cmd_decouple)
@@ -128,14 +136,10 @@ def _parser():
     og.add_argument("--out", default="runs")
     og.set_defaults(func=cmd_oracle_gen)
 
-    m = sub.add_parser("models", help="list or emit the built-in models")
+    m = sub.add_parser("models", parents=[builder],
+                       help="list or emit the built-in models")
     m.add_argument("action", choices=["list", "emit"])
     m.add_argument("name", nargs="?")
-    m.add_argument("--param", action="append", default=[])
-    m.add_argument("--pressure")
-    m.add_argument("--f", dest="entropy_f")
-    m.add_argument("--tension")
-    m.add_argument("--out", default="runs")
     m.set_defaults(func=cmd_models)
     return p
 
@@ -144,27 +148,35 @@ def _parser():
 # helpers
 # ---------------------------------------------------------------------------
 
+def _number(text, option, kind=int):
+    try:
+        return kind(text)
+    except ValueError:
+        raise SchemaError(f"{option} expects {kind.__name__} values, got '{text}'") from None
+
+
+def _numbers(text, option, kind=int):
+    """The numbers of a comma-separated option value, empty items skipped."""
+    return [_number(s, option, kind) for s in text.split(",") if s != ""]
+
+
 def _builder_kwargs(args, model):
     params = {}
     for item in args.param:
-        if "=" not in item:
+        name, eq, value = item.partition("=")
+        if not eq:
             raise SchemaError(f"--param expects NAME=VALUE, got '{item}'")
-        name, value = item.split("=", 1)
-        params[name] = float(value)
-    kw = {}
-    if params:
-        kw["parameters"] = params
-    if getattr(args, "pressure", None):
-        kw["pressure"] = args.pressure
-    if getattr(args, "entropy_f", None):
-        kw["f"] = args.entropy_f
-    if getattr(args, "tension", None):
-        kw["tension"] = args.tension
-    if model == "threadline":
+        params[name] = _number(value, f"--param {name}", float)
+    kw = {"parameters": params} if params else {}
+    if model == "threadline" and params:
         # the threadline builder takes k as a keyword, not in parameters
-        kw.pop("parameters", None)
-        if "k" in params:
-            kw["k"] = params["k"]
+        if set(params) != {"k"}:
+            raise SchemaError(f"model 'threadline' takes --param k only, got {sorted(params)}")
+        kw = {"k": params["k"]}
+    for key, value in (("pressure", args.pressure), ("f", args.entropy_f),
+                       ("tension", args.tension)):
+        if value:
+            kw[key] = value
     return kw
 
 
@@ -183,6 +195,9 @@ def _resolve_model(args):
         return entry.system, entry.document
     if not os.path.exists(name):
         raise SchemaError(f"model '{name}' is neither a registry name nor a file")
+    if kw:
+        raise SchemaError("--param, --pressure, --f and --tension apply to registry "
+                          f"models only, not to the model file '{name}'")
     with open(name) as fh:
         doc = json.load(fh)
     return load_system(doc, name=os.path.basename(name)), doc
@@ -194,31 +209,29 @@ def _plan(args):
 
 
 def _partition(args, sys_, required=True):
-    mode = getattr(args, "mode", None)
-    if getattr(args, "blocks", None):
-        blocks = [[int(s) for s in chunk.split(",") if s != ""]
-                  for chunk in args.blocks.split("|")]
-        scheme = cond.PartitionScheme(blocks, mode or "partial")
-    elif getattr(args, "partition", None):
-        sizes = [int(s) for s in args.partition.split(",") if s != ""]
-        scheme = cond.PartitionScheme.from_sizes(sizes, mode or "partial")
+    if args.blocks:
+        blocks = [_numbers(chunk, "--blocks") for chunk in args.blocks.split("|")]
+        scheme = cond.PartitionScheme(blocks, args.mode or "partial")
+    elif args.partition:
+        sizes = _numbers(args.partition, "--partition")
+        scheme = cond.PartitionScheme.from_sizes(sizes, args.mode or "partial")
     else:
         hint = sys_.hints.get("partition")
         if hint is None:
             if required:
                 raise SchemaError("no partition given and the model has no hint")
             return None
-        scheme = cond.PartitionScheme.from_hint(hint, mode)
+        scheme = cond.PartitionScheme.from_hint(hint, args.mode)
     scheme.validate_for(sys_.n)
     return scheme
 
 
-def _config_dict(args, extra=None):
+def _config_dict(args, scheme=None):
+    """The parsed options that name the run, and the partition it resolved."""
     skip = {"func", "out", "verbose", "workers"}
-    cfg = {k: v for k, v in sorted(vars(args).items())
-           if k not in skip and v is not None}
-    if extra:
-        cfg.update(extra)
+    cfg = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
+    if scheme is not None:
+        cfg.update(resolvedBlocks=scheme.blocks, resolvedMode=scheme.mode)
     return cfg
 
 
@@ -236,15 +249,14 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _report_payload(config, report_dict, t0):
-    return {"config": config, "report": report_dict,
-            "timing": {"seconds": time.time() - t0}}
-
-
-def _emit(args, path, payload):
-    _write_json(path, payload)
+def _emit(args, run_dir, config, report, t0, **timing):
+    """Write run_dir/report.json (the config, the report, and under timing
+    the seconds since t0 beside the given work counts) and print its path."""
+    path = os.path.join(run_dir, "report.json")
+    _write_json(path, {"config": config, "report": report,
+                       "timing": {"seconds": time.time() - t0, **timing}})
     if args.verbose:
-        print(json.dumps(payload.get("report", payload), sort_keys=True, indent=1))
+        print(json.dumps(report, sort_keys=True, indent=1))
     print(path)
 
 
@@ -256,16 +268,14 @@ def cmd_check(args):
     t0 = time.time()
     sys_, _ = _resolve_model(args)
     scheme = _partition(args, sys_)
-    config = _config_dict(args, {"resolvedBlocks": scheme.blocks,
-                                 "resolvedMode": scheme.mode})
+    config = _config_dict(args, scheme)
     run_dir = _run_dir(args, config)
     csv_path = os.path.join(run_dir, "residuals.csv") if args.csv else None
     report = cond.check_partition(sys_, scheme, _plan(args), tol=args.tol,
                                   frame=args.frame,
                                   gradient_path=args.gradient_path, csv_path=csv_path)
-    payload = _report_payload(config, report.to_dict(), t0)
-    payload["timing"]["samples"] = {"degenerateByCause": report.degenerate_by_cause}
-    _emit(args, os.path.join(run_dir, "report.json"), payload)
+    _emit(args, run_dir, config, report.to_dict(), t0,
+          samples={"degenerateByCause": report.degenerate_by_cause})
     return 0 if report.verdict == "pass" else 1
 
 
@@ -278,13 +288,11 @@ def cmd_search(args):
     found = cond.search_partitions(sys_, _plan(args), tol=args.tol,
                                    max_k=args.max_k, mode=args.mode,
                                    frame=args.frame, work=work)
-    payload = _report_payload(config, {
+    _emit(args, run_dir, config, {
         "passing": [{"blocks": s.blocks, "mode": s.mode, "report": r.to_dict()}
                     for s, r in found],
         "count": len(found),
-    }, t0)
-    payload["timing"]["search"] = work
-    _emit(args, os.path.join(run_dir, "report.json"), payload)
+    }, t0, search=work)
     return 0 if found else 1
 
 
@@ -303,14 +311,12 @@ def cmd_verify(args):
         candidate = transform.TransformCandidate.from_hints(sys_, mode=args.mode)
         if scheme is not None:
             candidate.partition = scheme
-    config = _config_dict(args, {"resolvedBlocks": candidate.partition.blocks,
-                                 "resolvedMode": candidate.partition.mode})
+    config = _config_dict(args, candidate.partition)
     run_dir = _run_dir(args, config)
     ts = transform.verify_transform(sys_, candidate, _plan(args), tol=args.tol,
                                     frame=args.frame)
-    payload = _report_payload(config, ts.to_dict(), t0)
-    payload["timing"]["samples"] = {"degenerateByCause": ts.degenerate_by_cause}
-    _emit(args, os.path.join(run_dir, "report.json"), payload)
+    _emit(args, run_dir, config, ts.to_dict(), t0,
+          samples={"degenerateByCause": ts.degenerate_by_cause})
     return 0 if ts.verdict == "pass" else 1
 
 
@@ -318,14 +324,13 @@ def cmd_decouple(args):
     t0 = time.time()
     sys_, _ = _resolve_model(args)
     scheme = _partition(args, sys_)
-    base = np.array([float(s) for s in args.base_point.split(",")])
-    counts = [int(s) for s in args.grid.split(",")]
+    base = np.array(_numbers(args.base_point, "--base-point", float))
+    counts = _numbers(args.grid, "--grid")
     if len(counts) == 1:
         counts = counts * sys_.n
     if len(counts) != sys_.n or len(base) != sys_.n:
         raise SchemaError("base point and grid must match the state dimension")
-    config = _config_dict(args, {"resolvedBlocks": scheme.blocks,
-                                 "resolvedMode": scheme.mode})
+    config = _config_dict(args, scheme)
     run_dir = _run_dir(args, config)
     report = cond.check_partition(sys_, scheme, _plan(args), tol=args.tol,
                                   frame=args.frame)
@@ -336,16 +341,14 @@ def cmd_decouple(args):
     _write_csv(os.path.join(run_dir, "transform_grid.csv"),
                list(sys_.states) + [f"H{i+1}" for i in range(sys_.n)],
                [((), np.hstack([coords, out["values"].reshape(-1, sys_.n)]))])
-    payload = _report_payload(config, {
+    _emit(args, run_dir, config, {
         "quality": out["quality"],
         "basePoint": out["basePoint"],
         "slotEigenvalues": out["slotEigenvalues"],
         "blocks": out["blocks"],
         "gridShape": list(out["gridShape"]),
         "partitionReport": report.to_dict(),
-    }, t0)
-    payload["timing"]["construct"] = out["work"]
-    _emit(args, os.path.join(run_dir, "report.json"), payload)
+    }, t0, construct=out["work"])
     quality = out["quality"]
     ok = (report.verdict == "pass" and quality["gridCellsChecked"] > 0
           and quality["gridAnnihilationMax"] <= GRID_ANNIHILATION_TOL)
@@ -384,9 +387,7 @@ def cmd_simulate(args):
         report["hierarchical"] = hypsolve.solution_meta(hier)
         report["comparison"] = norms
         solve["hierarchical"] = hier.work
-    payload = _report_payload(config, report, t0)
-    payload["timing"]["solve"] = solve
-    _emit(args, os.path.join(run_dir, "report.json"), payload)
+    _emit(args, run_dir, config, report, t0, solve=solve)
     return 0
 
 
@@ -417,16 +418,14 @@ def cmd_nijenhuis(args):
     config = _config_dict(args)
     run_dir = _run_dir(args, config)
     value, used = cond.nijenhuis_max(sys_, _plan(args))
-    payload = _report_payload(config, {"maxResidual": value, "samples": used,
-                                       "tolerance": args.tol,
-                                       "verdict": "pass" if value <= args.tol else "fail"},
-                              t0)
-    _emit(args, os.path.join(run_dir, "report.json"), payload)
+    _emit(args, run_dir, config, {"maxResidual": value, "samples": used,
+                                  "tolerance": args.tol,
+                                  "verdict": "pass" if value <= args.tol else "fail"}, t0)
     return 0 if value <= args.tol else 1
 
 
 def cmd_oracle_gen(args):
-    sizes = tuple(int(s) for s in args.blocks.split(","))
+    sizes = tuple(_numbers(args.blocks, "--blocks"))
     doc = models.emit_synthetic_document(args.seed, args.n, sizes,
                                          with_source=args.with_source,
                                          off_block_defect=args.defect)
@@ -458,21 +457,16 @@ def cmd_models(args):
 
 
 def main(argv=None):
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except USAGE_ERRORS as err:
-        json.dump({"error": type(err).__name__, "message": str(err)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
     except QLError as err:
         json.dump({"error": type(err).__name__, "message": str(err)}, sys.stderr)
         sys.stderr.write("\n")
-        return 3
+        return 2 if isinstance(err, USAGE_ERRORS) else 3
 
 
 if __name__ == "__main__":

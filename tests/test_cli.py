@@ -202,14 +202,81 @@ def test_simulate_nearly_scalar_upwind_cell_exit_three(tmp_path, capsys):
     assert err["error"] == "NonHyperbolic" and "grid cell" in err["message"]
 
 
-def test_module_entry_point_runs_the_cli():
+def python(*argv):
+    """Run python with argv in a fresh process that imports this package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    done = subprocess.run([sys.executable, "-m", "qldecouple", "--help"], env=env,
-                          capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_module_entry_point_runs_the_cli():
+    done = python("-m", "qldecouple", "--help")
     assert done.returncode == 0
     assert done.stdout.startswith("usage: qldecouple")
+
+
+def test_parser_is_built_once_per_process_and_not_at_import():
+    done = python("-c", "from qldecouple import cli; print(cli._parser.cache_info().currsize)")
+    assert done.stdout.strip() == "0"
+    assert cli._parser() is cli._parser()
+
+
+def test_param_default_is_not_shared_between_calls(tmp_path, capsys):
+    # the cached parser's --param default list must not collect earlier calls' values
+    argv = ["nijenhuis", "--model", "barotropic", "--pressure", "p0*rho^3", "--samples", "20",
+            "--out", str(tmp_path)]
+    run(argv + ["--param", "p0=2"])
+    first, _ = read_report(capsys)
+    run(argv)
+    second, _ = read_report(capsys)
+    assert first["config"]["param"] == ["p0=2"]
+    assert second["config"]["param"] == []
+
+
+CUBIC = ["--model", "barotropic", "--param", "p0=1", "--pressure", "p0*rho^3"]
+FULL_1_1 = ["--partition", "1,1", "--mode", "full"]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["check", *CUBIC, *FULL_1_1, "--samples", "20", "--csv", "--gradient-path", "fd"],
+     "cddd39e4e5cc"),
+    (["search", *CUBIC, "--mode", "full", "--samples", "20"], "b7ed4d3cc05f"),
+    (["verify-transform", "--model", "barotropic", "--param", "p0=1",
+      "--transform", "v + sqrt(3)*rho;v - sqrt(3)*rho",
+      "--inverse", "(U1 - U2)/(2*sqrt(3));(U1 + U2)/2", *FULL_1_1, "--samples", "20"],
+     "386264fac710"),
+    (["decouple", *CUBIC, *FULL_1_1, "--samples", "20", "--base-point", "1.0,0.0",
+      "--grid", "4"], "551a5c208427"),
+    (["simulate", *CUBIC, "--initial", "1 + 0.1*sin(2*pi*x);0", "--cells", "20",
+      "--t-end", "0.01"], "f5fba5149982"),
+    (["nijenhuis", *CUBIC, "--samples", "20"], "e6913f8a692d"),
+    (["oracle-gen", "--n", "3", "--blocks", "2,1", "--seed", "3"], "dd2467a923f2"),
+    (["models", "emit", "threadline", "--param", "k=1"], "c6d199d669f5"),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_run_directory_names_are_pinned(tmp_path, capsys, argv, digest):
+    # the run directory is a hash of the parsed options: a renamed option
+    # destination or a changed default moves it
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    path = capsys.readouterr().out.strip().splitlines()[-1]
+    assert os.path.basename(os.path.dirname(path)) == digest
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["check", "--model", "barotropic", "--partition", "1,a"], "--partition"),
+    (["check", "--model", "barotropic", "--blocks", "0|x"], "--blocks"),
+    (["check", "--model", "barotropic", "--param", "p0=abc"], "--param p0"),
+    (["decouple", "--model", "barotropic", "--base-point", "1,x"], "--base-point"),
+    (["decouple", "--model", "barotropic", "--base-point", "1,0", "--grid", "6,a"], "--grid"),
+    (["oracle-gen", "--blocks", "2,x"], "--blocks"),
+], ids=["check-partition", "check-blocks", "check-param", "decouple-base-point",
+        "decouple-grid", "oracle-gen-blocks"])
+def test_malformed_number_is_usage_error(tmp_path, capsys, argv, option):
+    code = run(argv + ["--out", str(tmp_path)])
+    err = json.loads(capsys.readouterr().err.strip())
+    assert code == 2
+    assert err["error"] == "SchemaError" and err["message"].startswith(option + " ")
 
 
 def test_search_finds_riemann_pair(tmp_path, capsys):
@@ -576,3 +643,24 @@ def test_wrong_builder_option_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert json.loads(err.strip())["error"] == "SchemaError"
+
+
+@pytest.mark.parametrize("option", [["--param", "p0=2"], ["--pressure", "p0*rho^2"],
+                                    ["--f", "s"], ["--tension", "1/m"]],
+                         ids=lambda v: v[0])
+def test_builder_option_on_model_file_is_usage_error(tmp_path, capsys, option):
+    # the emitted document has the cubic law; a builder option cannot change it
+    assert run(["models", "emit", "barotropic", *CUBIC[2:], "--out", str(tmp_path)]) == 0
+    path = capsys.readouterr().out.strip()
+    code = run(["check", "--model", path, *FULL_1_1, *option, "--out", str(tmp_path)] + BASE)
+    err = json.loads(capsys.readouterr().err.strip())
+    assert code == 2
+    assert err["error"] == "SchemaError" and "registry models only" in err["message"]
+
+
+def test_threadline_parameter_other_than_k_is_usage_error(tmp_path, capsys):
+    code = run(["check", "--model", "threadline", "--param", "kk=2", "--out", str(tmp_path)]
+               + BASE)
+    err = json.loads(capsys.readouterr().err.strip())
+    assert code == 2
+    assert err["error"] == "SchemaError" and "kk" in err["message"]
